@@ -28,10 +28,8 @@
  * governor engaged) must finish with zero invariant violations.
  *
  * Usage: governor_campaign [--seeds=N] [--jobs=N] [--out=PATH] [--golden]
- *                          [--sim-workers=N] [--record=PATH]
+ *                          [--record=PATH]
  *   --seeds=N    seeds per (tier, envelope, policy) cell (default 5)
- *   --sim-workers=N  parallel lane-dispatch workers inside each run
- *                (default 0 = serial; byte-identical either way)
  *   --out=PATH   where to write the JSON record (default
  *                BENCH_governor.json; "-" suppresses the file)
  *   --golden     deterministic single-seed replay dump for the golden
@@ -121,12 +119,11 @@ governor_for(const DeviceTier &tier)
 
 SystemConfig
 policy_config(const DeviceTier &tier, const Envelope &env, int policy,
-              std::uint64_t seed, int sim_workers)
+              std::uint64_t seed)
 {
     SystemConfig cfg = SystemConfig()
                            .with_device(tier.device)
                            .with_seed(seed)
-                           .with_sim_workers(sim_workers)
                            .with_thermal_envelope(env.scale);
     switch (policy) {
     case kVsyncBase:
@@ -222,13 +219,10 @@ main(int argc, char **argv)
     bool golden = args.bool_flag("golden");
     std::string out_path = args.string_flag("out", "BENCH_governor.json");
     const int jobs = args.jobs();
-    const int sim_workers = args.int_flag("sim-workers", 0);
     const std::string record_path = args.string_flag("record");
     args.finish();
     if (seeds < 1)
         fatal("--seeds must be >= 1");
-    if (sim_workers < 0)
-        fatal("--sim-workers must be >= 0");
     if (golden) {
         seeds = 1;
         out_path = "-";
@@ -242,7 +236,7 @@ main(int argc, char **argv)
         // first tier, constrained envelope, ladder enabled.
         const DeviceTier &tier = tiers.front();
         RenderSystem sys(
-            policy_config(tier, kEnvelopes[1], kGoverned, 1, 0),
+            policy_config(tier, kEnvelopes[1], kGoverned, 1),
             soak_scenario(tier.device));
         sys.run();
         const SessionCapture cap = SessionRecorder::capture(
@@ -273,8 +267,7 @@ main(int argc, char **argv)
                     const std::uint64_t seed = std::uint64_t(s) + 1;
                     Experiment point;
                     point.scenario = scenario;
-                    point.config = policy_config(tier, env, policy, seed,
-                                                 sim_workers);
+                    point.config = policy_config(tier, env, policy, seed);
                     point.label = tier.name + "/" + env.name + "/" +
                                   kPolicyNames[policy] + "/seed" +
                                   std::to_string(seed);
@@ -309,7 +302,7 @@ main(int argc, char **argv)
             Experiment point;
             point.scenario = scenario;
             point.config =
-                policy_config(tier, chaos_env, kGoverned, seed, sim_workers)
+                policy_config(tier, chaos_env, kGoverned, seed)
                     .with_faults(std::make_shared<const FaultPlan>(
                         FaultPlan::generate(seed, horizon, *everything)));
             point.label = tier.name + "/chaos/governor/seed" +

@@ -24,12 +24,9 @@
  *                           [--seed=N] [--checkpoint=PATH] [--resume]
  *                           [--checkpoint-every=N] [--merge PATHS...]
  *                           [--out=PATH] [--rss-limit-mb=N] [--golden]
- *                           [--sim-workers=N] [--observatory]
- *                           [--top-k=N] [--specimens=DIR]
+ *                           [--observatory] [--top-k=N]
+ *                           [--specimens=DIR]
  *   --sessions=N     campaign size (default 1000000)
- *   --sim-workers=N  parallel lane-dispatch workers inside each session
- *                    (default 0 = serial; reports are byte-identical
- *                    either way, so goldens never pass this flag)
  *   --shard=K/N      run only global session indices congruent to K
  *                    mod N; the aggregator checkpoints of all N shards
  *                    merge to the byte-exact unsharded state
@@ -49,7 +46,7 @@
  *   --specimens=DIR  after an unsharded run or a merge, re-simulate the
  *                    top-K offenders into DIR as verified .dvst
  *                    specimens + manifest.json (needs --observatory;
- *                    pass the same --seed/--sim-workers as the shards)
+ *                    pass the same --seed as the shards)
  *   --out=PATH       JSON bench record (default BENCH_megafleet.json;
  *                    "-" suppresses the file)
  *   --rss-limit-mb=N fail if peak RSS exceeds N MB (default 1024)
@@ -95,14 +92,12 @@ peak_rss_mb()
 /** Write the offender specimens; exits the process on failure. */
 void
 write_specimens(const Observatory &obs, const DevicePopulation &fleet,
-                int sim_workers, const std::string &dir)
+                const std::string &dir)
 {
     std::string error;
     if (!capture_specimens(
             obs,
-            [&](std::uint64_t session) {
-                return fleet.experiment(session, sim_workers);
-            },
+            [&](std::uint64_t session) { return fleet.experiment(session); },
             dir, &error))
         fatal("specimen capture failed: %s", error.c_str());
     std::fprintf(stderr, "observatory: %zu specimens written to %s\n",
@@ -113,7 +108,7 @@ int
 merge_checkpoints(const std::vector<std::string> &paths,
                   const std::string &checkpoint_path,
                   std::optional<Observatory> &obs,
-                  const DevicePopulation &fleet, int sim_workers,
+                  const DevicePopulation &fleet,
                   const std::string &specimens_dir)
 {
     if (paths.empty())
@@ -150,7 +145,7 @@ merge_checkpoints(const std::vector<std::string> &paths,
     if (obs) {
         std::fputs(obs->summary().c_str(), stdout);
         if (!specimens_dir.empty())
-            write_specimens(*obs, fleet, sim_workers, specimens_dir);
+            write_specimens(*obs, fleet, specimens_dir);
     }
     return 0;
 }
@@ -176,7 +171,6 @@ main(int argc, char **argv)
     const std::string out_path = golden ? "-" : out_flag;
     const double rss_limit_mb = args.double_flag("rss-limit-mb", 1024.0);
     const int jobs = args.jobs();
-    const int sim_workers = args.int_flag("sim-workers", 0);
     const bool observatory_on = args.bool_flag("observatory");
     const int top_k = args.int_flag("top-k", 8);
     const std::string specimens_dir = args.string_flag("specimens");
@@ -196,14 +190,12 @@ main(int argc, char **argv)
         if (observatory_on)
             obs.emplace(obs_config);
         return merge_checkpoints(merge_paths, checkpoint_path, obs, fleet,
-                                 sim_workers, specimens_dir);
+                                 specimens_dir);
     }
     if (sessions < 1)
         fatal("--sessions must be >= 1");
     if (resume && checkpoint_path.empty())
         fatal("--resume needs --checkpoint=PATH");
-    if (sim_workers < 0)
-        fatal("--sim-workers must be >= 0");
     if (!specimens_dir.empty() && shard.count > 1)
         fatal("--specimens on a shard would capture a shard-local top-K; "
               "merge the shard checkpoints first");
@@ -273,7 +265,7 @@ main(int argc, char **argv)
     runner.run_stream(
         todo,
         [&](std::size_t p) {
-            return fleet.experiment(shard.global(done + p), sim_workers);
+            return fleet.experiment(shard.global(done + p));
         },
         sink);
     const double wall_s =
@@ -298,7 +290,7 @@ main(int argc, char **argv)
         std::fputs(obs->summary().c_str(), stdout);
 
     if (obs && !specimens_dir.empty())
-        write_specimens(*obs, fleet, sim_workers, specimens_dir);
+        write_specimens(*obs, fleet, specimens_dir);
 
     const double rss_mb = peak_rss_mb();
     if (!golden) {

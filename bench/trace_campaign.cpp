@@ -14,17 +14,13 @@
  *  - held to the campaign bar: no failed runs, zero invariant
  *    violations, and every dropped frame attributed to a cause.
  *
- * Output is byte-identical whatever --jobs or --sim-workers says — the
- * CI determinism check replays the corpus under several values of each
- * and compares stdout.
+ * Output is byte-identical whatever --jobs says — the CI determinism
+ * check replays the corpus at several values and compares stdout.
  *
- * Usage: trace_campaign [--corpus=DIR] [--jobs=N] [--sim-workers=N]
- *                       [--out=PATH] [--golden] [--write-extra=DIR]
+ * Usage: trace_campaign [--corpus=DIR] [--jobs=N] [--out=PATH] [--golden]
+ *                       [--write-extra=DIR]
  *   --corpus=DIR   directory scanned (non-recursively) for *.dvst
  *                  entries, replayed in name order (default traces)
- *   --sim-workers=N  parallel lane-dispatch workers inside each replay
- *                  (-1 = as recorded, 0 = serial, N = N workers; the
- *                  bit-exact contract holds at any worker count)
  *   --out=PATH     where to write the JSON record (default
  *                  BENCH_trace.json; "-" suppresses the file)
  *   --golden       deterministic full-report dump for the golden check
@@ -95,8 +91,7 @@ stats_of(const RunReport &r)
 }
 
 EntryResult
-replay_entry(const std::filesystem::path &path, int sim_workers,
-             bool golden)
+replay_entry(const std::filesystem::path &path, bool golden)
 {
     EntryResult res;
     res.name = path.filename().string();
@@ -125,9 +120,7 @@ replay_entry(const std::filesystem::path &path, int sim_workers,
                                r.report.debug_string() + "\n";
     };
 
-    ReplayOptions opts;
-    opts.sim_workers = sim_workers;
-    const ReplayResult as_recorded = replay_session(cap, opts);
+    const ReplayResult as_recorded = replay_session(cap);
     res.recorded = stats_of(as_recorded.report);
     check(as_recorded, "as-recorded");
     if (cap.verbatim)
@@ -135,7 +128,6 @@ replay_entry(const std::filesystem::path &path, int sim_workers,
 
     for (RenderMode mode : {RenderMode::kVsync, RenderMode::kDvsync}) {
         ReplayOptions forced;
-        forced.sim_workers = sim_workers;
         forced.mode = mode;
         const ReplayResult r = replay_session(cap, forced);
         (mode == RenderMode::kVsync ? res.vsync : res.dvsync) =
@@ -216,10 +208,7 @@ main(int argc, char **argv)
     const std::string extra_dir = args.string_flag("write-extra");
     const std::string synth_dir = args.string_flag("record-synthetics");
     const int jobs = args.jobs();
-    const int sim_workers = args.int_flag("sim-workers", -1);
     args.finish();
-    if (sim_workers < -1)
-        fatal("--sim-workers must be >= -1");
     if (golden)
         out_path = "-";
 
@@ -261,8 +250,7 @@ main(int argc, char **argv)
             pool.emplace_back([&] {
                 for (std::size_t i = next.fetch_add(1);
                      i < entries.size(); i = next.fetch_add(1))
-                    results[i] =
-                        replay_entry(entries[i], sim_workers, golden);
+                    results[i] = replay_entry(entries[i], golden);
             });
         }
         for (std::thread &t : pool)

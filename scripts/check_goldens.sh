@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Bench-output determinism check: every deterministic bench binary must
-# produce byte-identical stdout to its golden under bench/goldens/, and
-# perf_sim_core's dispatch checksums must match their pinned values.
+# produce byte-identical stdout to its golden under bench/goldens/.
 # Catches any change to simulation results — above all a dispatch-order
-# change in the event-queue core. See bench/goldens/README.md.
+# change in the event-queue core (whose own dispatch checksums are pinned
+# by tests/test_event_queue.cpp). See bench/goldens/README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,7 +16,6 @@ fail=0
 for golden in bench/goldens/*.txt; do
     name="$(basename "$golden" .txt)"
     case "$name" in
-        perf_sim_core.checksums) continue ;;
         chaos_campaign.golden) continue ;;
         governor_campaign.golden) continue ;;
         fleet_campaign.golden) continue ;;
@@ -40,20 +39,6 @@ for golden in bench/goldens/*.txt; do
         fail=1
     fi
 done
-
-# perf_sim_core: timings float, but the dispatch checksums and sweep FDPS
-# sum are deterministic at a fixed --events.
-"$BENCH_DIR/perf_sim_core" --events=200000 --out=- \
-    | grep -E 'dispatch checksum|fdps sum' > "$TMP/perf_sim_core.checksums.txt"
-if cmp -s bench/goldens/perf_sim_core.checksums.txt \
-          "$TMP/perf_sim_core.checksums.txt"; then
-    echo "OK       perf_sim_core (dispatch checksums)"
-else
-    echo "DIFF     perf_sim_core (dispatch checksums)"
-    diff bench/goldens/perf_sim_core.checksums.txt \
-         "$TMP/perf_sim_core.checksums.txt" || true
-    fail=1
-fi
 
 # chaos_campaign: the bare binary runs the full 50-seed campaign, so the
 # golden pins the deterministic --golden replay (seed-1 fault plans plus
@@ -162,7 +147,7 @@ fi
 # replay dumps (reports, dispatch hashes, lineage). The replay also
 # enforces the bit-exact contract and the acceptance bar, so a nonzero
 # exit fails the check even if the text matches. Byte-stable at any
-# --jobs / --sim-workers (checked separately in scripts/ci.sh).
+# --jobs (checked separately in scripts/ci.sh).
 if "$BENCH_DIR/trace_campaign" --golden --jobs=1 2>/dev/null \
     > "$TMP/trace_campaign.golden.txt" \
     && cmp -s bench/goldens/trace_campaign.golden.txt \

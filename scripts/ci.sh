@@ -7,11 +7,11 @@
 #   scripts/ci.sh --sanitize  # ASan+UBSan build + tests (separate
 #                             # build dir; exercises the event-queue
 #                             # slot-recycling storage under sanitizers)
-#   scripts/ci.sh --tsan      # ThreadSanitizer build + the parallel
-#                             # lane-dispatch suite and a worker-enabled
-#                             # chaos smoke (separate build dir; guards
-#                             # the SimWorkerPool publish/claim protocol
-#                             # and the barrier handoff)
+#   scripts/ci.sh --tsan      # ThreadSanitizer build + the threaded
+#                             # harness suites and a multi-job chaos
+#                             # smoke (separate build dir; guards the
+#                             # ExperimentRunner workers, OrderedDelivery
+#                             # and the TeeSink fan-out)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,20 +32,19 @@ esac
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 if [[ "$SANITIZE" == thread ]]; then
-    # TSan's job here is the threaded simulation core, not the whole
-    # suite: build everything (compile coverage), then run the
-    # serial-vs-parallel equivalence tests plus a worker-enabled chaos
-    # smoke. The full suite under TSan would mostly re-run
-    # single-threaded code at 5-15x slowdown for no extra coverage.
+    # TSan's job here is the session-level harness threads, not the
+    # whole suite: build everything (compile coverage), then run the
+    # suites that drive ExperimentRunner workers, OrderedDelivery and
+    # TeeSink, plus a multi-job chaos smoke. Each simulation is
+    # single-threaded, so the full suite under TSan would mostly re-run
+    # serial code at 5-15x slowdown for no extra coverage.
     cmake -B "$BUILD_DIR" -S . -DDVS_WERROR=ON -DDVS_SANITIZE=thread
     cmake --build "$BUILD_DIR" -j"$JOBS"
     (cd "$BUILD_DIR" \
-        && ctest --output-on-failure -j"$JOBS" -R 'ParallelSim')
-    "$BUILD_DIR/bench/chaos_campaign" --seeds=2 --sim-workers=4 --out=-
-    # The governor ticks on the shared lane (window barriers), so a
-    # worker-enabled sweep exercises the control loop under TSan too.
-    "$BUILD_DIR/bench/governor_campaign" --seeds=1 --sim-workers=4 --out=-
-    echo "tsan: parallel lane-dispatch suite + chaos/governor smokes clean"
+        && ctest --output-on-failure -j"$JOBS" \
+            -R 'ExperimentRunner|StreamingRunner|TeeSink|CampaignAggregator|Observatory')
+    "$BUILD_DIR/bench/chaos_campaign" --seeds=2 --jobs=4 --out=-
+    echo "tsan: harness suites + multi-job chaos smoke clean"
     exit 0
 fi
 
@@ -143,36 +142,21 @@ fi
 "$BUILD_DIR/bench/dvsync_inspect" --specimens="$OBSTMP" > /dev/null
 echo "observatory smoke: 2-way merge byte-identical, top-K specimens bit-exact"
 
-# Observatory tax (plain build only — sanitizer timings are meaningless):
-# sessions/sec with the monitor on vs off, aggregator parity enforced,
-# wall-clock overhead within the 5% budget (nonzero exit otherwise).
-if [[ "$SANITIZE" == OFF ]]; then
-    "$BUILD_DIR/bench/observatory_overhead" --out="BENCH_observatory.json"
-fi
-
 # Trace corpus regression: replay every committed .dvst capture as
 # recorded and under both forced pacing modes. Every verbatim entry must
 # re-verify bit-exactly against its recording (event dispatch hash plus
 # field-by-field report equality), and every replay leg must clear the
 # acceptance bar (zero invariant violations, every drop attributed) —
 # nonzero exit otherwise. Also under sanitizers: the .dvst decode and
-# replay-workload paths are fresh C++ over attacker-shaped input.
+# replay-workload paths are fresh C++ over attacker-shaped input. The
+# campaign's stdout must also be byte-stable across the replay
+# thread-pool width (--jobs).
 "$BUILD_DIR/bench/trace_campaign" --corpus=traces --out=- \
-    > "$MEGATMP/trace_default.txt"
-
-# Replay determinism: the campaign's stdout must be byte-stable across
-# the replay thread-pool width (--jobs) and the simulator worker count
-# (--sim-workers) — the lane-dispatch identity contract (DESIGN.md §5i).
+    --jobs=1 > "$MEGATMP/trace_j1.txt"
 "$BUILD_DIR/bench/trace_campaign" --corpus=traces --out=- \
-    --jobs=1 --sim-workers=2 > "$MEGATMP/trace_j1w2.txt"
-"$BUILD_DIR/bench/trace_campaign" --corpus=traces --out=- \
-    --jobs=7 --sim-workers=4 > "$MEGATMP/trace_j7w4.txt"
-if ! cmp "$MEGATMP/trace_default.txt" "$MEGATMP/trace_j1w2.txt"; then
-    echo "trace corpus: replay output changed under --jobs=1 --sim-workers=2" >&2
+    --jobs=7 > "$MEGATMP/trace_j7.txt"
+if ! cmp "$MEGATMP/trace_j1.txt" "$MEGATMP/trace_j7.txt"; then
+    echo "trace corpus: replay output differs between --jobs=1 and --jobs=7" >&2
     exit 1
 fi
-if ! cmp "$MEGATMP/trace_default.txt" "$MEGATMP/trace_j7w4.txt"; then
-    echo "trace corpus: replay output changed under --jobs=7 --sim-workers=4" >&2
-    exit 1
-fi
-echo "trace corpus replay: bit-exact, byte-stable across jobs/sim-workers"
+echo "trace corpus replay: bit-exact, byte-stable across --jobs"

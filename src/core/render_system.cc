@@ -61,10 +61,6 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
 
     producer_ = std::make_unique<Producer>(sim_, std::move(scenario),
                                            *queue_, *dist_);
-    // Single surface = one lane; degenerate under parallel dispatch but
-    // keeps the single- and multi-surface stacks on the same code path.
-    producer_->pin_lane(1);
-    sim_.set_sim_workers(config.sim_workers);
     // Typical runs keep a few hundred events live; pre-sizing the heap
     // and slot map keeps the hot loop out of the allocator.
     sim_.events().reserve(256);
@@ -233,8 +229,8 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
         // Default cadence: 16 refresh periods. Dense per-period sampling
         // is available via with_metrics_interval(device.period()), but
         // idle-heavy runs would then pay for a tick per refresh — the
-        // sparse default keeps the measured overhead within the 5%
-        // budget perf_sim_core enforces. Series sampling stays a
+        // sparse default keeps the sampler within the 5% extra-event
+        // budget tests/test_forensics.cpp enforces. Series sampling stays a
         // forensics feature: a governor-only registry is a passive
         // sensor bus, polled on the governor's cadence instead.
         if (config.forensics) {

@@ -31,8 +31,8 @@ Governor::install(Simulator &sim, const MetricsRegistry &registry,
         fatal("governor control interval must be > 0");
     installed_ = true;
     registry_ = &registry;
-    // Self-rescheduling tick on the shared lane: a barrier under
-    // parallel dispatch, so sensor reads see settled cross-lane state.
+    // Self-rescheduling tick at kMetrics priority: it runs after every
+    // other event of its tick, so sensor reads see settled state.
     struct Rearm {
         Simulator &sim;
         Governor &gov;

@@ -29,11 +29,10 @@
  * transition count over any horizon T is O(rungs * log(T)) rather than
  * O(T) — the flap-storm test pins this bound.
  *
- * Determinism: the tick runs at kMetrics priority on the shared event
- * lane (lane 0). Under parallel lane dispatch, shared-lane events are
- * window barriers — every surface lane has retired its window before the
- * tick reads the sensors — so the control loop sees identical sensor
- * values at any --sim-workers count.
+ * Determinism: the tick is an ordinary event at kMetrics priority, so it
+ * runs after every display, vsync and pipeline event of its tick and
+ * reads settled sensor values; the control loop is a pure function of
+ * the event schedule.
  */
 
 #ifndef DVS_GOVERNOR_GOVERNOR_H

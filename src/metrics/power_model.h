@@ -23,7 +23,7 @@
  * The plant is pure double arithmetic over integer nanoseconds: no RNG,
  * no events, no wall clock. Feeding it the same busy schedule yields
  * bit-identical temperatures and energies, which is what lets a
- * governor-enabled run stay byte-identical at any --sim-workers count.
+ * governor-enabled run stay byte-identical at any --jobs count.
  */
 
 #ifndef DVS_METRICS_POWER_MODEL_H

@@ -35,9 +35,8 @@
  * commutative over disjoint session sets, and the bounded top-K is
  * merge-stable because the global top-K is always a subset of the union
  * of per-shard top-Ks. Running a campaign at any --jobs, sharded
- * --shard K/N + --merge, resumed from a checkpoint, or at any
- * --sim-workers therefore yields byte-identical summary() and to_json()
- * output. CI enforces this by byte-comparing a merged 2-way-sharded
+ * --shard K/N + --merge, or resumed from a checkpoint therefore yields
+ * byte-identical summary() and to_json() output. CI enforces this by byte-comparing a merged 2-way-sharded
  * smoke against the unsharded run.
  *
  * (Like DevicePopulation, the sources live where they belong

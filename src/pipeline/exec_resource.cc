@@ -32,11 +32,6 @@ ExecResource::run(Time duration, std::function<void()> on_done)
     ++jobs_;
     for (auto &listener : usage_listeners_)
         listener(start, end);
-    // The completion event belongs to this resource's lane regardless of
-    // which context submitted the work (a vsync delivery on the shared
-    // lane kicks a surface's UI stage; the completion still runs on the
-    // surface's lane).
-    LaneScope scope(lane_);
     sim_.events().schedule(
         end,
         [this, fn = std::move(on_done)] {

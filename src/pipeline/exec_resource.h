@@ -86,16 +86,6 @@ class ExecResource
     /** Number of work items executed. */
     std::uint64_t jobs() const { return jobs_; }
 
-    /**
-     * Pin this resource's completion events to event lane @p lane. A
-     * resource owned by one surface (its UI thread, render thread, or
-     * private GPU) is the unit of parallelism under the lane dispatcher;
-     * shared resources (a device GPU) stay on kSharedLane. Purely a
-     * placement tag — dispatch order is unaffected.
-     */
-    void set_lane(LaneId lane) { lane_ = lane; }
-    LaneId lane() const { return lane_; }
-
   private:
     Simulator &sim_;
     std::string name_;
@@ -105,7 +95,6 @@ class ExecResource
     Time busy_until_ = 0;
     Time total_busy_ = 0;
     std::uint64_t jobs_ = 0;
-    LaneId lane_ = kSharedLane;
 };
 
 } // namespace dvs

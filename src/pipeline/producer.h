@@ -230,26 +230,6 @@ class Producer
     void use_shared_gpu(ExecResource &gpu);
 
     /**
-     * Pin this producer's pipeline stages (UI thread, render thread,
-     * and the private GPU) to event lane @p lane for parallel lane
-     * dispatch. A shared device GPU installed via use_shared_gpu() is
-     * deliberately NOT pinned — cross-surface work must stay on the
-     * shared lane. Placement only; results are identical at any worker
-     * count.
-     */
-    void pin_lane(LaneId lane)
-    {
-        lane_ = lane;
-        ui_thread_.set_lane(lane);
-        render_thread_.set_lane(lane);
-        gpu_.set_lane(lane);
-        choreographer_.set_lane(lane);
-    }
-
-    /** Lane this producer is pinned to (kSharedLane when unpinned). */
-    LaneId lane() const { return lane_; }
-
-    /**
      * Resume GPU submissions parked behind another submitter's job on a
      * shared GPU (wired to ExecResource::add_done_listener by the
      * multi-surface system). No-op when nothing is pending or the GPU is
@@ -285,7 +265,6 @@ class Producer
     ExecResource render_thread_;
     ExecResource gpu_;
     ExecResource *gpu_res_ = &gpu_;
-    LaneId lane_ = kSharedLane;
     FramePacer *pacer_ = nullptr;
     ContentSampler sampler_;
     ExtraCostFn extra_cost_;

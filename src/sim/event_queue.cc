@@ -73,20 +73,10 @@ EventQueue::maybe_compact()
 EventId
 EventQueue::schedule(Time when, Callback fn, EventPriority prio)
 {
-    lane_detail::Ambient &a = lane_detail::ambient();
-    if (a.ctx) {
-        // Inside a parallel lane window: the emission is recorded in the
-        // lane's log and either executed locally (own lane, inside the
-        // window) or committed to the heap at the barrier with its exact
-        // serial sequence number.
-        return lane_intercept_schedule(*a.ctx, when, std::move(fn),
-                                       static_cast<int>(prio));
-    }
     assert(when >= now_ && "cannot schedule events in the past");
     const std::uint32_t slot = acquire_slot(std::move(fn));
     const EventId id = make_id(slot, slots_[slot].gen);
-    heap_.push_back(
-        Entry{when, static_cast<int>(prio), a.lane, next_seq_++, id});
+    heap_.push_back(Entry{when, static_cast<int>(prio), next_seq_++, id});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     ++live_count_;
     return id;
@@ -95,18 +85,6 @@ EventQueue::schedule(Time when, Callback fn, EventPriority prio)
 bool
 EventQueue::cancel(EventId id)
 {
-    lane_detail::Ambient &a = lane_detail::ambient();
-    if (a.ctx)
-        return lane_intercept_cancel(*a.ctx, id);
-    if (id & kProvisionalBit) {
-        // Provisional handle from an earlier lane window. If the event
-        // was deferred to the heap it has a real id by now; otherwise it
-        // already fired or was cancelled in-window, so the handle is
-        // stale — same contract as a recycled real id.
-        id = translate(id);
-        if (id == 0)
-            return false;
-    }
     if (!is_live(id))
         return false;
     release_slot(slot_of(id));
@@ -143,7 +121,7 @@ EventQueue::run_until(Time horizon, bool advance_to_horizon)
         now_ = e.when;
         --live_count_;
         ++dispatched_;
-        fold_dispatch(e.when, e.prio, e.lane, e.seq);
+        fold_dispatch(e.when, e.prio, e.seq);
         ++n;
         fn();
     }

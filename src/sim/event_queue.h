@@ -27,10 +27,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/lane.h"
 #include "sim/time.h"
 
 namespace dvs {
@@ -74,16 +72,8 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /**
-     * Current virtual time. During parallel lane execution this is the
-     * executing lane's clock — identical to what serial dispatch would
-     * read at the same event.
-     */
-    Time now() const
-    {
-        const lane_detail::Ambient &a = lane_detail::ambient();
-        return a.ctx ? a.lane_now : now_;
-    }
+    /** Current virtual time. */
+    Time now() const { return now_; }
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -137,10 +127,9 @@ class EventQueue
     std::uint64_t dispatched() const { return dispatched_; }
 
     /**
-     * FNV-style fold of every dispatched event's (when, prio, lane, seq)
-     * in dispatch order. Serial and parallel dispatch of the same
-     * simulation must produce the same hash — the cross-checksum the
-     * parallel mode is held to (perf_sim_core, test_parallel_sim).
+     * FNV-style fold of every dispatched event's (when, prio, seq) in
+     * dispatch order: a fingerprint of the whole event schedule, which
+     * `.dvst` replay verification and the queue checksum tests pin.
      */
     std::uint64_t dispatch_hash() const { return dispatch_hash_; }
 
@@ -156,13 +145,9 @@ class EventQueue
     }
 
   private:
-    friend class ParallelDispatcher;
-    friend class LaneExecContext;
-
     struct Entry {
         Time when;
         int prio;
-        LaneId lane; ///< fills the padding hole; 32 bytes either way
         std::uint64_t seq;
         EventId id;
 
@@ -210,25 +195,14 @@ class EventQueue
     void prune_dead_top();
     void maybe_compact();
 
-    /** Bit 63 marks provisional ids minted during lane execution. */
-    static constexpr EventId kProvisionalBit = EventId(1) << 63;
-
-    void fold_dispatch(Time when, int prio, LaneId lane, std::uint64_t seq)
+    void fold_dispatch(Time when, int prio, std::uint64_t seq)
     {
         constexpr std::uint64_t kPrime = 0x100000001b3ULL;
         std::uint64_t h = dispatch_hash_;
         h = (h ^ std::uint64_t(when)) * kPrime;
         h = (h ^ std::uint64_t(std::uint32_t(prio))) * kPrime;
-        h = (h ^ std::uint64_t(lane)) * kPrime;
         h = (h ^ seq) * kPrime;
         dispatch_hash_ = h;
-    }
-
-    /** Resolve a provisional id to its real heap id (kTimeNone-ish 0 = none). */
-    EventId translate(EventId id) const
-    {
-        auto it = prov_to_real_.find(id);
-        return it == prov_to_real_.end() ? 0 : it->second;
     }
 
     // Min-heap on (when, prio, seq) via the std heap algorithms; a plain
@@ -238,13 +212,6 @@ class EventQueue
     std::vector<Slot> slots_;
     std::uint32_t free_head_ = kNullSlot;
     std::size_t heap_dead_ = 0; ///< cancelled entries still in heap_
-
-    // Provisional ids handed out during lane execution for emissions
-    // that were deferred past the window barrier, mapped to the real ids
-    // they received when the barrier replay committed them to the heap.
-    // Mutated only on the simulation thread (at barriers); lane threads
-    // read it concurrently, which is safe between barriers.
-    std::unordered_map<EventId, EventId> prov_to_real_;
 
     Time now_ = 0;
     std::uint64_t next_seq_ = 0;

@@ -105,25 +105,6 @@ struct MultiSurfaceConfig {
     /** Metrics sampling cadence; 0 derives the device refresh period. */
     Time metrics_interval = 0;
 
-    /**
-     * Whether all surfaces contend for one shared device GPU (the
-     * default, and the physics every existing golden pins) or each
-     * surface renders on a private GPU. Private GPUs decouple the
-     * surfaces' pipelines, which is what gives the parallel dispatcher
-     * its lookahead — see sim_workers.
-     */
-    bool shared_gpu = true;
-
-    /**
-     * Parallel lane-dispatch worker count; 0 or 1 = serial. Requires
-     * shared_gpu = false: a shared device GPU couples every surface's
-     * frame pacing through its busy horizon, which collapses the
-     * conservative lookahead window (see DESIGN.md §5g). When both are
-     * set the system warns and falls back to serial dispatch — results
-     * are identical either way.
-     */
-    int sim_workers = 0;
-
     MultiSurfaceConfig() : device(pixel5()) {}
 
     // ----- fluent named setters ----------------------------------------
@@ -189,16 +170,6 @@ struct MultiSurfaceConfig {
     MultiSurfaceConfig &with_metrics_interval(Time interval)
     {
         metrics_interval = interval;
-        return *this;
-    }
-    MultiSurfaceConfig &with_shared_gpu(bool on)
-    {
-        shared_gpu = on;
-        return *this;
-    }
-    MultiSurfaceConfig &with_sim_workers(int n)
-    {
-        sim_workers = n;
         return *this;
     }
 };

@@ -194,7 +194,6 @@ encode_system_config(const SystemConfig &c)
     w.svarint(c.metrics_interval);
     encode_thermal(w, c.thermal);
     encode_governor(w, c.governor);
-    w.svarint(c.sim_workers);
     return w.take();
 }
 
@@ -223,7 +222,6 @@ decode_system_config(ByteReader &r, SystemConfig &c)
     c.metrics_interval = r.svarint();
     decode_thermal(r, c.thermal);
     decode_governor(r, c.governor);
-    c.sim_workers = int(r.svarint());
     c.faults.reset(); // FALT section reinstalls a recorded plan
 }
 
@@ -244,8 +242,6 @@ encode_multi_config(const MultiSurfaceConfig &c,
     w.u8(c.watchdog ? 1 : 0);
     w.u8(c.forensics ? 1 : 0);
     w.svarint(c.metrics_interval);
-    w.u8(c.shared_gpu ? 1 : 0);
-    w.svarint(c.sim_workers);
     w.varint(surfaces.size());
     for (const SurfaceCapture &s : surfaces) {
         w.str(s.name);
@@ -274,8 +270,6 @@ decode_multi_config(ByteReader &r, MultiSurfaceConfig &c,
     c.watchdog = read_bool(r, "watchdog");
     c.forensics = read_bool(r, "forensics");
     c.metrics_interval = r.svarint();
-    c.shared_gpu = read_bool(r, "shared_gpu");
-    c.sim_workers = int(r.svarint());
     c.faults.reset();
     const std::uint64_t n = r.count(8);
     surfaces.clear();

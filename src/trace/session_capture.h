@@ -11,7 +11,7 @@
  * nominal frame index, recording the table of values a segment *can*
  * query reproduces the run exactly without recording scheduler state.
  *
- * File format (.dvst), schema version 1:
+ * File format (.dvst), schema version 2:
  *
  *   "DVST"  u16 version  u8 kind (0 single / 1 multi)  u8 reserved(0)
  *   then sections, each:  4-byte tag | u32 payload len | payload | u32 CRC
@@ -122,7 +122,7 @@ struct SurfaceCapture {
  * A complete recorded session, loadable/savable as .dvst.
  */
 struct SessionCapture {
-    static constexpr std::uint16_t kSchemaVersion = 1;
+    static constexpr std::uint16_t kSchemaVersion = 2;
 
     enum class Kind : std::uint8_t { kSingle = 0, kMulti = 1 };
     Kind kind = Kind::kSingle;
@@ -151,9 +151,7 @@ struct SessionCapture {
 
     /**
      * The recorded SystemConfig, fault plan included (shared_ptr rebuilt
-     * on load via FaultPlan::from_windows). sim_workers is recorded as
-     * run; replay may override it — dispatch is byte-identical at any
-     * worker count, so the override preserves the verbatim contract.
+     * on load via FaultPlan::from_windows).
      */
     SystemConfig config;
     ScenarioCapture scenario;

@@ -97,15 +97,10 @@ replay_session(const SessionCapture &cap, const ReplayOptions &opts)
         SystemConfig cfg = cap.config;
         if (opts.mode)
             cfg.mode = *opts.mode;
-        if (opts.sim_workers >= 0)
-            cfg.sim_workers = opts.sim_workers;
         RenderSystem sys(cfg, build_scenario(cap.scenario));
         result.report = sys.run();
         result.dispatch_hash = sys.sim().events().dispatch_hash();
     } else {
-        MultiSurfaceConfig cfg = cap.multi_config;
-        if (opts.sim_workers >= 0)
-            cfg.sim_workers = opts.sim_workers;
         std::vector<SurfaceDesc> descs = build_surfaces(cap);
         if (opts.mode) {
             if (*opts.mode == RenderMode::kPaced)
@@ -114,12 +109,10 @@ replay_session(const SessionCapture &cap, const ReplayOptions &opts)
             for (SurfaceDesc &d : descs)
                 d.dvsync_aware = *opts.mode == RenderMode::kDvsync;
         }
-        MultiSurfaceSystem sys(std::move(descs), cfg);
+        MultiSurfaceSystem sys(std::move(descs), cap.multi_config);
         result.report = sys.run();
         result.dispatch_hash = sys.sim().events().dispatch_hash();
     }
-    // A sim_workers override alone keeps the contract: lane dispatch is
-    // byte-identical to serial at any worker count.
     result.verbatim = cap.verbatim && !opts.mode;
     return result;
 }

@@ -13,10 +13,9 @@
  * with no mode override reproduces the recorded session *bit-exactly* —
  * the event queue's FNV dispatch hash equals source_dispatch_hash and
  * the RunReport is field-by-field identical (its debug_string() hashes
- * to source_report_fnv). Overriding sim_workers preserves the contract
- * (parallel lane dispatch is byte-identical to serial at any worker
- * count); overriding the pacing mode yields a deterministic what-if run
- * of the same recorded workload, not a recording.
+ * to source_report_fnv). Overriding the pacing mode yields a
+ * deterministic what-if run of the same recorded workload, not a
+ * recording.
  */
 
 #ifndef DVS_TRACE_TRACE_REPLAY_H
@@ -37,9 +36,6 @@ struct ReplayOptions {
      * Unset replays as recorded.
      */
     std::optional<RenderMode> mode;
-
-    /** Parallel lane-dispatch workers; -1 replays as recorded. */
-    int sim_workers = -1;
 };
 
 /** Outcome of one replay. */

@@ -17,14 +17,11 @@ Choreographer::post_frame_callback()
     if (armed_)
         return; // coalesce
     armed_ = true;
-    dist_.request_callback(
-        channel_,
-        [this](const SwVsync &sw) {
-            armed_ = false;
-            ++delivered_;
-            callback_(sw);
-        },
-        lane_);
+    dist_.request_callback(channel_, [this](const SwVsync &sw) {
+        armed_ = false;
+        ++delivered_;
+        callback_(sw);
+    });
 }
 
 } // namespace dvs

@@ -42,14 +42,6 @@ class Choreographer
      */
     void post_frame_callback();
 
-    /**
-     * Event lane this choreographer's deliveries belong to (the owning
-     * producer's lane). Forwarded with every vsync request so per-lane
-     * delivery can tag the delivery event.
-     */
-    void set_lane(LaneId lane) { lane_ = lane; }
-    LaneId lane() const { return lane_; }
-
     /** Whether a callback is armed for the next vsync. */
     bool armed() const { return armed_; }
 
@@ -60,7 +52,6 @@ class Choreographer
     VsyncDistributor &dist_;
     VsyncChannel channel_;
     FrameCallback callback_;
-    LaneId lane_ = kSharedLane;
     bool armed_ = false;
     std::uint64_t delivered_ = 0;
 };

@@ -1,6 +1,5 @@
 #include "vsyncsrc/vsync_distributor.h"
 
-#include "sim/lane.h"
 #include "sim/logging.h"
 
 namespace dvs {
@@ -26,26 +25,9 @@ VsyncDistributor::offset(VsyncChannel ch) const
 }
 
 void
-VsyncDistributor::request_callback(VsyncChannel ch, Callback fn,
-                                   LaneId lane)
+VsyncDistributor::request_callback(VsyncChannel ch, Callback fn)
 {
-    // The distributor is shared state; a request issued during parallel
-    // lane execution is deferred to the barrier, where deferred ports
-    // are applied in the canonical serial dispatch order — so the batch
-    // a later edge delivers carries the requests in the same order a
-    // serial run would have appended them. The lane is passed explicitly
-    // (not read from the ambient scope): serial dispatch does not set
-    // ambient lanes, and the request's lane must be identical in serial
-    // and parallel runs for the delivery structure to match.
-    if (LaneExecContext *ctx = current_lane_ctx()) {
-        lane_defer_port(*ctx,
-                        [this, ch, lane, fn = std::move(fn)]() mutable {
-                            pending_[int(ch)].push_back(
-                                Pending{lane, std::move(fn)});
-                        });
-        return;
-    }
-    pending_[int(ch)].push_back(Pending{lane, std::move(fn)});
+    pending_[int(ch)].push_back(std::move(fn));
 }
 
 std::size_t
@@ -64,50 +46,18 @@ VsyncDistributor::on_edge(const VsyncEdge &edge)
             continue;
         // Snapshot and clear: callbacks requested during delivery belong
         // to the next edge.
-        std::vector<Pending> batch;
+        std::vector<Callback> batch;
         batch.swap(pending_[ch]);
         const Time deliver_at = edge.timestamp + offsets_[ch];
-        if (!per_lane_delivery_) {
-            sim_.events().schedule(
-                deliver_at,
-                [edge, deliver_at, batch = std::move(batch)] {
-                    SwVsync sw{edge.timestamp, deliver_at, edge.index,
-                               edge.rate_hz};
-                    for (const auto &p : batch)
-                        p.fn(sw);
-                },
-                EventPriority::kVsyncDist);
-            continue;
-        }
-        // Per-lane fan-out: one delivery event per requester lane, in
-        // order of first request, each tagged with its lane so the
-        // parallel dispatcher can run the surfaces' frame starts
-        // concurrently. Request order is preserved within a lane.
-        std::vector<LaneId> order;
-        for (const Pending &p : batch) {
-            bool seen = false;
-            for (LaneId l : order)
-                seen = seen || l == p.lane;
-            if (!seen)
-                order.push_back(p.lane);
-        }
-        for (LaneId lane : order) {
-            std::vector<Callback> fns;
-            for (Pending &p : batch) {
-                if (p.lane == lane)
-                    fns.push_back(std::move(p.fn));
-            }
-            LaneScope scope(lane);
-            sim_.events().schedule(
-                deliver_at,
-                [edge, deliver_at, fns = std::move(fns)] {
-                    SwVsync sw{edge.timestamp, deliver_at, edge.index,
-                               edge.rate_hz};
-                    for (const auto &fn : fns)
-                        fn(sw);
-                },
-                EventPriority::kVsyncDist);
-        }
+        sim_.events().schedule(
+            deliver_at,
+            [edge, deliver_at, batch = std::move(batch)] {
+                SwVsync sw{edge.timestamp, deliver_at, edge.index,
+                           edge.rate_hz};
+                for (const auto &fn : batch)
+                    fn(sw);
+            },
+            EventPriority::kVsyncDist);
     }
 }
 

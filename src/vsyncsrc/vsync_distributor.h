@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "display/hw_vsync.h"
-#include "sim/lane.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/vsync_model.h"
 
@@ -58,25 +57,8 @@ class VsyncDistributor
     /**
      * Request a single callback at the next delivery of @p ch. Requests
      * made at the exact delivery time of an edge wait for the next edge.
-     * @p lane is the requester's event lane: under per-lane delivery the
-     * callback rides a delivery event tagged with that lane, so a
-     * surface's frame work executes on its own lane between barriers.
      */
-    void request_callback(VsyncChannel ch, Callback fn,
-                          LaneId lane = kSharedLane);
-
-    /**
-     * Fan each edge out as one delivery event *per requester lane*
-     * instead of one combined event per channel. Same deliveries at the
-     * same times; only the batching (and thus the cross-surface callback
-     * interleaving at equal timestamps) changes, which is why this is a
-     * construction-time decision: the multi-surface system enables it
-     * exactly when surfaces are decoupled (private GPUs), where the
-     * interleaving is unobservable — and it must be identical between
-     * serial and parallel runs of the same config (DESIGN.md §5g).
-     */
-    void set_per_lane_delivery(bool on) { per_lane_delivery_ = on; }
-    bool per_lane_delivery() const { return per_lane_delivery_; }
+    void request_callback(VsyncChannel ch, Callback fn);
 
     /** Number of outstanding requests on a channel (for tests). */
     std::size_t pending(VsyncChannel ch) const;
@@ -85,19 +67,12 @@ class VsyncDistributor
     const VsyncModel &model() const { return model_; }
 
   private:
-    /** One outstanding request: callback plus its requester's lane. */
-    struct Pending {
-        LaneId lane;
-        Callback fn;
-    };
-
     void on_edge(const VsyncEdge &edge);
 
     Simulator &sim_;
     VsyncModel model_;
     std::array<Time, kNumVsyncChannels> offsets_{};
-    std::array<std::vector<Pending>, kNumVsyncChannels> pending_;
-    bool per_lane_delivery_ = false;
+    std::array<std::vector<Callback>, kNumVsyncChannels> pending_;
 };
 
 } // namespace dvs

@@ -97,7 +97,7 @@ class DevicePopulation
      * specimen re-simulation, tests) builds a fleet session, so they
      * cannot drift apart. Pure and thread-safe like session().
      */
-    Experiment experiment(std::uint64_t index, int sim_workers = 0) const;
+    Experiment experiment(std::uint64_t index) const;
 
     /** Cohort label of session @p index without building the scenario. */
     std::string cohort_of(std::uint64_t index) const;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -292,4 +293,106 @@ TEST(EventQueue, ManyEventsStressOrdering)
     q.run();
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(q.dispatched(), 5000u);
+}
+
+namespace {
+
+/** splitmix64 stream: deterministic inputs for the checksum mixes. */
+struct SplitMix {
+    std::uint64_t s;
+    std::uint64_t next()
+    {
+        s += 0x9e3779b97f4a7c15ULL;
+        std::uint64_t z = s;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+};
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/**
+ * Cancel-heavy mix (the watchdog/timeout pattern): a ring of `window`
+ * outstanding timers; each step re-arms a pseudo-random ring slot,
+ * cancelling whatever was pending there, and every 256 steps drains a
+ * short horizon. Folds (tag, fire time) of every fired event.
+ */
+std::uint64_t
+cancel_heavy_mix(EventQueue &q, int events, int window, std::uint64_t &fired)
+{
+    std::vector<EventId> ring(std::size_t(window), 0);
+    std::uint64_t checksum = kFnvBasis;
+    std::uint64_t step = 0;
+    SplitMix rng{42};
+    for (int i = 0; i < events; ++i) {
+        const std::size_t slot = std::size_t(rng.next() % ring.size());
+        if (ring[slot])
+            q.cancel(ring[slot]);
+        const Time when = q.now() + 1 + Time(rng.next() % 4096);
+        const std::uint64_t tag = step++;
+        ring[slot] = q.schedule(when, [&checksum, &fired, tag, &q] {
+            checksum = (checksum ^ tag) * kFnvPrime;
+            checksum = (checksum ^ std::uint64_t(q.now())) * kFnvPrime;
+            ++fired;
+        });
+        if ((i & 255) == 0)
+            q.run_until(q.now() + 64);
+    }
+    q.run();
+    return checksum;
+}
+
+/**
+ * Chain mix (the simulator's steady state): `width` self-rescheduling
+ * chains, each fired event scheduling its successor, until `events`
+ * have been scheduled. Folds (chain, fire time) of every fired event.
+ */
+std::uint64_t
+chain_mix(EventQueue &q, int events, int width, std::uint64_t &fired)
+{
+    std::uint64_t checksum = kFnvBasis;
+    std::uint64_t budget = std::uint64_t(events);
+    std::function<void(std::uint64_t)> arm = [&](std::uint64_t chain) {
+        checksum = (checksum ^ chain) * kFnvPrime;
+        checksum = (checksum ^ std::uint64_t(q.now())) * kFnvPrime;
+        ++fired;
+        if (budget == 0)
+            return;
+        --budget;
+        SplitMix rng{chain * 7919 + fired};
+        q.schedule(q.now() + 1 + Time(rng.next() % 997),
+                   [&arm, chain] { arm(chain); });
+    };
+    for (int c = 0; c < width && budget > 0; ++c) {
+        --budget;
+        q.schedule(Time(c + 1), [&arm, c] { arm(std::uint64_t(c)); });
+    }
+    q.run();
+    return checksum;
+}
+
+} // namespace
+
+TEST(EventQueue, CancelHeavyMixChecksumIsPinned)
+{
+    // Pins the exact dispatch sequence of 200k schedule/cancel steps
+    // through slot recycling, eager pruning and heap compaction.
+    EventQueue q;
+    std::uint64_t fired = 0;
+    EXPECT_EQ(cancel_heavy_mix(q, 200'000, 1024, fired),
+              0x8fa4b363fe09d1d1ULL);
+    EXPECT_EQ(fired, 13241u);
+    EXPECT_EQ(q.dispatched(), fired);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ChainMixChecksumIsPinned)
+{
+    EventQueue q;
+    std::uint64_t fired = 0;
+    EXPECT_EQ(chain_mix(q, 200'000, 256, fired), 0x333b3eca44014f2dULL);
+    EXPECT_EQ(fired, 200'000u);
+    EXPECT_EQ(q.dispatched(), fired);
 }

@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "buffer/buffer_queue.h"
 #include "core/display_time_virtualizer.h"
@@ -34,6 +35,7 @@
 #include "sim/tracing.h"
 #include "surface/multi_surface.h"
 #include "vsyncsrc/vsync_distributor.h"
+#include "workload/app_profiles.h"
 #include "workload/frame_cost.h"
 #include "workload/scenario.h"
 
@@ -474,6 +476,56 @@ TEST(DropAttribution, PerSurfaceCountsSumInMultiSurfaceRuns)
     }
     EXPECT_EQ(cause_sum(r.drop_causes), total);
     EXPECT_EQ(cause_sum(r.drop_causes), r.drops);
+}
+
+TEST(DropAttribution, ForensicsLeavesASweepBitIdenticalAndIsCheap)
+{
+    // A small fig11-style sweep (app swipes under VSync and D-VSync) run
+    // with and without forensics. The metrics sampler only reads
+    // component state, so the summed results must be bit-identical; its
+    // cost is bounded on the deterministic metric, extra dispatched
+    // events, because wall clock is too noisy to bound a few percent.
+    struct Totals {
+        double fdps = 0.0;
+        double latency_ms = 0.0;
+        std::uint64_t drops = 0;
+        std::uint64_t presents = 0;
+        std::uint64_t events = 0;
+    };
+    const auto sweep = [](bool forensics) {
+        Totals t;
+        const std::vector<ProfileSpec> &apps = pixel5_app_profiles();
+        for (std::size_t i = 0; i < 4; ++i) {
+            for (const RenderMode mode :
+                 {RenderMode::kVsync, RenderMode::kDvsync}) {
+                const std::uint64_t seed = 100 + i;
+                const Scenario sc = make_swipe_scenario(
+                    apps[i].name, 8, 500_ms,
+                    make_cost_model(apps[i], 60.0, seed), 0.7);
+                RenderSystem sys(SystemConfig()
+                                     .with_mode(mode)
+                                     .with_seed(seed)
+                                     .with_forensics(forensics),
+                                 sc);
+                const RunReport r = sys.run();
+                t.fdps += r.fdps;
+                t.latency_ms += r.latency_p99_ms;
+                t.drops += r.drops;
+                t.presents += r.presents;
+                t.events += sys.sim().events().dispatched();
+            }
+        }
+        return t;
+    };
+    const Totals off = sweep(false);
+    const Totals on = sweep(true);
+    EXPECT_GT(off.drops, 0u);
+    EXPECT_EQ(on.fdps, off.fdps);
+    EXPECT_EQ(on.latency_ms, off.latency_ms);
+    EXPECT_EQ(on.drops, off.drops);
+    EXPECT_EQ(on.presents, off.presents);
+    EXPECT_GT(on.events, off.events); // the sampler does run
+    EXPECT_LE(double(on.events - off.events), 0.05 * double(off.events));
 }
 
 // ----- flow-event round trip ----------------------------------------------

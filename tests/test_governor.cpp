@@ -5,8 +5,7 @@
  * bit-identical replay), the graded ladder driven through a hand-built
  * MetricsRegistry (hold/promote hysteresis, handoff gating, exponential
  * re-promotion backoff, the flap-storm transition bound), the watchdog
- * flap-storm bound, and end-to-end determinism of governed runs under
- * parallel lane dispatch.
+ * flap-storm bound, and end-to-end determinism of governed runs.
  */
 
 #include <gtest/gtest.h>
@@ -513,7 +512,7 @@ hot_scenario(const DeviceConfig &dev)
 }
 
 SystemConfig
-governed_config(int sim_workers = 0)
+governed_config()
 {
     GovernorConfig gov;
     gov.enabled = true;
@@ -522,7 +521,6 @@ governed_config(int sim_workers = 0)
     return SystemConfig()
         .with_device(mate40_pro())
         .with_mode(RenderMode::kDvsync)
-        .with_sim_workers(sim_workers)
         .with_thermal_envelope(0.5)
         .with_governor(gov);
 }
@@ -566,19 +564,13 @@ TEST(Governor, RequiresTheThermalPlant)
         "thermal");
 }
 
-TEST(ParallelSimGovernor, GovernedRunsAreWorkerCountInvariant)
+TEST(Governor, GovernedRunsAreDeterministic)
 {
-    // The governor ticks on the shared lane (a barrier under parallel
-    // dispatch), so the whole closed loop — sensors, ladder, DVFS floor,
-    // LTPO cap — must replay identically at any worker count.
+    // The whole closed loop — sensors, ladder, DVFS floor, LTPO cap — is
+    // a pure function of the event schedule, so a rerun is identical.
     const Scenario sc = hot_scenario(mate40_pro());
-    const std::string serial =
-        RenderSystem(governed_config(0), sc).run().debug_string();
-    for (int workers : {1, 2, 4, 8}) {
-        const std::string parallel =
-            RenderSystem(governed_config(workers), sc)
-                .run()
-                .debug_string();
-        EXPECT_EQ(serial, parallel) << "workers=" << workers;
-    }
+    const RunReport first = RenderSystem(governed_config(), sc).run();
+    const RunReport again = RenderSystem(governed_config(), sc).run();
+    EXPECT_GT(first.governor_demotions, 0u);
+    EXPECT_EQ(first.debug_string(), again.debug_string());
 }

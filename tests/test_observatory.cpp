@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/aggregator.h"
 #include "obs/observatory.h"
 #include "sim/logging.h"
 #include "workload/device_population.h"
@@ -320,6 +321,31 @@ TEST(Observatory, EndToEndFleetIsJobsInvariant)
     const std::string serial = sweep(1);
     EXPECT_EQ(sweep(2), serial);
     EXPECT_EQ(sweep(4), serial);
+}
+
+TEST(Observatory, LeavesTheAggregatorStreamByteIdentical)
+{
+    // A passive monitor must not perturb the stream it watches: teeing
+    // the observatory in beside the aggregator leaves the aggregator's
+    // checkpoint byte-identical to a run without it.
+    const DevicePopulation fleet = DevicePopulation::paper_fleet(7);
+    const std::uint64_t sessions = 48;
+    const auto aggregate = [&](bool observatory_on) {
+        CampaignAggregator agg;
+        Observatory obs;
+        std::vector<ReportSink *> branches{&agg};
+        if (observatory_on)
+            branches.push_back(&obs);
+        TeeSink sink(std::move(branches));
+        ExperimentRunner(2).run_stream(
+            sessions,
+            [&](std::size_t p) {
+                return fleet.experiment(std::uint64_t(p));
+            },
+            sink);
+        return agg.to_json();
+    };
+    EXPECT_EQ(aggregate(true), aggregate(false));
 }
 
 TEST(Observatory, CaptureSpecimensWritesVerifiedDvstAndManifest)
