@@ -6,7 +6,9 @@
 #   scripts/ci.sh             # plain build + tests
 #   scripts/ci.sh --sanitize  # ASan+UBSan build + tests (separate
 #                             # build dir; exercises the event-queue
-#                             # slot-recycling storage under sanitizers)
+#                             # slot recycling, the inline callback
+#                             # storage and the allocation-budget test
+#                             # under sanitizers)
 #   scripts/ci.sh --tsan      # ThreadSanitizer build + the threaded
 #                             # harness suites and a multi-job chaos
 #                             # smoke (separate build dir; guards the

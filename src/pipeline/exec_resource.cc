@@ -10,7 +10,7 @@ ExecResource::ExecResource(Simulator &sim, std::string name)
 }
 
 Time
-ExecResource::run(Time duration, std::function<void()> on_done)
+ExecResource::run(Time duration, EventQueue::Callback on_done)
 {
     if (duration < 0)
         panic("negative work duration on %s", name_.c_str());
@@ -32,15 +32,31 @@ ExecResource::run(Time duration, std::function<void()> on_done)
     ++jobs_;
     for (auto &listener : usage_listeners_)
         listener(start, end);
-    sim_.events().schedule(
-        end,
-        [this, fn = std::move(on_done)] {
-            fn();
-            for (auto &listener : done_listeners_)
-                listener();
-        },
-        EventPriority::kPipeline);
+    done_fifo_.push_back(std::move(on_done));
+    sim_.events().schedule(end, [this] { complete(); },
+                           EventPriority::kPipeline);
     return start;
+}
+
+void
+ExecResource::complete()
+{
+    // Move the callback out first: it may submit the next job, which
+    // can grow the FIFO.
+    EventQueue::Callback fn = std::move(done_fifo_[done_head_++]);
+    if (done_head_ == done_fifo_.size()) {
+        done_fifo_.clear();
+        done_head_ = 0;
+    } else if (done_head_ >= 32 && 2 * done_head_ >= done_fifo_.size()) {
+        // A resource that never drains: drop the spent prefix so memory
+        // stays O(queued jobs).
+        done_fifo_.erase(done_fifo_.begin(),
+                         done_fifo_.begin() + std::ptrdiff_t(done_head_));
+        done_head_ = 0;
+    }
+    fn();
+    for (auto &listener : done_listeners_)
+        listener();
 }
 
 } // namespace dvs

@@ -39,10 +39,11 @@ class ExecResource
 
     /**
      * Execute work of length @p duration, starting now (or when the
-     * current work finishes). @p on_done runs at completion.
+     * current work finishes). @p on_done runs at completion, before the
+     * done listeners.
      * @return the work's start time.
      */
-    Time run(Time duration, std::function<void()> on_done);
+    Time run(Time duration, EventQueue::Callback on_done);
 
     /**
      * Transform a job's duration before execution. Transforms chain in
@@ -87,8 +88,16 @@ class ExecResource
     std::uint64_t jobs() const { return jobs_; }
 
   private:
+    void complete();
+
     Simulator &sim_;
     std::string name_;
+    // Jobs end in submission order (end times never decrease, every
+    // completion has the same priority, and ties keep schedule order),
+    // so each completion event pops the oldest callback. The vector keeps
+    // its capacity: done_head_ rewinds whenever the FIFO drains.
+    std::vector<EventQueue::Callback> done_fifo_;
+    std::size_t done_head_ = 0;
     std::vector<CostTransform> cost_transforms_;
     std::vector<UsageListener> usage_listeners_;
     std::vector<std::function<void()>> done_listeners_;

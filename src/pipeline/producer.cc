@@ -254,7 +254,9 @@ void
 Producer::enqueue_render(std::uint64_t id)
 {
     records_[id].render_ready = sim_.now();
-    pending_render_.insert(id);
+    pending_render_.insert(std::lower_bound(pending_render_.begin(),
+                                            pending_render_.end(), id),
+                           id);
     pump_render();
 }
 
@@ -263,8 +265,10 @@ Producer::pump_render()
 {
     // Renders run strictly in frame order: frame N+1 may be ready (its
     // UI chained ahead) while frame N still waits for its VSync-rs edge.
-    auto it = pending_render_.find(next_render_id_);
-    if (it == pending_render_.end() || !render_thread_.idle())
+    const auto it = std::lower_bound(
+        pending_render_.begin(), pending_render_.end(), next_render_id_);
+    if (it == pending_render_.end() || *it != next_render_id_ ||
+        !render_thread_.idle())
         return;
     FrameBuffer *buf = queue_.try_dequeue(sim_.now());
     if (!buf) {

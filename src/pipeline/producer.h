@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <functional>
 #include <vector>
 
@@ -277,8 +276,9 @@ class Producer
     std::deque<std::uint64_t> pending_ui_;
     // Render stages must execute in frame order even when a pre-rendered
     // frame's UI finishes while an older frame still waits for its
-    // VSync-rs edge; the set holds ready frames, next_render_id_ gates.
-    std::set<std::uint64_t> pending_render_;
+    // VSync-rs edge; the sorted vector holds ready frames (a handful at
+    // most), next_render_id_ gates.
+    std::vector<std::uint64_t> pending_render_;
     std::uint64_t next_render_id_ = 0;
     // GPU work is submitted in render-completion order and executes
     // serially; entries pair the frame with its dequeued buffer.

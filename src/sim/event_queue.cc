@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <utility>
 
 namespace dvs {
 
@@ -16,7 +15,7 @@ EventQueue::is_live(EventId id) const
 }
 
 std::uint32_t
-EventQueue::acquire_slot(Callback fn)
+EventQueue::acquire_slot()
 {
     std::uint32_t slot;
     if (free_head_ != kNullSlot) {
@@ -27,23 +26,30 @@ EventQueue::acquire_slot(Callback fn)
         slots_.emplace_back();
     }
     Slot &s = slots_[slot];
-    s.fn = std::move(fn);
     s.live = true;
     s.next_free = kNullSlot;
     return slot;
 }
 
-EventQueue::Callback
+EventId
+EventQueue::push(Time when, EventPriority prio, std::uint32_t slot)
+{
+    assert(when >= now_ && "cannot schedule events in the past");
+    const EventId id = make_id(slot, slots_[slot].gen);
+    heap_.push_back(Entry{when, static_cast<int>(prio), next_seq_++, id});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    ++live_count_;
+    return id;
+}
+
+void
 EventQueue::release_slot(std::uint32_t slot)
 {
     Slot &s = slots_[slot];
-    Callback fn = std::move(s.fn);
-    s.fn = nullptr;
     s.live = false;
     ++s.gen; // stale EventIds for this slot now fail the generation check
     s.next_free = free_head_;
     free_head_ = slot;
-    return fn;
 }
 
 void
@@ -70,23 +76,12 @@ EventQueue::maybe_compact()
     heap_dead_ = 0;
 }
 
-EventId
-EventQueue::schedule(Time when, Callback fn, EventPriority prio)
-{
-    assert(when >= now_ && "cannot schedule events in the past");
-    const std::uint32_t slot = acquire_slot(std::move(fn));
-    const EventId id = make_id(slot, slots_[slot].gen);
-    heap_.push_back(Entry{when, static_cast<int>(prio), next_seq_++, id});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    ++live_count_;
-    return id;
-}
-
 bool
 EventQueue::cancel(EventId id)
 {
     if (!is_live(id))
         return false;
+    slots_[slot_of(id)].fn.reset(); // captured state dies with the event
     release_slot(slot_of(id));
     --live_count_;
     ++heap_dead_; // the heap entry is now dead; pruned below or at dispatch
@@ -117,7 +112,11 @@ EventQueue::run_until(Time horizon, bool advance_to_horizon)
         std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
         heap_.pop_back();
 
-        Callback fn = release_slot(slot_of(e.id));
+        // Move the callback out before running it: it may schedule, and a
+        // growing slot map relocates every slot.
+        const std::uint32_t slot = slot_of(e.id);
+        Callback fn = std::move(slots_[slot].fn);
+        release_slot(slot);
         now_ = e.when;
         --live_count_;
         ++dispatched_;

@@ -7,28 +7,34 @@
  * tick with the same priority run in the order they were scheduled.
  *
  * Complexity guarantees (the simulator's hot path — see DESIGN.md):
- *  - schedule():        O(log n) heap push, O(1) callback storage
+ *  - schedule():        O(log n) heap push, O(1) callback storage, no
+ *                       heap allocation once the slot map and heap have
+ *                       grown to the run's pending-event peak
  *  - cancel():          O(1) slot lookup + amortized O(log n) pruning
  *  - dispatch:          O(log n) heap pop, O(1) callback lookup
  *  - next_event_time(): O(1), never reports a cancelled event
  *
  * Callback storage is a slot map: an EventId encodes {slot index,
- * generation}, so lookup is an array index plus a generation check, and
- * cancelled slots are recycled through a free list immediately (memory is
- * bounded by the maximum number of *concurrently pending* events, not by
- * the total scheduled over a run). Heap entries of cancelled events are
- * skipped lazily at dispatch; dead entries at the top are pruned eagerly
- * on cancel, and the heap is compacted whenever dead entries outnumber
- * live ones, so cancel-heavy workloads stay O(live) in memory too.
+ * generation}, so lookup is an array index plus a generation check. Each
+ * slot holds its callback inline (InlineCallback: 64 bytes of capture; a
+ * larger capture does not compile), so scheduling never allocates a
+ * callback. Cancelled slots are recycled through a free list immediately
+ * (memory is bounded by the maximum number of *concurrently pending*
+ * events, not by the total scheduled over a run). Heap entries of
+ * cancelled events are skipped lazily at dispatch; dead entries at the
+ * top are pruned eagerly on cancel, and the heap is compacted whenever
+ * dead entries outnumber live ones, so cancel-heavy workloads stay
+ * O(live) in memory too.
  */
 
 #ifndef DVS_SIM_EVENT_QUEUE_H
 #define DVS_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
+#include "sim/inline_callback.h"
 #include "sim/time.h"
 
 namespace dvs {
@@ -66,7 +72,8 @@ using EventId = std::uint64_t;
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** Move-only, stored inline in the event's slot (see InlineCallback). */
+    using Callback = InlineCallback;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -76,19 +83,28 @@ class EventQueue
     Time now() const { return now_; }
 
     /**
-     * Schedule @p fn to run at absolute time @p when.
+     * Schedule @p fn to run at absolute time @p when. @p fn is any
+     * `void()` callable of at most 64 bytes (or a Callback), built in
+     * place in the event's slot.
      * @pre when >= now()
      * @return an id usable with cancel().
      */
-    EventId schedule(Time when, Callback fn,
-                     EventPriority prio = EventPriority::kDefault);
+    template <class F>
+    EventId
+    schedule(Time when, F &&fn, EventPriority prio = EventPriority::kDefault)
+    {
+        const std::uint32_t slot = acquire_slot();
+        slots_[slot].fn = std::forward<F>(fn);
+        return push(when, prio, slot);
+    }
 
     /** Schedule @p fn to run @p delay after the current time. */
+    template <class F>
     EventId
-    schedule_in(Time delay, Callback fn,
+    schedule_in(Time delay, F &&fn,
                 EventPriority prio = EventPriority::kDefault)
     {
-        return schedule(now() + delay, std::move(fn), prio);
+        return schedule(now() + delay, std::forward<F>(fn), prio);
     }
 
     /**
@@ -190,8 +206,9 @@ class EventQueue
     }
 
     bool is_live(EventId id) const;
-    std::uint32_t acquire_slot(Callback fn);
-    Callback release_slot(std::uint32_t slot);
+    std::uint32_t acquire_slot();
+    EventId push(Time when, EventPriority prio, std::uint32_t slot);
+    void release_slot(std::uint32_t slot);
     void prune_dead_top();
     void maybe_compact();
 

@@ -45,20 +45,33 @@ VsyncDistributor::on_edge(const VsyncEdge &edge)
         if (pending_[ch].empty())
             continue;
         // Snapshot and clear: callbacks requested during delivery belong
-        // to the next edge.
+        // to the next edge. A recycled batch takes the snapshot's place,
+        // so pending_[ch] keeps its capacity from edge to edge.
         std::vector<Callback> batch;
+        if (!spare_.empty()) {
+            batch.swap(spare_.back());
+            spare_.pop_back();
+        }
         batch.swap(pending_[ch]);
         const Time deliver_at = edge.timestamp + offsets_[ch];
         sim_.events().schedule(
             deliver_at,
-            [edge, deliver_at, batch = std::move(batch)] {
-                SwVsync sw{edge.timestamp, deliver_at, edge.index,
-                           edge.rate_hz};
-                for (const auto &fn : batch)
-                    fn(sw);
+            [this, edge, deliver_at, batch = std::move(batch)]() mutable {
+                deliver(edge, deliver_at, batch);
             },
             EventPriority::kVsyncDist);
     }
+}
+
+void
+VsyncDistributor::deliver(const VsyncEdge &edge, Time deliver_at,
+                          std::vector<Callback> &batch)
+{
+    const SwVsync sw{edge.timestamp, deliver_at, edge.index, edge.rate_hz};
+    for (const auto &fn : batch)
+        fn(sw);
+    batch.clear();
+    spare_.push_back(std::move(batch));
 }
 
 } // namespace dvs

@@ -68,11 +68,16 @@ class VsyncDistributor
 
   private:
     void on_edge(const VsyncEdge &edge);
+    void deliver(const VsyncEdge &edge, Time deliver_at,
+                 std::vector<Callback> &batch);
 
     Simulator &sim_;
     VsyncModel model_;
     std::array<Time, kNumVsyncChannels> offsets_{};
     std::array<std::vector<Callback>, kNumVsyncChannels> pending_;
+    // Delivered batches, emptied but holding their capacity: each edge
+    // swaps one into pending_[ch] in place of the batch it schedules.
+    std::vector<std::vector<Callback>> spare_;
 };
 
 } // namespace dvs

@@ -1,20 +1,38 @@
 #include "vsyncsrc/vsync_model.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "sim/logging.h"
 
 namespace dvs {
 
 VsyncModel::VsyncModel(Time nominal_period, int window)
-    : nominal_period_(nominal_period), period_(nominal_period),
-      window_(window)
+    : nominal_period_(nominal_period), period_(nominal_period)
 {
     if (nominal_period <= 0)
         fatal("VsyncModel period must be positive");
     if (window < 2)
         fatal("VsyncModel window must be >= 2");
+    ring_.resize(std::size_t(window));
+}
+
+void
+VsyncModel::push_delta(Time delta)
+{
+    if (count_ == ring_.size()) {
+        sum_ -= ring_[head_];
+        head_ = (head_ + 1) % ring_.size();
+        --count_;
+    }
+    ring_[(head_ + count_) % ring_.size()] = delta;
+    ++count_;
+    sum_ += delta;
+}
+
+void
+VsyncModel::clear_window()
+{
+    head_ = 0;
+    count_ = 0;
+    sum_ = 0;
 }
 
 void
@@ -30,25 +48,18 @@ VsyncModel::add_sample(Time edge, int grid_steps)
         // rejecting every sample of the new cadence). Sparse calibration
         // steps are normalized to per-edge deltas first.
         const Time delta = (edge - last_edge_) / grid_steps;
-        if (!recent_.empty()) {
-            const Time ref =
-                std::accumulate(recent_.begin(), recent_.end(), Time(0)) /
-                Time(recent_.size());
+        if (count_ > 0) {
+            const Time ref = sum_ / Time(count_);
             const Time dev = delta > ref ? delta - ref : ref - delta;
             if (dev > ref / 4)
-                recent_.clear();
+                clear_window();
         }
-        recent_.push_back(delta);
-        while (int(recent_.size()) > window_)
-            recent_.pop_front();
+        push_delta(delta);
     }
     last_edge_ = edge;
 
-    if (recent_.size() >= 2) {
-        const Time sum =
-            std::accumulate(recent_.begin(), recent_.end(), Time(0));
-        period_ = sum / Time(recent_.size());
-    }
+    if (count_ >= 2)
+        period_ = sum_ / Time(count_);
 }
 
 Time
@@ -89,7 +100,7 @@ VsyncModel::reset()
 {
     period_ = nominal_period_;
     last_edge_ = kTimeNone;
-    recent_.clear();
+    clear_window();
     n_samples_ = 0;
 }
 
@@ -100,7 +111,7 @@ VsyncModel::set_nominal_period(Time period)
         fatal("VsyncModel period must be positive");
     nominal_period_ = period;
     period_ = period;
-    recent_.clear();
+    clear_window();
 }
 
 } // namespace dvs

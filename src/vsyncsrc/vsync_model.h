@@ -15,7 +15,7 @@
 #define DVS_VSYNCSRC_VSYNC_MODEL_H
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -71,11 +71,19 @@ class VsyncModel
     std::uint64_t samples() const { return n_samples_; }
 
   private:
+    void push_delta(Time delta);
+    void clear_window();
+
     Time nominal_period_;
     Time period_;
     Time last_edge_ = kTimeNone;
-    int window_;
-    std::deque<Time> recent_;
+    // The most recent per-edge deltas, oldest first, in a ring of
+    // `window` entries; sum_ is their exact integer sum, so the mean
+    // costs one division per edge instead of a pass over the window.
+    std::vector<Time> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+    Time sum_ = 0;
     std::uint64_t n_samples_ = 0;
 };
 

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -293,6 +295,154 @@ TEST(EventQueue, ManyEventsStressOrdering)
     q.run();
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(q.dispatched(), 5000u);
+}
+
+// ----- inline callback storage -------------------------------------------
+
+namespace {
+
+/**
+ * Capture that counts its own lifetime: `live` tracks every instance
+ * (moved-from husks included), `owner_dtors` counts destructions of the
+ * one instance that still owns the state.
+ */
+struct LifetimeProbe {
+    int *live;
+    int *owner_dtors;
+    bool owner = true;
+
+    LifetimeProbe(int *l, int *d) : live(l), owner_dtors(d) { ++*live; }
+    LifetimeProbe(const LifetimeProbe &o)
+        : live(o.live), owner_dtors(o.owner_dtors), owner(o.owner)
+    {
+        ++*live;
+    }
+    LifetimeProbe(LifetimeProbe &&o) noexcept
+        : live(o.live), owner_dtors(o.owner_dtors), owner(o.owner)
+    {
+        o.owner = false;
+        ++*live;
+    }
+    ~LifetimeProbe()
+    {
+        --*live;
+        if (owner)
+            ++*owner_dtors;
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, MoveOnlyCaptureRunsExactlyOnce)
+{
+    EventQueue q;
+    int ran = 0;
+    int seen = 0;
+    auto payload = std::make_unique<int>(42);
+    q.schedule(10, [&ran, &seen, p = std::move(payload)] {
+        ++ran;
+        seen = *p;
+    });
+    q.run();
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(seen, 42);
+    EXPECT_EQ(q.dispatched(), 1u);
+}
+
+TEST(EventQueue, CapturedStateDestroyedOnceWhenFired)
+{
+    int live = 0, owner_dtors = 0, ran = 0;
+    {
+        EventQueue q;
+        q.schedule(10, [&ran, probe = LifetimeProbe(&live, &owner_dtors)] {
+            ++ran;
+        });
+        q.run();
+        EXPECT_EQ(ran, 1);
+        EXPECT_EQ(owner_dtors, 1) << "state must die right after firing";
+        EXPECT_EQ(live, 0);
+    }
+    EXPECT_EQ(owner_dtors, 1);
+}
+
+TEST(EventQueue, CapturedStateDestroyedOnceWhenCancelled)
+{
+    int live = 0, owner_dtors = 0, ran = 0;
+    {
+        EventQueue q;
+        const EventId id = q.schedule(
+            10, [&ran, probe = LifetimeProbe(&live, &owner_dtors)] {
+                ++ran;
+            });
+        EXPECT_EQ(owner_dtors, 0);
+        EXPECT_TRUE(q.cancel(id));
+        EXPECT_EQ(owner_dtors, 1) << "state must die at cancel()";
+        EXPECT_EQ(live, 0);
+        // The recycled slot takes a new callback without touching the
+        // old capture again.
+        q.schedule(20, [&ran] { ran += 10; });
+        q.run();
+    }
+    EXPECT_EQ(ran, 10);
+    EXPECT_EQ(owner_dtors, 1);
+    EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueue, CapturedStateDestroyedOnceWithQueue)
+{
+    int live = 0, owner_dtors = 0, ran = 0;
+    {
+        EventQueue q;
+        for (int i = 0; i < 40; ++i) {
+            q.schedule(Time(100 + i),
+                       [&ran, probe = LifetimeProbe(&live, &owner_dtors)] {
+                           ++ran;
+                       });
+        }
+        q.run_until(119); // fires 20, leaves 20 pending
+        EXPECT_EQ(ran, 20);
+        EXPECT_EQ(owner_dtors, 20);
+    }
+    EXPECT_EQ(ran, 20);
+    EXPECT_EQ(owner_dtors, 40) << "pending captures die with the queue";
+    EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueue, StdFunctionLvalueIsCopiedIn)
+{
+    EventQueue q;
+    int ran = 0;
+    std::function<void()> fn = [&ran] { ++ran; };
+    q.schedule(1, fn);
+    q.schedule_in(2, fn);
+    EXPECT_TRUE(bool(fn)) << "an lvalue must be copied, not moved from";
+    q.run();
+    EXPECT_EQ(ran, 2);
+}
+
+TEST(EventQueue, FullCapacityCaptureSurvivesSlotGrowth)
+{
+    // A capture of exactly the inline capacity, whose callback schedules
+    // enough events to grow (relocate) the slot map while it runs: the
+    // running callback was moved out of its slot, so its state stays
+    // valid throughout.
+    EventQueue q;
+    std::array<std::uint64_t, 5> payload{};
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = 0x1000 + i;
+    std::uint64_t sum = 0;
+    int fired = 0;
+    auto cb = [&q, &sum, &fired, payload] {
+        for (int i = 0; i < 1000; ++i)
+            q.schedule_in(1, [&fired] { ++fired; });
+        for (std::uint64_t v : payload)
+            sum += v;
+    };
+    static_assert(sizeof(cb) == EventQueue::Callback::kCapacity);
+    q.schedule(0, cb);
+    q.run();
+    EXPECT_EQ(fired, 1000);
+    EXPECT_EQ(sum, 5u * 0x1000 + 10u);
 }
 
 namespace {

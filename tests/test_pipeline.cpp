@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/render_system.h"
 #include "pipeline/exec_resource.h"
 #include "workload/frame_cost.h"
@@ -64,6 +69,106 @@ TEST(ExecResource, ZeroDurationWorkCompletesSameTick)
     sim.run();
     EXPECT_TRUE(ran);
     EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(ExecResource, CompletionsFollowSubmissionOrder)
+{
+    // Completions pop a FIFO, so the contract is that they fire in
+    // submission order whatever the mix: zero-duration jobs, jobs queued
+    // behind a busy resource, a cost transform stretching one job, two
+    // jobs ending on the same tick, and a completion callback that
+    // submits again. Done listeners run after each job's own callback.
+    Simulator sim;
+    ExecResource r(sim, "t");
+    std::vector<std::string> log;
+    auto note = [&](const std::string &what) {
+        log.push_back(what + "@" + std::to_string(sim.now() / 1_ms));
+    };
+    r.add_cost_transform(
+        [](Time, Time d) { return d == 3_ms ? 3 * d : d; }); // job 2: 9 ms
+    r.add_done_listener([&] { note("L"); });
+
+    EXPECT_EQ(r.run(0, [&] { note("j0"); }), 0);
+    EXPECT_EQ(r.run(5_ms,
+                    [&] {
+                        note("j1");
+                        // Submitted at 5 ms, queued behind j2 and j3.
+                        EXPECT_EQ(r.run(2_ms, [&] { note("j4"); }), 14_ms);
+                    }),
+              0);
+    EXPECT_EQ(r.run(3_ms, [&] { note("j2"); }), 5_ms);
+    EXPECT_EQ(r.run(0, [&] { note("j3"); }), 14_ms); // same tick as j2
+    sim.run();
+
+    const std::vector<std::string> want = {
+        "j0@0",  "L@0",  "j1@5",  "L@5",  "j2@14",
+        "L@14", "j3@14", "L@14", "j4@16", "L@16"};
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(r.jobs(), 5u);
+    EXPECT_EQ(r.total_busy(), 16_ms);
+    EXPECT_TRUE(r.idle());
+}
+
+TEST(ExecResource, LongBacklogCompletesInSubmissionOrder)
+{
+    // A resource that never drains while work keeps arriving: each
+    // completion submits one more job behind a 200-job backlog.
+    Simulator sim;
+    ExecResource r(sim, "t");
+    std::vector<int> done;
+    int submitted = 0;
+    std::function<void()> submit = [&] {
+        const int k = submitted++;
+        r.run(k % 3 == 0 ? 0 : 1_ms, [&, k] {
+            done.push_back(k);
+            if (submitted < 500)
+                submit();
+        });
+    };
+    for (int i = 0; i < 200; ++i)
+        submit();
+    sim.run();
+    ASSERT_EQ(done.size(), 500u);
+    for (int k = 0; k < 500; ++k)
+        EXPECT_EQ(done[std::size_t(k)], k);
+    EXPECT_TRUE(r.idle());
+}
+
+TEST(ExecResource, TeardownMidRunWithPendingWork)
+{
+    // A RenderSystem destroyed mid-run, while a vsync batch is in flight
+    // (delivery pending at edge + offset) and completions are queued on
+    // a busy resource: every captured state is destroyed, none runs.
+    Scenario sc("t");
+    sc.animate(1_s, std::make_shared<ConstantCostModel>(4_ms, 9_ms));
+    SystemConfig cfg;
+    cfg.device = pixel5();
+    cfg.mode = RenderMode::kVsync;
+    cfg.vsync_app_offset = 2_ms;
+
+    auto token = std::make_shared<int>(0); // use_count tracks captures
+    bool ran = false;
+    {
+        RenderSystem sys(cfg, sc);
+        sys.hw_vsync().start();
+        sys.producer().start(0);
+        const Time edge = 10 * kPeriod;
+        sys.sim().events().schedule(edge - 1_ms, [&sys, &ran, token] {
+            // Snapshotted into the edge's batch, delivered at edge+2 ms.
+            sys.distributor().request_callback(
+                VsyncChannel::kApp,
+                [&ran, token](const SwVsync &) { ran = true; });
+            ExecResource &gpu = sys.producer().gpu();
+            gpu.run(30_ms, [&ran, token] { ran = true; });
+            gpu.run(1_ms, [&ran, token] { ran = true; });
+        });
+        sys.sim().run_until(edge + 1_ms);
+        EXPECT_FALSE(ran);
+        EXPECT_FALSE(sys.producer().gpu().idle());
+        EXPECT_EQ(token.use_count(), 4) << "batch entry + two queued jobs";
+    }
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 // ----- steady-state pipeline ----------------------------------------------------

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <random>
+#include <vector>
+
 #include "display/hw_vsync.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/choreographer.h"
@@ -86,6 +91,103 @@ TEST(VsyncModel, ResetRestoresNominal)
     EXPECT_EQ(m.samples(), 0u);
 }
 
+namespace {
+
+/**
+ * Brute-force twin of VsyncModel's estimator: a plain window of per-edge
+ * deltas whose mean is recomputed from scratch on every query. The model
+ * keeps a running sum instead; the two must agree exactly.
+ */
+struct ShadowModel {
+    Time nominal;
+    std::size_t window;
+    Time period;
+    Time last_edge = kTimeNone;
+    std::deque<Time> recent;
+    std::uint64_t samples = 0;
+
+    ShadowModel(Time nominal_period, std::size_t w)
+        : nominal(nominal_period), window(w), period(nominal_period)
+    {
+    }
+
+    static Time
+    mean(const std::deque<Time> &xs)
+    {
+        Time sum = 0;
+        for (Time x : xs)
+            sum += x;
+        return sum / Time(xs.size());
+    }
+
+    void
+    add(Time edge, int grid_steps)
+    {
+        ++samples;
+        if (last_edge != kTimeNone && edge > last_edge) {
+            const Time delta = (edge - last_edge) / grid_steps;
+            if (!recent.empty()) {
+                const Time ref = mean(recent);
+                const Time dev = delta > ref ? delta - ref : ref - delta;
+                if (dev > ref / 4)
+                    recent.clear();
+            }
+            recent.push_back(delta);
+            if (recent.size() > window)
+                recent.pop_front();
+        }
+        last_edge = edge;
+        if (recent.size() >= 2)
+            period = mean(recent);
+    }
+};
+
+} // namespace
+
+TEST(VsyncModel, RunningSumMatchesBruteForceMean)
+{
+    // Seeded edge streams with jitter, LTPO-style rate switches (which
+    // restart the window), sparse calibration steps, repeated edges, and
+    // reset()/set_nominal_period() mid-stream. At every step the model's
+    // running-sum estimate must equal the shadow window's recomputed
+    // mean, bit for bit.
+    const Time periods[] = {16'666'666, 11'111'111, 8'333'333, 33'333'333,
+                            10'000'000};
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        std::mt19937_64 rng(seed);
+        const std::size_t window = 2 + std::size_t(rng() % 17);
+        Time base = periods[rng() % 5];
+        VsyncModel model(base, int(window));
+        ShadowModel shadow(base, window);
+        Time t = Time(rng() % 1'000'000);
+        for (int step = 0; step < 4000; ++step) {
+            const std::uint64_t r = rng() % 1000;
+            if (r < 3) {
+                model.reset();
+                shadow = ShadowModel(shadow.nominal, window);
+            } else if (r < 6) {
+                base = periods[rng() % 5];
+                model.set_nominal_period(base);
+                shadow.nominal = base;
+                shadow.period = base;
+                shadow.recent.clear();
+            } else if (r < 20) {
+                base = periods[rng() % 5]; // silent rate switch
+            }
+            const int grid_steps = rng() % 8 == 0 ? 1 + int(rng() % 4) : 1;
+            const Time jitter = Time(rng() % 400'001) - 200'000;
+            if (rng() % 50 != 0) // else: a repeated edge, no delta
+                t += Time(grid_steps) * base + jitter;
+            model.add_sample(t, grid_steps);
+            shadow.add(t, grid_steps);
+            ASSERT_EQ(model.period(), shadow.period)
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(model.last_edge(), shadow.last_edge);
+            ASSERT_EQ(model.samples(), shadow.samples);
+        }
+    }
+}
+
 // ----- VsyncDistributor ------------------------------------------------------
 
 class DistributorTest : public ::testing::Test
@@ -151,6 +253,46 @@ TEST_F(DistributorTest, RequestDuringDeliveryWaitsForNextEdge)
     hw.start();
     sim.run_until(50_ms);
     EXPECT_EQ(deliveries, (std::vector<Time>{0, 10_ms, 20_ms}));
+}
+
+TEST_F(DistributorTest, RecycledBatchRequestsWaitForNextEdge)
+{
+    // From the second edge on, every batch is delivered from a recycled
+    // vector. Requests made while one is being delivered — on the same
+    // channel or another — still belong to the next edge, and a batch
+    // keeps request order.
+    dist.set_offset(VsyncChannel::kRs, 3_ms);
+    std::vector<std::pair<char, Time>> app; // (callback, edge) on kApp
+    std::vector<Time> rs_delivered;
+    int a_calls = 0;
+    std::function<void(const SwVsync &)> a = [&](const SwVsync &sw) {
+        app.emplace_back('A', sw.timestamp);
+        if (++a_calls < 5)
+            dist.request_callback(VsyncChannel::kApp, a);
+    };
+    std::function<void(const SwVsync &)> b = [&](const SwVsync &) {
+        EXPECT_EQ(dist.pending(VsyncChannel::kRs), 0u)
+            << "the batch in delivery is no longer pending";
+        rs_delivered.push_back(sim.now());
+        dist.request_callback(VsyncChannel::kApp, [&](const SwVsync &s2) {
+            app.emplace_back('C', s2.timestamp);
+        });
+        if (rs_delivered.size() < 4)
+            dist.request_callback(VsyncChannel::kRs, b);
+    };
+    dist.request_callback(VsyncChannel::kApp, a);
+    dist.request_callback(VsyncChannel::kRs, b);
+    hw.start();
+    sim.run_until(60_ms);
+    EXPECT_EQ(rs_delivered, (std::vector<Time>{3_ms, 13_ms, 23_ms, 33_ms}));
+    const std::vector<std::pair<char, Time>> want = {
+        {'A', 0},     {'A', 10_ms}, {'C', 10_ms}, {'A', 20_ms},
+        {'C', 20_ms}, {'A', 30_ms}, {'C', 30_ms}, {'A', 40_ms},
+        {'C', 40_ms}};
+    EXPECT_EQ(app, want);
+    for (VsyncChannel ch :
+         {VsyncChannel::kApp, VsyncChannel::kRs, VsyncChannel::kSf})
+        EXPECT_EQ(dist.pending(ch), 0u);
 }
 
 TEST_F(DistributorTest, ChannelsAreIndependent)
