@@ -10,10 +10,11 @@
 #                             # storage and the allocation-budget test
 #                             # under sanitizers)
 #   scripts/ci.sh --tsan      # ThreadSanitizer build + the threaded
-#                             # harness suites and a multi-job chaos
-#                             # smoke (separate build dir; guards the
-#                             # ExperimentRunner workers, OrderedDelivery
-#                             # and the TeeSink fan-out)
+#                             # harness suites, the .dvst suites and a
+#                             # multi-job chaos smoke (separate build
+#                             # dir; guards the ExperimentRunner workers,
+#                             # OrderedDelivery, the TeeSink fan-out and
+#                             # concurrent capture encode/decode)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,16 +38,17 @@ if [[ "$SANITIZE" == thread ]]; then
     # TSan's job here is the session-level harness threads, not the
     # whole suite: build everything (compile coverage), then run the
     # suites that drive ExperimentRunner workers, OrderedDelivery and
-    # TeeSink, plus a multi-job chaos smoke. Each simulation is
-    # single-threaded, so the full suite under TSan would mostly re-run
-    # serial code at 5-15x slowdown for no extra coverage.
+    # TeeSink, the .dvst suites (captures are encoded and decoded from
+    # several threads at once), plus a multi-job chaos smoke. Each
+    # simulation is single-threaded, so the full suite under TSan would
+    # mostly re-run serial code at 5-15x slowdown for no extra coverage.
     cmake -B "$BUILD_DIR" -S . -DDVS_WERROR=ON -DDVS_SANITIZE=thread
     cmake --build "$BUILD_DIR" -j"$JOBS"
     (cd "$BUILD_DIR" \
         && ctest --output-on-failure -j"$JOBS" \
-            -R 'ExperimentRunner|StreamingRunner|TeeSink|CampaignAggregator|Observatory')
+            -R 'ExperimentRunner|StreamingRunner|TeeSink|CampaignAggregator|Observatory|Dvst|Capture|Loader|Replay')
     "$BUILD_DIR/bench/chaos_campaign" --seeds=2 --jobs=4 --out=-
-    echo "tsan: harness suites + multi-job chaos smoke clean"
+    echo "tsan: harness + .dvst suites + multi-job chaos smoke clean"
     exit 0
 fi
 

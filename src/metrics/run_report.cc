@@ -1,7 +1,8 @@
 #include "metrics/run_report.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <type_traits>
 
 namespace dvs {
 
@@ -78,103 +79,127 @@ RunReport::averaged(const std::vector<RunReport> &runs)
     return avg;
 }
 
+namespace {
+
+// debug_string() formatting. Each overload writes what its printf
+// conversion did: %s (a string ends at its first NUL), %d/%lld/%llu, and
+// %.17g, which std::to_chars in general format at precision 17 is
+// specified to match, nan/inf spellings included.
+
+void
+put(std::string &out, const char *s)
+{
+    out += s;
+}
+
+void
+put(std::string &out, const std::string &s)
+{
+    out += s.c_str();
+}
+
+void
+put(std::string &out, double v)
+{
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+}
+
+template <typename T>
+    requires std::is_integral_v<T> && (!std::is_same_v<T, bool>)
+void
+put(std::string &out, T v)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
+}
+
+template <typename... Args>
+void
+append(std::string &out, const Args &...args)
+{
+    (put(out, args), ...);
+}
+
+void
+append_causes(std::string &out,
+              const std::array<std::uint64_t, kDropCauseCount> &causes,
+              std::uint64_t injected)
+{
+    // Legacy causes print unconditionally; causes added later
+    // (thermal/governor) only when nonzero, so runs that cannot produce
+    // them stay byte-identical to pre-existing goldens.
+    out += " causes=[";
+    for (int c = 0; c < kDropCauseCount; ++c) {
+        if (c >= kDropCauseLegacyCount && causes[c] == 0)
+            continue;
+        append(out, c ? " " : "", to_string(DropCause(c)), "=", causes[c]);
+    }
+    append(out, "] injected_drops=", injected);
+}
+
+} // namespace
+
 std::string
 RunReport::debug_string() const
 {
     // %.17g round-trips doubles exactly, so equal strings <=> equal
     // reports bit for bit.
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "label=%s scenario=%s mode=%s device=%s hz=%.17g buffers=%d "
-        "limit=%d seed=%llu fdps=%.17g fd%%=%.17g fps=%.17g drops=%llu "
-        "due=%lld presents=%llu direct=%llu stuffed=%llu "
-        "lat(ms)=[%.17g %.17g %.17g %.17g %.17g] stutters=%llu "
-        "deadline_misses=%llu wall=%lld busy=%lld produced=%llu "
-        "predicted=%llu dvsync=%d energy_mj=%.17g repeats=%d",
-        label.c_str(), scenario.c_str(), config.mode.c_str(),
-        config.device.c_str(), config.refresh_hz, config.buffers,
-        config.prerender_limit, (unsigned long long)config.seed, fdps,
-        fd_percent, fps, (unsigned long long)drops, (long long)frames_due,
-        (unsigned long long)presents, (unsigned long long)direct,
-        (unsigned long long)stuffed, latency_mean_ms, latency_p50_ms,
-        latency_p95_ms, latency_p99_ms, latency_max_ms,
-        (unsigned long long)stutters, (unsigned long long)deadline_misses,
-        (long long)activity.wall_time, (long long)activity.pipeline_busy,
-        (unsigned long long)activity.frames_produced,
-        (unsigned long long)activity.predicted_frames,
-        int(activity.dvsync_on), energy_mj, repeats);
-    std::string out = buf;
-    std::snprintf(buf, sizeof(buf),
-                  " violations=%llu faults=%llu degradations=%llu "
-                  "repromotions=%llu resyncs=%llu error=%s",
-                  (unsigned long long)invariant_violations,
-                  (unsigned long long)faults_injected,
-                  (unsigned long long)degradations,
-                  (unsigned long long)repromotions,
-                  (unsigned long long)dtv_resyncs,
-                  error.empty() ? "-" : error.c_str());
-    out += buf;
-
-    const auto causes_of =
-        [&buf](const std::array<std::uint64_t, kDropCauseCount> &causes,
-               std::uint64_t injected) {
-            // Legacy causes print unconditionally; causes added later
-            // (thermal/governor) only when nonzero, so runs that cannot
-            // produce them stay byte-identical to pre-existing goldens.
-            std::string s = " causes=[";
-            for (int c = 0; c < kDropCauseCount; ++c) {
-                if (c >= kDropCauseLegacyCount && causes[c] == 0)
-                    continue;
-                std::snprintf(buf, 64, "%s%s=%llu", c ? " " : "",
-                              to_string(DropCause(c)),
-                              (unsigned long long)causes[c]);
-                s += buf;
-            }
-            std::snprintf(buf, 64, "] injected_drops=%llu",
-                          (unsigned long long)injected);
-            s += buf;
-            return s;
-        };
-    out += causes_of(drop_causes, drops_injected);
-    if (thermal_on) {
-        std::snprintf(
-            buf, sizeof(buf),
-            " thermal=[peak_c=%.17g final_c=%.17g trips=%llu "
-            "dvfs_end=%d gpu_mj=%.17g] governor=[demotions=%llu "
-            "promotions=%llu rung_end=%d]",
-            peak_temp_c, final_temp_c, (unsigned long long)thermal_trips,
-            dvfs_level_end, gpu_energy_mj,
-            (unsigned long long)governor_demotions,
-            (unsigned long long)governor_promotions, governor_rung_end);
-        out += buf;
-    }
+    std::string out;
+    append(out, "label=", label, " scenario=", scenario,
+           " mode=", config.mode, " device=", config.device,
+           " hz=", config.refresh_hz, " buffers=", config.buffers,
+           " limit=", config.prerender_limit, " seed=", config.seed,
+           " fdps=", fdps, " fd%=", fd_percent, " fps=", fps,
+           " drops=", drops, " due=", frames_due, " presents=", presents,
+           " direct=", direct, " stuffed=", stuffed);
+    append(out, " lat(ms)=[", latency_mean_ms, " ", latency_p50_ms, " ",
+           latency_p95_ms, " ", latency_p99_ms, " ", latency_max_ms,
+           "] stutters=", stutters, " deadline_misses=", deadline_misses,
+           " wall=", activity.wall_time, " busy=", activity.pipeline_busy,
+           " produced=", activity.frames_produced,
+           " predicted=", activity.predicted_frames,
+           " dvsync=", int(activity.dvsync_on), " energy_mj=", energy_mj,
+           " repeats=", repeats);
+    append(out, " violations=", invariant_violations,
+           " faults=", faults_injected, " degradations=", degradations,
+           " repromotions=", repromotions, " resyncs=", dtv_resyncs,
+           " error=");
+    if (error.empty())
+        out += "-";
+    else
+        put(out, error);
+    append_causes(out, drop_causes, drops_injected);
+    if (thermal_on)
+        append(out, " thermal=[peak_c=", peak_temp_c,
+               " final_c=", final_temp_c, " trips=", thermal_trips,
+               " dvfs_end=", dvfs_level_end, " gpu_mj=", gpu_energy_mj,
+               "] governor=[demotions=", governor_demotions,
+               " promotions=", governor_promotions,
+               " rung_end=", governor_rung_end, "]");
     if (!surfaces.empty()) {
-        std::snprintf(buf, sizeof(buf),
-                      " budget_mb=%.17g used_mb=%.17g rearb=%llu",
-                      budget_mb, budget_used_mb,
-                      (unsigned long long)rearbitrations);
-        out += buf;
+        append(out, " budget_mb=", budget_mb, " used_mb=", budget_used_mb,
+               " rearb=", rearbitrations);
         for (const SurfaceReport &s : surfaces) {
-            std::snprintf(
-                buf, sizeof(buf),
-                "\n  surface=%s mode=%s buffers=%d extra=%d mb=%.17g "
-                "fdps=%.17g fd%%=%.17g drops=%llu due=%lld presents=%llu "
-                "p95=%.17g violations=%llu degradations=%llu "
-                "repromotions=%llu",
-                s.name.c_str(), s.mode.c_str(), s.buffers, s.extra_buffers,
-                s.buffer_mb, s.fdps, s.fd_percent,
-                (unsigned long long)s.drops, (long long)s.frames_due,
-                (unsigned long long)s.presents, s.latency_p95_ms,
-                (unsigned long long)s.invariant_violations,
-                (unsigned long long)s.degradations,
-                (unsigned long long)s.repromotions);
-            out += buf;
-            out += causes_of(s.drop_causes, s.drops_injected);
+            append(out, "\n  surface=", s.name, " mode=", s.mode,
+                   " buffers=", s.buffers, " extra=", s.extra_buffers,
+                   " mb=", s.buffer_mb, " fdps=", s.fdps,
+                   " fd%=", s.fd_percent, " drops=", s.drops,
+                   " due=", s.frames_due, " presents=", s.presents,
+                   " p95=", s.latency_p95_ms,
+                   " violations=", s.invariant_violations,
+                   " degradations=", s.degradations,
+                   " repromotions=", s.repromotions);
+            append_causes(out, s.drop_causes, s.drops_injected);
         }
     }
-    for (const std::string &t : timeline)
-        out += "\n  " + t;
+    for (const std::string &t : timeline) {
+        out += "\n  ";
+        out += t;
+    }
     return out;
 }
 

@@ -1,27 +1,44 @@
 #include "trace/dvst_io.h"
 
-#include <cstring>
+#include <algorithm>
+#include <array>
+
+#include "sim/logging.h"
 
 namespace dvs {
 
 namespace {
 
-/** Lazily built reflected CRC-32 table (polynomial 0xEDB88320). */
-const std::uint32_t *
-crc_table()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
+ * table 0 is the classic byte-at-a-time table, and table k advances a
+ * byte's contribution by k more zero bytes.
+ */
+constexpr CrcTables
+make_crc_tables()
 {
-    static std::uint32_t table[256];
-    static bool built = false;
-    if (!built) {
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
-        }
-        built = true;
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    return t;
+}
+
+constexpr CrcTables kCrc = make_crc_tables();
+
+std::uint32_t
+load_le32(const unsigned char *p)
+{
+    return std::uint32_t(p[0]) | (std::uint32_t(p[1]) << 8) |
+           (std::uint32_t(p[2]) << 16) | (std::uint32_t(p[3]) << 24);
 }
 
 } // namespace
@@ -29,73 +46,62 @@ crc_table()
 std::uint32_t
 dvst_crc32(const void *data, std::size_t n)
 {
-    const std::uint32_t *table = crc_table();
     const unsigned char *p = static_cast<const unsigned char *>(data);
     std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i)
-        crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = load_le32(p) ^ crc;
+        const std::uint32_t hi = load_le32(p + 4);
+        crc = kCrc[7][lo & 0xFF] ^ kCrc[6][(lo >> 8) & 0xFF] ^
+              kCrc[5][(lo >> 16) & 0xFF] ^ kCrc[4][lo >> 24] ^
+              kCrc[3][hi & 0xFF] ^ kCrc[2][(hi >> 8) & 0xFF] ^
+              kCrc[1][(hi >> 16) & 0xFF] ^ kCrc[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        crc = kCrc[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 
 // ----- ByteWriter ------------------------------------------------------
 
 void
-ByteWriter::u16(std::uint16_t v)
+ByteWriter::grow(std::size_t n)
 {
-    u8(std::uint8_t(v));
-    u8(std::uint8_t(v >> 8));
+    buf_.resize(std::max({buf_.size() * 2, pos_ + n, std::size_t(64)}));
 }
 
 void
-ByteWriter::u32(std::uint32_t v)
+ByteWriter::begin_section(const char tag[4])
 {
-    for (int i = 0; i < 4; ++i)
-        u8(std::uint8_t(v >> (8 * i)));
+    if (section_ != kNoSection)
+        panic("ByteWriter: section opened inside an open section");
+    section_ = pos_;
+    raw(tag, 4);
+    u32(0); // payload length, filled in by end_section()
 }
 
 void
-ByteWriter::u64(std::uint64_t v)
+ByteWriter::end_section()
 {
-    for (int i = 0; i < 8; ++i)
-        u8(std::uint8_t(v >> (8 * i)));
+    if (section_ == kNoSection)
+        panic("ByteWriter: end_section() without begin_section()");
+    const std::size_t payload = section_ + 8;
+    const std::size_t len = pos_ - payload;
+    const std::uint32_t crc = dvst_crc32(buf_.data() + payload, len);
+    for (std::size_t i = 0; i < 4; ++i)
+        buf_[section_ + 4 + i] = char(std::uint8_t(len >> (8 * i)));
+    section_ = kNoSection;
+    u32(crc);
 }
 
-void
-ByteWriter::varint(std::uint64_t v)
+std::string
+ByteWriter::take()
 {
-    while (v >= 0x80) {
-        u8(std::uint8_t(v) | 0x80);
-        v >>= 7;
-    }
-    u8(std::uint8_t(v));
-}
-
-void
-ByteWriter::svarint(std::int64_t v)
-{
-    // Zigzag: small magnitudes of either sign stay short.
-    varint((std::uint64_t(v) << 1) ^ std::uint64_t(v >> 63));
-}
-
-void
-ByteWriter::f64(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-}
-
-void
-ByteWriter::str(std::string_view s)
-{
-    varint(s.size());
-    raw(s.data(), s.size());
-}
-
-void
-ByteWriter::raw(const void *data, std::size_t n)
-{
-    buf_.append(static_cast<const char *>(data), n);
+    buf_.resize(pos_);
+    std::string out(std::move(buf_));
+    buf_.clear();
+    pos_ = 0;
+    section_ = kNoSection;
+    return out;
 }
 
 // ----- ByteReader ------------------------------------------------------
@@ -110,89 +116,42 @@ ByteReader::fail(const std::string &why)
     }
 }
 
-bool
-ByteReader::need(std::size_t n)
+void
+ByteReader::truncated()
 {
-    if (!ok_)
-        return false;
-    if (std::size_t(end_ - p_) < n) {
+    if (ok_)
         fail("truncated payload");
-        return false;
-    }
-    return true;
-}
-
-std::uint8_t
-ByteReader::u8()
-{
-    if (!need(1))
-        return 0;
-    return std::uint8_t(*p_++);
-}
-
-std::uint16_t
-ByteReader::u16()
-{
-    const std::uint16_t lo = u8();
-    return std::uint16_t(lo | (std::uint16_t(u8()) << 8));
-}
-
-std::uint32_t
-ByteReader::u32()
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t(u8()) << (8 * i);
-    return v;
 }
 
 std::uint64_t
-ByteReader::u64()
+ByteReader::varint_slow()
 {
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t(u8()) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-ByteReader::varint()
-{
-    std::uint64_t v = 0;
+    const char *p = p_;
     for (int shift = 0; shift < 64; shift += 7) {
-        const std::uint8_t b = u8();
-        if (!ok_)
+        if (p == end_) {
+            truncated();
             return 0;
+        }
+        const std::uint8_t b = std::uint8_t(*p++);
         v |= std::uint64_t(b & 0x7F) << shift;
-        if (!(b & 0x80))
+        if (!(b & 0x80)) {
+            p_ = p;
             return v;
+        }
     }
     fail("varint longer than 64 bits");
     return 0;
-}
-
-std::int64_t
-ByteReader::svarint()
-{
-    const std::uint64_t z = varint();
-    return std::int64_t(z >> 1) ^ -std::int64_t(z & 1);
-}
-
-double
-ByteReader::f64()
-{
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
 }
 
 std::string
 ByteReader::str()
 {
     const std::uint64_t n = varint();
-    if (!need(n))
+    if (remaining() < n) {
+        truncated();
         return {};
+    }
     std::string s(p_, n);
     p_ += n;
     return s;
@@ -211,20 +170,6 @@ ByteReader::count(std::size_t min_element_bytes)
         return 0;
     }
     return n;
-}
-
-// ----- section framing -------------------------------------------------
-
-void
-dvst_write_section(std::string &out, const char tag[4],
-                   const std::string &payload)
-{
-    ByteWriter w;
-    w.raw(tag, 4);
-    w.u32(std::uint32_t(payload.size()));
-    w.raw(payload.data(), payload.size());
-    w.u32(dvst_crc32(payload.data(), payload.size()));
-    out += w.bytes();
 }
 
 } // namespace dvs

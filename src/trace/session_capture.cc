@@ -81,6 +81,7 @@ decode_device(ByteReader &r, DeviceConfig &d)
     d.vsync_buffers = int(r.svarint());
     const std::uint64_t n = r.count(8);
     d.ltpo_rates.clear();
+    d.ltpo_rates.reserve(n);
     for (std::uint64_t i = 0; i < n && r.ok(); ++i)
         d.ltpo_rates.push_back(r.f64());
     d.thermal_budget_mw = r.f64();
@@ -120,6 +121,7 @@ decode_thermal(ByteReader &r, ThermalSpec &t)
         ThermalParams p;
         const std::uint64_t n = r.count(24);
         p.levels.clear();
+        p.levels.reserve(n);
         for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
             DvfsLevel lvl;
             lvl.clock_ghz = r.f64();
@@ -168,10 +170,9 @@ decode_governor(ByteReader &r, GovernorConfig &g)
     g.backoff_window = r.svarint();
 }
 
-std::string
-encode_system_config(const SystemConfig &c)
+void
+encode_system_config(ByteWriter &w, const SystemConfig &c)
 {
-    ByteWriter w;
     encode_device(w, c.device);
     w.u8(std::uint8_t(c.mode));
     w.svarint(c.buffers);
@@ -194,7 +195,6 @@ encode_system_config(const SystemConfig &c)
     w.svarint(c.metrics_interval);
     encode_thermal(w, c.thermal);
     encode_governor(w, c.governor);
-    return w.take();
 }
 
 void
@@ -225,11 +225,10 @@ decode_system_config(ByteReader &r, SystemConfig &c)
     c.faults.reset(); // FALT section reinstalls a recorded plan
 }
 
-std::string
-encode_multi_config(const MultiSurfaceConfig &c,
+void
+encode_multi_config(ByteWriter &w, const MultiSurfaceConfig &c,
                     const std::vector<SurfaceCapture> &surfaces)
 {
-    ByteWriter w;
     encode_device(w, c.device);
     w.u64(c.seed);
     w.f64(c.budget_mb);
@@ -251,7 +250,6 @@ encode_multi_config(const MultiSurfaceConfig &c,
         w.f64(s.weight);
         w.svarint(s.start_at);
     }
-    return w.take();
 }
 
 void
@@ -273,6 +271,7 @@ decode_multi_config(ByteReader &r, MultiSurfaceConfig &c,
     c.faults.reset();
     const std::uint64_t n = r.count(8);
     surfaces.clear();
+    surfaces.reserve(n);
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
         SurfaceCapture s;
         s.name = r.str();
@@ -287,10 +286,9 @@ decode_multi_config(ByteReader &r, MultiSurfaceConfig &c,
 
 // ----- fault plan payload ----------------------------------------------
 
-std::string
-encode_faults(const FaultPlan &plan, int fault_surface)
+void
+encode_faults(ByteWriter &w, const FaultPlan &plan, int fault_surface)
 {
-    ByteWriter w;
     w.u64(plan.seed());
     w.str(plan.mix_name());
     w.svarint(fault_surface);
@@ -303,7 +301,6 @@ encode_faults(const FaultPlan &plan, int fault_surface)
         w.f64(win.magnitude);
         prev_start = win.start;
     }
-    return w.take();
 }
 
 bool
@@ -315,6 +312,7 @@ decode_faults(ByteReader &r, std::shared_ptr<const FaultPlan> &out,
     fault_surface = int(r.svarint());
     const std::uint64_t n = r.count(4);
     std::vector<FaultWindow> windows;
+    windows.reserve(n);
     Time prev_start = 0;
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
         FaultWindow win;
@@ -374,6 +372,7 @@ decode_scenario(ByteReader &r, ScenarioCapture &sc)
     sc.name = r.str();
     const std::uint64_t nseg = r.count(4);
     sc.segments.clear();
+    sc.segments.reserve(nseg);
     for (std::uint64_t i = 0; i < nseg && r.ok(); ++i) {
         SegmentCapture seg;
         seg.kind = read_enum<SegmentKind>(r, 4, "segment kind");
@@ -383,6 +382,7 @@ decode_scenario(ByteReader &r, ScenarioCapture &sc)
         seg.costs.name = r.str();
         seg.costs.rate_hz = r.f64();
         const std::uint64_t nframes = r.count(3);
+        seg.costs.frames.reserve(nframes);
         FrameCost prev{};
         for (std::uint64_t k = 0; k < nframes && r.ok(); ++k) {
             FrameCost fc;
@@ -394,6 +394,7 @@ decode_scenario(ByteReader &r, ScenarioCapture &sc)
         }
 
         const std::uint64_t ntouch = r.count(26);
+        seg.touch.reserve(ntouch);
         Time prev_ts = 0;
         for (std::uint64_t k = 0; k < ntouch && r.ok(); ++k) {
             TouchEvent ev;
@@ -452,6 +453,7 @@ decode_frames(ByteReader &r, std::vector<FrameSample> &frames)
 {
     const std::uint64_t n = r.count(16);
     frames.clear();
+    frames.reserve(n);
     FrameSample prev;
     prev.frame_id = 0;
     prev.slot = 0;
@@ -494,10 +496,10 @@ decode_frames(ByteReader &r, std::vector<FrameSample> &frames)
 constexpr std::uint8_t kMapFaults = 1u << 0;
 constexpr std::uint8_t kMapFrames = 1u << 1;
 
-std::string
-encode_meta(const SessionCapture &cap, std::uint8_t section_map)
+void
+encode_meta(ByteWriter &w, const SessionCapture &cap,
+            std::uint8_t section_map)
 {
-    ByteWriter w;
     w.u8(section_map);
     w.str(cap.label);
     w.u8(cap.verbatim ? 1 : 0);
@@ -509,7 +511,6 @@ encode_meta(const SessionCapture &cap, std::uint8_t section_map)
     w.varint(cap.timeline.size());
     for (const std::string &s : cap.timeline)
         w.str(s);
-    return w.take();
 }
 
 void
@@ -524,10 +525,12 @@ decode_meta(ByteReader &r, SessionCapture &cap, std::uint8_t &section_map)
     cap.source_report_fnv = r.u64();
     const std::uint64_t nlin = r.count(1);
     cap.lineage.clear();
+    cap.lineage.reserve(nlin);
     for (std::uint64_t i = 0; i < nlin && r.ok(); ++i)
         cap.lineage.push_back(r.str());
     const std::uint64_t ntl = r.count(1);
     cap.timeline.clear();
+    cap.timeline.reserve(ntl);
     for (std::uint64_t i = 0; i < ntl && r.ok(); ++i)
         cap.timeline.push_back(r.str());
 }
@@ -560,16 +563,6 @@ FrameSample::from_record(const FrameRecord &rec)
 std::string
 SessionCapture::encode() const
 {
-    std::string out;
-    {
-        ByteWriter header;
-        header.raw(kMagic, 4);
-        header.u16(kSchemaVersion);
-        header.u8(std::uint8_t(kind));
-        header.u8(0); // reserved
-        out += header.bytes();
-    }
-
     const FaultPlan *plan = kind == Kind::kSingle
                                 ? config.faults.get()
                                 : multi_config.faults.get();
@@ -585,35 +578,46 @@ SessionCapture::encode() const
                   return false;
               }();
 
+    ByteWriter w;
+    w.raw(kMagic, 4);
+    w.u16(kSchemaVersion);
+    w.u8(std::uint8_t(kind));
+    w.u8(0); // reserved
+
     const std::uint8_t section_map =
         std::uint8_t((plan ? kMapFaults : 0) | (any_frames ? kMapFrames : 0));
-    dvst_write_section(out, kTagMeta, encode_meta(*this, section_map));
+    w.begin_section(kTagMeta);
+    encode_meta(w, *this, section_map);
+    w.end_section();
 
-    if (kind == Kind::kSingle)
-        dvst_write_section(out, kTagConf, encode_system_config(config));
-    else
-        dvst_write_section(out, kTagMultiConf,
-                           encode_multi_config(multi_config, surfaces));
+    if (kind == Kind::kSingle) {
+        w.begin_section(kTagConf);
+        encode_system_config(w, config);
+    } else {
+        w.begin_section(kTagMultiConf);
+        encode_multi_config(w, multi_config, surfaces);
+    }
+    w.end_section();
 
-    if (plan)
-        dvst_write_section(out, kTagFaults,
-                           encode_faults(*plan, fault_surface));
-
-    {
-        ByteWriter w;
-        if (kind == Kind::kSingle) {
-            w.varint(1);
-            encode_scenario(w, scenario);
-        } else {
-            w.varint(surfaces.size());
-            for (const SurfaceCapture &s : surfaces)
-                encode_scenario(w, s.scenario);
-        }
-        dvst_write_section(out, kTagSegments, w.take());
+    if (plan) {
+        w.begin_section(kTagFaults);
+        encode_faults(w, *plan, fault_surface);
+        w.end_section();
     }
 
+    w.begin_section(kTagSegments);
+    if (kind == Kind::kSingle) {
+        w.varint(1);
+        encode_scenario(w, scenario);
+    } else {
+        w.varint(surfaces.size());
+        for (const SurfaceCapture &s : surfaces)
+            encode_scenario(w, s.scenario);
+    }
+    w.end_section();
+
     if (any_frames) {
-        ByteWriter w;
+        w.begin_section(kTagFrames);
         if (kind == Kind::kSingle) {
             w.varint(1);
             encode_frames(w, frames);
@@ -622,10 +626,10 @@ SessionCapture::encode() const
             for (const SurfaceCapture &s : surfaces)
                 encode_frames(w, s.frames);
         }
-        dvst_write_section(out, kTagFrames, w.take());
+        w.end_section();
     }
 
-    return out;
+    return w.take();
 }
 
 bool

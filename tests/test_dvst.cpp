@@ -1,18 +1,26 @@
 /**
  * @file
- * Trace record/replay tests: .dvst byte-level io, capture round trips,
- * the bit-exact replay contract (both pacing modes, 1/2/4 sim workers),
+ * Trace record/replay tests: .dvst byte-level io and CRC-32, capture
+ * round trips (the traces/ corpus included, byte for byte), concurrent
+ * encode/decode, the bit-exact replay contract (both pacing modes),
  * trace transforms, and strict-loader behavior on corrupt, truncated,
  * and version-skewed files (including a per-byte mutation fuzz loop).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "fault/fault_plan.h"
 #include "input/gesture.h"
@@ -170,7 +178,234 @@ TEST(DvstIo, CountIsBoundedByRemainingPayload)
     EXPECT_FALSE(r.ok());
 }
 
+namespace {
+
+/** Bit-at-a-time CRC-32: the definition the sliced tables must match. */
+std::uint32_t
+bitwise_crc32(const unsigned char *p, std::size_t n)
+{
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t
+le32_at(std::string_view bytes, std::size_t pos)
+{
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= std::uint32_t(std::uint8_t(bytes[pos + i])) << (8 * i);
+    return v;
+}
+
+std::string
+read_file(const std::filesystem::path &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    return buf.str();
+}
+
+} // namespace
+
+TEST(DvstIo, Crc32KnownAnswers)
+{
+    EXPECT_EQ(dvst_crc32("", 0), 0u);
+    EXPECT_EQ(dvst_crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(dvst_crc32("The quick brown fox jumps over the lazy dog", 43),
+              0x414FA339u);
+}
+
+TEST(DvstIo, Crc32SlicingMatchesBitwiseAtEveryAlignment)
+{
+    std::mt19937 rng(7);
+    unsigned char buf[8 + 67];
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng());
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 67; ++len)
+            EXPECT_EQ(dvst_crc32(buf + offset, len),
+                      bitwise_crc32(buf + offset, len))
+                << "offset " << offset << " length " << len;
+}
+
+TEST(DvstIo, SectionThatGrowsTheBufferGetsItsLengthAndCrc)
+{
+    ByteWriter w; // the open section regrows the buffer many times
+    w.u8(0xAB);
+    w.begin_section("TEST");
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        w.varint(i * 977);
+    w.str(std::string(1500, 'x'));
+    w.end_section();
+    w.begin_section("NEXT");
+    w.end_section();
+
+    const std::string_view bytes = w.bytes();
+    ASSERT_GE(bytes.size(), 1u + 12 + 12);
+    EXPECT_EQ(bytes.substr(1, 4), "TEST");
+    const std::uint32_t len = le32_at(bytes, 5);
+    ASSERT_EQ(bytes.size(), 1u + 12 + len + 12);
+    const auto *payload =
+        reinterpret_cast<const unsigned char *>(bytes.data() + 9);
+    EXPECT_EQ(le32_at(bytes, 9 + len), bitwise_crc32(payload, len));
+    ByteReader r(bytes.substr(9, len));
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        ASSERT_EQ(r.varint(), i * 977);
+    EXPECT_EQ(r.str(), std::string(1500, 'x'));
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.at_end());
+
+    // An empty section: zero length, CRC of nothing.
+    const std::size_t next = 1 + 12 + len;
+    EXPECT_EQ(bytes.substr(next, 4), "NEXT");
+    EXPECT_EQ(le32_at(bytes, next + 4), 0u);
+    EXPECT_EQ(le32_at(bytes, next + 8), 0u);
+}
+
+TEST(DvstIo, BytesEqualsTakeAndTakeLeavesTheWriterEmpty)
+{
+    ByteWriter w;
+    w.u64(0x0102030405060708ull);
+    w.str("payload");
+    w.svarint(-300);
+    const std::string viewed(w.bytes());
+    const std::string taken = w.take();
+    EXPECT_EQ(taken, viewed);
+    EXPECT_EQ(taken.size(), 8u + 1 + 7 + 2);
+    EXPECT_TRUE(w.bytes().empty());
+    w.u8(9);
+    EXPECT_EQ(w.take(), std::string(1, '\x09'));
+}
+
+TEST(DvstIo, MaxVarintTakesTenBytesAndRoundTrips)
+{
+    ByteWriter w;
+    w.varint(UINT64_MAX);
+    ASSERT_EQ(w.bytes().size(), 10u);
+    EXPECT_EQ(std::uint8_t(w.bytes()[9]), 0x01);
+    ByteReader r(w.bytes());
+    EXPECT_EQ(r.varint(), UINT64_MAX);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.at_end());
+}
+
+TEST(DvstIo, VarintOneByteBoundary)
+{
+    // 0x7F is the largest one-byte varint; 0x80 starts a two-byte one.
+    const std::string bytes("\x7F\x80\x01\x00", 4);
+    ByteReader r(bytes);
+    EXPECT_EQ(r.varint(), 0x7Fu);
+    EXPECT_EQ(r.varint(), 0x80u);
+    EXPECT_EQ(r.varint(), 0u);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.at_end());
+
+    ByteWriter w;
+    w.varint(0x7F);
+    w.varint(0x80);
+    EXPECT_EQ(std::string(w.bytes()), bytes.substr(0, 3));
+}
+
+TEST(DvstIo, VarintCutShortAtTheEndLatches)
+{
+    for (const std::string &bytes :
+         {std::string("\x80", 1), std::string("\xFF\xFF", 2),
+          std::string("\x05\x80", 2)}) {
+        ByteReader r(bytes);
+        while (r.ok() && !r.at_end())
+            r.varint();
+        EXPECT_FALSE(r.ok()) << bytes.size() << " bytes";
+        EXPECT_EQ(r.error(), "truncated payload");
+        EXPECT_EQ(r.varint(), 0u);
+        EXPECT_EQ(r.u64(), 0u);
+        EXPECT_EQ(r.error(), "truncated payload"); // first failure kept
+    }
+}
+
+TEST(DvstIo, OverlongVarintAndShortFixedReadsLatch)
+{
+    const std::string overlong = std::string(10, '\x80') + '\0';
+    ByteReader r(overlong);
+    EXPECT_EQ(r.varint(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), "varint longer than 64 bits");
+
+    const std::string three("\x01\x02\x03", 3);
+    ByteReader fixed(three);
+    EXPECT_EQ(fixed.u32(), 0u);
+    EXPECT_FALSE(fixed.ok());
+    EXPECT_EQ(fixed.u8(), 0u);
+}
+
 // ----- capture round trips ------------------------------------------------
+
+TEST(Capture, CorpusReencodesByteIdentically)
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(DVS_TRACES_DIR))
+        if (entry.path().extension() == ".dvst")
+            files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty()) << "no .dvst files in " << DVS_TRACES_DIR;
+    for (const std::filesystem::path &path : files) {
+        SCOPED_TRACE(path.filename().string());
+        const std::string bytes = read_file(path);
+        SessionCapture cap;
+        std::string error;
+        ASSERT_TRUE(SessionCapture::decode(bytes, cap, error)) << error;
+        EXPECT_EQ(cap.encode(), bytes);
+    }
+}
+
+TEST(Capture, ConcurrentEncodeDecodeFromFourThreads)
+{
+    // Each thread's first CRC may be the process's first: nothing here
+    // may lazily build shared state.
+    struct Result {
+        std::string bytes;
+        std::string reencoded;
+        std::string error;
+        bool decoded = false;
+    };
+    std::vector<Result> results(4);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([t, &results] {
+            Result &res = results[t];
+            for (int round = 0; round < 3; ++round) {
+                const SessionCapture cap = record_single(
+                    t % 2 ? RenderMode::kVsync : RenderMode::kDvsync,
+                    std::uint64_t(t + 1));
+                res.bytes = cap.encode();
+                SessionCapture back;
+                res.decoded =
+                    SessionCapture::decode(res.bytes, back, res.error);
+                if (!res.decoded)
+                    return;
+                res.reencoded = back.encode();
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < 4; ++t) {
+        SCOPED_TRACE(t);
+        const Result &res = results[t];
+        ASSERT_TRUE(res.decoded) << res.error;
+        EXPECT_EQ(res.reencoded, res.bytes);
+        const SessionCapture serial = record_single(
+            t % 2 ? RenderMode::kVsync : RenderMode::kDvsync,
+            std::uint64_t(t + 1));
+        EXPECT_EQ(serial.encode(), res.bytes);
+    }
+}
+
 
 TEST(Capture, SingleSessionRoundTripsThroughBytes)
 {

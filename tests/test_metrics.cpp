@@ -1,15 +1,22 @@
 /**
  * @file
  * Unit tests for the metrics layer: latency breakdown, stutter model,
- * power model, histogram, and reporters.
+ * power model, histogram, reporters, and the RunReport fingerprint
+ * string.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 
 #include "metrics/histogram.h"
 #include "metrics/latency.h"
 #include "metrics/power_model.h"
 #include "metrics/reporter.h"
+#include "metrics/run_report.h"
 #include "metrics/stutter_model.h"
 
 using namespace dvs;
@@ -260,4 +267,338 @@ TEST(Reporter, AsciiBarProportional)
     EXPECT_EQ(ascii_bar(10.0, 10.0, 10).size(), 10u);
     EXPECT_EQ(ascii_bar(0.0, 10.0, 10).size(), 0u);
     EXPECT_EQ(ascii_bar(20.0, 10.0, 10).size(), 10u); // clamped
+}
+
+// ----- RunReport::debug_string ------------------------------------------------
+
+namespace {
+
+/**
+ * The snprintf formatter debug_string() used to be, kept as the oracle
+ * of its output. Its first buffer truncates at 1023 bytes, so callers
+ * keep reports short enough that it never does (checked here).
+ */
+std::string
+snprintf_debug_string(const RunReport &r)
+{
+    char buf[1024];
+    const int n = std::snprintf(
+        buf, sizeof(buf),
+        "label=%s scenario=%s mode=%s device=%s hz=%.17g buffers=%d "
+        "limit=%d seed=%llu fdps=%.17g fd%%=%.17g fps=%.17g drops=%llu "
+        "due=%lld presents=%llu direct=%llu stuffed=%llu "
+        "lat(ms)=[%.17g %.17g %.17g %.17g %.17g] stutters=%llu "
+        "deadline_misses=%llu wall=%lld busy=%lld produced=%llu "
+        "predicted=%llu dvsync=%d energy_mj=%.17g repeats=%d",
+        r.label.c_str(), r.scenario.c_str(), r.config.mode.c_str(),
+        r.config.device.c_str(), r.config.refresh_hz, r.config.buffers,
+        r.config.prerender_limit, (unsigned long long)r.config.seed, r.fdps,
+        r.fd_percent, r.fps, (unsigned long long)r.drops,
+        (long long)r.frames_due, (unsigned long long)r.presents,
+        (unsigned long long)r.direct, (unsigned long long)r.stuffed,
+        r.latency_mean_ms, r.latency_p50_ms, r.latency_p95_ms,
+        r.latency_p99_ms, r.latency_max_ms, (unsigned long long)r.stutters,
+        (unsigned long long)r.deadline_misses,
+        (long long)r.activity.wall_time, (long long)r.activity.pipeline_busy,
+        (unsigned long long)r.activity.frames_produced,
+        (unsigned long long)r.activity.predicted_frames,
+        int(r.activity.dvsync_on), r.energy_mj, r.repeats);
+    EXPECT_LT(n, int(sizeof(buf))) << "oracle input too long";
+    std::string out = buf;
+    std::snprintf(buf, sizeof(buf),
+                  " violations=%llu faults=%llu degradations=%llu "
+                  "repromotions=%llu resyncs=%llu error=%s",
+                  (unsigned long long)r.invariant_violations,
+                  (unsigned long long)r.faults_injected,
+                  (unsigned long long)r.degradations,
+                  (unsigned long long)r.repromotions,
+                  (unsigned long long)r.dtv_resyncs,
+                  r.error.empty() ? "-" : r.error.c_str());
+    out += buf;
+
+    const auto causes_of =
+        [&buf](const std::array<std::uint64_t, kDropCauseCount> &causes,
+               std::uint64_t injected) {
+            std::string s = " causes=[";
+            for (int c = 0; c < kDropCauseCount; ++c) {
+                if (c >= kDropCauseLegacyCount && causes[c] == 0)
+                    continue;
+                std::snprintf(buf, 64, "%s%s=%llu", c ? " " : "",
+                              to_string(DropCause(c)),
+                              (unsigned long long)causes[c]);
+                s += buf;
+            }
+            std::snprintf(buf, 64, "] injected_drops=%llu",
+                          (unsigned long long)injected);
+            s += buf;
+            return s;
+        };
+    out += causes_of(r.drop_causes, r.drops_injected);
+    if (r.thermal_on) {
+        std::snprintf(
+            buf, sizeof(buf),
+            " thermal=[peak_c=%.17g final_c=%.17g trips=%llu "
+            "dvfs_end=%d gpu_mj=%.17g] governor=[demotions=%llu "
+            "promotions=%llu rung_end=%d]",
+            r.peak_temp_c, r.final_temp_c,
+            (unsigned long long)r.thermal_trips, r.dvfs_level_end,
+            r.gpu_energy_mj, (unsigned long long)r.governor_demotions,
+            (unsigned long long)r.governor_promotions, r.governor_rung_end);
+        out += buf;
+    }
+    if (!r.surfaces.empty()) {
+        std::snprintf(buf, sizeof(buf),
+                      " budget_mb=%.17g used_mb=%.17g rearb=%llu",
+                      r.budget_mb, r.budget_used_mb,
+                      (unsigned long long)r.rearbitrations);
+        out += buf;
+        for (const SurfaceReport &s : r.surfaces) {
+            std::snprintf(
+                buf, sizeof(buf),
+                "\n  surface=%s mode=%s buffers=%d extra=%d mb=%.17g "
+                "fdps=%.17g fd%%=%.17g drops=%llu due=%lld presents=%llu "
+                "p95=%.17g violations=%llu degradations=%llu "
+                "repromotions=%llu",
+                s.name.c_str(), s.mode.c_str(), s.buffers, s.extra_buffers,
+                s.buffer_mb, s.fdps, s.fd_percent,
+                (unsigned long long)s.drops, (long long)s.frames_due,
+                (unsigned long long)s.presents, s.latency_p95_ms,
+                (unsigned long long)s.invariant_violations,
+                (unsigned long long)s.degradations,
+                (unsigned long long)s.repromotions);
+            out += buf;
+            out += causes_of(s.drop_causes, s.drops_injected);
+        }
+    }
+    for (const std::string &t : r.timeline)
+        out += "\n  " + t;
+    return out;
+}
+
+/** Seeded random report fields, edge values weighted in. */
+class ReportFuzzer
+{
+  public:
+    explicit ReportFuzzer(std::uint64_t seed) : rng_(seed) {}
+
+    double real()
+    {
+        using L = std::numeric_limits<double>;
+        static const double kEdges[] = {
+            0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 16.666666666666668, 60.0,
+            1e300, -1e300, 1e-300, L::min(), L::denorm_min(),
+            -L::denorm_min(), 2.5e-310, L::max(), L::lowest(),
+            L::infinity(), -L::infinity(), L::quiet_NaN(),
+            -L::quiet_NaN(), 123456789012345678.0, 1e16, 1e17, 9.5e-5};
+        switch (pick(5)) {
+          case 0:
+            return kEdges[pick(std::size(kEdges))];
+          case 1: { // any bit pattern: every exponent, NaN payloads
+            const std::uint64_t bits = rng_();
+            double v;
+            std::memcpy(&v, &bits, sizeof v);
+            return v;
+          }
+          case 2: // small integers print without exponent or point
+            return double(std::int64_t(pick(2000001)) - 1000000);
+          default: // report-like magnitudes
+            return std::uniform_real_distribution<double>(-1e3, 1e5)(rng_);
+        }
+    }
+
+    std::uint64_t u64()
+    {
+        static const std::uint64_t kEdges[] = {
+            0, 1, 9, 10, 99, 100, std::numeric_limits<std::uint64_t>::max(),
+            std::uint64_t(std::numeric_limits<std::int64_t>::max()),
+            std::uint64_t(std::numeric_limits<std::int64_t>::max()) + 1};
+        switch (pick(3)) {
+          case 0:
+            return kEdges[pick(std::size(kEdges))];
+          case 1:
+            return rng_() >> pick(64);
+          default:
+            return pick(1000);
+        }
+    }
+
+    std::int64_t i64()
+    {
+        static const std::int64_t kEdges[] = {
+            0, -1, 1, std::numeric_limits<std::int64_t>::min(),
+            std::numeric_limits<std::int64_t>::max()};
+        if (pick(3) == 0)
+            return kEdges[pick(std::size(kEdges))];
+        return std::int64_t(rng_()) >> pick(64);
+    }
+
+    int i32()
+    {
+        static const int kEdges[] = {0, -1, 1, 3, 5,
+                                     std::numeric_limits<int>::min(),
+                                     std::numeric_limits<int>::max()};
+        if (pick(2) == 0)
+            return kEdges[pick(std::size(kEdges))];
+        return int(std::int32_t(std::uint32_t(rng_())));
+    }
+
+    /** Up to @p max_len bytes: printable text, '%' signs and NULs. */
+    std::string text(std::size_t max_len)
+    {
+        std::string s(pick(max_len + 1), ' ');
+        for (char &c : s) {
+            const std::size_t k = pick(40);
+            c = k == 0 ? '\0' : k == 1 ? '%' : char(' ' + pick(95));
+        }
+        return s;
+    }
+
+    bool coin() { return pick(2) == 0; }
+
+    std::size_t pick(std::size_t n)
+    {
+        return std::size_t(rng_() % n);
+    }
+
+    void causes(std::array<std::uint64_t, kDropCauseCount> &causes)
+    {
+        const bool extended = coin();
+        for (int c = 0; c < kDropCauseCount; ++c)
+            causes[c] = c >= kDropCauseLegacyCount && !extended ? 0 : u64();
+    }
+
+    RunReport report()
+    {
+        RunReport r;
+        r.label = text(32);
+        r.scenario = text(24);
+        r.config.mode = text(12);
+        r.config.device = text(16);
+        r.config.refresh_hz = real();
+        r.config.buffers = i32();
+        r.config.prerender_limit = i32();
+        r.config.seed = u64();
+        r.fdps = real();
+        r.fd_percent = real();
+        r.fps = real();
+        r.drops = u64();
+        r.frames_due = i64();
+        r.presents = u64();
+        r.direct = u64();
+        r.stuffed = u64();
+        r.latency_mean_ms = real();
+        r.latency_p50_ms = real();
+        r.latency_p95_ms = real();
+        r.latency_p99_ms = real();
+        r.latency_max_ms = real();
+        r.stutters = u64();
+        r.deadline_misses = u64();
+        r.activity.wall_time = i64();
+        r.activity.pipeline_busy = i64();
+        r.activity.frames_produced = u64();
+        r.activity.predicted_frames = u64();
+        r.activity.dvsync_on = coin();
+        r.energy_mj = real();
+        r.invariant_violations = u64();
+        r.faults_injected = u64();
+        r.degradations = u64();
+        r.repromotions = u64();
+        r.dtv_resyncs = u64();
+        causes(r.drop_causes);
+        r.drops_injected = u64();
+        r.thermal_on = coin();
+        r.peak_temp_c = real();
+        r.final_temp_c = real();
+        r.thermal_trips = u64();
+        r.dvfs_level_end = i32();
+        r.gpu_energy_mj = real();
+        r.governor_demotions = u64();
+        r.governor_promotions = u64();
+        r.governor_rung_end = i32();
+        if (coin()) {
+            r.budget_mb = real();
+            r.budget_used_mb = real();
+            r.rearbitrations = u64();
+            r.surfaces.resize(1 + pick(3));
+            for (SurfaceReport &s : r.surfaces) {
+                s.name = text(16);
+                s.mode = text(8);
+                s.buffers = i32();
+                s.extra_buffers = i32();
+                s.buffer_mb = real();
+                s.fdps = real();
+                s.fd_percent = real();
+                s.drops = u64();
+                s.frames_due = i64();
+                s.presents = u64();
+                s.latency_p95_ms = real();
+                s.invariant_violations = u64();
+                s.degradations = u64();
+                s.repromotions = u64();
+                causes(s.drop_causes);
+                s.drops_injected = u64();
+            }
+        }
+        r.timeline.resize(pick(4));
+        for (std::string &t : r.timeline)
+            t = text(48);
+        if (coin())
+            r.error = text(64);
+        r.repeats = i32();
+        return r;
+    }
+
+  private:
+    std::mt19937_64 rng_;
+};
+
+} // namespace
+
+TEST(RunReportString, MatchesTheSnprintfFormatterOnRandomReports)
+{
+    ReportFuzzer fuzz(20250303);
+    for (int i = 0; i < 2000; ++i) {
+        const RunReport r = fuzz.report();
+        ASSERT_EQ(r.debug_string(), snprintf_debug_string(r))
+            << "report " << i;
+    }
+}
+
+TEST(RunReportString, DefaultAndRealisticReportsMatchTheOracle)
+{
+    RunReport r;
+    EXPECT_EQ(r.debug_string(), snprintf_debug_string(r));
+    r.label = "paper-fleet/0042";
+    r.config.mode = "D-VSync";
+    r.config.refresh_hz = 120.0;
+    r.fdps = 0.36666666666666664;
+    r.latency_p95_ms = 16.666666666666668;
+    r.drops = 11;
+    r.drop_causes[std::size_t(DropCause::kThermalThrottle)] = 3;
+    r.thermal_on = true;
+    r.peak_temp_c = 41.25;
+    r.timeline = {"t=100 degrade", "t=200 re-promote"};
+    EXPECT_EQ(r.debug_string(), snprintf_debug_string(r));
+}
+
+TEST(RunReportString, LongLabelKeepsEveryLaterField)
+{
+    // The snprintf formatter wrote into a 1024-byte buffer, so a long
+    // label cut off everything after it and two reports differing only
+    // there printed (and fingerprinted) the same.
+    RunReport r;
+    r.label = std::string(2000, 'L');
+    r.drops = 7;
+    r.drop_causes[std::size_t(DropCause::kSlowRender)] = 7;
+    r.error = "replay diverged";
+    const std::string s = r.debug_string();
+    EXPECT_EQ(s.rfind("label=" + r.label + " scenario=", 0), 0u);
+    EXPECT_NE(s.find(" drops=7 "), std::string::npos);
+    EXPECT_NE(s.find(" repeats=1 violations=0 "), std::string::npos);
+    EXPECT_NE(s.find(" error=replay diverged causes=["), std::string::npos);
+    EXPECT_NE(s.find(" slow-render=7 "), std::string::npos);
+
+    RunReport other = r;
+    other.drops = 8;
+    EXPECT_NE(other.debug_string(), s);
 }
