@@ -22,10 +22,12 @@ DisplayTimeVirtualizer::on_edge(const VsyncEdge &edge)
 {
     // "Calibrates the issued D-Timestamp every few frames with hardware
     // VSync signals to avoid error accumulation" (§5.1).
-    if (edge_counter_++ % std::uint64_t(config_.calibration_interval) == 0) {
+    if (edges_to_calibration_ == 0) {
         model_.add_sample(edge.timestamp, config_.calibration_interval);
         ++calibrations_;
+        edges_to_calibration_ = config_.calibration_interval;
     }
+    --edges_to_calibration_;
 }
 
 Time

@@ -117,7 +117,8 @@ class DisplayTimeVirtualizer
     Time fence_floor_ = kTimeNone;
     /** Outstanding promised display timestamps, in FIFO order. */
     std::deque<Time> pending_;
-    std::uint64_t edge_counter_ = 0;
+    /** Edges left until the next calibration sample (0: this edge). */
+    int edges_to_calibration_ = 0;
     std::uint64_t promises_ = 0;
     std::uint64_t slips_ = 0;
     std::uint64_t calibrations_ = 0;

@@ -294,7 +294,9 @@ RenderSystem::run()
     // Drain margin: enough refreshes for the pipeline and any accumulated
     // buffers to reach the panel after the last segment ends.
     const Time tail = Time(buffers_ + 4) * config_.device.period();
-    sim_.run_until(producer_->scenario().total_duration() + tail);
+    const Time horizon = producer_->scenario().total_duration() + tail;
+    stats_->reserve_for(horizon, config_.device.max_refresh_hz());
+    sim_.run_until(horizon);
     hw_->stop();
     if (monitor_)
         monitor_->finalize(sim_.now());

@@ -42,6 +42,16 @@ struct DeviceConfig {
     /** Refresh period. */
     Time period() const { return period_from_hz(refresh_hz); }
 
+    /** Highest rate the panel can refresh at, LTPO rates included. */
+    double
+    max_refresh_hz() const
+    {
+        double hz = refresh_hz;
+        for (double r : ltpo_rates)
+            hz = r > hz ? r : hz;
+        return hz;
+    }
+
     /** Size of one RGBA8888 frame buffer in bytes. */
     std::int64_t buffer_bytes() const
     {

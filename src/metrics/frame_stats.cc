@@ -146,6 +146,16 @@ FrameStats::frame_drop_percent() const
     return 100.0 * double(drops_) / double(due);
 }
 
+void
+FrameStats::reserve_for(Time horizon, double max_hz)
+{
+    // One refresh per edge from t = 0 through the horizon.
+    const auto n = std::size_t(std::ceil(to_seconds(horizon) * max_hz)) + 1;
+    refreshes_.reserve(n);
+    shown_.reserve(n);
+    latency_.reserve(n);
+}
+
 StatSet
 FrameStats::summary() const
 {

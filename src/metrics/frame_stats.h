@@ -105,6 +105,13 @@ class FrameStats
     /** Summary of everything, for printing. */
     StatSet summary() const;
 
+    /**
+     * Size the refresh log, the shown-frame log and the latency samples
+     * for a run that ends at @p horizon on a panel refreshing at most
+     * @p max_hz, so none of them regrows while the run dispatches.
+     */
+    void reserve_for(Time horizon, double max_hz);
+
   private:
     void on_present(const PresentEvent &ev);
     bool content_due(Time t) const;

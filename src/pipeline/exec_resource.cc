@@ -22,7 +22,7 @@ ExecResource::run(Time duration, EventQueue::Callback on_done)
                   name_.c_str());
     }
     const Time start = std::max(now, busy_until_);
-    if (start > now) {
+    if (start > now && log_level() >= LogLevel::kDebug) {
         debug("%s: work queued %s behind current job", name_.c_str(),
               format_time(start - now).c_str());
     }

@@ -1,65 +1,13 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-#include <cassert>
-#include <functional>
+#include "sim/logging.h"
 
 namespace dvs {
 
-bool
-EventQueue::is_live(EventId id) const
-{
-    const std::uint32_t slot = slot_of(id);
-    return slot < slots_.size() && slots_[slot].live &&
-           slots_[slot].gen == gen_of(id);
-}
-
-std::uint32_t
-EventQueue::acquire_slot()
-{
-    std::uint32_t slot;
-    if (free_head_ != kNullSlot) {
-        slot = free_head_;
-        free_head_ = slots_[slot].next_free;
-    } else {
-        slot = std::uint32_t(slots_.size());
-        slots_.emplace_back();
-    }
-    Slot &s = slots_[slot];
-    s.live = true;
-    s.next_free = kNullSlot;
-    return slot;
-}
-
-EventId
-EventQueue::push(Time when, EventPriority prio, std::uint32_t slot)
-{
-    assert(when >= now_ && "cannot schedule events in the past");
-    const EventId id = make_id(slot, slots_[slot].gen);
-    heap_.push_back(Entry{when, static_cast<int>(prio), next_seq_++, id});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    ++live_count_;
-    return id;
-}
-
 void
-EventQueue::release_slot(std::uint32_t slot)
+EventQueue::seq_overflow()
 {
-    Slot &s = slots_[slot];
-    s.live = false;
-    ++s.gen; // stale EventIds for this slot now fail the generation check
-    s.next_free = free_head_;
-    free_head_ = slot;
-}
-
-void
-EventQueue::prune_dead_top()
-{
-    while (!heap_.empty() && !is_live(heap_.front().id)) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        heap_.pop_back();
-        --heap_dead_;
-    }
+    panic("event queue exhausted its 2^56 sequence numbers");
 }
 
 void
@@ -104,7 +52,9 @@ EventQueue::run_until(Time horizon, bool advance_to_horizon)
 {
     std::uint64_t n = 0;
     for (;;) {
-        prune_dead_top();
+        // Only a cancelled entry can surface dead on top of the heap.
+        if (heap_dead_ != 0)
+            prune_dead_top();
         if (heap_.empty() || heap_.front().when > horizon)
             break;
 
@@ -120,7 +70,7 @@ EventQueue::run_until(Time horizon, bool advance_to_horizon)
         now_ = e.when;
         --live_count_;
         ++dispatched_;
-        fold_dispatch(e.when, e.prio, e.seq);
+        fold_dispatch(e.when, e.key);
         ++n;
         fn();
     }

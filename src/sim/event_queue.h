@@ -30,7 +30,10 @@
 #ifndef DVS_SIM_EVENT_QUEUE_H
 #define DVS_SIM_EVENT_QUEUE_H
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -161,20 +164,27 @@ class EventQueue
     }
 
   private:
+    friend struct EventQueueTestPeer;
+
+    /** Bits of an Entry key that hold the insertion sequence number. */
+    static constexpr int kSeqBits = 56;
+    static constexpr std::uint64_t kSeqMask =
+        (std::uint64_t(1) << kSeqBits) - 1;
+
+    /**
+     * A heap entry. `key` packs the priority into its top 8 bits above a
+     * 56-bit insertion sequence number, so (when, key) compares in two
+     * words exactly as (when, prio, seq) would.
+     */
     struct Entry {
         Time when;
-        int prio;
-        std::uint64_t seq;
+        std::uint64_t key;
         EventId id;
 
         bool
         operator>(const Entry &o) const
         {
-            if (when != o.when)
-                return when > o.when;
-            if (prio != o.prio)
-                return prio > o.prio;
-            return seq > o.seq;
+            return when != o.when ? when > o.when : key > o.key;
         }
     };
 
@@ -205,24 +215,81 @@ class EventQueue
         return (EventId(gen) << 32) | EventId(slot);
     }
 
-    bool is_live(EventId id) const;
-    std::uint32_t acquire_slot();
-    EventId push(Time when, EventPriority prio, std::uint32_t slot);
-    void release_slot(std::uint32_t slot);
-    void prune_dead_top();
-    void maybe_compact();
+    bool
+    is_live(EventId id) const
+    {
+        const std::uint32_t slot = slot_of(id);
+        return slot < slots_.size() && slots_[slot].live &&
+               slots_[slot].gen == gen_of(id);
+    }
 
-    void fold_dispatch(Time when, int prio, std::uint64_t seq)
+    std::uint32_t
+    acquire_slot()
+    {
+        std::uint32_t slot;
+        if (free_head_ != kNullSlot) {
+            slot = free_head_;
+            free_head_ = slots_[slot].next_free;
+        } else {
+            slot = std::uint32_t(slots_.size());
+            slots_.emplace_back();
+        }
+        Slot &s = slots_[slot];
+        s.live = true;
+        s.next_free = kNullSlot;
+        return slot;
+    }
+
+    EventId
+    push(Time when, EventPriority prio, std::uint32_t slot)
+    {
+        assert(when >= now_ && "cannot schedule events in the past");
+        assert(unsigned(prio) < 256 && "priority must fit the key's 8 bits");
+        if (next_seq_ > kSeqMask)
+            seq_overflow();
+        const EventId id = make_id(slot, slots_[slot].gen);
+        const std::uint64_t key =
+            (std::uint64_t(prio) << kSeqBits) | next_seq_++;
+        heap_.push_back(Entry{when, key, id});
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        ++live_count_;
+        return id;
+    }
+
+    void
+    release_slot(std::uint32_t slot)
+    {
+        Slot &s = slots_[slot];
+        s.live = false;
+        ++s.gen; // stale EventIds for this slot now fail the generation check
+        s.next_free = free_head_;
+        free_head_ = slot;
+    }
+
+    void
+    prune_dead_top()
+    {
+        while (!heap_.empty() && !is_live(heap_.front().id)) {
+            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+            heap_.pop_back();
+            --heap_dead_;
+        }
+    }
+
+    void maybe_compact();
+    [[noreturn]] static void seq_overflow();
+
+    void fold_dispatch(Time when, std::uint64_t key)
     {
         constexpr std::uint64_t kPrime = 0x100000001b3ULL;
         std::uint64_t h = dispatch_hash_;
         h = (h ^ std::uint64_t(when)) * kPrime;
-        h = (h ^ std::uint64_t(std::uint32_t(prio))) * kPrime;
-        h = (h ^ seq) * kPrime;
+        h = (h ^ (key >> kSeqBits)) * kPrime; // prio
+        h = (h ^ (key & kSeqMask)) * kPrime;  // seq
         dispatch_hash_ = h;
     }
 
-    // Min-heap on (when, prio, seq) via the std heap algorithms; a plain
+    // Min-heap on (when, key) via the std heap algorithms; a plain
     // vector (rather than std::priority_queue) so compaction can filter
     // dead entries in place.
     std::vector<Entry> heap_;

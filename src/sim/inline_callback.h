@@ -7,12 +7,19 @@
  * callback the simulator schedules and `schedule()` never allocates. A
  * capture that does not fit is rejected at compile time rather than
  * spilled to the heap: there is one storage path and no size knob.
+ *
+ * A trivially copyable capture (`[this]`, `[this, id]`: nearly every
+ * event) is relocated with a memcpy of the buffer and needs no
+ * destructor call, so moving one out of its slot at dispatch and
+ * dropping it afterwards cost no indirect calls. Other captures keep
+ * type-erased relocate and destroy functions.
  */
 
 #ifndef DVS_SIM_INLINE_CALLBACK_H
 #define DVS_SIM_INLINE_CALLBACK_H
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -74,12 +81,18 @@ class InlineCallback
     reset() noexcept
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
 
   private:
+    /**
+     * Type-erased operations. `relocate` and `destroy` are null for a
+     * trivially copyable capture: it relocates as bytes and has nothing
+     * to destroy.
+     */
     struct Ops {
         void (*invoke)(void *);
         /** Move-construct into dst and destroy the source. */
@@ -88,13 +101,18 @@ class InlineCallback
     };
 
     template <class D>
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<D>;
+
+    template <class D>
     static constexpr Ops kOps = {
         [](void *p) { (*static_cast<D *>(p))(); },
-        [](void *dst, void *src) noexcept {
-            ::new (dst) D(std::move(*static_cast<D *>(src)));
-            static_cast<D *>(src)->~D();
-        },
-        [](void *p) noexcept { static_cast<D *>(p)->~D(); },
+        kTrivial<D> ? nullptr
+                    : +[](void *dst, void *src) noexcept {
+                          ::new (dst) D(std::move(*static_cast<D *>(src)));
+                          static_cast<D *>(src)->~D();
+                      },
+        kTrivial<D> ? nullptr
+                    : +[](void *p) noexcept { static_cast<D *>(p)->~D(); },
     };
 
     template <class D, class F>
@@ -116,7 +134,10 @@ class InlineCallback
     take(InlineCallback &o) noexcept
     {
         if (o.ops_) {
-            o.ops_->relocate(buf_, o.buf_);
+            if (o.ops_->relocate)
+                o.ops_->relocate(buf_, o.buf_);
+            else
+                std::memcpy(buf_, o.buf_, kCapacity);
             ops_ = o.ops_;
             o.ops_ = nullptr;
         }

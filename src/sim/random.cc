@@ -4,59 +4,6 @@
 #include <cmath>
 
 namespace dvs {
-namespace {
-
-std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
-Rng::Rng(std::uint64_t seed)
-{
-    std::uint64_t x = seed;
-    for (auto &s : s_)
-        s = splitmix64(x);
-}
-
-std::uint64_t
-Rng::next_u64()
-{
-    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1)
-    return double(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
 
 std::int64_t
 Rng::uniform_int(std::int64_t lo, std::int64_t hi)
@@ -64,12 +11,6 @@ Rng::uniform_int(std::int64_t lo, std::int64_t hi)
     assert(lo <= hi);
     const std::uint64_t span = std::uint64_t(hi - lo) + 1;
     return lo + std::int64_t(next_u64() % span);
-}
-
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
 }
 
 double
@@ -95,11 +36,7 @@ double
 Rng::bounded_pareto(double alpha, double lo, double hi)
 {
     assert(alpha > 0 && lo > 0 && hi > lo);
-    const double u = uniform();
-    const double la = std::pow(lo, alpha);
-    const double ha = std::pow(hi, alpha);
-    // Inverse CDF of the bounded Pareto distribution.
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+    return BoundedPareto(alpha, lo, hi)(*this);
 }
 
 double

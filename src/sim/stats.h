@@ -73,6 +73,14 @@ class SampleStat
 
     bool keeps_samples() const { return keep_samples_; }
 
+    /** Make room for @p n kept samples (a no-op without keep_samples). */
+    void
+    reserve(std::size_t n)
+    {
+        if (keep_samples_)
+            samples_.reserve(n);
+    }
+
     void reset();
 
   private:

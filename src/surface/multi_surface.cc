@@ -305,7 +305,10 @@ MultiSurfaceSystem::run()
 
     const Time tail =
         Time(base_buffers_ + max_extra + 4) * config_.device.period();
-    sim_.run_until(session_end_ + tail);
+    const Time horizon = session_end_ + tail;
+    for (Surface &s : surfaces_)
+        s.stats->reserve_for(horizon, config_.device.max_refresh_hz());
+    sim_.run_until(horizon);
     hw_->stop();
     for (Surface &s : surfaces_) {
         if (s.monitor)

@@ -18,13 +18,26 @@ void
 VsyncModel::push_delta(Time delta)
 {
     if (count_ == ring_.size()) {
-        sum_ -= ring_[head_];
-        head_ = (head_ + 1) % ring_.size();
-        --count_;
+        // Full window: the new delta takes the oldest one's place. A
+        // steady grid evicts a delta equal to the new one, which leaves
+        // the sum and its mean as they were.
+        const Time evicted = ring_[head_];
+        ring_[head_] = delta;
+        if (++head_ == ring_.size())
+            head_ = 0;
+        if (delta != evicted) {
+            sum_ += delta - evicted;
+            mean_ = sum_ / Time(count_);
+        }
+        return;
     }
-    ring_[(head_ + count_) % ring_.size()] = delta;
+    std::size_t tail = head_ + count_;
+    if (tail >= ring_.size())
+        tail -= ring_.size();
+    ring_[tail] = delta;
     ++count_;
     sum_ += delta;
+    mean_ = count_ == 1 ? sum_ : sum_ / Time(count_);
 }
 
 void
@@ -47,19 +60,22 @@ VsyncModel::add_sample(Time edge, int grid_steps)
         // (comparing against the stale period estimate would keep
         // rejecting every sample of the new cadence). Sparse calibration
         // steps are normalized to per-edge deltas first.
-        const Time delta = (edge - last_edge_) / grid_steps;
+        // Per-edge sampling needs no division. The hint also keeps the
+        // compiler from folding x / 1 == x into an unconditional divide.
+        Time delta = edge - last_edge_;
+        if (grid_steps != 1) [[unlikely]]
+            delta /= grid_steps;
         if (count_ > 0) {
-            const Time ref = sum_ / Time(count_);
+            const Time ref = mean_;
             const Time dev = delta > ref ? delta - ref : ref - delta;
             if (dev > ref / 4)
                 clear_window();
         }
         push_delta(delta);
+        if (count_ >= 2)
+            period_ = mean_;
     }
     last_edge_ = edge;
-
-    if (count_ >= 2)
-        period_ = sum_ / Time(count_);
 }
 
 Time

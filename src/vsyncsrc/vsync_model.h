@@ -78,12 +78,14 @@ class VsyncModel
     Time period_;
     Time last_edge_ = kTimeNone;
     // The most recent per-edge deltas, oldest first, in a ring of
-    // `window` entries; sum_ is their exact integer sum, so the mean
-    // costs one division per edge instead of a pass over the window.
+    // `window` entries; sum_ is their exact integer sum and mean_ the
+    // integer mean, computed once per push: it is both the next edge's
+    // reference and, from two deltas on, the period estimate.
     std::vector<Time> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     Time sum_ = 0;
+    Time mean_ = 0; ///< sum_ / count_; valid while count_ > 0
     std::uint64_t n_samples_ = 0;
 };
 

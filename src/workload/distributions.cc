@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "sim/logging.h"
-#include "sim/random.h"
 
 namespace dvs {
 
@@ -18,7 +17,12 @@ hash_index(std::uint64_t seed, std::int64_t index)
 
 PowerLawCostModel::PowerLawCostModel(const PowerLawParams &params,
                                      std::uint64_t seed)
-    : params_(params), seed_(seed)
+    : params_(params), seed_(seed), heavy_seed_(seed ^ 0xabcdefULL),
+      // Lognormal with mean short_mean_ms: mu = ln(mean) - sigma^2/2.
+      mu_(std::log(params.short_mean_ms) -
+          params.short_sigma * params.short_sigma / 2.0),
+      heavy_extra_(params.heavy_alpha, params.heavy_min_ms,
+                   params.heavy_max_ms)
 {
     if (params.heavy_prob < 0 || params.heavy_prob > 1)
         fatal("heavy_prob must be in [0,1]");
@@ -33,11 +37,11 @@ PowerLawCostModel::is_heavy(std::int64_t nominal_index) const
 {
     // The heavy decision for a slot must be stable, so it uses its own
     // sub-stream independent of the magnitude sampling.
-    Rng rng(hash_index(seed_ ^ 0xabcdefULL, nominal_index));
+    Rng rng(hash_index(heavy_seed_, nominal_index));
     if (rng.chance(params_.heavy_prob))
         return true;
     if (params_.heavy_burst_prob > 0 && nominal_index > 0) {
-        Rng prev(hash_index(seed_ ^ 0xabcdefULL, nominal_index - 1));
+        Rng prev(hash_index(heavy_seed_, nominal_index - 1));
         if (prev.chance(params_.heavy_prob)) {
             // Burst continuation rides on this slot's stream.
             return rng.chance(params_.heavy_burst_prob);
@@ -50,15 +54,9 @@ double
 PowerLawCostModel::sample_ms(std::int64_t nominal_index) const
 {
     Rng rng(hash_index(seed_, nominal_index));
-    // Lognormal with mean short_mean_ms: mu = ln(mean) - sigma^2/2.
-    const double mu =
-        std::log(params_.short_mean_ms) -
-        params_.short_sigma * params_.short_sigma / 2.0;
-    double ms = rng.lognormal(mu, params_.short_sigma);
-    if (is_heavy(nominal_index)) {
-        ms += rng.bounded_pareto(params_.heavy_alpha, params_.heavy_min_ms,
-                                 params_.heavy_max_ms);
-    }
+    double ms = rng.lognormal(mu_, params_.short_sigma);
+    if (is_heavy(nominal_index))
+        ms += heavy_extra_(rng);
     return ms;
 }
 

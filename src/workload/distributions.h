@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "sim/random.h"
 #include "workload/frame_cost.h"
 
 namespace dvs {
@@ -37,6 +38,11 @@ struct PowerLawParams {
 
 /**
  * The power-law cost model: lognormal bulk + bounded-Pareto key frames.
+ *
+ * Each slot draws from short-lived streams seeded by hash_index(): one
+ * for its magnitude and one for its heavy decision (plus the previous
+ * slot's heavy stream when bursts are on). Every term that depends only
+ * on the parameters is computed once, at construction.
  */
 class PowerLawCostModel : public FrameCostModel
 {
@@ -55,6 +61,9 @@ class PowerLawCostModel : public FrameCostModel
 
     PowerLawParams params_;
     std::uint64_t seed_;
+    std::uint64_t heavy_seed_; ///< keys the heavy-decision streams
+    double mu_;                ///< lognormal location of the short bulk
+    BoundedPareto heavy_extra_;
 };
 
 /** Mix 64 bits (splitmix64 finalizer); used to key per-index streams. */

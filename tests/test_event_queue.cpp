@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -297,6 +299,110 @@ TEST(EventQueue, ManyEventsStressOrdering)
     EXPECT_EQ(q.dispatched(), 5000u);
 }
 
+// ----- packed (prio, seq) heap key ----------------------------------------
+
+namespace dvs {
+
+/** Reaches the sequence counter, which no real run can exhaust. */
+struct EventQueueTestPeer {
+    static void set_next_seq(EventQueue &q, std::uint64_t seq)
+    {
+        q.next_seq_ = seq;
+    }
+};
+
+} // namespace dvs
+
+namespace {
+
+constexpr EventPriority kAllPriorities[] = {
+    EventPriority::kDisplay,  EventPriority::kSegment,
+    EventPriority::kVsyncDist, EventPriority::kPipeline,
+    EventPriority::kDefault,  EventPriority::kMetrics,
+};
+
+/** FNV fold of one dispatched event, as the dispatch hash defines it. */
+std::uint64_t
+fold_event(std::uint64_t h, Time when, EventPriority prio, std::uint64_t seq)
+{
+    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+    h = (h ^ std::uint64_t(when)) * kPrime;
+    h = (h ^ std::uint64_t(prio)) * kPrime;
+    return (h ^ seq) * kPrime;
+}
+
+} // namespace
+
+TEST(EventQueue, AllPrioritiesAtOneTickDispatchByPrioThenSeq)
+{
+    // Four events of each priority, scheduled in a shuffled order at one
+    // tick: dispatch must sort by priority, then by scheduling order.
+    std::vector<std::pair<int, int>> plan; // (priority index, seq)
+    for (int copy = 0; copy < 4; ++copy)
+        for (int p = 0; p < 6; ++p)
+            plan.emplace_back(p, 0);
+    std::uint64_t x = 12345;
+    for (std::size_t i = plan.size() - 1; i > 0; --i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        std::swap(plan[i], plan[std::size_t(x >> 33) % (i + 1)]);
+    }
+    EventQueue q;
+    std::vector<std::pair<int, int>> fired;
+    for (std::size_t seq = 0; seq < plan.size(); ++seq) {
+        plan[seq].second = int(seq);
+        const std::pair<int, int> ev = plan[seq];
+        q.schedule(7, [&fired, ev] { fired.push_back(ev); },
+                   kAllPriorities[ev.first]);
+    }
+    q.run();
+    std::vector<std::pair<int, int>> want = plan;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(fired, want);
+}
+
+TEST(EventQueue, DispatchHashFoldsWhenPrioSeq)
+{
+    // Events at mixed times and priorities, some scheduled by callbacks
+    // and one cancelled (its sequence number is spent, never folded).
+    EventQueue q;
+    std::uint64_t want = 0xcbf29ce484222325ULL;
+    std::uint64_t seq = 0;
+    std::function<void(Time, EventPriority, int)> add;
+    add = [&](Time when, EventPriority prio, int children) {
+        const std::uint64_t my_seq = seq++;
+        q.schedule(
+            when,
+            [&, when, prio, children, my_seq] {
+                want = fold_event(want, when, prio, my_seq);
+                for (int c = 0; c < children; ++c)
+                    add(q.now() + c, kAllPriorities[(c + 2) % 6], 0);
+            },
+            prio);
+    };
+    for (int i = 0; i < 30; ++i)
+        add(Time(i % 7) * 3, kAllPriorities[i % 6], i % 3);
+    const EventId id = q.schedule(5, [] {}, EventPriority::kDisplay);
+    ++seq;
+    EXPECT_TRUE(q.cancel(id));
+    q.run();
+    EXPECT_EQ(q.dispatched(), 30u + 30u);
+    EXPECT_EQ(q.dispatch_hash(), want);
+}
+
+TEST(EventQueue, SequenceExhaustionFailsLoudly)
+{
+    // The key holds 56 bits of sequence; the last one is usable, the
+    // next schedule must stop the run rather than wrap into the
+    // priority bits.
+    EventQueue q;
+    EventQueueTestPeer::set_next_seq(q, (std::uint64_t(1) << 56) - 1);
+    int ran = 0;
+    q.schedule(1, [&ran] { ++ran; });
+    q.run();
+    EXPECT_EQ(ran, 1);
+    EXPECT_DEATH(q.schedule(2, [] {}), "2\\^56 sequence numbers");
+}
+
 // ----- inline callback storage -------------------------------------------
 
 namespace {
@@ -406,6 +512,45 @@ TEST(EventQueue, CapturedStateDestroyedOnceWithQueue)
     EXPECT_EQ(ran, 20);
     EXPECT_EQ(owner_dtors, 40) << "pending captures die with the queue";
     EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueue, NonTrivialCapturesDestroyedOnceAcrossGrowth)
+{
+    // std::string and shared_ptr captures take the type-erased relocate
+    // and destroy path. Schedule enough of them to grow the slot map
+    // several times, then fire some, cancel some and leave the rest to
+    // the queue's destructor: each capture dies exactly once, and the
+    // strings arrive intact after every relocation.
+    auto token = std::make_shared<int>(0);
+    struct {
+        int fired = 0;
+        int bad = 0;
+    } seen;
+    {
+        EventQueue q;
+        std::vector<EventId> ids;
+        for (int i = 0; i < 600; ++i) {
+            std::string name = "event-" + std::to_string(i) +
+                               "-with-a-name-too-long-for-sso";
+            ids.push_back(q.schedule(
+                Time(1 + i % 300),
+                [&seen, i, name = std::move(name), token] {
+                    ++seen.fired;
+                    seen.bad += name != "event-" + std::to_string(i) +
+                                            "-with-a-name-too-long-for-sso";
+                }));
+        }
+        EXPECT_EQ(token.use_count(), 601);
+        for (int i = 0; i < 600; i += 3)
+            EXPECT_TRUE(q.cancel(ids[std::size_t(i)]));
+        EXPECT_EQ(token.use_count(), 401) << "cancel destroys at once";
+        q.run_until(150); // 200 of the 400 left are due by then
+        EXPECT_EQ(seen.fired, 200);
+        EXPECT_EQ(token.use_count(), 201)
+            << "a fired capture dies right after its call";
+    }
+    EXPECT_EQ(token.use_count(), 1) << "pending captures die with the queue";
+    EXPECT_EQ(seen.bad, 0);
 }
 
 TEST(EventQueue, StdFunctionLvalueIsCopiedIn)

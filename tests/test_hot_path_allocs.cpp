@@ -127,10 +127,12 @@ TEST(HotPathAllocs, CounterSeesHeapAllocations)
 TEST(HotPathAllocs, FleetSessionRunStaysWithinBudget)
 {
     // The parent of the allocation-free dispatch loop measured 368
-    // allocations per session here; the budget leaves headroom for
-    // report derivation, not for per-event allocation.
+    // allocations per session here, and ~37 before the refresh logs
+    // were sized up front; what is left is first-use growth of a few
+    // small containers and report derivation. The budget leaves headroom
+    // for that, not for per-event or per-refresh allocation.
     constexpr std::uint64_t kSessions = 256;
-    constexpr double kBudgetPerSession = 64.0;
+    constexpr double kBudgetPerSession = 24.0;
 
     const DevicePopulation pop = DevicePopulation::paper_fleet(1);
     FatalThrowsScope recoverable(true);

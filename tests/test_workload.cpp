@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <vector>
 
+#include "sim/random.h"
 #include "workload/app_profiles.h"
 #include "workload/distributions.h"
 #include "workload/frame_cost.h"
@@ -123,6 +126,101 @@ TEST(PowerLaw, BurstsFollowHeavyFrames)
     }
     // P(heavy_{i+1} | heavy_i) should be much higher than base rate.
     EXPECT_GT(double(heavy_after_heavy) / heavy_total, 0.5);
+}
+
+namespace {
+
+/**
+ * Reference power-law sampler: the model as first written, with the
+ * log, both pows and -1/alpha recomputed on every call and a fresh
+ * stream built for each heavy decision.
+ */
+struct ReferencePowerLaw {
+    PowerLawParams p;
+    std::uint64_t seed;
+
+    bool
+    is_heavy(std::int64_t i) const
+    {
+        Rng rng(hash_index(seed ^ 0xabcdefULL, i));
+        if (rng.chance(p.heavy_prob))
+            return true;
+        if (p.heavy_burst_prob > 0 && i > 0) {
+            Rng prev(hash_index(seed ^ 0xabcdefULL, i - 1));
+            if (prev.chance(p.heavy_prob))
+                return rng.chance(p.heavy_burst_prob);
+        }
+        return false;
+    }
+
+    FrameCost
+    cost_for(std::int64_t i) const
+    {
+        Rng rng(hash_index(seed, i));
+        const double mu =
+            std::log(p.short_mean_ms) - p.short_sigma * p.short_sigma / 2.0;
+        double ms = rng.lognormal(mu, p.short_sigma);
+        if (is_heavy(i)) {
+            const double u = rng.uniform();
+            const double la = std::pow(p.heavy_min_ms, p.heavy_alpha);
+            const double ha = std::pow(p.heavy_max_ms, p.heavy_alpha);
+            ms += std::pow(-(u * ha - u * la - ha) / (ha * la),
+                           -1.0 / p.heavy_alpha);
+        }
+        FrameCost c;
+        c.ui_time = from_ms(ms * p.ui_fraction);
+        c.render_time = from_ms(ms * (1.0 - p.ui_fraction));
+        return c;
+    }
+};
+
+} // namespace
+
+TEST(PowerLaw, BitEqualToReferenceSampler)
+{
+    std::vector<PowerLawParams> sets(6);
+    sets[1].heavy_prob = 0.08;
+    sets[1].heavy_burst_prob = 0.6;
+    sets[1].heavy_alpha = 0.9;
+    sets[1].heavy_min_ms = 11.1;
+    sets[1].heavy_max_ms = 83.3;
+    sets[2].heavy_prob = 0.0;
+    sets[2].heavy_burst_prob = 0.5; // no key frame, so never a burst
+    sets[3].heavy_prob = 1.0;
+    sets[3].short_mean_ms = 2.7;
+    sets[3].short_sigma = 0.6;
+    sets[3].ui_fraction = 0.5;
+    sets[4].heavy_prob = 0.3;
+    sets[4].heavy_burst_prob = 1.0;
+    sets[4].heavy_alpha = 2.4;
+    sets[4].ui_fraction = 0.0;
+    // Costs near 10^15 ns, where a double's last bit is worth under a
+    // nanosecond: a sampler that drifts by one ulp changes cost_for().
+    sets[5].short_mean_ms = 3e9;
+    sets[5].heavy_prob = 0.2;
+    sets[5].heavy_min_ms = 1e9;
+    sets[5].heavy_max_ms = 6e9;
+    const std::uint64_t seeds[] = {0, 1, 7, 0xdeadbeefULL,
+                                   0xfedcba9876543210ULL};
+    std::uint64_t heavy = 0, checked = 0;
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+        for (std::uint64_t seed : seeds) {
+            const PowerLawCostModel model(sets[s], seed);
+            const ReferencePowerLaw ref{sets[s], seed};
+            for (std::int64_t i = 0; i <= 4096; ++i) {
+                const bool h = model.is_heavy(i);
+                ASSERT_EQ(h, ref.is_heavy(i))
+                    << "set " << s << " seed " << seed << " index " << i;
+                ASSERT_EQ(model.cost_for(i), ref.cost_for(i))
+                    << "set " << s << " seed " << seed << " index " << i;
+                heavy += h;
+                ++checked;
+            }
+        }
+    }
+    // Both the light-only and the heavy branch were exercised.
+    EXPECT_GT(heavy, 0u);
+    EXPECT_LT(heavy, checked);
 }
 
 TEST(PowerLaw, HashIndexAvalanches)
