@@ -24,7 +24,8 @@
  *                dvsync_inspect
  *   --record=BASE  record the canonical specimen under both pacing
  *                modes as replayable .dvst captures (BASE.vsync.dvst +
- *                BASE.dvsync.dvst — feed them to trace_campaign) and
+ *                BASE.dvsync.dvst — feed them to trace_campaign), each
+ *                reloaded and replay-verified as it is written, and
  *                exit without running the campaign grid
  *   --observatory  tee the stream into the SLO/anomaly observatory
  *                (cohorts = "mix/mode" cells) and print its summary
@@ -126,15 +127,16 @@ main(int argc, char **argv)
                                             FaultMix::everything())));
             RenderSystem sys(cfg, scenario);
             sys.run();
-            const SessionCapture cap = SessionRecorder::capture(
-                sys, std::string("chaos/everything/seed1/") +
-                         to_string(mode));
             const std::string path =
                 record_base +
                 (mode == RenderMode::kVsync ? ".vsync.dvst"
                                             : ".dvsync.dvst");
-            if (!cap.save(path))
-                fatal("cannot write capture %s", path.c_str());
+            std::string error;
+            if (!SessionRecorder::capture_verified(
+                    sys,
+                    std::string("chaos/everything/seed1/") + to_string(mode),
+                    path, &error))
+                fatal("capture failed: %s", error.c_str());
             std::fprintf(stderr, "capture written to %s\n", path.c_str());
         }
         return 0;

@@ -2,9 +2,8 @@
  * @file
  * dvsync_inspect: read a frame-forensics dump and explain it.
  *
- * Input is the JSON written by RenderSystem::save_forensics /
- * MultiSurfaceSystem::save_forensics (or `chaos_campaign
- * --forensics=PATH`). The tool prints the run header, the per-cause
+ * Input is the JSON written by RenderSystem::save_forensics (or
+ * `chaos_campaign --forensics=PATH`). The tool prints the run header, the per-cause
  * drop breakdown, the dropped refreshes with their attributed causes,
  * and the top-k worst frames by present latency — each with its full
  * causal span chain (input → UI → render → GPU → queue → display).

@@ -4,8 +4,8 @@
  * swept over surface count x memory budget x arbiter policy through the
  * parallel experiment harness.
  *
- * Every session assembles a MultiSurfaceSystem from a fixed surface
- * roster (heavy D-VSync app, light status bar, oblivious overlay, heavy
+ * Every session assembles a composed-display RenderSystem from a fixed
+ * surface roster (heavy D-VSync app, light status bar, oblivious overlay, heavy
  * game) and runs it under one device-wide extra-buffer budget (§6.4)
  * with the cross-surface invariant monitor on. The sweep compares the
  * weighted arbiter against the naive equal-split baseline at every
@@ -28,7 +28,8 @@
  *                check (per-session reports, no JSON, no timing)
  *   --record=PATH  record one canonical 4-surface session (full roster,
  *                weighted arbiter, 32 MB budget, seed 1) as a replayable
- *                .dvst capture at PATH and exit without running the sweep
+ *                .dvst capture at PATH, reload and replay-verify it, and
+ *                exit without running the sweep
  *
  * Exits nonzero when the acceptance bar fails.
  */
@@ -43,7 +44,7 @@
 
 #include "bench_common.h"
 #include "sim/logging.h"
-#include "surface/multi_surface.h"
+#include "core/render_system.h"
 #include "trace/session_recorder.h"
 #include "workload/distributions.h"
 #include "workload/frame_cost.h"
@@ -158,16 +159,16 @@ main(int argc, char **argv)
     }
 
     if (!record_path.empty()) {
-        MultiSurfaceSystem sys(roster(4, 1),
-                               MultiSurfaceConfig()
-                                   .with_seed(1)
-                                   .with_budget_mb(32.0)
-                                   .with_policy(ArbiterPolicy::kWeighted));
+        RenderSystem sys(SystemConfig()
+                             .with_seed(1)
+                             .with_budget_mb(32.0)
+                             .with_policy(ArbiterPolicy::kWeighted),
+                         roster(4, 1));
         sys.run();
-        const SessionCapture cap = SessionRecorder::capture(
-            sys, "fleet/4surf/32mb/weighted/seed1");
-        if (!cap.save(record_path))
-            fatal("cannot write capture %s", record_path.c_str());
+        std::string error;
+        if (!SessionRecorder::capture_verified(
+                sys, "fleet/4surf/32mb/weighted/seed1", record_path, &error))
+            fatal("capture failed: %s", error.c_str());
         std::fprintf(stderr, "capture written to %s\n",
                      record_path.c_str());
         return 0;
@@ -199,12 +200,11 @@ main(int argc, char **argv)
                                  to_string(policy) + "/seed" +
                                  std::to_string(seed);
                     spec.run = [count, budget, policy, seed] {
-                        return run_multi_surface(
-                            roster(count, seed),
-                            MultiSurfaceConfig()
-                                .with_seed(seed)
-                                .with_budget_mb(budget)
-                                .with_policy(policy));
+                        return run_experiment(SystemConfig()
+                                                  .with_seed(seed)
+                                                  .with_budget_mb(budget)
+                                                  .with_policy(policy),
+                                              roster(count, seed));
                     };
                     tasks.push_back(std::move(spec));
                 }

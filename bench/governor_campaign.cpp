@@ -36,7 +36,8 @@
  *                check (per-run reports + the frontier table, no JSON)
  *   --record=PATH  record one canonical governed soak (first fleet tier,
  *                constrained envelope, governor policy, seed 1) as a
- *                replayable .dvst capture at PATH and exit
+ *                replayable .dvst capture at PATH, reload and
+ *                replay-verify it, and exit
  *
  * Exits nonzero on any invariant violation, failed run, unattributed
  * drop, or if the governor loses a whole constrained envelope sweep.
@@ -239,10 +240,11 @@ main(int argc, char **argv)
             policy_config(tier, kEnvelopes[1], kGoverned, 1),
             soak_scenario(tier.device));
         sys.run();
-        const SessionCapture cap = SessionRecorder::capture(
-            sys, tier.name + "/constrained/governor/seed1");
-        if (!cap.save(record_path))
-            fatal("cannot write capture %s", record_path.c_str());
+        std::string error;
+        if (!SessionRecorder::capture_verified(
+                sys, tier.name + "/constrained/governor/seed1", record_path,
+                &error))
+            fatal("capture failed: %s", error.c_str());
         std::fprintf(stderr, "capture written to %s\n",
                      record_path.c_str());
         return 0;

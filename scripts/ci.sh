@@ -164,3 +164,26 @@ if ! cmp "$MEGATMP/trace_j1.txt" "$MEGATMP/trace_j7.txt"; then
     exit 1
 fi
 echo "trace corpus replay: bit-exact, byte-stable across --jobs"
+
+# Corpus regeneration: scripts/make_corpus.sh promises that a rerun on an
+# unchanged simulator writes byte-identical captures (each one reloaded
+# and replay-verified as it is written). Regenerate the corpus into the
+# temp dir and require the same file set, byte for byte, as traces/.
+CORPUS_TMP="$MEGATMP/corpus"
+if ! ./scripts/make_corpus.sh "$BUILD_DIR" "$CORPUS_TMP" \
+        > "$MEGATMP/corpus.log" 2>&1; then
+    cat "$MEGATMP/corpus.log" >&2
+    echo "trace corpus: make_corpus.sh failed" >&2
+    exit 1
+fi
+if ! diff <(cd traces && ls -- *.dvst) <(cd "$CORPUS_TMP" && ls -- *.dvst); then
+    echo "trace corpus: regenerated file set differs from traces/" >&2
+    exit 1
+fi
+for f in traces/*.dvst; do
+    if ! cmp "$f" "$CORPUS_TMP/$(basename "$f")"; then
+        echo "trace corpus: regenerated $f differs from the committed one" >&2
+        exit 1
+    fi
+done
+echo "trace corpus regeneration: $(ls traces/*.dvst | wc -l) files byte-identical"

@@ -4,13 +4,20 @@
 # unchanged simulator produces byte-identical .dvst files, so a corpus
 # diff in review means recorded behavior actually changed.
 #
-# Usage: scripts/make_corpus.sh [BUILD_DIR]   (default: build)
+# Every capture is reloaded and replay-verified as it is written
+# (SessionRecorder::capture_verified), so a corpus entry that does not
+# replay bit-exactly never reaches disk.
+#
+# Usage: scripts/make_corpus.sh [BUILD_DIR [OUT_DIR]]
+#   BUILD_DIR  build tree holding bench/ (default: build)
+#   OUT_DIR    where to write the corpus (default: traces); scripts/ci.sh
+#              regenerates into a temp dir and cmps it against traces/
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
 BENCH="$BUILD/bench"
-OUT="traces"
+OUT="${2:-traces}"
 
 for bin in chaos_campaign fleet_campaign governor_campaign trace_campaign; do
     [ -x "$BENCH/$bin" ] || {

@@ -19,6 +19,51 @@ timeline_ts(const std::string &line)
     return std::atoll(line.c_str() + 2);
 }
 
+/**
+ * Queue capacity every surface starts with. 0 = architecture default:
+ * the device's vsync_buffers, plus one under D-VSync (the paper's
+ * default D-VSync configuration uses one extra buffer).
+ */
+int
+base_buffers(const SystemConfig &config)
+{
+    if (config.buffers != 0)
+        return config.buffers;
+    return config.device.vsync_buffers +
+           (config.mode == RenderMode::kDvsync ? 1 : 0);
+}
+
+/** The single-app device's surface list, @p scenario moved in. */
+std::vector<SurfaceDesc>
+single_surface(const SystemConfig &config, Scenario scenario)
+{
+    std::vector<SurfaceDesc> out;
+    out.push_back(RenderSystem::single_app_surface(config));
+    out.front().scenario = std::move(scenario);
+    return out;
+}
+
+/** Reject the settings a composed display cannot honour. */
+void
+check_composable(const SystemConfig &c)
+{
+    if (c.thermal.enabled)
+        fatal("a composed display has no thermal plant; "
+              "disable config.thermal");
+    if (c.governor.enabled)
+        fatal("a composed display has no governor; "
+              "disable config.governor");
+    if (c.mode != RenderMode::kVsync)
+        fatal("a composed display paces each surface by "
+              "SurfaceDesc::dvsync_aware; leave config.mode at VSync");
+    if (c.buffers != 0)
+        fatal("a composed display sizes its queues from the device and "
+              "the arbiter; leave config.buffers at 0");
+    if (c.prerender_limit >= 0)
+        fatal("a composed display derives each pre-render limit from "
+              "its queue; leave config.prerender_limit at -1");
+}
+
 } // namespace
 
 const char *
@@ -35,62 +80,87 @@ to_string(RenderMode m)
     return "?";
 }
 
-RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
-    : config_(config), sim_(config.seed)
+SurfaceDesc
+RenderSystem::single_app_surface(const SystemConfig &config)
 {
-    buffers_ = config.buffers;
-    if (buffers_ == 0) {
-        buffers_ = config.device.vsync_buffers;
-        if (config.mode == RenderMode::kDvsync)
-            buffers_ += 1; // the paper's default: one extra buffer
-    }
+    SurfaceDesc d;
+    d.name.clear();
+    d.dvsync_aware = config.mode == RenderMode::kDvsync;
+    d.max_extra_buffers = 0;
+    return d;
+}
 
-    queue_ = std::make_unique<BufferQueue>(buffers_);
+RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
+    : RenderSystem(config, single_surface(config, std::move(scenario)),
+                   false)
+{
+}
+
+RenderSystem::RenderSystem(const SystemConfig &config,
+                           std::vector<SurfaceDesc> surfaces)
+    : RenderSystem(config, std::move(surfaces), true)
+{
+}
+
+RenderSystem::RenderSystem(const SystemConfig &config,
+                           std::vector<SurfaceDesc> descs, bool composed)
+    : config_(config), composed_(composed), buffers_(base_buffers(config)),
+      sim_(config.seed)
+{
+    if (composed) {
+        if (descs.empty())
+            fatal("a composed display needs at least one surface");
+        check_composable(config);
+    } else if (!(config.display == DisplaySpec())) {
+        fatal("config.display needs a composed display; construct the "
+              "RenderSystem from a list of surfaces");
+    }
+    if (config.governor.enabled && !config.thermal.enabled)
+        fatal("the governor needs the thermal plant (its primary sensor); "
+              "enable config.thermal");
+
     hw_ = std::make_unique<HwVsyncGenerator>(sim_,
                                              config.device.refresh_hz);
     if (config.vsync_jitter > 0)
         hw_->set_jitter(config.vsync_jitter, &sim_.rng());
 
-    // Registration order matters: the panel must latch before software
-    // consumers observe the same edge.
-    panel_ = std::make_unique<Panel>(*hw_, *queue_);
-    compositor_ = std::make_unique<Compositor>(*panel_, config.latch_lead);
+    // Registration order matters: every panel registers its HW-VSync
+    // listener first, so each layer latches before the software
+    // distributor, the DTVs and the display compositor see the edge.
+    // Listeners capture Surface pointers, so the vector never grows
+    // after this pass.
+    surfaces_.reserve(descs.size());
+    for (SurfaceDesc &d : descs) {
+        Surface &s = surfaces_.emplace_back();
+        s.desc = std::move(d);
+        session_end_ = std::max(session_end_,
+                                s.desc.start_at +
+                                    s.desc.scenario.total_duration());
+        s.queue = std::make_unique<BufferQueue>(buffers_);
+        s.panel = std::make_unique<Panel>(*hw_, *s.queue);
+        s.latch = std::make_unique<Compositor>(*s.panel,
+                                               config.latch_lead);
+    }
     dist_ = std::make_unique<VsyncDistributor>(sim_, *hw_);
     dist_->set_offset(VsyncChannel::kApp, config.vsync_app_offset);
     dist_->set_offset(VsyncChannel::kRs, config.vsync_rs_offset);
+    // Typical runs keep a few hundred events live per surface;
+    // pre-sizing the heap and slot map keeps the hot loop out of the
+    // allocator.
+    sim_.events().reserve(256 * surfaces_.size());
 
-    producer_ = std::make_unique<Producer>(sim_, std::move(scenario),
-                                           *queue_, *dist_);
-    // Typical runs keep a few hundred events live; pre-sizing the heap
-    // and slot map keeps the hot loop out of the allocator.
-    sim_.events().reserve(256);
-
-    if (config.mode == RenderMode::kDvsync) {
-        DvsyncConfig dc;
-        dc.prerender_limit = config.prerender_limit >= 0
-                                 ? config.prerender_limit
-                                 : prerender_limit_for_buffers(buffers_);
-        dc.calibration_interval = config.dtv_calibration_interval;
-        dc.predictor_overhead = config.predictor_overhead;
-
-        runtime_ = std::make_unique<DvsyncRuntime>(dc);
-        dtv_ = std::make_unique<DisplayTimeVirtualizer>(sim_, *hw_,
-                                                        *panel_, dc);
-        fpe_ = std::make_unique<FramePreExecutor>(*dtv_, *queue_, *panel_,
-                                                  *runtime_, dc);
-        runtime_->bind(*producer_, *dtv_, *fpe_, *queue_);
-        producer_->set_pacer(fpe_.get());
-    } else if (config.mode == RenderMode::kPaced) {
-        swap_pacer_ = std::make_unique<SwapIntervalPacer>(config.pacing);
-        producer_->set_pacer(swap_pacer_.get());
-    } else {
-        vsync_pacer_ = std::make_unique<VsyncPacer>();
-        producer_->set_pacer(vsync_pacer_.get());
+    if (composed) {
+        shared_gpu_ = std::make_unique<ExecResource>(sim_, "device gpu");
+        // A producer only pumps its own GPU backlog when its own job
+        // finishes; on a shared GPU the finishing job may belong to
+        // another surface, so every completion re-kicks all of them.
+        shared_gpu_->add_done_listener([this] {
+            for (Surface &s : surfaces_)
+                s.producer->kick_gpu();
+        });
+        arbiter_ = std::make_unique<BufferBudgetArbiter>(
+            config.display.budget_mb, config.display.policy);
     }
-
-    if (config.governor.enabled && !config.thermal.enabled)
-        fatal("the governor needs the thermal plant (its primary sensor); "
-              "enable config.thermal");
     if (config.thermal.enabled) {
         const ThermalParams tp =
             config.thermal.params
@@ -99,24 +169,182 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
                                      config.device.thermal_headroom_c,
                                      config.thermal.envelope_scale);
         plant_ = std::make_unique<ThermalPlant>(tp);
-        ExecResource &gpu = producer_->gpu();
-        // Registered before the fault injector's transforms, so an
-        // injected throttle multiplies the DVFS-scaled duration.
-        gpu.add_cost_transform([this](Time, Time duration) {
-            return plant_->scale_duration(duration);
+    }
+
+    for (std::size_t i = 0; i < surfaces_.size(); ++i)
+        build_pipeline(surfaces_[i], int(i));
+
+    if (composed) {
+        compositor_ = std::make_unique<MultiSurfaceCompositor>(
+            *hw_, *shared_gpu_, config.display.compose_base,
+            config.display.compose_per_layer);
+        for (Surface &s : surfaces_)
+            compositor_->observe(*s.panel);
+
+        if (config.monitor_invariants) {
+            display_monitor_ = std::make_unique<InvariantMonitor>();
+            for (std::size_t i = 0; i < surfaces_.size(); ++i)
+                display_monitor_->watch_latches(int(i), *surfaces_[i].panel);
+        }
+
+        for (const Surface &s : surfaces_) {
+            arbiter_->add_surface(s.desc.name, s.desc.buffer_mb,
+                                  s.desc.max_extra_buffers, s.desc.weight,
+                                  s.desc.dvsync_aware);
+        }
+        arbiter_->set_apply(
+            [this](int id, int extra) { apply_extra(id, extra); });
+        arbiter_->set_budget_check(
+            [this](Time now, double used_mb, double budget_mb) {
+                if (display_monitor_)
+                    display_monitor_->on_budget(now, used_mb, budget_mb);
+                AllocSample sample;
+                sample.at = now;
+                sample.used_mb = used_mb;
+                alloc_log_.push_back(sample);
+            });
+    }
+
+    if (plant_)
+        attach_plant();
+    if (config.faults) {
+        Surface &s = at(fault_target());
+        injector_ = std::make_unique<FaultInjector>(sim_, config.faults);
+        injector_->arm(*hw_, *s.queue, *s.latch, *s.producer);
+    }
+    if (config.forensics || config.governor.enabled)
+        register_metrics();
+    if (config.governor.enabled)
+        install_governor();
+}
+
+RenderSystem::~RenderSystem() = default;
+
+int
+RenderSystem::fault_target() const
+{
+    return std::clamp(config_.display.fault_surface, 0,
+                      int(surfaces_.size()) - 1);
+}
+
+int
+RenderSystem::prerender_limit_at(int capacity) const
+{
+    return config_.prerender_limit >= 0
+               ? config_.prerender_limit
+               : prerender_limit_for_buffers(capacity);
+}
+
+void
+RenderSystem::build_pipeline(Surface &s, int id)
+{
+    s.producer = std::make_unique<Producer>(
+        sim_, std::move(s.desc.scenario), *s.queue, *dist_);
+    if (shared_gpu_)
+        s.producer->use_shared_gpu(*shared_gpu_);
+
+    if (s.desc.dvsync_aware) {
+        DvsyncConfig dc;
+        dc.prerender_limit = prerender_limit_at(buffers_);
+        dc.calibration_interval = config_.dtv_calibration_interval;
+        dc.predictor_overhead = config_.predictor_overhead;
+
+        s.runtime = std::make_unique<DvsyncRuntime>(dc);
+        s.dtv = std::make_unique<DisplayTimeVirtualizer>(sim_, *hw_,
+                                                         *s.panel, dc);
+        s.fpe = std::make_unique<FramePreExecutor>(*s.dtv, *s.queue,
+                                                   *s.panel, *s.runtime,
+                                                   dc);
+        s.runtime->bind(*s.producer, *s.dtv, *s.fpe, *s.queue);
+        s.producer->set_pacer(s.fpe.get());
+    } else if (config_.mode == RenderMode::kPaced) {
+        s.swap_pacer = std::make_unique<SwapIntervalPacer>(config_.pacing);
+        s.producer->set_pacer(s.swap_pacer.get());
+    } else {
+        s.vsync_pacer = std::make_unique<VsyncPacer>();
+        s.producer->set_pacer(s.vsync_pacer.get());
+    }
+
+    s.stats = std::make_unique<FrameStats>(*s.producer, *s.panel);
+
+    // The classifier reads the RefreshLog FrameStats appends, so it must
+    // register its present listener after the stats. It schedules no
+    // events and never reads the RNG — always-on is free for
+    // determinism. Only the fault-target surface sees the plan.
+    DropClassifier::Context cc;
+    cc.producer = s.producer.get();
+    cc.queue = s.queue.get();
+    cc.stats = s.stats.get();
+    cc.runtime = s.runtime.get();
+    cc.dtv = s.dtv.get();
+    cc.plan = config_.faults && id == fault_target() ? config_.faults.get()
+                                                     : nullptr;
+    cc.gpu = &s.producer->gpu();
+    cc.shared_gpu = composed_;
+    cc.plant = plant_.get();
+    if (config_.governor.enabled) {
+        // governor_ is constructed last; the classifier only calls the
+        // closure during the run, when it exists.
+        cc.governor_capped = [this] {
+            return governor_ && governor_->capping();
+        };
+    }
+    s.classifier = std::make_unique<DropClassifier>(cc, *s.panel);
+
+    if (config_.monitor_invariants) {
+        s.monitor = std::make_unique<InvariantMonitor>();
+        // The FPE's limit bounds accumulated (queued) pre-rendered
+        // buffers; one frame in flight when the limit was checked may
+        // land on top, hence +1. The arbiter may deepen the queue up to
+        // max_extra_buffers, raising the limit with it, so the bound
+        // admits the deepest configuration. VSync-paced surfaces have
+        // no depth bound.
+        const int deepest = buffers_ + s.desc.max_extra_buffers;
+        const int depth = s.fpe ? prerender_limit_at(deepest) + 1 : 0;
+        s.monitor->attach(*s.producer, *s.panel, depth);
+    }
+    // Chaos runs always get the safety net; outside them it is opt-in so
+    // fault-free goldens keep their exact behavior. The governor's final
+    // rung hands off to the watchdog, so enabling it arms the watchdog.
+    if (s.runtime &&
+        (config_.watchdog || config_.faults || config_.governor.enabled))
+        s.runtime->attach_watchdog(*s.panel, s.monitor.get());
+    if (s.runtime && arbiter_) {
+        // Registered after the watchdog's own listener, so the
+        // degradation state is already updated for this present when
+        // the arbiter hears about it.
+        Surface *sp = &s;
+        s.panel->add_present_listener([this, sp, id](const PresentEvent &) {
+            const bool degraded = sp->runtime->degraded();
+            if (degraded != sp->degraded_seen) {
+                sp->degraded_seen = degraded;
+                arbiter_->on_surface_degraded(id, degraded, sim_.now());
+            }
         });
-        gpu.add_usage_listener([this](Time start, Time end) {
-            plant_->on_busy(start, end);
-        });
-        // Frame-coherence factor (Anglada-style dynamic sampling): a
-        // deterministic animation's follow-up frames re-render mostly
-        // coherent content at a fraction of the nominal GPU cost;
-        // interactions are partially coherent; real-time content is
-        // always new. Depends only on the record, so it is identical at
-        // any worker count.
-        producer_->set_gpu_cost_shaper(
-            [this](const FrameRecord &rec, Time nominal) {
-                const double lo = plant_->params().coherent_scale;
+    }
+}
+
+void
+RenderSystem::attach_plant()
+{
+    ThermalPlant *plant = plant_.get();
+    // Registered before the fault injector's transforms, so an injected
+    // throttle multiplies the DVFS-scaled duration.
+    gpu().add_cost_transform([plant](Time, Time duration) {
+        return plant->scale_duration(duration);
+    });
+    gpu().add_usage_listener(
+        [plant](Time start, Time end) { plant->on_busy(start, end); });
+    // Frame-coherence factor (Anglada-style dynamic sampling): a
+    // deterministic animation's follow-up frames re-render mostly
+    // coherent content at a fraction of the nominal GPU cost;
+    // interactions are partially coherent; real-time content is always
+    // new. Depends only on the record, so it is identical at any worker
+    // count.
+    for (Surface &s : surfaces_) {
+        s.producer->set_gpu_cost_shaper(
+            [plant](const FrameRecord &rec, Time nominal) {
+                const double lo = plant->params().coherent_scale;
                 double scale = 1.0;
                 if (rec.slot > 0) {
                     if (rec.kind == SegmentKind::kAnimation)
@@ -127,159 +355,153 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
                 return Time(double(nominal) * scale);
             });
     }
+}
 
-    stats_ = std::make_unique<FrameStats>(*producer_, *panel_);
-
-    // The classifier reads the RefreshLog FrameStats appends, so it must
-    // register its present listener after stats_. It schedules no events
-    // and never reads the RNG — always-on is free for determinism.
-    DropClassifier::Context cc;
-    cc.producer = producer_.get();
-    cc.queue = queue_.get();
-    cc.stats = stats_.get();
-    cc.runtime = runtime_.get();
-    cc.dtv = dtv_.get();
-    cc.plan = config.faults.get();
-    cc.gpu = &producer_->gpu();
-    cc.shared_gpu = false;
-    cc.plant = plant_.get();
-    if (config.governor.enabled) {
-        // governor_ is constructed below; the classifier only calls the
-        // closure during the run, when it exists.
-        cc.governor_capped = [this] {
-            return governor_ && governor_->capping();
-        };
+void
+RenderSystem::register_metrics()
+{
+    metrics_ = std::make_unique<MetricsRegistry>();
+    MetricsRegistry &m = *metrics_;
+    if (composed_) {
+        ExecResource *gpu = shared_gpu_.get();
+        BufferBudgetArbiter *arb = arbiter_.get();
+        m.register_counter("gpu.busy_ns",
+                           [gpu] { return double(gpu->total_busy()); });
+        m.register_gauge("arbiter.used_mb", [arb] { return arb->used_mb(); });
+        m.register_counter("arbiter.rearbitrations", [arb] {
+            return double(arb->rearbitrations());
+        });
     }
-    classifier_ = std::make_unique<DropClassifier>(cc, *panel_);
-
-    if (config.monitor_invariants) {
-        monitor_ = std::make_unique<InvariantMonitor>();
-        // The FPE's limit bounds accumulated (queued) pre-rendered
-        // buffers; one frame in flight when the limit was checked may
-        // land on top, hence +1. VSync/paced runs have no depth bound.
-        const int depth = config.mode == RenderMode::kDvsync
-                              ? prerender_limit() + 1
-                              : 0;
-        monitor_->attach(*producer_, *panel_, depth);
-    }
-    if (config.faults) {
-        injector_ = std::make_unique<FaultInjector>(sim_, config.faults);
-        injector_->arm(*hw_, *queue_, *compositor_, *producer_);
-    }
-    // Chaos runs always get the safety net; outside them it is opt-in so
-    // fault-free goldens keep their exact behavior. The governor's final
-    // rung hands off to the watchdog, so enabling it arms the watchdog.
-    if (runtime_ &&
-        (config.watchdog || config.faults || config.governor.enabled))
-        runtime_->attach_watchdog(*panel_, monitor_.get());
-
-    if (config.forensics || config.governor.enabled) {
-        metrics_ = std::make_unique<MetricsRegistry>();
-        metrics_->register_gauge("queue.depth", [this] {
-            return double(queue_->queued_count());
+    for (Surface &s : surfaces_) {
+        // A composed display names each surface's series "<surface>.".
+        const std::string p = composed_ ? s.desc.name + "." : "";
+        BufferQueue *queue = s.queue.get();
+        Producer *producer = s.producer.get();
+        Panel *panel = s.panel.get();
+        m.register_gauge(p + "queue.depth",
+                         [queue] { return double(queue->queued_count()); });
+        m.register_gauge(p + "queue.free",
+                         [queue] { return double(queue->free_count()); });
+        m.register_counter(p + "ui.busy_ns", [producer] {
+            return double(producer->ui_thread().total_busy());
         });
-        metrics_->register_gauge("queue.free", [this] {
-            return double(queue_->free_count());
+        m.register_counter(p + "render.busy_ns", [producer] {
+            return double(producer->render_thread().total_busy());
         });
-        metrics_->register_counter("ui.busy_ns", [this] {
-            return double(producer_->ui_thread().total_busy());
-        });
-        metrics_->register_counter("render.busy_ns", [this] {
-            return double(producer_->render_thread().total_busy());
-        });
-        metrics_->register_counter("gpu.busy_ns", [this] {
-            return double(producer_->gpu().total_busy());
-        });
-        metrics_->register_counter("panel.presents", [this] {
-            return double(panel_->presented());
-        });
-        metrics_->register_counter("panel.repeats", [this] {
-            return double(panel_->repeats());
-        });
-        metrics_->register_counter("compositor.latch_misses", [this] {
-            return double(compositor_->missed_deadline());
-        });
-        metrics_->register_counter("stats.drops", [this] {
-            return double(stats_->frame_drops());
-        });
-        if (runtime_) {
-            metrics_->register_gauge("runtime.degraded", [this] {
-                return runtime_->degraded() ? 1.0 : 0.0;
+        // A shared GPU is one device-level series (above); a private one
+        // keeps its place among its surface's series.
+        if (!composed_) {
+            m.register_counter(p + "gpu.busy_ns", [producer] {
+                return double(producer->gpu().total_busy());
             });
         }
-        if (fpe_) {
-            metrics_->register_counter("fpe.pre_rendered", [this] {
-                return double(fpe_->pre_rendered_frames());
-            });
+        m.register_counter(p + "panel.presents",
+                           [panel] { return double(panel->presented()); });
+        m.register_counter(p + "panel.repeats",
+                           [panel] { return double(panel->repeats()); });
+        Compositor *latch = s.latch.get();
+        m.register_counter(p + "compositor.latch_misses", [latch] {
+            return double(latch->missed_deadline());
+        });
+        FrameStats *stats = s.stats.get();
+        m.register_counter(p + "stats.drops",
+                           [stats] { return double(stats->frame_drops()); });
+        if (DvsyncRuntime *rt = s.runtime.get()) {
+            m.register_gauge(p + "runtime.degraded",
+                             [rt] { return rt->degraded() ? 1.0 : 0.0; });
         }
-        if (plant_) {
-            metrics_->register_gauge("thermal.temp_c", [this] {
-                return plant_->temperature_at(sim_.now());
+        if (FramePreExecutor *fpe = s.fpe.get()) {
+            m.register_counter(p + "fpe.pre_rendered", [fpe] {
+                return double(fpe->pre_rendered_frames());
             });
-            metrics_->register_gauge("thermal.level", [this] {
-                return double(plant_->level());
-            });
-            metrics_->register_counter("thermal.trips", [this] {
-                return double(plant_->throttle_trips());
-            });
-            metrics_->register_counter("power.gpu_mj", [this] {
-                return plant_->gpu_energy_mj();
-            });
-        }
-        // Default cadence: 16 refresh periods. Dense per-period sampling
-        // is available via with_metrics_interval(device.period()), but
-        // idle-heavy runs would then pay for a tick per refresh — the
-        // sparse default keeps the sampler within the 5% extra-event
-        // budget tests/test_forensics.cpp enforces. Series sampling stays a
-        // forensics feature: a governor-only registry is a passive
-        // sensor bus, polled on the governor's cadence instead.
-        if (config.forensics) {
-            const Time interval = config.metrics_interval > 0
-                                      ? config.metrics_interval
-                                      : config.device.period() * 16;
-            metrics_->install(sim_, interval);
         }
     }
-
-    if (config.governor.enabled) {
-        GovernorHooks hooks;
-        if (fpe_) {
-            const int nominal = fpe_->prerender_limit();
-            hooks.trim_prerender = [this, nominal](bool on) {
-                runtime_->set_prerender_limit(on ? 1 : nominal);
-            };
-        }
-        if (!config.device.ltpo_rates.empty()) {
-            const double lowest = config.device.ltpo_rates.back();
-            const double native = config.device.refresh_hz;
-            hooks.ltpo_cap = [this, lowest, native](bool on) {
-                hw_->request_rate(on ? lowest : native);
-            };
-        }
-        if (plant_ && plant_->level_count() > 1) {
-            const int floor = std::min(2, plant_->level_count() - 1);
-            hooks.dvfs_cap = [this, floor](bool on) {
-                plant_->set_governor_floor(on ? floor : 0);
-            };
-        }
-        if (runtime_) {
-            hooks.handoff = [this](Time now) {
-                runtime_->force_degrade(now, "governor handoff");
-            };
-            hooks.handoff_cleared = [this] {
-                return !runtime_->degraded();
-            };
-        }
-        governor_ = std::make_unique<Governor>(config.governor,
-                                               std::move(hooks));
-        const Time interval = config.governor.control_interval > 0
-                                  ? config.governor.control_interval
-                                  : config.device.period() * 4;
-        governor_->install(sim_, *metrics_, interval);
+    if (ThermalPlant *plant = plant_.get()) {
+        Simulator *sim = &sim_;
+        m.register_gauge("thermal.temp_c", [plant, sim] {
+            return plant->temperature_at(sim->now());
+        });
+        m.register_gauge("thermal.level",
+                         [plant] { return double(plant->level()); });
+        m.register_counter("thermal.trips", [plant] {
+            return double(plant->throttle_trips());
+        });
+        m.register_counter("power.gpu_mj",
+                           [plant] { return plant->gpu_energy_mj(); });
+    }
+    // Default cadence: 16 refresh periods. Dense per-period sampling is
+    // available via with_metrics_interval(device.period()), but
+    // idle-heavy runs would then pay for a tick per refresh — the sparse
+    // default keeps the sampler within the 5% extra-event budget
+    // tests/test_forensics.cpp enforces. Series sampling stays a
+    // forensics feature: a governor-only registry is a passive sensor
+    // bus, polled on the governor's cadence instead.
+    if (config_.forensics) {
+        const Time interval = config_.metrics_interval > 0
+                                  ? config_.metrics_interval
+                                  : config_.device.period() * 16;
+        m.install(sim_, interval);
     }
 }
 
-RenderSystem::~RenderSystem() = default;
+void
+RenderSystem::install_governor()
+{
+    Surface &s = surfaces_.front();
+    DvsyncRuntime *rt = s.runtime.get();
+    GovernorHooks hooks;
+    if (s.fpe) {
+        const int nominal = s.fpe->prerender_limit();
+        hooks.trim_prerender = [rt, nominal](bool on) {
+            rt->set_prerender_limit(on ? 1 : nominal);
+        };
+    }
+    if (!config_.device.ltpo_rates.empty()) {
+        HwVsyncGenerator *hw = hw_.get();
+        const double lowest = config_.device.ltpo_rates.back();
+        const double native = config_.device.refresh_hz;
+        hooks.ltpo_cap = [hw, lowest, native](bool on) {
+            hw->request_rate(on ? lowest : native);
+        };
+    }
+    ThermalPlant *plant = plant_.get();
+    if (plant->level_count() > 1) {
+        const int floor = std::min(2, plant->level_count() - 1);
+        hooks.dvfs_cap = [plant, floor](bool on) {
+            plant->set_governor_floor(on ? floor : 0);
+        };
+    }
+    if (rt) {
+        hooks.handoff = [rt](Time now) {
+            rt->force_degrade(now, "governor handoff");
+        };
+        hooks.handoff_cleared = [rt] { return !rt->degraded(); };
+    }
+    governor_ = std::make_unique<Governor>(config_.governor,
+                                           std::move(hooks));
+    const Time interval = config_.governor.control_interval > 0
+                              ? config_.governor.control_interval
+                              : config_.device.period() * 4;
+    governor_->install(sim_, *metrics_, interval);
+}
+
+void
+RenderSystem::apply_extra(int id, int extra)
+{
+    Surface &s = at(id);
+    const int capacity = buffers_ + extra;
+    s.queue->set_capacity(capacity);
+    // Oblivious surfaces just get a deeper FIFO (their pacing never
+    // fills it); aware surfaces convert the extra slots into pre-render
+    // depth. Revocation shrinks lazily as the display drains slots.
+    if (s.fpe)
+        s.fpe->set_prerender_limit(prerender_limit_for_buffers(capacity));
+    AllocSample sample;
+    sample.at = sim_.now();
+    sample.surface = id;
+    sample.extra = extra;
+    alloc_log_.push_back(sample);
+}
 
 RunReport
 RenderSystem::run()
@@ -289,18 +511,66 @@ RenderSystem::run()
     ran_ = true;
 
     hw_->start();
-    producer_->start(0);
+    // Initial allocation happens before any frame renders, so surfaces
+    // start with their arbitrated depth instead of growing mid-segment.
+    if (arbiter_)
+        arbiter_->arbitrate(0);
+
+    int max_extra = 0;
+    for (std::size_t i = 0; i < surfaces_.size(); ++i) {
+        Surface &s = surfaces_[i];
+        s.producer->start(s.desc.start_at);
+        max_extra = std::max(max_extra, s.desc.max_extra_buffers);
+        if (!arbiter_)
+            continue;
+        // The surface leaves the arbiter's pool when its scenario ends;
+        // its grant returns to the budget and the survivors re-split it.
+        const Time ends =
+            s.desc.start_at + s.producer->scenario().total_duration();
+        const int id = int(i);
+        sim_.events().schedule(
+            ends, [this, id] { arbiter_->on_surface_exit(id, sim_.now()); },
+            EventPriority::kDefault);
+    }
 
     // Drain margin: enough refreshes for the pipeline and any accumulated
     // buffers to reach the panel after the last segment ends.
-    const Time tail = Time(buffers_ + 4) * config_.device.period();
-    const Time horizon = producer_->scenario().total_duration() + tail;
-    stats_->reserve_for(horizon, config_.device.max_refresh_hz());
+    const Time tail =
+        Time(buffers_ + max_extra + 4) * config_.device.period();
+    const Time horizon = session_end_ + tail;
+    for (Surface &s : surfaces_)
+        s.stats->reserve_for(horizon, config_.device.max_refresh_hz());
     sim_.run_until(horizon);
     hw_->stop();
-    if (monitor_)
-        monitor_->finalize(sim_.now());
+    for (Surface &s : surfaces_) {
+        if (s.monitor)
+            s.monitor->finalize(sim_.now());
+    }
+    if (display_monitor_)
+        display_monitor_->finalize(sim_.now());
     return report();
+}
+
+std::string
+RenderSystem::scenario_label() const
+{
+    if (!composed_)
+        return at(0).producer->scenario().name();
+    std::string label = "multi[";
+    for (std::size_t i = 0; i < surfaces_.size(); ++i) {
+        if (i > 0)
+            label += '+';
+        label += surfaces_[i].desc.name;
+    }
+    return label + ']';
+}
+
+std::string
+RenderSystem::mode_label() const
+{
+    if (composed_)
+        return std::string("Multi/") + to_string(config_.display.policy);
+    return to_string(config_.mode);
 }
 
 RunReport
@@ -308,17 +578,23 @@ RenderSystem::report() const
 {
     if (!ran_)
         panic("RenderSystem::report before run");
+    return composed_ ? composed_report() : single_report();
+}
 
+RunReport
+RenderSystem::single_report() const
+{
+    const Surface &sf = at(0);
     RunReport r;
-    r.scenario = producer_->scenario().name();
-    r.config.mode = to_string(config_.mode);
+    r.scenario = scenario_label();
+    r.config.mode = mode_label();
     r.config.device = config_.device.name;
     r.config.refresh_hz = config_.device.refresh_hz;
     r.config.buffers = buffers_;
     r.config.prerender_limit = prerender_limit();
     r.config.seed = config_.seed;
 
-    const FrameStats &s = *stats_;
+    const FrameStats &s = *sf.stats;
     r.fdps = s.fdps();
     r.fd_percent = s.frame_drop_percent();
     r.fps = s.fps();
@@ -338,7 +614,7 @@ RenderSystem::report() const
     }
     r.latency_max_ms = to_ms(Time(s.latency().max()));
     r.stutters = count_stutters(s);
-    r.deadline_misses = compositor_->missed_deadline();
+    r.deadline_misses = sf.latch->missed_deadline();
 
     r.activity = activity();
     r.energy_mj = PowerModel().energy_mj(r.activity);
@@ -346,17 +622,17 @@ RenderSystem::report() const
     r.frames_produced = r.activity.frames_produced;
     r.predicted_frames = r.activity.predicted_frames;
 
-    if (monitor_)
-        r.invariant_violations = monitor_->violations();
+    if (sf.monitor)
+        r.invariant_violations = sf.monitor->violations();
     if (injector_)
         r.faults_injected = injector_->injected_total();
-    if (runtime_) {
-        r.degradations = runtime_->degradations();
-        r.repromotions = runtime_->repromotions();
-        r.timeline = runtime_->transitions();
+    if (sf.runtime) {
+        r.degradations = sf.runtime->degradations();
+        r.repromotions = sf.runtime->repromotions();
+        r.timeline = sf.runtime->transitions();
     }
-    if (dtv_)
-        r.dtv_resyncs = dtv_->resyncs();
+    if (sf.dtv)
+        r.dtv_resyncs = sf.dtv->resyncs();
     if (plant_) {
         r.thermal_on = true;
         r.peak_temp_c = plant_->peak_temp_c();
@@ -383,8 +659,8 @@ RenderSystem::report() const
         r.timeline = std::move(merged);
     }
 
-    r.drop_causes = classifier_->counts();
-    r.drops_injected = classifier_->injected_drops();
+    r.drop_causes = sf.classifier->counts();
+    r.drops_injected = sf.classifier->injected_drops();
     std::uint64_t attributed = 0;
     for (int c = 0; c < kDropCauseCount; ++c)
         attributed += r.drop_causes[c];
@@ -396,18 +672,117 @@ RenderSystem::report() const
     return r;
 }
 
+RunReport
+RenderSystem::composed_report() const
+{
+    RunReport r;
+    r.scenario = scenario_label();
+    r.config.mode = mode_label();
+    r.config.device = config_.device.name;
+    r.config.refresh_hz = config_.device.refresh_hz;
+    r.config.buffers = buffers_;
+    r.config.prerender_limit = 0;
+    r.config.seed = config_.seed;
+    r.activity = activity();
+
+    for (std::size_t i = 0; i < surfaces_.size(); ++i) {
+        const Surface &s = surfaces_[i];
+        const FrameStats &st = *s.stats;
+
+        SurfaceReport sr;
+        sr.name = s.desc.name;
+        sr.mode = s.desc.dvsync_aware ? "D-VSync" : "VSync";
+        sr.buffers = s.queue->capacity();
+        sr.extra_buffers = arbiter_->peak_extra_of(int(i));
+        sr.buffer_mb = s.desc.buffer_mb;
+        sr.fdps = st.fdps();
+        sr.fd_percent = st.frame_drop_percent();
+        sr.drops = st.frame_drops();
+        sr.frames_due = st.frames_due();
+        sr.presents = st.presents();
+        if (st.latency().count() > 0)
+            sr.latency_p95_ms = to_ms(Time(st.latency().percentile(95)));
+        if (s.monitor)
+            sr.invariant_violations = s.monitor->violations();
+        if (s.runtime) {
+            sr.degradations = s.runtime->degradations();
+            sr.repromotions = s.runtime->repromotions();
+        }
+        sr.drop_causes = s.classifier->counts();
+        sr.drops_injected = s.classifier->injected_drops();
+        std::uint64_t attributed = 0;
+        for (int c = 0; c < kDropCauseCount; ++c) {
+            attributed += sr.drop_causes[c];
+            r.drop_causes[c] += sr.drop_causes[c];
+        }
+        if (attributed != st.frame_drops()) {
+            panic("surface %s drop attribution out of sync: "
+                  "%llu causes vs %llu drops",
+                  s.desc.name.c_str(), (unsigned long long)attributed,
+                  (unsigned long long)st.frame_drops());
+        }
+        r.drops_injected += sr.drops_injected;
+        r.surfaces.push_back(std::move(sr));
+
+        r.drops += st.frame_drops();
+        r.frames_due += st.frames_due();
+        r.presents += st.presents();
+        r.direct += st.direct_composition();
+        r.stuffed += st.buffer_stuffing();
+        r.stutters += count_stutters(st);
+        r.deadline_misses += s.latch->missed_deadline();
+        r.invariant_violations += s.monitor ? s.monitor->violations() : 0;
+        if (s.runtime) {
+            r.degradations += s.runtime->degradations();
+            r.repromotions += s.runtime->repromotions();
+            for (const std::string &line : s.runtime->transitions())
+                r.timeline.push_back("[" + s.desc.name + "] " + line);
+        }
+        if (s.dtv)
+            r.dtv_resyncs += s.dtv->resyncs();
+    }
+
+    // Display aggregates: total drops per second of session wall time
+    // (per-surface FDPS stays normalized to each surface's own active
+    // duration, the paper's definition).
+    const double wall_s = to_seconds(session_end_);
+    r.fdps = wall_s > 0 ? double(r.drops) / wall_s : 0.0;
+    r.fd_percent =
+        r.frames_due > 0 ? 100.0 * double(r.drops) / double(r.frames_due)
+                         : 0.0;
+    r.fps = wall_s > 0 ? double(r.presents) / wall_s : 0.0;
+
+    r.energy_mj = PowerModel().energy_mj(r.activity);
+    r.pipeline_busy_s = to_seconds(r.activity.pipeline_busy);
+    r.frames_produced = r.activity.frames_produced;
+    r.predicted_frames = r.activity.predicted_frames;
+
+    if (display_monitor_)
+        r.invariant_violations += display_monitor_->violations();
+    if (injector_)
+        r.faults_injected = injector_->injected_total();
+
+    r.budget_mb = arbiter_->budget_mb();
+    r.budget_used_mb = arbiter_->peak_used_mb();
+    r.rearbitrations = arbiter_->rearbitrations();
+    return r;
+}
+
 RunActivity
 RenderSystem::activity() const
 {
     RunActivity a;
-    a.wall_time = producer_->scenario().total_duration();
-    a.pipeline_busy = producer_->ui_thread().total_busy() +
-                      producer_->render_thread().total_busy();
-    a.frames_produced = producer_->frames_started();
-    a.dvsync_on = config_.mode == RenderMode::kDvsync;
+    a.wall_time = session_end_;
     a.predictor_overhead = config_.predictor_overhead;
-    if (runtime_)
-        a.predicted_frames = runtime_->ipl().predictions();
+    for (const Surface &s : surfaces_) {
+        a.pipeline_busy += s.producer->ui_thread().total_busy() +
+                           s.producer->render_thread().total_busy();
+        a.frames_produced += s.producer->frames_started();
+        if (s.runtime) {
+            a.dvsync_on = true;
+            a.predicted_frames += s.runtime->ipl().predictions();
+        }
+    }
     if (plant_)
         a.gpu_mj = plant_->gpu_energy_mj();
     return a;
@@ -416,41 +791,84 @@ RenderSystem::activity() const
 int
 RenderSystem::prerender_limit() const
 {
-    return fpe_ ? fpe_->prerender_limit() : 0;
+    const FramePreExecutor *fpe = at(0).fpe.get();
+    return fpe ? fpe->prerender_limit() : 0;
 }
 
 void
 RenderSystem::export_trace(TraceLog &log) const
 {
     char name[64];
-    for (const FrameRecord &rec : producer_->records()) {
-        std::snprintf(name, sizeof(name), "frame %lld.%lld%s",
-                      (long long)rec.segment_index, (long long)rec.slot,
-                      rec.pre_rendered ? " (pre)" : "");
-        if (rec.ui_start != kTimeNone)
-            log.duration("ui thread", name, rec.ui_start, rec.ui_end);
-        if (rec.render_start != kTimeNone) {
-            log.duration("render thread", name, rec.render_start,
-                         rec.render_end);
+    for (const Surface &s : surfaces_) {
+        const std::string prefix = composed_ ? s.desc.name + "/" : "";
+        for (const FrameRecord &rec : s.producer->records()) {
+            std::snprintf(name, sizeof(name), "frame %lld.%lld%s",
+                          (long long)rec.segment_index,
+                          (long long)rec.slot,
+                          rec.pre_rendered ? " (pre)" : "");
+            if (rec.ui_start != kTimeNone) {
+                log.duration(prefix + "ui thread", name, rec.ui_start,
+                             rec.ui_end);
+            }
+            if (rec.render_start != kTimeNone) {
+                log.duration(prefix + "render thread", name,
+                             rec.render_start, rec.render_end);
+            }
+            if (rec.gpu_start != kTimeNone) {
+                log.duration(prefix + "gpu", name, rec.gpu_start,
+                             rec.gpu_end);
+            }
+            if (rec.queue_time != kTimeNone &&
+                rec.present_time != kTimeNone) {
+                log.duration(prefix + "buffer queue", name,
+                             rec.queue_time, rec.present_time);
+            }
         }
-        if (rec.gpu_start != kTimeNone)
-            log.duration("gpu", name, rec.gpu_start, rec.gpu_end);
-        if (rec.queue_time != kTimeNone && rec.present_time != kTimeNone) {
-            log.duration("buffer queue", name, rec.queue_time,
-                         rec.present_time);
+        for (const RefreshLog &ref : s.stats->refreshes()) {
+            if (ref.presented)
+                log.instant(prefix + "display", "present", ref.time);
+            else if (ref.drop)
+                log.instant(prefix + "display", "FRAME DROP", ref.time);
+        }
+
+        // Queue-depth counter reconstructed from the frame records: a
+        // buffer occupies the FIFO from queue_time until its latch.
+        std::vector<std::pair<Time, int>> deltas;
+        for (const FrameRecord &rec : s.producer->records()) {
+            if (rec.queue_time == kTimeNone)
+                continue;
+            deltas.emplace_back(rec.queue_time, +1);
+            if (rec.present_time != kTimeNone)
+                deltas.emplace_back(rec.present_time, -1);
+        }
+        std::sort(deltas.begin(), deltas.end());
+        int depth = 0;
+        for (std::size_t k = 0; k < deltas.size(); ++k) {
+            depth += deltas[k].second;
+            if (k + 1 < deltas.size() &&
+                deltas[k + 1].first == deltas[k].first)
+                continue; // coalesce same-instant changes
+            log.counter(prefix + "queued buffers", deltas[k].first,
+                        double(depth));
         }
     }
-    for (const RefreshLog &r : stats_->refreshes()) {
-        if (r.presented)
-            log.instant("display", "present", r.time);
-        else if (r.drop)
-            log.instant("display", "FRAME DROP", r.time);
-        log.counter("queued buffers", r.time,
-                    double(queue_->queued_count()));
-    }
-    // Flow events link each frame's slices across the tracks above, so
-    // one frame can be followed UI -> render -> GPU -> queue -> display.
+
+    // Flow events link each frame's slices across its surface's tracks,
+    // so one frame can be followed UI -> render -> GPU -> queue ->
+    // display.
     forensics().export_flows(log);
+
+    // Arbiter history: per-surface grants and the budget line.
+    for (const AllocSample &sample : alloc_log_) {
+        if (sample.surface >= 0) {
+            log.counter("extra buffers " + at(sample.surface).desc.name,
+                        sample.at, double(sample.extra));
+        } else {
+            log.counter("arbiter used MB", sample.at, sample.used_mb);
+            log.counter("arbiter budget MB", sample.at,
+                        arbiter_->budget_mb());
+        }
+    }
 }
 
 FrameForensics
@@ -459,21 +877,31 @@ RenderSystem::forensics() const
     if (!ran_)
         panic("RenderSystem::forensics before run");
     FrameForensics f;
-    f.add_surface("", *producer_, *stats_, classifier_.get());
+    for (const Surface &s : surfaces_) {
+        f.add_surface(s.desc.name, *s.producer, *s.stats,
+                      s.classifier.get());
+    }
     return f;
 }
 
 bool
 RenderSystem::save_forensics(const std::string &path) const
 {
-    return forensics().save(path, producer_->scenario().name(),
-                            to_string(config_.mode), metrics_.get());
+    return forensics().save(path, scenario_label(), mode_label(),
+                            metrics_.get());
 }
 
 RunReport
 run_experiment(const SystemConfig &config, const Scenario &scenario)
 {
     RenderSystem system(config, scenario);
+    return system.run();
+}
+
+RunReport
+run_experiment(const SystemConfig &config, std::vector<SurfaceDesc> surfaces)
+{
+    RenderSystem system(config, std::move(surfaces));
     return system.run();
 }
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/logging.h"
 #include "trace/dvst_io.h"
 
 namespace dvs {
@@ -226,16 +227,26 @@ decode_system_config(ByteReader &r, SystemConfig &c)
 }
 
 void
-encode_multi_config(ByteWriter &w, const MultiSurfaceConfig &c,
+encode_multi_config(ByteWriter &w, const SystemConfig &c,
                     const std::vector<SurfaceCapture> &surfaces)
 {
+    // MCNF predates these settings reaching a composed display; until a
+    // schema bump stores them, refuse to write a file that cannot replay.
+    const SystemConfig defaults;
+    if (c.dtv_calibration_interval != defaults.dtv_calibration_interval ||
+        c.predictor_overhead != defaults.predictor_overhead ||
+        c.vsync_app_offset != defaults.vsync_app_offset ||
+        c.vsync_rs_offset != defaults.vsync_rs_offset)
+        fatal("a composed-display capture cannot store a non-default "
+              "dtv_calibration_interval, predictor_overhead or vsync "
+              "offset");
     encode_device(w, c.device);
     w.u64(c.seed);
-    w.f64(c.budget_mb);
-    w.u8(std::uint8_t(c.policy));
+    w.f64(c.display.budget_mb);
+    w.u8(std::uint8_t(c.display.policy));
     w.svarint(c.latch_lead);
-    w.svarint(c.compose_base);
-    w.svarint(c.compose_per_layer);
+    w.svarint(c.display.compose_base);
+    w.svarint(c.display.compose_per_layer);
     w.svarint(c.vsync_jitter);
     w.u8(c.monitor_invariants ? 1 : 0);
     w.u8(c.watchdog ? 1 : 0);
@@ -253,16 +264,16 @@ encode_multi_config(ByteWriter &w, const MultiSurfaceConfig &c,
 }
 
 void
-decode_multi_config(ByteReader &r, MultiSurfaceConfig &c,
+decode_multi_config(ByteReader &r, SystemConfig &c,
                     std::vector<SurfaceCapture> &surfaces)
 {
     decode_device(r, c.device);
     c.seed = r.u64();
-    c.budget_mb = r.f64();
-    c.policy = read_enum<ArbiterPolicy>(r, 2, "arbiter policy");
+    c.display.budget_mb = r.f64();
+    c.display.policy = read_enum<ArbiterPolicy>(r, 2, "arbiter policy");
     c.latch_lead = r.svarint();
-    c.compose_base = r.svarint();
-    c.compose_per_layer = r.svarint();
+    c.display.compose_base = r.svarint();
+    c.display.compose_per_layer = r.svarint();
     c.vsync_jitter = r.svarint();
     c.monitor_invariants = read_bool(r, "monitor_invariants");
     c.watchdog = read_bool(r, "watchdog");
@@ -560,23 +571,26 @@ FrameSample::from_record(const FrameRecord &rec)
     return f;
 }
 
+SurfaceCapture
+SurfaceCapture::from_desc(const SurfaceDesc &desc)
+{
+    SurfaceCapture s;
+    s.name = desc.name;
+    s.dvsync_aware = desc.dvsync_aware;
+    s.buffer_mb = desc.buffer_mb;
+    s.max_extra_buffers = desc.max_extra_buffers;
+    s.weight = desc.weight;
+    s.start_at = desc.start_at;
+    return s;
+}
+
 std::string
 SessionCapture::encode() const
 {
-    const FaultPlan *plan = kind == Kind::kSingle
-                                ? config.faults.get()
-                                : multi_config.faults.get();
-    const int fault_surface =
-        kind == Kind::kSingle ? 0 : multi_config.fault_surface;
-    const bool any_frames =
-        kind == Kind::kSingle
-            ? !frames.empty()
-            : [&] {
-                  for (const SurfaceCapture &s : surfaces)
-                      if (!s.frames.empty())
-                          return true;
-                  return false;
-              }();
+    const FaultPlan *plan = config.faults.get();
+    bool any_frames = false;
+    for (const SurfaceCapture &s : surfaces)
+        any_frames = any_frames || !s.frames.empty();
 
     ByteWriter w;
     w.raw(kMagic, 4);
@@ -595,37 +609,27 @@ SessionCapture::encode() const
         encode_system_config(w, config);
     } else {
         w.begin_section(kTagMultiConf);
-        encode_multi_config(w, multi_config, surfaces);
+        encode_multi_config(w, config, surfaces);
     }
     w.end_section();
 
     if (plan) {
         w.begin_section(kTagFaults);
-        encode_faults(w, *plan, fault_surface);
+        encode_faults(w, *plan, config.display.fault_surface);
         w.end_section();
     }
 
     w.begin_section(kTagSegments);
-    if (kind == Kind::kSingle) {
-        w.varint(1);
-        encode_scenario(w, scenario);
-    } else {
-        w.varint(surfaces.size());
-        for (const SurfaceCapture &s : surfaces)
-            encode_scenario(w, s.scenario);
-    }
+    w.varint(surfaces.size());
+    for (const SurfaceCapture &s : surfaces)
+        encode_scenario(w, s.scenario);
     w.end_section();
 
     if (any_frames) {
         w.begin_section(kTagFrames);
-        if (kind == Kind::kSingle) {
-            w.varint(1);
-            encode_frames(w, frames);
-        } else {
-            w.varint(surfaces.size());
-            for (const SurfaceCapture &s : surfaces)
-                encode_frames(w, s.frames);
-        }
+        w.varint(surfaces.size());
+        for (const SurfaceCapture &s : surfaces)
+            encode_frames(w, s.frames);
         w.end_section();
     }
 
@@ -720,13 +724,16 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
                 return false;
             }
             decode_system_config(r, cap.config);
+            // CONF declares exactly one surface, the single-app one.
+            cap.surfaces.assign(1, SurfaceCapture::from_desc(
+                RenderSystem::single_app_surface(cap.config)));
             stage = kWantSegs;
         } else if (tag_is(tag, kTagMultiConf)) {
             if (stage != kWantConf || cap.kind != Kind::kMulti) {
                 error = "MCNF section unexpected here";
                 return false;
             }
-            decode_multi_config(r, cap.multi_config, cap.surfaces);
+            decode_multi_config(r, cap.config, cap.surfaces);
             stage = kWantSegs;
         } else if (tag_is(tag, kTagFaults)) {
             if (stage != kWantSegs || have_faults) {
@@ -743,46 +750,26 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
                 error = "SEGS section out of order or duplicated";
                 return false;
             }
-            const std::uint64_t n = r.count(4);
-            if (cap.kind == Kind::kSingle) {
-                if (n != 1) {
-                    error = "single-surface capture must hold exactly "
-                            "one scenario";
-                    return false;
-                }
-                decode_scenario(r, cap.scenario);
-            } else {
-                if (n != cap.surfaces.size()) {
-                    error = "scenario count does not match the declared "
-                            "surfaces";
-                    return false;
-                }
-                for (SurfaceCapture &s : cap.surfaces)
-                    decode_scenario(r, s.scenario);
+            if (r.count(4) != cap.surfaces.size()) {
+                error = "scenario count does not match the declared "
+                        "surfaces";
+                return false;
             }
+            for (SurfaceCapture &s : cap.surfaces)
+                decode_scenario(r, s.scenario);
             stage = kWantFrames;
         } else if (tag_is(tag, kTagFrames)) {
             if (stage != kWantFrames) {
                 error = "FRMS section out of order or duplicated";
                 return false;
             }
-            const std::uint64_t n = r.count(1);
-            if (cap.kind == Kind::kSingle) {
-                if (n != 1) {
-                    error = "single-surface capture must hold exactly "
-                            "one frame stream";
-                    return false;
-                }
-                decode_frames(r, cap.frames);
-            } else {
-                if (n != cap.surfaces.size()) {
-                    error = "frame-stream count does not match the "
-                            "declared surfaces";
-                    return false;
-                }
-                for (SurfaceCapture &s : cap.surfaces)
-                    decode_frames(r, s.frames);
+            if (r.count(1) != cap.surfaces.size()) {
+                error = "frame-stream count does not match the declared "
+                        "surfaces";
+                return false;
             }
+            for (SurfaceCapture &s : cap.surfaces)
+                decode_frames(r, s.frames);
             stage = kDone;
         } else {
             error = "unknown section tag \"" + tag_str + "\"";
@@ -824,12 +811,13 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
     }
 
     if (have_faults) {
-        if (cap.kind == Kind::kSingle) {
-            cap.config.faults = plan;
-        } else {
-            cap.multi_config.faults = plan;
-            cap.multi_config.fault_surface = fault_surface;
+        if (cap.kind == Kind::kSingle && fault_surface != 0) {
+            error = "single-app capture targets faults at surface " +
+                    std::to_string(fault_surface);
+            return false;
         }
+        cap.config.faults = plan;
+        cap.config.display.fault_surface = fault_surface;
     }
 
     out = std::move(cap);
@@ -839,10 +827,10 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
 bool
 SessionCapture::save(const std::string &path) const
 {
+    const std::string bytes = encode(); // may reject before any write
     std::ofstream f(path, std::ios::binary);
     if (!f)
         return false;
-    const std::string bytes = encode();
     f.write(bytes.data(), std::streamsize(bytes.size()));
     return bool(f);
 }

@@ -18,8 +18,10 @@
  *
  *   META  provenance: label, verbatim flag, source dispatch hash +
  *         report fingerprint, transform lineage, timeline strings
- *   CONF  SystemConfig (single-surface captures)
- *   MCNF  MultiSurfaceConfig + per-surface descriptors (multi captures)
+ *   CONF  SystemConfig (single-app captures)
+ *   MCNF  per-surface descriptors + the SystemConfig fields it has a
+ *         slot for (composed-display captures; encode rejects a config
+ *         whose other composed-display settings are not at default)
  *   FALT  fault plan windows (optional; absent = no injection)
  *   SEGS  scenario(s): per-segment kind/duration/label, dense cost
  *         table, touch events
@@ -44,7 +46,6 @@
 #include "core/render_system.h"
 #include "input/touch_event.h"
 #include "pipeline/frame.h"
-#include "surface/multi_surface.h"
 #include "workload/trace.h"
 
 namespace dvs {
@@ -102,7 +103,11 @@ struct ScenarioCapture {
     std::vector<SegmentCapture> segments;
 };
 
-/** One surface of a multi-surface capture. */
+/**
+ * One surface of a capture. A single-app capture holds exactly one; its
+ * descriptor fields are not persisted (CONF carries no surface list), so
+ * decode rebuilds them from RenderSystem::single_app_surface().
+ */
 struct SurfaceCapture {
     // SurfaceDesc fields (the scenario is captured separately below).
     std::string name = "surface";
@@ -116,6 +121,9 @@ struct SurfaceCapture {
 
     /** Observational per-frame stream of this surface's producer. */
     std::vector<FrameSample> frames;
+
+    /** The descriptor fields of @p desc; scenario and frames empty. */
+    static SurfaceCapture from_desc(const SurfaceDesc &desc);
 };
 
 /**
@@ -124,6 +132,7 @@ struct SurfaceCapture {
 struct SessionCapture {
     static constexpr std::uint16_t kSchemaVersion = 2;
 
+    /** Device kind: the RenderSystem constructor replay must use. */
     enum class Kind : std::uint8_t { kSingle = 0, kMulti = 1 };
     Kind kind = Kind::kSingle;
 
@@ -147,24 +156,24 @@ struct SessionCapture {
     /** Recorded degrade/governor/LTPO transition log (observational). */
     std::vector<std::string> timeline;
 
-    // ----- kSingle ------------------------------------------------------
-
     /**
      * The recorded SystemConfig, fault plan included (shared_ptr rebuilt
-     * on load via FaultPlan::from_windows).
+     * on load via FaultPlan::from_windows). A composed-display capture
+     * persists only the fields a composed display reads.
      */
     SystemConfig config;
-    ScenarioCapture scenario;
-    std::vector<FrameSample> frames; ///< observational
 
-    // ----- kMulti -------------------------------------------------------
-
-    MultiSurfaceConfig multi_config;
+    /** Every surface, in device order (one for kSingle). */
     std::vector<SurfaceCapture> surfaces;
 
     // ----- serialization ------------------------------------------------
 
-    /** Serialize to .dvst bytes. */
+    /**
+     * Serialize to .dvst bytes. A composed-display config whose
+     * dtv_calibration_interval, predictor_overhead or vsync offsets are
+     * not at their defaults is rejected (fatal): MCNF cannot carry them,
+     * so its replay would silently diverge.
+     */
     std::string encode() const;
 
     /**

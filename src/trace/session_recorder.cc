@@ -10,16 +10,6 @@ namespace dvs {
 
 namespace {
 
-/** Highest rate the panel can anchor a segment's timeline at. */
-double
-max_refresh_hz(const DeviceConfig &device)
-{
-    double hz = device.refresh_hz;
-    for (double r : device.ltpo_rates)
-        hz = std::max(hz, r);
-    return hz;
-}
-
 std::vector<FrameSample>
 sample_records(const Producer &producer)
 {
@@ -39,7 +29,7 @@ SessionRecorder::capture_scenario(const Scenario &scenario,
 {
     ScenarioCapture sc;
     sc.name = scenario.name();
-    const double max_hz = max_refresh_hz(device);
+    const double max_hz = device.max_refresh_hz();
     for (std::size_t i = 0; i < scenario.size(); ++i) {
         const Segment &seg = scenario.segments()[i];
         SegmentCapture cap;
@@ -75,40 +65,14 @@ SessionCapture
 SessionRecorder::capture(RenderSystem &sys, const std::string &label)
 {
     SessionCapture cap;
-    cap.kind = SessionCapture::Kind::kSingle;
+    cap.kind = sys.composed() ? SessionCapture::Kind::kMulti
+                              : SessionCapture::Kind::kSingle;
     cap.label = label;
     cap.config = sys.config();
-    cap.scenario = capture_scenario(sys.producer().scenario(),
-                                    sys.config().device, sys.producer());
-    cap.frames = sample_records(sys.producer());
-
-    const RunReport report = sys.report();
-    cap.timeline = report.timeline;
-    cap.verbatim = true;
-    cap.source_dispatch_hash = sys.sim().events().dispatch_hash();
-    cap.source_report_fnv = fnv1a(report.debug_string());
-    return cap;
-}
-
-SessionCapture
-SessionRecorder::capture(MultiSurfaceSystem &sys, const std::string &label)
-{
-    SessionCapture cap;
-    cap.kind = SessionCapture::Kind::kMulti;
-    cap.label = label;
-    cap.multi_config = sys.config();
     for (int i = 0; i < int(sys.size()); ++i) {
-        const SurfaceDesc &desc = sys.desc(i);
-        SurfaceCapture s;
-        s.name = desc.name;
-        s.dvsync_aware = desc.dvsync_aware;
-        s.buffer_mb = desc.buffer_mb;
-        s.max_extra_buffers = desc.max_extra_buffers;
-        s.weight = desc.weight;
-        s.start_at = desc.start_at;
-        s.scenario = capture_scenario(desc.scenario,
-                                      sys.config().device,
-                                      sys.producer(i));
+        SurfaceCapture s = SurfaceCapture::from_desc(sys.desc(i));
+        s.scenario = capture_scenario(sys.producer(i).scenario(),
+                                      sys.config().device, sys.producer(i));
         s.frames = sample_records(sys.producer(i));
         cap.surfaces.push_back(std::move(s));
     }

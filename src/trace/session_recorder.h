@@ -4,9 +4,9 @@
  *
  * The recorder hooks nothing while the run executes — it materializes
  * the capture *after* run() from state the pipeline already keeps: the
- * effective SystemConfig / MultiSurfaceConfig, the fault plan, every
- * producer's FrameRecords, the report's transition timeline, and the
- * event queue's dispatch hash. Post-run capture is equivalent to live
+ * effective SystemConfig, the fault plan, every producer's FrameRecords,
+ * the report's transition timeline, and the event queue's dispatch
+ * hash. Post-run capture is equivalent to live
  * hooks here because the simulation is deterministic and the producer
  * retains every frame record; it costs the hot path nothing and cannot
  * perturb the event interleaving it is recording.
@@ -34,15 +34,12 @@ class SessionRecorder
 {
   public:
     /**
-     * Capture a finished single-surface run. @pre sys.run() returned.
-     * The capture is marked verbatim with the run's dispatch hash and
-     * report fingerprint — replaying it unmodified must reproduce both.
+     * Capture a finished run of either device kind. @pre sys.run()
+     * returned. The capture is marked verbatim with the run's dispatch
+     * hash and report fingerprint — replaying it unmodified must
+     * reproduce both.
      */
     static SessionCapture capture(RenderSystem &sys,
-                                  const std::string &label = "");
-
-    /** Capture a finished multi-surface run. @pre sys.run() returned. */
-    static SessionCapture capture(MultiSurfaceSystem &sys,
                                   const std::string &label = "");
 
     /**
@@ -50,9 +47,11 @@ class SessionRecorder
      * reload it and replay it verbatim, requiring the bit-exact contract
      * (dispatch hash + report fingerprint) to hold. @return false with
      * @p *error set on I/O failure or any replay divergence; on success
-     * @p *out (when non-null) receives the reloaded capture. This is the
-     * save path for anything that promises its captures replay — the
-     * observatory's tail auto-capture pins every specimen through it.
+     * @p *out (when non-null) receives the reloaded capture. A capture
+     * encode() rejects fails (fatal) before the file is written. This
+     * is the save path for anything that promises its captures replay —
+     * the observatory's tail auto-capture pins every specimen through
+     * it.
      */
     static bool capture_verified(RenderSystem &sys,
                                  const std::string &label,

@@ -1,6 +1,7 @@
 #include "trace/trace_replay.h"
 
 #include <memory>
+#include <optional>
 
 #include "sim/logging.h"
 #include "trace/dvst_io.h"
@@ -92,27 +93,29 @@ ReplayResult::verify_against(const SessionCapture &cap) const
 ReplayResult
 replay_session(const SessionCapture &cap, const ReplayOptions &opts)
 {
-    ReplayResult result;
-    if (cap.kind == SessionCapture::Kind::kSingle) {
-        SystemConfig cfg = cap.config;
-        if (opts.mode)
-            cfg.mode = *opts.mode;
-        RenderSystem sys(cfg, build_scenario(cap.scenario));
-        result.report = sys.run();
-        result.dispatch_hash = sys.sim().events().dispatch_hash();
-    } else {
-        std::vector<SurfaceDesc> descs = build_surfaces(cap);
-        if (opts.mode) {
-            if (*opts.mode == RenderMode::kPaced)
-                fatal("swap-interval pacing cannot be forced onto a "
-                      "multi-surface capture");
-            for (SurfaceDesc &d : descs)
-                d.dvsync_aware = *opts.mode == RenderMode::kDvsync;
-        }
-        MultiSurfaceSystem sys(std::move(descs), cap.multi_config);
-        result.report = sys.run();
-        result.dispatch_hash = sys.sim().events().dispatch_hash();
+    if (cap.surfaces.empty())
+        fatal("capture holds no surface");
+    const bool single = cap.kind == SessionCapture::Kind::kSingle;
+    SystemConfig cfg = cap.config;
+    std::vector<SurfaceDesc> descs = build_surfaces(cap);
+    if (opts.mode && single) {
+        cfg.mode = *opts.mode;
+    } else if (opts.mode) {
+        if (*opts.mode == RenderMode::kPaced)
+            fatal("swap-interval pacing cannot be forced onto a "
+                  "composed-display capture");
+        for (SurfaceDesc &d : descs)
+            d.dvsync_aware = *opts.mode == RenderMode::kDvsync;
     }
+    std::optional<RenderSystem> sys;
+    if (single)
+        sys.emplace(cfg, std::move(descs.front().scenario));
+    else
+        sys.emplace(cfg, std::move(descs));
+
+    ReplayResult result;
+    result.report = sys->run();
+    result.dispatch_hash = sys->sim().events().dispatch_hash();
     result.verbatim = cap.verbatim && !opts.mode;
     return result;
 }

@@ -5,9 +5,9 @@
  * A capture plugs back into the simulator like any scenario: the
  * recorded per-segment cost tables become TraceCostModels (kSegmentSlot
  * mode), the touch streams are reinstalled verbatim, the recorded
- * SystemConfig / MultiSurfaceConfig (fault plan included) drives the
- * same pipeline assembly, and the run proceeds through the ordinary
- * RenderSystem / MultiSurfaceSystem path.
+ * SystemConfig (fault plan included) drives the same device assembly,
+ * and the run proceeds through the RenderSystem constructor of the
+ * recorded device kind.
  *
  * Determinism contract (DESIGN.md §5i): replaying a verbatim capture
  * with no mode override reproduces the recorded session *bit-exactly* —
@@ -30,10 +30,10 @@ namespace dvs {
 /** Replay knobs. Default-constructed options replay verbatim. */
 struct ReplayOptions {
     /**
-     * Pacing override. Single-surface: replaces config.mode. Multi:
-     * kVsync forces every surface oblivious, kDvsync forces every
-     * surface aware (kPaced is single-surface only and fatals on multi).
-     * Unset replays as recorded.
+     * Pacing override. Single-app: replaces config.mode. Composed
+     * display: kVsync forces every surface oblivious, kDvsync forces
+     * every surface aware (kPaced is single-app only and fatals on a
+     * composed display). Unset replays as recorded.
      */
     std::optional<RenderMode> mode;
 };
@@ -64,7 +64,7 @@ struct ReplayResult {
 /** Rebuild a live Scenario from a recorded one. */
 Scenario build_scenario(const ScenarioCapture &sc);
 
-/** Rebuild the SurfaceDescs of a multi-surface capture. */
+/** Rebuild the SurfaceDescs of a capture, one per surface. */
 std::vector<SurfaceDesc> build_surfaces(const SessionCapture &cap);
 
 /** Run @p cap under @p opts. */

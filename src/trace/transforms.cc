@@ -21,7 +21,6 @@ mark_derived(SessionCapture &cap, const std::string &what)
     cap.verbatim = false;
     cap.source_dispatch_hash = 0;
     cap.source_report_fnv = 0;
-    cap.frames.clear();
     for (SurfaceCapture &s : cap.surfaces)
         s.frames.clear();
     cap.timeline.clear();
@@ -33,17 +32,13 @@ scale_time(Time t, double factor)
     return Time(std::llround(double(t) * factor));
 }
 
-/** Apply @p fn to every scenario of the capture (single or per-surface). */
+/** Apply @p fn to the scenario of every surface of the capture. */
 template <typename Fn>
 void
 for_each_scenario(SessionCapture &cap, Fn fn)
 {
-    if (cap.kind == SessionCapture::Kind::kSingle) {
-        fn(cap.scenario);
-    } else {
-        for (SurfaceCapture &s : cap.surfaces)
-            fn(s.scenario);
-    }
+    for (SurfaceCapture &s : cap.surfaces)
+        fn(s.scenario);
 }
 
 /** Rebuild the capture's fault plan from transformed windows. */
@@ -52,17 +47,12 @@ rewrite_faults(SessionCapture &cap,
                std::vector<FaultWindow> (*fn)(const FaultPlan &, double),
                double arg)
 {
-    const bool single = cap.kind == SessionCapture::Kind::kSingle;
-    const std::shared_ptr<const FaultPlan> &plan =
-        single ? cap.config.faults : cap.multi_config.faults;
+    const std::shared_ptr<const FaultPlan> &plan = cap.config.faults;
     if (!plan)
         return;
-    auto next = std::make_shared<const FaultPlan>(FaultPlan::from_windows(
-        plan->seed(), plan->mix_name(), fn(*plan, arg)));
-    if (single)
-        cap.config.faults = next;
-    else
-        cap.multi_config.faults = next;
+    cap.config.faults =
+        std::make_shared<const FaultPlan>(FaultPlan::from_windows(
+            plan->seed(), plan->mix_name(), fn(*plan, arg)));
 }
 
 std::string

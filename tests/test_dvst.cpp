@@ -101,9 +101,8 @@ two_surfaces()
 SessionCapture
 record_multi(RunReport *report = nullptr)
 {
-    MultiSurfaceSystem sys(
-        two_surfaces(),
-        MultiSurfaceConfig().with_budget_mb(24.0).with_seed(7));
+    RenderSystem sys(SystemConfig().with_budget_mb(24.0).with_seed(7),
+                     two_surfaces());
     const RunReport r = sys.run();
     if (report)
         *report = r;
@@ -412,10 +411,13 @@ TEST(Capture, SingleSessionRoundTripsThroughBytes)
     const SessionCapture cap = record_single(RenderMode::kDvsync, 11);
     ASSERT_TRUE(cap.verbatim);
     ASSERT_NE(cap.source_dispatch_hash, 0u);
-    ASSERT_FALSE(cap.frames.empty());
-    ASSERT_EQ(cap.scenario.segments.size(), 4u);
-    EXPECT_TRUE(cap.scenario.segments[1].costs.frames.empty()); // idle
-    EXPECT_FALSE(cap.scenario.segments[2].touch.empty());
+    ASSERT_EQ(cap.kind, SessionCapture::Kind::kSingle);
+    ASSERT_EQ(cap.surfaces.size(), 1u);
+    const SurfaceCapture &surface = cap.surfaces[0];
+    ASSERT_FALSE(surface.frames.empty());
+    ASSERT_EQ(surface.scenario.segments.size(), 4u);
+    EXPECT_TRUE(surface.scenario.segments[1].costs.frames.empty()); // idle
+    EXPECT_FALSE(surface.scenario.segments[2].touch.empty());
 
     const std::string bytes = cap.encode();
     SessionCapture back;
@@ -430,10 +432,20 @@ TEST(Capture, SingleSessionRoundTripsThroughBytes)
     EXPECT_EQ(back.config.seed, cap.config.seed);
     ASSERT_TRUE(back.config.faults);
     EXPECT_EQ(*back.config.faults, *cap.config.faults);
-    ASSERT_EQ(back.scenario.segments.size(), cap.scenario.segments.size());
-    for (std::size_t i = 0; i < cap.scenario.segments.size(); ++i) {
-        const SegmentCapture &a = cap.scenario.segments[i];
-        const SegmentCapture &b = back.scenario.segments[i];
+    ASSERT_EQ(back.surfaces.size(), 1u);
+    const SurfaceCapture &decoded = back.surfaces[0];
+    // CONF stores no surface list: decode rebuilds the recorded one.
+    EXPECT_EQ(decoded.name, surface.name);
+    EXPECT_EQ(decoded.dvsync_aware, surface.dvsync_aware);
+    EXPECT_EQ(decoded.buffer_mb, surface.buffer_mb);
+    EXPECT_EQ(decoded.max_extra_buffers, surface.max_extra_buffers);
+    EXPECT_EQ(decoded.weight, surface.weight);
+    EXPECT_EQ(decoded.start_at, surface.start_at);
+    ASSERT_EQ(decoded.scenario.segments.size(),
+              surface.scenario.segments.size());
+    for (std::size_t i = 0; i < surface.scenario.segments.size(); ++i) {
+        const SegmentCapture &a = surface.scenario.segments[i];
+        const SegmentCapture &b = decoded.scenario.segments[i];
         EXPECT_EQ(b.kind, a.kind);
         EXPECT_EQ(b.duration, a.duration);
         ASSERT_EQ(b.costs.frames.size(), a.costs.frames.size());
@@ -441,9 +453,9 @@ TEST(Capture, SingleSessionRoundTripsThroughBytes)
             EXPECT_EQ(b.costs.frames[f].total(), a.costs.frames[f].total());
         ASSERT_EQ(b.touch.size(), a.touch.size());
     }
-    ASSERT_EQ(back.frames.size(), cap.frames.size());
-    for (std::size_t i = 0; i < cap.frames.size(); ++i)
-        EXPECT_EQ(back.frames[i], cap.frames[i]) << "frame " << i;
+    ASSERT_EQ(decoded.frames.size(), surface.frames.size());
+    for (std::size_t i = 0; i < surface.frames.size(); ++i)
+        EXPECT_EQ(decoded.frames[i], surface.frames[i]) << "frame " << i;
 
     // Re-encoding the decoded capture reproduces the bytes exactly.
     EXPECT_EQ(back.encode(), bytes);
@@ -464,10 +476,44 @@ TEST(Capture, MultiSessionRoundTripsThroughBytes)
     EXPECT_EQ(back.surfaces[0].name, "app");
     EXPECT_EQ(back.surfaces[1].start_at, 50_ms);
     EXPECT_EQ(back.surfaces[0].weight, 3.0);
-    EXPECT_EQ(back.multi_config.budget_mb, 24.0);
-    EXPECT_EQ(back.multi_config.seed, 7u);
+    EXPECT_EQ(back.config.display.budget_mb, 24.0);
+    EXPECT_EQ(back.config.seed, 7u);
     ASSERT_EQ(back.surfaces[0].frames.size(), cap.surfaces[0].frames.size());
     EXPECT_EQ(back.encode(), bytes);
+}
+
+TEST(Capture, ComposedDisplayRefusesSettingsMcnfCannotStore)
+{
+    // MCNF has no field for these; a saved file would replay with the
+    // defaults and diverge, so the capture must fail loudly instead.
+    FatalThrowsScope scope(true);
+    const struct {
+        const char *field;
+        void (*set)(SystemConfig &);
+    } cases[] = {
+        {"dtv_calibration_interval",
+         [](SystemConfig &c) { c.dtv_calibration_interval = 4; }},
+        {"predictor_overhead",
+         [](SystemConfig &c) { c.predictor_overhead = 0; }},
+        {"vsync_app_offset",
+         [](SystemConfig &c) { c.vsync_app_offset = 1_ms; }},
+        {"vsync_rs_offset",
+         [](SystemConfig &c) { c.vsync_rs_offset = 1_ms; }},
+    };
+    const std::string path =
+        testing::TempDir() + "/dvst_unstorable_setting.dvst";
+    for (const auto &tc : cases) {
+        SCOPED_TRACE(tc.field);
+        SystemConfig cfg = SystemConfig().with_budget_mb(24.0);
+        tc.set(cfg);
+        RenderSystem sys(cfg, two_surfaces());
+        sys.run();
+        const SessionCapture cap = SessionRecorder::capture(sys, "x");
+        EXPECT_THROW(cap.encode(), ConfigError);
+        EXPECT_THROW(SessionRecorder::capture_verified(sys, "x", path),
+                     ConfigError);
+        EXPECT_FALSE(std::filesystem::exists(path));
+    }
 }
 
 TEST(Capture, EncodeIsDeterministic)
@@ -578,12 +624,13 @@ TEST(Transforms, TimeWarpScalesScriptAndClearsContract)
 
     EXPECT_FALSE(warped.verbatim);
     EXPECT_EQ(warped.source_dispatch_hash, 0u);
-    EXPECT_TRUE(warped.frames.empty());
+    EXPECT_TRUE(warped.surfaces[0].frames.empty());
     ASSERT_EQ(warped.lineage.size(), 1u);
     EXPECT_NE(warped.lineage[0].find("time-warp"), std::string::npos);
-    for (std::size_t i = 0; i < cap.scenario.segments.size(); ++i) {
-        const SegmentCapture &a = cap.scenario.segments[i];
-        const SegmentCapture &b = warped.scenario.segments[i];
+    const ScenarioCapture &sc = cap.surfaces[0].scenario;
+    for (std::size_t i = 0; i < sc.segments.size(); ++i) {
+        const SegmentCapture &a = sc.segments[i];
+        const SegmentCapture &b = warped.surfaces[0].scenario.segments[i];
         EXPECT_EQ(b.duration, a.duration / 2);
         // Costs untouched: compression raises effective load.
         ASSERT_EQ(b.costs.frames.size(), a.costs.frames.size());
@@ -600,8 +647,8 @@ TEST(Transforms, TruncateKeepsPrefixAndDropsLaterFaults)
     const SessionCapture cap = record_single(RenderMode::kDvsync, 11);
     // Cut inside the first segment (400 ms animation).
     const SessionCapture cut = truncate_capture(cap, 150_ms);
-    ASSERT_EQ(cut.scenario.segments.size(), 1u);
-    EXPECT_EQ(cut.scenario.segments[0].duration, 150_ms);
+    ASSERT_EQ(cut.surfaces[0].scenario.segments.size(), 1u);
+    EXPECT_EQ(cut.surfaces[0].scenario.segments[0].duration, 150_ms);
     ASSERT_TRUE(cut.config.faults);
     for (const FaultWindow &w : cut.config.faults->windows()) {
         EXPECT_LT(w.start, 150_ms);
@@ -613,28 +660,30 @@ TEST(Transforms, LoopRepeatsSegments)
 {
     const SessionCapture cap = record_single(RenderMode::kVsync, 2);
     const SessionCapture looped = loop_capture(cap, 3);
-    EXPECT_EQ(looped.scenario.segments.size(),
-              cap.scenario.segments.size() * 3);
+    EXPECT_EQ(looped.surfaces[0].scenario.segments.size(),
+              cap.surfaces[0].scenario.segments.size() * 3);
 }
 
 TEST(Transforms, AmplifyOnlyTouchesFramesOverThreshold)
 {
     SessionCapture cap = tiny_capture(); // constant 1+3 ms frames
-    const Time total = cap.scenario.segments[0].costs.frames[0].total();
-    const SessionCapture under = amplify_heavy_frames(cap, total, 2.0);
-    EXPECT_EQ(under.scenario.segments[0].costs.frames[0].total(), total);
-    const SessionCapture over = amplify_heavy_frames(cap, total - 1, 2.0);
-    EXPECT_EQ(over.scenario.segments[0].costs.frames[0].total(), 2 * total);
+    const auto first_cost = [](const SessionCapture &c) {
+        return c.surfaces[0].scenario.segments[0].costs.frames[0].total();
+    };
+    const Time total = first_cost(cap);
+    EXPECT_EQ(first_cost(amplify_heavy_frames(cap, total, 2.0)), total);
+    EXPECT_EQ(first_cost(amplify_heavy_frames(cap, total - 1, 2.0)),
+              2 * total);
 }
 
 TEST(Transforms, SpliceDensifiesInteractionWithinRecordedSpan)
 {
     const SessionCapture cap = record_single(RenderMode::kDvsync, 11);
-    const SegmentCapture &orig = cap.scenario.segments[2];
+    const SegmentCapture &orig = cap.surfaces[0].scenario.segments[2];
     ASSERT_EQ(orig.kind, SegmentKind::kInteraction);
     const SessionCapture spliced =
         splice_input_burst(cap, 20_ms, 100_ms, 1_ms);
-    const SegmentCapture &seg = spliced.scenario.segments[2];
+    const SegmentCapture &seg = spliced.surfaces[0].scenario.segments[2];
     EXPECT_GT(seg.touch.size(), orig.touch.size());
     // The recorded span (and so the derived segment duration) holds.
     EXPECT_EQ(seg.touch.front().timestamp, orig.touch.front().timestamp);
@@ -711,6 +760,18 @@ TEST(Loader, RejectsEveryTruncation)
             << "prefix of " << n << " bytes parsed";
         EXPECT_FALSE(error.empty());
     }
+}
+
+TEST(Loader, RejectsSingleAppCaptureFaultingAnotherSurface)
+{
+    // A single-app device has one surface; a FALT section aimed at any
+    // other is malformed input, not a replayable session.
+    SessionCapture cap = record_single(RenderMode::kVsync, 3);
+    cap.config.display.fault_surface = 1;
+    SessionCapture out;
+    std::string error;
+    EXPECT_FALSE(SessionCapture::decode(cap.encode(), out, error));
+    EXPECT_NE(error.find("surface 1"), std::string::npos) << error;
 }
 
 TEST(Loader, RejectsTrailingGarbage)

@@ -33,7 +33,6 @@
 #include "sim/logging.h"
 #include "sim/simulator.h"
 #include "sim/tracing.h"
-#include "surface/multi_surface.h"
 #include "vsyncsrc/vsync_distributor.h"
 #include "workload/app_profiles.h"
 #include "workload/frame_cost.h"
@@ -460,12 +459,12 @@ TEST(DropAttribution, PerSurfaceCountsSumInMultiSurfaceRuns)
     a.animate(600_ms, heavy);
     Scenario b("status");
     b.animate(600_ms, light);
-    MultiSurfaceSystem sys(
+    RenderSystem sys(
+        SystemConfig().with_budget_mb(24.0),
         {SurfaceDesc().with_name("app").with_scenario(a).with_buffer_mb(
              12.0),
          SurfaceDesc().with_name("status").with_scenario(b).with_buffer_mb(
-             10.0)},
-        MultiSurfaceConfig().with_budget_mb(24.0));
+             10.0)});
     const RunReport r = sys.run();
 
     std::uint64_t total = 0;

@@ -348,6 +348,6 @@ TEST(Compositor, LatchLeadDelaysTightFrames)
     RenderSystem sf(cfg, sc);
     sf.run();
 
-    EXPECT_GT(sf.compositor().missed_deadline(), 0u);
+    EXPECT_GT(sf.latch().missed_deadline(), 0u);
     EXPECT_GT(sf.stats().latency().mean(), direct.stats().latency().mean());
 }

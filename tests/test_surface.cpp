@@ -1,9 +1,10 @@
 /**
  * @file
- * Multi-surface composition tests: the assembled MultiSurfaceSystem,
- * cross-surface invariants, online re-arbitration (exit, chaos-driven
- * degradation), per-surface reporting, deterministic replay, and the
- * trace export.
+ * Multi-surface composition tests: the composed display RenderSystem
+ * assembles, the kind-follows-the-constructor rule, the settings a
+ * composed display rejects, cross-surface invariants, online
+ * re-arbitration (exit, chaos-driven degradation), per-surface
+ * reporting, deterministic replay, and the trace export.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +12,11 @@
 #include <memory>
 #include <string>
 
+#include "core/render_system.h"
 #include "fault/fault_plan.h"
 #include "harness/experiment_runner.h"
+#include "sim/logging.h"
 #include "sim/tracing.h"
-#include "surface/multi_surface.h"
 #include "workload/distributions.h"
 #include "workload/frame_cost.h"
 
@@ -73,8 +75,8 @@ two_aware_surfaces()
 
 TEST(MultiSurface, CleanRunPresentsEverySurfaceWithoutViolations)
 {
-    MultiSurfaceSystem sys(two_aware_surfaces(),
-                           MultiSurfaceConfig().with_budget_mb(24.0));
+    RenderSystem sys(SystemConfig().with_budget_mb(24.0),
+                     two_aware_surfaces());
     const RunReport r = sys.run();
 
     ASSERT_EQ(r.surfaces.size(), 2u);
@@ -98,8 +100,8 @@ TEST(MultiSurface, CleanRunPresentsEverySurfaceWithoutViolations)
 
 TEST(MultiSurface, AggregatesAreSumsOfSurfaceSlices)
 {
-    MultiSurfaceSystem sys(two_aware_surfaces(),
-                           MultiSurfaceConfig().with_budget_mb(24.0));
+    RenderSystem sys(SystemConfig().with_budget_mb(24.0),
+                     two_aware_surfaces());
     const RunReport r = sys.run();
 
     std::uint64_t drops = 0, presents = 0;
@@ -119,30 +121,105 @@ TEST(MultiSurface, AggregatesAreSumsOfSurfaceSlices)
 
 TEST(MultiSurface, SharedGpuSerializesAcrossSurfaces)
 {
-    MultiSurfaceSystem sys(two_aware_surfaces(), MultiSurfaceConfig());
+    RenderSystem sys(SystemConfig(), two_aware_surfaces());
     sys.run();
     // Both producers routed their GPU stage to the shared device GPU;
     // composition charged it too.
     EXPECT_EQ(&sys.producer(0).gpu(), &sys.gpu());
     EXPECT_EQ(&sys.producer(1).gpu(), &sys.gpu());
-    EXPECT_GT(sys.compositor().compositions(), 0u);
-    EXPECT_GT(sys.compositor().layers_latched(),
-              sys.compositor().compositions());
-    EXPECT_LE(sys.compositor().peak_layers(), 2);
+    ASSERT_NE(sys.compositor(), nullptr);
+    EXPECT_GT(sys.compositor()->compositions(), 0u);
+    EXPECT_GT(sys.compositor()->layers_latched(),
+              sys.compositor()->compositions());
+    EXPECT_LE(sys.compositor()->peak_layers(), 2);
 }
 
 TEST(MultiSurface, DeterministicReplay)
 {
     auto session = [] {
-        MultiSurfaceSystem sys(
-            two_aware_surfaces(),
-            MultiSurfaceConfig().with_budget_mb(24.0).with_seed(7));
+        RenderSystem sys(SystemConfig().with_budget_mb(24.0).with_seed(7),
+                         two_aware_surfaces());
         return sys.run();
     };
     const RunReport a = session();
     const RunReport b = session();
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.debug_string(), b.debug_string());
+}
+
+// ----- one assembler: the kind follows the constructor --------------------
+
+TEST(MultiSurface, OneSurfaceComposedDisplayStillComposes)
+{
+    const SystemConfig cfg;
+    RenderSystem composed(
+        cfg, {SurfaceDesc().with_name("app").with_scenario(
+                  heavy_scenario("app", 11))});
+    const RunReport multi = composed.run();
+    RenderSystem single(cfg, heavy_scenario("app", 11));
+    const RunReport solo = single.run();
+
+    EXPECT_TRUE(composed.composed());
+    ASSERT_NE(composed.compositor(), nullptr);
+    EXPECT_GT(composed.compositor()->compositions(), 0u);
+    EXPECT_EQ(&composed.producer().gpu(), &composed.gpu());
+    EXPECT_EQ(multi.config.mode.rfind("Multi/", 0), 0u) << multi.config.mode;
+    ASSERT_EQ(multi.surfaces.size(), 1u);
+
+    // Same scenario, same config: the single-app device has no display
+    // compositor, no arbiter and a private GPU, so it reports otherwise.
+    EXPECT_FALSE(single.composed());
+    EXPECT_EQ(single.compositor(), nullptr);
+    EXPECT_EQ(single.arbiter(), nullptr);
+    EXPECT_EQ(solo.config.mode, "VSync");
+    EXPECT_TRUE(solo.surfaces.empty());
+    EXPECT_NE(multi.debug_string(), solo.debug_string());
+}
+
+TEST(MultiSurface, ComposedDisplayRejectsSettingsItCannotHonour)
+{
+    FatalThrowsScope scope(true);
+    GovernorConfig governed;
+    governed.enabled = true;
+    const struct {
+        SystemConfig config;
+        const char *field; ///< the setting the error must name
+    } rejected[] = {
+        {SystemConfig().with_thermal_envelope(1.0), "config.thermal"},
+        {SystemConfig().with_governor(governed), "config.governor"},
+        {SystemConfig().with_mode(RenderMode::kDvsync), "config.mode"},
+        {SystemConfig().with_mode(RenderMode::kPaced), "config.mode"},
+        {SystemConfig().with_buffers(4), "config.buffers"},
+        {SystemConfig().with_prerender_limit(1), "config.prerender_limit"},
+    };
+    for (const auto &row : rejected) {
+        try {
+            RenderSystem sys(row.config, two_aware_surfaces());
+            ADD_FAILURE() << row.field << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(row.field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(RenderSystem(SystemConfig(), std::vector<SurfaceDesc>()),
+                 ConfigError);
+}
+
+TEST(MultiSurface, SingleAppDeviceRejectsDisplaySettings)
+{
+    FatalThrowsScope scope(true);
+    const SystemConfig rejected[] = {
+        SystemConfig().with_budget_mb(12.0),
+        SystemConfig().with_policy(ArbiterPolicy::kEqualSplit),
+        SystemConfig().with_compose_cost(0, 0),
+        SystemConfig().with_faults(
+            std::make_shared<const FaultPlan>(FaultPlan::generate(
+                1, 600_ms, FaultMix::everything())),
+            /*surface=*/1),
+    };
+    for (const SystemConfig &cfg : rejected)
+        EXPECT_THROW(RenderSystem(cfg, light_scenario("app")), ConfigError);
 }
 
 // ----- arbitration under contention ---------------------------------------
@@ -162,9 +239,9 @@ TEST(MultiSurface, ArbiterNeverWorseThanEqualSplitUnderTightBudget)
                 .with_dvsync_aware(false)
                 .with_buffer_mb(12.0),
         };
-        return run_multi_surface(
-            std::move(descs),
-            MultiSurfaceConfig().with_budget_mb(12.0).with_policy(policy));
+        return run_experiment(
+            SystemConfig().with_budget_mb(12.0).with_policy(policy),
+            std::move(descs));
     };
     const RunReport weighted = run_policy(ArbiterPolicy::kWeighted);
     const RunReport equal = run_policy(ArbiterPolicy::kEqualSplit);
@@ -197,8 +274,7 @@ TEST(MultiSurface, ObliviousOnlySessionUsesNoBudget)
             .with_scenario(light_scenario("legacy_b"))
             .with_dvsync_aware(false),
     };
-    MultiSurfaceSystem sys(std::move(descs),
-                           MultiSurfaceConfig().with_budget_mb(48.0));
+    RenderSystem sys(SystemConfig().with_budget_mb(48.0), std::move(descs));
     const RunReport r = sys.run();
 
     EXPECT_DOUBLE_EQ(r.budget_used_mb, 0.0);
@@ -227,20 +303,20 @@ TEST(MultiSurface, SurfaceExitReturnsBudgetMidRun)
             .with_buffer_mb(12.0)
             .with_weight(1.0),
     };
-    MultiSurfaceSystem sys(std::move(descs),
-                           MultiSurfaceConfig().with_budget_mb(12.0));
+    RenderSystem sys(SystemConfig().with_budget_mb(12.0), std::move(descs));
     const RunReport r = sys.run();
 
     // Final state: the survivor holds the grant, the exited surface
     // returned it, and at least three passes ran (initial, exit of app,
     // exit of bg).
-    EXPECT_EQ(sys.arbiter().extra_of(0), 0);
-    EXPECT_FALSE(sys.arbiter().active(0));
+    ASSERT_NE(sys.arbiter(), nullptr);
+    EXPECT_EQ(sys.arbiter()->extra_of(0), 0);
+    EXPECT_FALSE(sys.arbiter()->active(0));
     EXPECT_GE(r.rearbitrations, 3u);
     ASSERT_NE(sys.fpe(1), nullptr);
     // bg inherited the extra buffer: its FPE limit reflects capacity 4.
     EXPECT_EQ(sys.fpe(1)->prerender_limit(),
-              prerender_limit_for_buffers(sys.base_buffers() + 1));
+              prerender_limit_for_buffers(sys.buffers() + 1));
     EXPECT_EQ(r.invariant_violations, 0u);
 }
 
@@ -260,10 +336,10 @@ TEST(MultiSurface, ChaosOnOneSurfaceDegradesAndRearbitrates)
             .with_scenario(heavy_scenario("bystander", 52, 900_ms))
             .with_weight(1.0),
     };
-    MultiSurfaceSystem sys(std::move(descs),
-                           MultiSurfaceConfig()
-                               .with_budget_mb(24.0)
-                               .with_faults(plan, /*surface=*/0));
+    RenderSystem sys(SystemConfig()
+                         .with_budget_mb(24.0)
+                         .with_faults(plan, /*surface=*/0),
+                     std::move(descs));
     const RunReport r = sys.run();
 
     // The session survives the chaos and still reports coherently.
@@ -288,8 +364,8 @@ TEST(MultiSurface, ChaosOnOneSurfaceDegradesAndRearbitrates)
 
 TEST(MultiSurface, DebugStringCarriesSurfaceLines)
 {
-    MultiSurfaceSystem sys(two_aware_surfaces(),
-                           MultiSurfaceConfig().with_budget_mb(24.0));
+    RenderSystem sys(SystemConfig().with_budget_mb(24.0),
+                     two_aware_surfaces());
     const RunReport r = sys.run();
     const std::string s = r.debug_string();
     EXPECT_NE(s.find("surface=app"), std::string::npos);
@@ -309,9 +385,9 @@ TEST(MultiSurface, HarnessRunsSessionsAsTasks)
     std::vector<ExperimentRunner::Task> tasks;
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         tasks.push_back([seed] {
-            RunReport r = run_multi_surface(
-                two_aware_surfaces(),
-                MultiSurfaceConfig().with_budget_mb(24.0).with_seed(seed));
+            RunReport r = run_experiment(
+                SystemConfig().with_budget_mb(24.0).with_seed(seed),
+                two_aware_surfaces());
             r.label = "seed" + std::to_string(seed);
             return r;
         });
@@ -333,8 +409,8 @@ TEST(MultiSurface, HarnessRunsSessionsAsTasks)
 
 TEST(MultiSurface, TraceExportHasPerSurfaceTracksAndCounters)
 {
-    MultiSurfaceSystem sys(two_aware_surfaces(),
-                           MultiSurfaceConfig().with_budget_mb(24.0));
+    RenderSystem sys(SystemConfig().with_budget_mb(24.0),
+                     two_aware_surfaces());
     sys.run();
 
     TraceLog log;
@@ -347,8 +423,8 @@ TEST(MultiSurface, TraceExportHasPerSurfaceTracksAndCounters)
     EXPECT_NE(json.find("status/ui thread"), std::string::npos);
     EXPECT_NE(json.find("app/display"), std::string::npos);
     // Queue-depth counter per surface.
-    EXPECT_NE(json.find("queue depth app"), std::string::npos);
-    EXPECT_NE(json.find("queue depth status"), std::string::npos);
+    EXPECT_NE(json.find("app/queued buffers"), std::string::npos);
+    EXPECT_NE(json.find("status/queued buffers"), std::string::npos);
     // Arbiter allocation history.
     EXPECT_NE(json.find("extra buffers app"), std::string::npos);
     EXPECT_NE(json.find("arbiter used MB"), std::string::npos);
