@@ -33,35 +33,22 @@ base_buffers(const SystemConfig &config)
            (config.mode == RenderMode::kDvsync ? 1 : 0);
 }
 
-/** The single-app device's surface list, @p scenario moved in. */
+/**
+ * The single-app device's one surface, @p scenario moved in: unnamed,
+ * so its tracks and forensics carry no prefix, paced by config.mode,
+ * never arbitrated.
+ */
 std::vector<SurfaceDesc>
 single_surface(const SystemConfig &config, Scenario scenario)
 {
+    SurfaceDesc d;
+    d.name.clear();
+    d.dvsync_aware = config.mode == RenderMode::kDvsync;
+    d.max_extra_buffers = 0;
+    d.scenario = std::move(scenario);
     std::vector<SurfaceDesc> out;
-    out.push_back(RenderSystem::single_app_surface(config));
-    out.front().scenario = std::move(scenario);
+    out.push_back(std::move(d));
     return out;
-}
-
-/** Reject the settings a composed display cannot honour. */
-void
-check_composable(const SystemConfig &c)
-{
-    if (c.thermal.enabled)
-        fatal("a composed display has no thermal plant; "
-              "disable config.thermal");
-    if (c.governor.enabled)
-        fatal("a composed display has no governor; "
-              "disable config.governor");
-    if (c.mode != RenderMode::kVsync)
-        fatal("a composed display paces each surface by "
-              "SurfaceDesc::dvsync_aware; leave config.mode at VSync");
-    if (c.buffers != 0)
-        fatal("a composed display sizes its queues from the device and "
-              "the arbiter; leave config.buffers at 0");
-    if (c.prerender_limit >= 0)
-        fatal("a composed display derives each pre-render limit from "
-              "its queue; leave config.prerender_limit at -1");
 }
 
 } // namespace
@@ -80,14 +67,39 @@ to_string(RenderMode m)
     return "?";
 }
 
-SurfaceDesc
-RenderSystem::single_app_surface(const SystemConfig &config)
+std::string
+RenderSystem::config_error(const SystemConfig &c, bool composed,
+                           std::size_t surfaces)
 {
-    SurfaceDesc d;
-    d.name.clear();
-    d.dvsync_aware = config.mode == RenderMode::kDvsync;
-    d.max_extra_buffers = 0;
-    return d;
+    if (composed) {
+        if (surfaces == 0)
+            return "a composed display needs at least one surface";
+        if (c.thermal.enabled)
+            return "a composed display has no thermal plant; "
+                   "disable config.thermal";
+        if (c.governor.enabled)
+            return "a composed display has no governor; "
+                   "disable config.governor";
+        if (c.mode != RenderMode::kVsync)
+            return "a composed display paces each surface by "
+                   "SurfaceDesc::dvsync_aware; leave config.mode at VSync";
+        if (c.buffers != 0)
+            return "a composed display sizes its queues from the device "
+                   "and the arbiter; leave config.buffers at 0";
+        if (c.prerender_limit >= 0)
+            return "a composed display derives each pre-render limit "
+                   "from its queue; leave config.prerender_limit at -1";
+    } else {
+        if (surfaces != 1)
+            return "a single-app device has exactly one surface";
+        if (!(c.display == DisplaySpec()))
+            return "config.display needs a composed display; construct "
+                   "the RenderSystem from a list of surfaces";
+    }
+    if (c.governor.enabled && !c.thermal.enabled)
+        return "the governor needs the thermal plant (its primary "
+               "sensor); enable config.thermal";
+    return {};
 }
 
 RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
@@ -107,17 +119,9 @@ RenderSystem::RenderSystem(const SystemConfig &config,
     : config_(config), composed_(composed), buffers_(base_buffers(config)),
       sim_(config.seed)
 {
-    if (composed) {
-        if (descs.empty())
-            fatal("a composed display needs at least one surface");
-        check_composable(config);
-    } else if (!(config.display == DisplaySpec())) {
-        fatal("config.display needs a composed display; construct the "
-              "RenderSystem from a list of surfaces");
-    }
-    if (config.governor.enabled && !config.thermal.enabled)
-        fatal("the governor needs the thermal plant (its primary sensor); "
-              "enable config.thermal");
+    const std::string error = config_error(config, composed, descs.size());
+    if (!error.empty())
+        fatal("%s", error.c_str());
 
     hw_ = std::make_unique<HwVsyncGenerator>(sim_,
                                              config.device.refresh_hz);

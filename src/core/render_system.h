@@ -349,11 +349,13 @@ class RenderSystem
                  std::vector<SurfaceDesc> surfaces);
 
     /**
-     * Descriptor of the single-app device's one surface (scenario left
-     * empty): unnamed, so its tracks and forensics carry no prefix,
-     * paced by config.mode, never arbitrated.
+     * Why @p config cannot assemble a device of the given kind with
+     * @p surfaces surfaces, or "" when it can. The constructors fail
+     * (fatal) with this message; the .dvst loader rejects a capture
+     * with it, so a loaded capture always assembles.
      */
-    static SurfaceDesc single_app_surface(const SystemConfig &config);
+    static std::string config_error(const SystemConfig &config,
+                                    bool composed, std::size_t surfaces);
 
     ~RenderSystem();
 

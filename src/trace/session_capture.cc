@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "sim/logging.h"
 #include "trace/dvst_io.h"
 
 namespace dvs {
@@ -17,10 +16,8 @@ constexpr char kMagic[4] = {'D', 'V', 'S', 'T'};
 // corrupted byte can never turn one valid tag into another.
 constexpr char kTagMeta[4] = {'M', 'E', 'T', 'A'};
 constexpr char kTagConf[4] = {'C', 'O', 'N', 'F'};
-constexpr char kTagMultiConf[4] = {'M', 'C', 'N', 'F'};
 constexpr char kTagFaults[4] = {'F', 'A', 'L', 'T'};
 constexpr char kTagSegments[4] = {'S', 'E', 'G', 'S'};
-constexpr char kTagFrames[4] = {'F', 'R', 'M', 'S'};
 
 bool
 tag_is(const char *tag, const char expect[4])
@@ -172,7 +169,8 @@ decode_governor(ByteReader &r, GovernorConfig &g)
 }
 
 void
-encode_system_config(ByteWriter &w, const SystemConfig &c)
+encode_config(ByteWriter &w, const SystemConfig &c,
+              const std::vector<SurfaceCapture> &surfaces)
 {
     encode_device(w, c.device);
     w.u8(std::uint8_t(c.mode));
@@ -196,10 +194,25 @@ encode_system_config(ByteWriter &w, const SystemConfig &c)
     w.svarint(c.metrics_interval);
     encode_thermal(w, c.thermal);
     encode_governor(w, c.governor);
+    // display.fault_surface travels with the plan, in FALT.
+    w.f64(c.display.budget_mb);
+    w.u8(std::uint8_t(c.display.policy));
+    w.svarint(c.display.compose_base);
+    w.svarint(c.display.compose_per_layer);
+    w.varint(surfaces.size());
+    for (const SurfaceCapture &s : surfaces) {
+        w.str(s.name);
+        w.u8(s.dvsync_aware ? 1 : 0);
+        w.f64(s.buffer_mb);
+        w.svarint(s.max_extra_buffers);
+        w.f64(s.weight);
+        w.svarint(s.start_at);
+    }
 }
 
 void
-decode_system_config(ByteReader &r, SystemConfig &c)
+decode_config(ByteReader &r, SystemConfig &c,
+              std::vector<SurfaceCapture> &surfaces)
 {
     decode_device(r, c.device);
     c.mode = read_enum<RenderMode>(r, 3, "render mode");
@@ -223,64 +236,12 @@ decode_system_config(ByteReader &r, SystemConfig &c)
     c.metrics_interval = r.svarint();
     decode_thermal(r, c.thermal);
     decode_governor(r, c.governor);
-    c.faults.reset(); // FALT section reinstalls a recorded plan
-}
-
-void
-encode_multi_config(ByteWriter &w, const SystemConfig &c,
-                    const std::vector<SurfaceCapture> &surfaces)
-{
-    // MCNF predates these settings reaching a composed display; until a
-    // schema bump stores them, refuse to write a file that cannot replay.
-    const SystemConfig defaults;
-    if (c.dtv_calibration_interval != defaults.dtv_calibration_interval ||
-        c.predictor_overhead != defaults.predictor_overhead ||
-        c.vsync_app_offset != defaults.vsync_app_offset ||
-        c.vsync_rs_offset != defaults.vsync_rs_offset)
-        fatal("a composed-display capture cannot store a non-default "
-              "dtv_calibration_interval, predictor_overhead or vsync "
-              "offset");
-    encode_device(w, c.device);
-    w.u64(c.seed);
-    w.f64(c.display.budget_mb);
-    w.u8(std::uint8_t(c.display.policy));
-    w.svarint(c.latch_lead);
-    w.svarint(c.display.compose_base);
-    w.svarint(c.display.compose_per_layer);
-    w.svarint(c.vsync_jitter);
-    w.u8(c.monitor_invariants ? 1 : 0);
-    w.u8(c.watchdog ? 1 : 0);
-    w.u8(c.forensics ? 1 : 0);
-    w.svarint(c.metrics_interval);
-    w.varint(surfaces.size());
-    for (const SurfaceCapture &s : surfaces) {
-        w.str(s.name);
-        w.u8(s.dvsync_aware ? 1 : 0);
-        w.f64(s.buffer_mb);
-        w.svarint(s.max_extra_buffers);
-        w.f64(s.weight);
-        w.svarint(s.start_at);
-    }
-}
-
-void
-decode_multi_config(ByteReader &r, SystemConfig &c,
-                    std::vector<SurfaceCapture> &surfaces)
-{
-    decode_device(r, c.device);
-    c.seed = r.u64();
     c.display.budget_mb = r.f64();
     c.display.policy = read_enum<ArbiterPolicy>(r, 2, "arbiter policy");
-    c.latch_lead = r.svarint();
     c.display.compose_base = r.svarint();
     c.display.compose_per_layer = r.svarint();
-    c.vsync_jitter = r.svarint();
-    c.monitor_invariants = read_bool(r, "monitor_invariants");
-    c.watchdog = read_bool(r, "watchdog");
-    c.forensics = read_bool(r, "forensics");
-    c.metrics_interval = r.svarint();
-    c.faults.reset();
-    const std::uint64_t n = r.count(8);
+    c.faults.reset(); // FALT section reinstalls a recorded plan
+    const std::uint64_t n = r.count(20);
     surfaces.clear();
     surfaces.reserve(n);
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -393,6 +354,8 @@ decode_scenario(ByteReader &r, ScenarioCapture &sc)
         seg.costs.name = r.str();
         seg.costs.rate_hz = r.f64();
         const std::uint64_t nframes = r.count(3);
+        if (nframes == 0 && seg.kind != SegmentKind::kIdle)
+            r.fail("a producing segment has no cost table");
         seg.costs.frames.reserve(nframes);
         FrameCost prev{};
         for (std::uint64_t k = 0; k < nframes && r.ok(); ++k) {
@@ -405,11 +368,16 @@ decode_scenario(ByteReader &r, ScenarioCapture &sc)
         }
 
         const std::uint64_t ntouch = r.count(26);
+        if (ntouch == 0 && seg.kind == SegmentKind::kInteraction)
+            r.fail("an interaction segment has no touch events");
         seg.touch.reserve(ntouch);
         Time prev_ts = 0;
         for (std::uint64_t k = 0; k < ntouch && r.ok(); ++k) {
             TouchEvent ev;
-            ev.timestamp = prev_ts + r.svarint();
+            const Time delta = r.svarint();
+            if (k > 0 && delta < 0)
+                r.fail("touch timestamps go backwards");
+            ev.timestamp = prev_ts + delta;
             ev.phase = read_enum<TouchPhase>(r, 3, "touch phase");
             ev.x = r.f64();
             ev.y = r.f64();
@@ -421,91 +389,12 @@ decode_scenario(ByteReader &r, ScenarioCapture &sc)
     }
 }
 
-// ----- frame sample payloads -------------------------------------------
-
-void
-encode_frames(ByteWriter &w, const std::vector<FrameSample> &frames)
-{
-    w.varint(frames.size());
-    FrameSample prev;
-    prev.frame_id = 0;
-    prev.slot = 0;
-    prev.segment_index = 0;
-    prev.cost = FrameCost{};
-    prev.trigger_time = prev.ui_start = prev.ui_end = 0;
-    prev.render_start = prev.render_end = 0;
-    prev.gpu_start = prev.gpu_end = 0;
-    prev.queue_time = prev.present_time = 0;
-    for (const FrameSample &f : frames) {
-        w.svarint(f.frame_id - prev.frame_id);
-        w.svarint(f.segment_index - prev.segment_index);
-        w.u8(std::uint8_t(f.kind));
-        w.svarint(f.slot - prev.slot);
-        w.u8(f.pre_rendered ? 1 : 0);
-        w.svarint(f.cost.ui_time - prev.cost.ui_time);
-        w.svarint(f.cost.render_time - prev.cost.render_time);
-        w.svarint(f.cost.gpu_time - prev.cost.gpu_time);
-        w.f64(f.rate_hz);
-        w.svarint(f.trigger_time - prev.trigger_time);
-        w.svarint(f.ui_start - prev.ui_start);
-        w.svarint(f.ui_end - prev.ui_end);
-        w.svarint(f.render_start - prev.render_start);
-        w.svarint(f.render_end - prev.render_end);
-        w.svarint(f.gpu_start - prev.gpu_start);
-        w.svarint(f.gpu_end - prev.gpu_end);
-        w.svarint(f.queue_time - prev.queue_time);
-        w.svarint(f.present_time - prev.present_time);
-        prev = f;
-    }
-}
-
-void
-decode_frames(ByteReader &r, std::vector<FrameSample> &frames)
-{
-    const std::uint64_t n = r.count(16);
-    frames.clear();
-    frames.reserve(n);
-    FrameSample prev;
-    prev.frame_id = 0;
-    prev.slot = 0;
-    prev.segment_index = 0;
-    prev.cost = FrameCost{};
-    prev.trigger_time = prev.ui_start = prev.ui_end = 0;
-    prev.render_start = prev.render_end = 0;
-    prev.gpu_start = prev.gpu_end = 0;
-    prev.queue_time = prev.present_time = 0;
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        FrameSample f;
-        f.frame_id = prev.frame_id + r.svarint();
-        f.segment_index = int(prev.segment_index + r.svarint());
-        f.kind = read_enum<SegmentKind>(r, 4, "frame segment kind");
-        f.slot = prev.slot + r.svarint();
-        f.pre_rendered = read_bool(r, "pre_rendered");
-        f.cost.ui_time = prev.cost.ui_time + r.svarint();
-        f.cost.render_time = prev.cost.render_time + r.svarint();
-        f.cost.gpu_time = prev.cost.gpu_time + r.svarint();
-        f.rate_hz = r.f64();
-        f.trigger_time = prev.trigger_time + r.svarint();
-        f.ui_start = prev.ui_start + r.svarint();
-        f.ui_end = prev.ui_end + r.svarint();
-        f.render_start = prev.render_start + r.svarint();
-        f.render_end = prev.render_end + r.svarint();
-        f.gpu_start = prev.gpu_start + r.svarint();
-        f.gpu_end = prev.gpu_end + r.svarint();
-        f.queue_time = prev.queue_time + r.svarint();
-        f.present_time = prev.present_time + r.svarint();
-        frames.push_back(f);
-        prev = f;
-    }
-}
-
 // ----- meta payload -----------------------------------------------------
 
 // Bits of the META section map: which optional sections follow. A file
 // truncated at a section boundary would otherwise still parse; the map
 // makes whole-section loss detectable.
 constexpr std::uint8_t kMapFaults = 1u << 0;
-constexpr std::uint8_t kMapFrames = 1u << 1;
 
 void
 encode_meta(ByteWriter &w, const SessionCapture &cap,
@@ -519,16 +408,13 @@ encode_meta(ByteWriter &w, const SessionCapture &cap,
     w.varint(cap.lineage.size());
     for (const std::string &s : cap.lineage)
         w.str(s);
-    w.varint(cap.timeline.size());
-    for (const std::string &s : cap.timeline)
-        w.str(s);
 }
 
 void
 decode_meta(ByteReader &r, SessionCapture &cap, std::uint8_t &section_map)
 {
     section_map = r.u8();
-    if (section_map & ~(kMapFaults | kMapFrames))
+    if (section_map & ~kMapFaults)
         r.fail("unknown bits in the section map");
     cap.label = r.str();
     cap.verbatim = read_bool(r, "verbatim");
@@ -539,37 +425,9 @@ decode_meta(ByteReader &r, SessionCapture &cap, std::uint8_t &section_map)
     cap.lineage.reserve(nlin);
     for (std::uint64_t i = 0; i < nlin && r.ok(); ++i)
         cap.lineage.push_back(r.str());
-    const std::uint64_t ntl = r.count(1);
-    cap.timeline.clear();
-    cap.timeline.reserve(ntl);
-    for (std::uint64_t i = 0; i < ntl && r.ok(); ++i)
-        cap.timeline.push_back(r.str());
 }
 
 } // namespace
-
-FrameSample
-FrameSample::from_record(const FrameRecord &rec)
-{
-    FrameSample f;
-    f.frame_id = std::int64_t(rec.frame_id);
-    f.segment_index = rec.segment_index;
-    f.kind = rec.kind;
-    f.slot = rec.slot;
-    f.pre_rendered = rec.pre_rendered;
-    f.cost = rec.cost;
-    f.rate_hz = rec.rate_hz;
-    f.trigger_time = rec.trigger_time;
-    f.ui_start = rec.ui_start;
-    f.ui_end = rec.ui_end;
-    f.render_start = rec.render_start;
-    f.render_end = rec.render_end;
-    f.gpu_start = rec.gpu_start;
-    f.gpu_end = rec.gpu_end;
-    f.queue_time = rec.queue_time;
-    f.present_time = rec.present_time;
-    return f;
-}
 
 SurfaceCapture
 SurfaceCapture::from_desc(const SurfaceDesc &desc)
@@ -588,9 +446,6 @@ std::string
 SessionCapture::encode() const
 {
     const FaultPlan *plan = config.faults.get();
-    bool any_frames = false;
-    for (const SurfaceCapture &s : surfaces)
-        any_frames = any_frames || !s.frames.empty();
 
     ByteWriter w;
     w.raw(kMagic, 4);
@@ -598,19 +453,12 @@ SessionCapture::encode() const
     w.u8(std::uint8_t(kind));
     w.u8(0); // reserved
 
-    const std::uint8_t section_map =
-        std::uint8_t((plan ? kMapFaults : 0) | (any_frames ? kMapFrames : 0));
     w.begin_section(kTagMeta);
-    encode_meta(w, *this, section_map);
+    encode_meta(w, *this, plan ? kMapFaults : 0);
     w.end_section();
 
-    if (kind == Kind::kSingle) {
-        w.begin_section(kTagConf);
-        encode_system_config(w, config);
-    } else {
-        w.begin_section(kTagMultiConf);
-        encode_multi_config(w, config, surfaces);
-    }
+    w.begin_section(kTagConf);
+    encode_config(w, config, surfaces);
     w.end_section();
 
     if (plan) {
@@ -624,14 +472,6 @@ SessionCapture::encode() const
     for (const SurfaceCapture &s : surfaces)
         encode_scenario(w, s.scenario);
     w.end_section();
-
-    if (any_frames) {
-        w.begin_section(kTagFrames);
-        w.varint(surfaces.size());
-        for (const SurfaceCapture &s : surfaces)
-            encode_frames(w, s.frames);
-        w.end_section();
-    }
 
     return w.take();
 }
@@ -671,10 +511,10 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
         return false;
     }
 
-    // Sections must appear in canonical order: META, CONF|MCNF,
-    // [FALT], SEGS, [FRMS] — strictness is what lets the fuzz tests
-    // promise that every corrupted byte is caught.
-    enum Stage { kWantMeta, kWantConf, kWantSegs, kWantFrames, kDone };
+    // Sections must appear in canonical order: META, CONF, [FALT],
+    // SEGS — strictness is what lets the fuzz tests promise that every
+    // corrupted byte is caught.
+    enum Stage { kWantMeta, kWantConf, kWantSegs, kDone };
     Stage stage = kWantMeta;
     std::shared_ptr<const FaultPlan> plan;
     int fault_surface = 0;
@@ -719,21 +559,11 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
             decode_meta(r, cap, section_map);
             stage = kWantConf;
         } else if (tag_is(tag, kTagConf)) {
-            if (stage != kWantConf || cap.kind != Kind::kSingle) {
-                error = "CONF section unexpected here";
+            if (stage != kWantConf) {
+                error = "CONF section out of order or duplicated";
                 return false;
             }
-            decode_system_config(r, cap.config);
-            // CONF declares exactly one surface, the single-app one.
-            cap.surfaces.assign(1, SurfaceCapture::from_desc(
-                RenderSystem::single_app_surface(cap.config)));
-            stage = kWantSegs;
-        } else if (tag_is(tag, kTagMultiConf)) {
-            if (stage != kWantConf || cap.kind != Kind::kMulti) {
-                error = "MCNF section unexpected here";
-                return false;
-            }
-            decode_multi_config(r, cap.config, cap.surfaces);
+            decode_config(r, cap.config, cap.surfaces);
             stage = kWantSegs;
         } else if (tag_is(tag, kTagFaults)) {
             if (stage != kWantSegs || have_faults) {
@@ -757,19 +587,6 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
             }
             for (SurfaceCapture &s : cap.surfaces)
                 decode_scenario(r, s.scenario);
-            stage = kWantFrames;
-        } else if (tag_is(tag, kTagFrames)) {
-            if (stage != kWantFrames) {
-                error = "FRMS section out of order or duplicated";
-                return false;
-            }
-            if (r.count(1) != cap.surfaces.size()) {
-                error = "frame-stream count does not match the declared "
-                        "surfaces";
-                return false;
-            }
-            for (SurfaceCapture &s : cap.surfaces)
-                decode_frames(r, s.frames);
             stage = kDone;
         } else {
             error = "unknown section tag \"" + tag_str + "\"";
@@ -803,12 +620,6 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
                     : "FALT section declared in META but missing";
         return false;
     }
-    if ((stage == kDone) != bool(section_map & kMapFrames)) {
-        error = stage == kDone
-                    ? "FRMS section present but not declared in META"
-                    : "FRMS section declared in META but missing";
-        return false;
-    }
 
     if (have_faults) {
         if (cap.kind == Kind::kSingle && fault_surface != 0) {
@@ -819,6 +630,14 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
         cap.config.faults = plan;
         cap.config.display.fault_surface = fault_surface;
     }
+    // The header's kind byte lies outside every CRC; a capture replay
+    // could not assemble is malformed, whichever byte made it so.
+    const std::string unbuildable = RenderSystem::config_error(
+        cap.config, cap.kind == Kind::kMulti, cap.surfaces.size());
+    if (!unbuildable.empty()) {
+        error = "capture cannot be replayed: " + unbuildable;
+        return false;
+    }
 
     out = std::move(cap);
     return true;
@@ -827,7 +646,7 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
 bool
 SessionCapture::save(const std::string &path) const
 {
-    const std::string bytes = encode(); // may reject before any write
+    const std::string bytes = encode();
     std::ofstream f(path, std::ios::binary);
     if (!f)
         return false;

@@ -2,30 +2,28 @@
  * @file
  * SessionCapture: the persisted form of one recorded session (.dvst).
  *
- * A capture stores the *causal* inputs of a run — configuration, fault
- * plan, and per-segment workload (dense cost tables + touch streams) —
- * plus observational streams (per-frame lifecycle samples, the
- * LTPO/governor/watchdog timeline) that replay never consumes but the
- * bisect tooling reads. The causal half is minimal in the record/replay
- * sense: because every cost model in the repo is a pure function of the
- * nominal frame index, recording the table of values a segment *can*
- * query reproduces the run exactly without recording scheduler state.
+ * A capture stores only what replay reads: the configuration, the fault
+ * plan, and per-segment workload (dense cost tables + touch streams),
+ * plus provenance. Everything the run produced — frame records, the
+ * LTPO/governor/watchdog timeline, the report — replay rebuilds, and the
+ * stored dispatch hash and report fingerprint verify that it did. The
+ * causal inputs are minimal in the record/replay sense: because every
+ * cost model in the repo is a pure function of the nominal frame index,
+ * recording the table of values a segment *can* query reproduces the
+ * run exactly without recording scheduler state.
  *
- * File format (.dvst), schema version 2:
+ * File format (.dvst), schema version 3:
  *
  *   "DVST"  u16 version  u8 kind (0 single / 1 multi)  u8 reserved(0)
  *   then sections, each:  4-byte tag | u32 payload len | payload | u32 CRC
  *
- *   META  provenance: label, verbatim flag, source dispatch hash +
- *         report fingerprint, transform lineage, timeline strings
- *   CONF  SystemConfig (single-app captures)
- *   MCNF  per-surface descriptors + the SystemConfig fields it has a
- *         slot for (composed-display captures; encode rejects a config
- *         whose other composed-display settings are not at default)
+ *   META  provenance: section map, label, verbatim flag, source dispatch
+ *         hash + report fingerprint, transform lineage
+ *   CONF  every SystemConfig field (display.fault_surface travels in
+ *         FALT) + the surface descriptors, for both device kinds
  *   FALT  fault plan windows (optional; absent = no injection)
- *   SEGS  scenario(s): per-segment kind/duration/label, dense cost
- *         table, touch events
- *   FRMS  observational per-frame samples (optional)
+ *   SEGS  one scenario per surface: per-segment kind/duration/label,
+ *         dense cost table, touch events
  *
  * Integers are LEB128 varints (zigzag + delta where consecutive values
  * correlate), doubles are raw bit patterns, every section payload is
@@ -45,38 +43,10 @@
 
 #include "core/render_system.h"
 #include "input/touch_event.h"
-#include "pipeline/frame.h"
+#include "workload/scenario.h"
 #include "workload/trace.h"
 
 namespace dvs {
-
-/**
- * Observational copy of one FrameRecord's lifecycle — what the producer
- * did, kept for inspection and diffing; replay regenerates these.
- */
-struct FrameSample {
-    std::int64_t frame_id = 0;
-    int segment_index = -1;
-    SegmentKind kind = SegmentKind::kIdle;
-    std::int64_t slot = -1;
-    bool pre_rendered = false;
-    FrameCost cost;
-    double rate_hz = 0.0;
-    Time trigger_time = kTimeNone;
-    Time ui_start = kTimeNone;
-    Time ui_end = kTimeNone;
-    Time render_start = kTimeNone;
-    Time render_end = kTimeNone;
-    Time gpu_start = kTimeNone;
-    Time gpu_end = kTimeNone;
-    Time queue_time = kTimeNone;
-    Time present_time = kTimeNone;
-
-    static FrameSample from_record(const FrameRecord &rec);
-
-    friend bool operator==(const FrameSample &,
-                           const FrameSample &) = default;
-};
 
 /** One recorded scenario segment: script + materialized workload. */
 struct SegmentCapture {
@@ -103,11 +73,7 @@ struct ScenarioCapture {
     std::vector<SegmentCapture> segments;
 };
 
-/**
- * One surface of a capture. A single-app capture holds exactly one; its
- * descriptor fields are not persisted (CONF carries no surface list), so
- * decode rebuilds them from RenderSystem::single_app_surface().
- */
+/** One surface of a capture. A single-app capture holds exactly one. */
 struct SurfaceCapture {
     // SurfaceDesc fields (the scenario is captured separately below).
     std::string name = "surface";
@@ -119,10 +85,7 @@ struct SurfaceCapture {
 
     ScenarioCapture scenario;
 
-    /** Observational per-frame stream of this surface's producer. */
-    std::vector<FrameSample> frames;
-
-    /** The descriptor fields of @p desc; scenario and frames empty. */
+    /** The descriptor fields of @p desc; scenario empty. */
     static SurfaceCapture from_desc(const SurfaceDesc &desc);
 };
 
@@ -130,7 +93,7 @@ struct SurfaceCapture {
  * A complete recorded session, loadable/savable as .dvst.
  */
 struct SessionCapture {
-    static constexpr std::uint16_t kSchemaVersion = 2;
+    static constexpr std::uint16_t kSchemaVersion = 3;
 
     /** Device kind: the RenderSystem constructor replay must use. */
     enum class Kind : std::uint8_t { kSingle = 0, kMulti = 1 };
@@ -153,13 +116,9 @@ struct SessionCapture {
     /** Applied transforms, oldest first (empty for raw recordings). */
     std::vector<std::string> lineage;
 
-    /** Recorded degrade/governor/LTPO transition log (observational). */
-    std::vector<std::string> timeline;
-
     /**
      * The recorded SystemConfig, fault plan included (shared_ptr rebuilt
-     * on load via FaultPlan::from_windows). A composed-display capture
-     * persists only the fields a composed display reads.
+     * on load via FaultPlan::from_windows).
      */
     SystemConfig config;
 
@@ -168,17 +127,13 @@ struct SessionCapture {
 
     // ----- serialization ------------------------------------------------
 
-    /**
-     * Serialize to .dvst bytes. A composed-display config whose
-     * dtv_calibration_interval, predictor_overhead or vsync offsets are
-     * not at their defaults is rejected (fatal): MCNF cannot carry them,
-     * so its replay would silently diverge.
-     */
+    /** Serialize to .dvst bytes. */
     std::string encode() const;
 
     /**
      * Strict decode. @return false with @p error set on any malformed
-     * input; @p out is untouched on failure. Never crashes.
+     * input, including a capture replay could not assemble; @p out is
+     * untouched on failure. Never crashes.
      */
     static bool decode(const std::string &bytes, SessionCapture &out,
                        std::string &error);

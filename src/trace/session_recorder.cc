@@ -8,20 +8,6 @@
 
 namespace dvs {
 
-namespace {
-
-std::vector<FrameSample>
-sample_records(const Producer &producer)
-{
-    std::vector<FrameSample> out;
-    out.reserve(producer.records().size());
-    for (const FrameRecord &rec : producer.records())
-        out.push_back(FrameSample::from_record(rec));
-    return out;
-}
-
-} // namespace
-
 ScenarioCapture
 SessionRecorder::capture_scenario(const Scenario &scenario,
                                   const DeviceConfig &device,
@@ -73,15 +59,12 @@ SessionRecorder::capture(RenderSystem &sys, const std::string &label)
         SurfaceCapture s = SurfaceCapture::from_desc(sys.desc(i));
         s.scenario = capture_scenario(sys.producer(i).scenario(),
                                       sys.config().device, sys.producer(i));
-        s.frames = sample_records(sys.producer(i));
         cap.surfaces.push_back(std::move(s));
     }
 
-    const RunReport report = sys.report();
-    cap.timeline = report.timeline;
     cap.verbatim = true;
     cap.source_dispatch_hash = sys.sim().events().dispatch_hash();
-    cap.source_report_fnv = fnv1a(report.debug_string());
+    cap.source_report_fnv = fnv1a(sys.report().debug_string());
     return cap;
 }
 

@@ -3,13 +3,13 @@
  * SessionRecorder: turn a finished run into a SessionCapture.
  *
  * The recorder hooks nothing while the run executes — it materializes
- * the capture *after* run() from state the pipeline already keeps: the
- * effective SystemConfig, the fault plan, every producer's FrameRecords,
- * the report's transition timeline, and the event queue's dispatch
- * hash. Post-run capture is equivalent to live
- * hooks here because the simulation is deterministic and the producer
- * retains every frame record; it costs the hot path nothing and cannot
- * perturb the event interleaving it is recording.
+ * the capture *after* run() from state the device already keeps: the
+ * effective SystemConfig, the fault plan, every surface's descriptor
+ * and scenario, each producer's resolved slot counts, the event queue's
+ * dispatch hash and the report's fingerprint. Post-run capture is
+ * equivalent to live hooks here because the simulation is
+ * deterministic; it costs the hot path nothing and cannot perturb the
+ * event interleaving it is recording.
  *
  * The one derivation step is the workload: scenario segments carry live
  * FrameCostModel objects, which a file cannot hold. Because every cost
@@ -47,9 +47,8 @@ class SessionRecorder
      * reload it and replay it verbatim, requiring the bit-exact contract
      * (dispatch hash + report fingerprint) to hold. @return false with
      * @p *error set on I/O failure or any replay divergence; on success
-     * @p *out (when non-null) receives the reloaded capture. A capture
-     * encode() rejects fails (fatal) before the file is written. This
-     * is the save path for anything that promises its captures replay —
+     * @p *out (when non-null) receives the reloaded capture. This is
+     * the save path for anything that promises its captures replay —
      * the observatory's tail auto-capture pins every specimen through
      * it.
      */

@@ -11,8 +11,8 @@ namespace dvs {
 namespace {
 
 /**
- * A transform output is a new scenario: record what was done, revoke
- * the bit-exact contract, and drop the original run's observations.
+ * A transform output is a new scenario: record what was done and revoke
+ * the bit-exact contract.
  */
 void
 mark_derived(SessionCapture &cap, const std::string &what)
@@ -21,9 +21,6 @@ mark_derived(SessionCapture &cap, const std::string &what)
     cap.verbatim = false;
     cap.source_dispatch_hash = 0;
     cap.source_report_fnv = 0;
-    for (SurfaceCapture &s : cap.surfaces)
-        s.frames.clear();
-    cap.timeline.clear();
 }
 
 Time
