@@ -47,7 +47,7 @@ run_row(const Row &row, TableReporter &table)
         SystemConfig cfg;
         cfg.device = pixel5();
         cfg.mode = mode;
-        const BenchRun r = run_system(cfg, sc);
+        const RunReport r = run_system(cfg, sc);
         table.add_row({row.workload, to_string(mode),
                        TableReporter::num(double(r.presents) /
                                           to_seconds(sc.active_duration()),

@@ -30,9 +30,6 @@
 
 namespace dvs::bench {
 
-/** Compatibility alias: the old condensed result type is now RunReport. */
-using BenchRun = RunReport;
-
 /** Parameters of the §6.1 swipe methodology. */
 struct SwipeSetup {
     int swipes = 40;          ///< two per second for 20 s

@@ -34,7 +34,7 @@ main()
         const std::uint64_t seed = std::hash<std::string>{}(raw.name);
         const ProfileSpec app =
             calibrate_baseline(raw, device, 3, setup, seed);
-        const BenchRun r =
+        const RunReport r =
             run_profile(app, device, RenderMode::kVsync, 3, setup, seed);
 
         const double total =

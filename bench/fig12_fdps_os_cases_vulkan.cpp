@@ -37,10 +37,10 @@ main()
         const std::uint64_t seed = std::hash<std::string>{}(raw.name);
         const ProfileSpec spec =
             calibrate_baseline(raw, device, 4, setup, seed);
-        const BenchRun vs = run_profile(spec, device, RenderMode::kVsync,
-                                        4, setup, seed);
-        const BenchRun dv = run_profile(spec, device, RenderMode::kDvsync,
-                                        4, setup, seed);
+        const RunReport vs = run_profile(spec, device, RenderMode::kVsync,
+                                         4, setup, seed);
+        const RunReport dv = run_profile(spec, device, RenderMode::kDvsync,
+                                         4, setup, seed);
         sum_paper += c->fdps_mate60_vk;
         sum_vs += vs.fdps;
         sum_dv += dv.fdps;

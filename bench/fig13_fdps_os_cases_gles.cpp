@@ -38,10 +38,10 @@ run_config(OsConfig config, const DeviceConfig &device,
             std::hash<std::string>{}(raw.name) ^ std::uint64_t(config);
         const ProfileSpec spec =
             calibrate_baseline(raw, device, 4, setup, seed);
-        const BenchRun vs = run_profile(spec, device, RenderMode::kVsync,
-                                        4, setup, seed);
-        const BenchRun dv = run_profile(spec, device, RenderMode::kDvsync,
-                                        4, setup, seed);
+        const RunReport vs = run_profile(spec, device, RenderMode::kVsync,
+                                         4, setup, seed);
+        const RunReport dv = run_profile(spec, device, RenderMode::kDvsync,
+                                         4, setup, seed);
         sum_vs += vs.fdps;
         sum_dv += dv.fdps;
         ++n;

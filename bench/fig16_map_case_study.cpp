@@ -51,7 +51,7 @@ zoom_scenario(std::uint64_t seed)
 }
 
 struct MapRun {
-    BenchRun run;
+    RunReport run;
     double touch_error_px = 0.0;
     std::uint64_t predictions = 0;
 };

@@ -77,12 +77,12 @@ main()
         vs_cfg.device = pixel5();
         vs_cfg.mode = RenderMode::kVsync;
         vs_cfg.seed = seed;
-        const BenchRun vs = run_system(vs_cfg, sc);
+        const RunReport vs = run_system(vs_cfg, sc);
 
         SystemConfig dv_cfg = vs_cfg;
         dv_cfg.mode = RenderMode::kDvsync;
         dv_cfg.buffers = 5; // compositor configures its own limit
-        const BenchRun dv = run_system(dv_cfg, sc);
+        const RunReport dv = run_system(dv_cfg, sc);
 
         sum_vs += vs.fdps;
         sum_dv += dv.fdps;

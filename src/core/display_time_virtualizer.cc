@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "metrics/frame_stats.h"
 #include "sim/logging.h"
 
 namespace dvs {
@@ -33,7 +34,7 @@ DisplayTimeVirtualizer::on_edge(const VsyncEdge &edge)
 Time
 DisplayTimeVirtualizer::vsync_path_timestamp(Time trigger_edge) const
 {
-    return trigger_edge + Time(config_.pipeline_depth) * model_.period();
+    return trigger_edge + Time(kPipelineDepth) * model_.period();
 }
 
 void

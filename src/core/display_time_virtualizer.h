@@ -52,7 +52,7 @@ class DisplayTimeVirtualizer
 
     /**
      * D-Timestamp of a frame triggered by the conventional vsync path at
-     * edge @p trigger_edge: it will present pipeline_depth periods later.
+     * edge @p trigger_edge: it will present kPipelineDepth periods later.
      */
     Time vsync_path_timestamp(Time trigger_edge) const;
 

@@ -12,17 +12,7 @@ DvsyncConfig::normalized() const
     DvsyncConfig c = *this;
     if (c.prerender_limit < 1)
         fatal("prerender_limit must be >= 1, got %d", c.prerender_limit);
-    if (c.pipeline_depth < 1)
-        fatal("pipeline_depth must be >= 1, got %d", c.pipeline_depth);
     c.calibration_interval = std::max(1, c.calibration_interval);
-    c.predictor_overhead = std::max<Time>(0, c.predictor_overhead);
-    c.watchdog_pressure_window = std::max<Time>(0, c.watchdog_pressure_window);
-    c.watchdog_stall_periods = std::max(1.0, c.watchdog_stall_periods);
-    c.watchdog_desync_periods = std::max(1.0, c.watchdog_desync_periods);
-    c.watchdog_desync_streak = std::max(1, c.watchdog_desync_streak);
-    c.watchdog_stable_presents = std::max(1, c.watchdog_stable_presents);
-    c.watchdog_backoff_window = std::max<Time>(0, c.watchdog_backoff_window);
-    c.watchdog_backoff_cap = std::max(1, c.watchdog_backoff_cap);
     return c;
 }
 

@@ -21,73 +21,11 @@ struct DvsyncConfig {
     int prerender_limit = 3;
 
     /**
-     * Nominal depth of the rendering pipeline in refresh periods: the lag
-     * between a frame's timeline slot and its present (§2: "the
-     * end-to-end rendering procedure usually spans at least two VSync
-     * periods").
-     */
-    int pipeline_depth = 2;
-
-    /**
      * DTV calibration interval: resample the hardware vsync into the
      * timing model every N edges ("calibrates the issued D-Timestamp
      * every few frames", §5.1). 1 = every edge.
      */
     int calibration_interval = 1;
-
-    /**
-     * UI-stage cost added to frames that run a registered input
-     * predictor (the map app's ZDP measures 151.6 µs, §6.5).
-     */
-    Time predictor_overhead = 151'600;
-
-    // ----- degradation watchdog (robustness) ---------------------------
-    //
-    // Thresholds of the runtime's graceful-degradation policy (see
-    // DvsyncRuntime::attach_watchdog). Expressed in refresh periods where
-    // a time is involved, so the policy survives LTPO rate switches.
-
-    /**
-     * Degrade when this many invariant violations land within
-     * watchdog_pressure_window. <= 0 disables the pressure trigger.
-     */
-    int watchdog_pressure_threshold = 3;
-
-    /** Window for counting recent invariant violations. */
-    Time watchdog_pressure_window = 50'000'000; // 50 ms
-
-    /**
-     * Degrade when the gap between consecutive present-fence events
-     * exceeds this many periods (the display stalled: screen off, HW
-     * vsync lost, or the pipeline wedged).
-     */
-    double watchdog_stall_periods = 8.0;
-
-    /**
-     * Degrade when this many consecutive pre-rendered frames present
-     * more than watchdog_desync_periods away from their D-Timestamp
-     * (DTV's promise chain lost the real timeline).
-     */
-    double watchdog_desync_periods = 4.0;
-    int watchdog_desync_streak = 5;
-
-    /**
-     * Re-promote to D-VSync after this many consecutive stable presents
-     * (no stall-sized gap, no new invariant violations).
-     */
-    int watchdog_stable_presents = 32;
-
-    /**
-     * Exponential re-promotion backoff: a degradation landing within
-     * this window of the previous one doubles the stable-streak
-     * requirement (up to watchdog_backoff_cap ×), so a marginal
-     * pipeline cannot ping-pong degrade/re-promote forever. A
-     * degradation outside the window resets the multiplier to 1.
-     */
-    Time watchdog_backoff_window = 2'000'000'000; // 2 s
-
-    /** Cap on the backoff multiplier. */
-    int watchdog_backoff_cap = 8;
 
     /** Validate and return a normalized copy. */
     DvsyncConfig normalized() const;

@@ -5,9 +5,53 @@
 
 #include "core/frame_pre_executor.h"
 #include "fault/invariant_monitor.h"
+#include "metrics/power_model.h"
 #include "sim/logging.h"
 
 namespace dvs {
+
+namespace {
+
+// Thresholds of the watchdog's graceful-degradation policy (see
+// attach_watchdog). Times are in refresh periods where a period is
+// involved, so the policy survives LTPO rate switches.
+
+/** Degrade when this many invariant violations land within the window. */
+constexpr std::uint64_t kPressureThreshold = 3;
+constexpr Time kPressureWindow = 50'000'000; // 50 ms
+
+/**
+ * Degrade when the gap between consecutive present-fence events exceeds
+ * this many periods (the display stalled: screen off, HW vsync lost, or
+ * the pipeline wedged).
+ */
+constexpr double kStallPeriods = 8.0;
+
+/**
+ * Degrade when kDesyncStreak consecutive pre-rendered frames present
+ * more than kDesyncPeriods away from their D-Timestamp (DTV's promise
+ * chain lost the real timeline).
+ */
+constexpr double kDesyncPeriods = 4.0;
+constexpr int kDesyncStreak = 5;
+
+/**
+ * Re-promote to D-VSync after this many consecutive stable presents (no
+ * stall-sized gap, no new invariant violations).
+ */
+constexpr int kStablePresents = 32;
+
+/**
+ * Exponential re-promotion backoff: a degradation landing within this
+ * window of the previous one doubles the stable-streak requirement (up
+ * to kBackoffCap ×), so a marginal pipeline cannot ping-pong
+ * degrade/re-promote forever. A degradation outside the window resets
+ * the multiplier to 1.
+ */
+constexpr Time kBackoffWindow = 2'000'000'000; // 2 s
+constexpr int kBackoffCap = 8;
+
+} // namespace
 
 DvsyncRuntime::DvsyncRuntime(const DvsyncConfig &config)
     : config_(config.normalized())
@@ -45,7 +89,7 @@ DvsyncRuntime::bind(Producer &producer, DisplayTimeVirtualizer &dtv,
         [this](const Segment &seg, const FrameRecord &) -> Time {
             if (seg.kind == SegmentKind::kInteraction && enabled_ &&
                 ipl_.has(seg.label)) {
-                return config_.predictor_overhead;
+                return kPredictorOverhead;
             }
             return 0;
         });
@@ -116,15 +160,15 @@ DvsyncRuntime::on_watchdog_present(const PresentEvent &ev)
     const bool stalled =
         prev != kTimeNone &&
         double(ev.present_time - prev) >
-            config_.watchdog_stall_periods * period;
+            kStallPeriods * period;
 
     if (!degraded_) {
         const char *reason = nullptr;
         std::string detail;
-        if (config_.watchdog_pressure_threshold > 0 && monitor_) {
+        if (monitor_) {
             const std::uint64_t recent = monitor_->violations_since(
-                ev.present_time - config_.watchdog_pressure_window);
-            if (recent >= std::uint64_t(config_.watchdog_pressure_threshold)) {
+                ev.present_time - kPressureWindow);
+            if (recent >= kPressureThreshold) {
                 reason = "invariant-pressure";
                 detail = std::to_string(recent) + " recent violations";
             }
@@ -138,8 +182,8 @@ DvsyncRuntime::on_watchdog_present(const PresentEvent &ev)
             ev.meta.content_timestamp != kTimeNone) {
             const double err = std::abs(
                 double(ev.present_time - ev.meta.content_timestamp));
-            if (err > config_.watchdog_desync_periods * period) {
-                if (++desync_streak_ >= config_.watchdog_desync_streak) {
+            if (err > kDesyncPeriods * period) {
+                if (++desync_streak_ >= kDesyncStreak) {
                     reason = "dtv-desync";
                     detail = std::to_string(desync_streak_) +
                              " consecutive off-promise presents";
@@ -186,14 +230,13 @@ DvsyncRuntime::degrade(Time now, const char *reason,
     // stable streak must be twice as long (capped). A degradation after
     // a long healthy stretch starts fresh.
     if (wd_last_degrade_ != kTimeNone &&
-        now - wd_last_degrade_ <= config_.watchdog_backoff_window) {
-        wd_backoff_mult_ =
-            std::min(wd_backoff_mult_ * 2, config_.watchdog_backoff_cap);
+        now - wd_last_degrade_ <= kBackoffWindow) {
+        wd_backoff_mult_ = std::min(wd_backoff_mult_ * 2, kBackoffCap);
     } else {
         wd_backoff_mult_ = 1;
     }
     wd_last_degrade_ = now;
-    wd_required_streak_ = config_.watchdog_stable_presents * wd_backoff_mult_;
+    wd_required_streak_ = kStablePresents * wd_backoff_mult_;
     // The promise chain refers to a timeline segment that no longer
     // matches reality; drop it so re-promotion re-anchors cleanly.
     dtv_->resync();

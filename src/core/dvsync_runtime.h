@@ -63,9 +63,9 @@ class DvsyncRuntime
      * may be null), display stalls, and DTV desync. When a trigger fires
      * it *degrades* — switches D-VSync off so the FPE falls back to
      * conventional VSync pacing — and resyncs the DTV promise chain.
-     * After watchdog_stable_presents clean presents it *re-promotes*
-     * back to decoupled operation. Call after bind(); thresholds come
-     * from DvsyncConfig. Off unless attached.
+     * After 32 clean presents it *re-promotes* back to decoupled
+     * operation. Call after bind(); the thresholds are fixed
+     * (dvsync_runtime.cc). Off unless attached.
      */
     void attach_watchdog(Panel &panel, const InvariantMonitor *monitor);
 
@@ -91,9 +91,8 @@ class DvsyncRuntime
 
     /**
      * Current re-promotion backoff multiplier (1 = no backoff). Each
-     * degradation within watchdog_backoff_window of the previous one
-     * doubles it up to watchdog_backoff_cap, lengthening the stable
-     * streak the next re-promotion must earn.
+     * degradation within 2 s of the previous one doubles it, up to 8,
+     * lengthening the stable streak the next re-promotion must earn.
      */
     int backoff_multiplier() const { return wd_backoff_mult_; }
 

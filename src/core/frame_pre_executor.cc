@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/dvsync_runtime.h"
+#include "metrics/frame_stats.h"
 #include "sim/logging.h"
 
 namespace dvs {
@@ -91,7 +92,7 @@ FramePreExecutor::on_ui_complete(const FrameRecord &rec)
         // A vsync-path frame anchors DTV's promise chain at its own
         // expected present.
         dtv_.anchor_timeline(rec.timeline_timestamp +
-                             Time(config_.pipeline_depth) * dtv_.period());
+                             Time(kPipelineDepth) * dtv_.period());
     }
     maybe_pre_render();
 }

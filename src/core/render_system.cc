@@ -166,30 +166,24 @@ RenderSystem::RenderSystem(const SystemConfig &config,
             config.display.budget_mb, config.display.policy);
     }
     if (config.thermal.enabled) {
-        const ThermalParams tp =
-            config.thermal.params
-                ? *config.thermal.params
-                : thermal_params_for(config.device.thermal_budget_mw,
-                                     config.device.thermal_headroom_c,
-                                     config.thermal.envelope_scale);
-        plant_ = std::make_unique<ThermalPlant>(tp);
+        plant_ = std::make_unique<ThermalPlant>(
+            thermal_params_for(config.device.thermal_budget_mw,
+                               config.device.thermal_headroom_c,
+                               config.thermal.envelope_scale));
     }
 
     for (std::size_t i = 0; i < surfaces_.size(); ++i)
         build_pipeline(surfaces_[i], int(i));
 
     if (composed) {
-        compositor_ = std::make_unique<MultiSurfaceCompositor>(
-            *hw_, *shared_gpu_, config.display.compose_base,
-            config.display.compose_per_layer);
+        compositor_ =
+            std::make_unique<MultiSurfaceCompositor>(*hw_, *shared_gpu_);
         for (Surface &s : surfaces_)
             compositor_->observe(*s.panel);
 
-        if (config.monitor_invariants) {
-            display_monitor_ = std::make_unique<InvariantMonitor>();
-            for (std::size_t i = 0; i < surfaces_.size(); ++i)
-                display_monitor_->watch_latches(int(i), *surfaces_[i].panel);
-        }
+        display_monitor_ = std::make_unique<InvariantMonitor>();
+        for (std::size_t i = 0; i < surfaces_.size(); ++i)
+            display_monitor_->watch_latches(int(i), *surfaces_[i].panel);
 
         for (const Surface &s : surfaces_) {
             arbiter_->add_surface(s.desc.name, s.desc.buffer_mb,
@@ -200,8 +194,7 @@ RenderSystem::RenderSystem(const SystemConfig &config,
             [this](int id, int extra) { apply_extra(id, extra); });
         arbiter_->set_budget_check(
             [this](Time now, double used_mb, double budget_mb) {
-                if (display_monitor_)
-                    display_monitor_->on_budget(now, used_mb, budget_mb);
+                display_monitor_->on_budget(now, used_mb, budget_mb);
                 AllocSample sample;
                 sample.at = now;
                 sample.used_mb = used_mb;
@@ -251,7 +244,6 @@ RenderSystem::build_pipeline(Surface &s, int id)
         DvsyncConfig dc;
         dc.prerender_limit = prerender_limit_at(buffers_);
         dc.calibration_interval = config_.dtv_calibration_interval;
-        dc.predictor_overhead = config_.predictor_overhead;
 
         s.runtime = std::make_unique<DvsyncRuntime>(dc);
         s.dtv = std::make_unique<DisplayTimeVirtualizer>(sim_, *hw_,
@@ -262,7 +254,7 @@ RenderSystem::build_pipeline(Surface &s, int id)
         s.runtime->bind(*s.producer, *s.dtv, *s.fpe, *s.queue);
         s.producer->set_pacer(s.fpe.get());
     } else if (config_.mode == RenderMode::kPaced) {
-        s.swap_pacer = std::make_unique<SwapIntervalPacer>(config_.pacing);
+        s.swap_pacer = std::make_unique<SwapIntervalPacer>();
         s.producer->set_pacer(s.swap_pacer.get());
     } else {
         s.vsync_pacer = std::make_unique<VsyncPacer>();
@@ -295,18 +287,16 @@ RenderSystem::build_pipeline(Surface &s, int id)
     }
     s.classifier = std::make_unique<DropClassifier>(cc, *s.panel);
 
-    if (config_.monitor_invariants) {
-        s.monitor = std::make_unique<InvariantMonitor>();
-        // The FPE's limit bounds accumulated (queued) pre-rendered
-        // buffers; one frame in flight when the limit was checked may
-        // land on top, hence +1. The arbiter may deepen the queue up to
-        // max_extra_buffers, raising the limit with it, so the bound
-        // admits the deepest configuration. VSync-paced surfaces have
-        // no depth bound.
-        const int deepest = buffers_ + s.desc.max_extra_buffers;
-        const int depth = s.fpe ? prerender_limit_at(deepest) + 1 : 0;
-        s.monitor->attach(*s.producer, *s.panel, depth);
-    }
+    s.monitor = std::make_unique<InvariantMonitor>();
+    // The FPE's limit bounds accumulated (queued) pre-rendered buffers;
+    // one frame in flight when the limit was checked may land on top,
+    // hence +1. The arbiter may deepen the queue up to
+    // max_extra_buffers, raising the limit with it, so the bound admits
+    // the deepest configuration. VSync-paced surfaces have no depth
+    // bound.
+    const int deepest = buffers_ + s.desc.max_extra_buffers;
+    const int depth = s.fpe ? prerender_limit_at(deepest) + 1 : 0;
+    s.monitor->attach(*s.producer, *s.panel, depth);
     // Chaos runs always get the safety net; outside them it is opt-in so
     // fault-free goldens keep their exact behavior. The governor's final
     // rung hands off to the watchdog, so enabling it arms the watchdog.
@@ -483,10 +473,8 @@ RenderSystem::install_governor()
     }
     governor_ = std::make_unique<Governor>(config_.governor,
                                            std::move(hooks));
-    const Time interval = config_.governor.control_interval > 0
-                              ? config_.governor.control_interval
-                              : config_.device.period() * 4;
-    governor_->install(sim_, *metrics_, interval);
+    // One control decision every 4 refresh periods.
+    governor_->install(sim_, *metrics_, config_.device.period() * 4);
 }
 
 void
@@ -546,10 +534,8 @@ RenderSystem::run()
         s.stats->reserve_for(horizon, config_.device.max_refresh_hz());
     sim_.run_until(horizon);
     hw_->stop();
-    for (Surface &s : surfaces_) {
-        if (s.monitor)
-            s.monitor->finalize(sim_.now());
-    }
+    for (Surface &s : surfaces_)
+        s.monitor->finalize(sim_.now());
     if (display_monitor_)
         display_monitor_->finalize(sim_.now());
     return report();
@@ -626,8 +612,7 @@ RenderSystem::single_report() const
     r.frames_produced = r.activity.frames_produced;
     r.predicted_frames = r.activity.predicted_frames;
 
-    if (sf.monitor)
-        r.invariant_violations = sf.monitor->violations();
+    r.invariant_violations = sf.monitor->violations();
     if (injector_)
         r.faults_injected = injector_->injected_total();
     if (sf.runtime) {
@@ -706,8 +691,7 @@ RenderSystem::composed_report() const
         sr.presents = st.presents();
         if (st.latency().count() > 0)
             sr.latency_p95_ms = to_ms(Time(st.latency().percentile(95)));
-        if (s.monitor)
-            sr.invariant_violations = s.monitor->violations();
+        sr.invariant_violations = s.monitor->violations();
         if (s.runtime) {
             sr.degradations = s.runtime->degradations();
             sr.repromotions = s.runtime->repromotions();
@@ -735,7 +719,7 @@ RenderSystem::composed_report() const
         r.stuffed += st.buffer_stuffing();
         r.stutters += count_stutters(st);
         r.deadline_misses += s.latch->missed_deadline();
-        r.invariant_violations += s.monitor ? s.monitor->violations() : 0;
+        r.invariant_violations += s.monitor->violations();
         if (s.runtime) {
             r.degradations += s.runtime->degradations();
             r.repromotions += s.runtime->repromotions();
@@ -761,8 +745,7 @@ RenderSystem::composed_report() const
     r.frames_produced = r.activity.frames_produced;
     r.predicted_frames = r.activity.predicted_frames;
 
-    if (display_monitor_)
-        r.invariant_violations += display_monitor_->violations();
+    r.invariant_violations += display_monitor_->violations();
     if (injector_)
         r.faults_injected = injector_->injected_total();
 
@@ -777,7 +760,6 @@ RenderSystem::activity() const
 {
     RunActivity a;
     a.wall_time = session_end_;
-    a.predictor_overhead = config_.predictor_overhead;
     for (const Surface &s : surfaces_) {
         a.pipeline_busy += s.producer->ui_thread().total_busy() +
                            s.producer->render_thread().total_busy();

@@ -22,7 +22,6 @@
 #define DVS_CORE_RENDER_SYSTEM_H
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,9 +79,6 @@ struct ThermalSpec {
      * workload trips the throttle earlier.
      */
     double envelope_scale = 1.0;
-
-    /** Explicit plant parameters; unset derives them from the device. */
-    std::optional<ThermalParams> params;
 };
 
 /**
@@ -93,13 +89,6 @@ struct DisplaySpec {
     /** Extra-buffer memory budget shared by all surfaces (§6.4), MB. */
     double budget_mb = 0.0;
     ArbiterPolicy policy = ArbiterPolicy::kWeighted;
-
-    /**
-     * Display composition cost charged to the shared GPU per refresh
-     * that latched at least one layer: base + per_layer × layers.
-     */
-    Time compose_base = 200'000;      ///< 0.2 ms
-    Time compose_per_layer = 100'000; ///< 0.1 ms per latched layer
 
     /** Surface the fault plan targets (clamped to the surface range). */
     int fault_surface = 0;
@@ -143,24 +132,12 @@ struct SystemConfig {
     Time vsync_app_offset = 0;
     Time vsync_rs_offset = 0;
 
-    /** Predictor fitting cost (decoupling-aware apps). */
-    Time predictor_overhead = 151'600;
-
-    /** Swap-interval pacing knobs (kPaced mode only). */
-    SwapIntervalConfig pacing;
-
     /**
      * Fault-injection plan for chaos runs; null = no injection. Shared
      * so a sweep can replay one plan across many configurations. A
      * composed display injects into display.fault_surface.
      */
     std::shared_ptr<const FaultPlan> faults;
-
-    /**
-     * Run the always-on invariant monitors (passive; cheap): one per
-     * surface, plus the cross-surface one of a composed display.
-     */
-    bool monitor_invariants = true;
 
     /**
      * Arm the degradation watchdog on every D-VSync runtime. Also armed
@@ -196,7 +173,7 @@ struct SystemConfig {
      */
     GovernorConfig governor;
 
-    /** Composed-display settings (arbiter, composition cost, faults). */
+    /** Composed-display settings (arbiter, fault target). */
     DisplaySpec display;
 
     SystemConfig() : device(pixel5()) {}
@@ -256,26 +233,11 @@ struct SystemConfig {
         vsync_rs_offset = rs;
         return *this;
     }
-    SystemConfig &with_predictor_overhead(Time cost)
-    {
-        predictor_overhead = cost;
-        return *this;
-    }
-    SystemConfig &with_pacing(const SwapIntervalConfig &p)
-    {
-        pacing = p;
-        return *this;
-    }
     SystemConfig &with_faults(std::shared_ptr<const FaultPlan> plan,
                               int surface = 0)
     {
         faults = std::move(plan);
         display.fault_surface = surface;
-        return *this;
-    }
-    SystemConfig &with_monitor_invariants(bool on)
-    {
-        monitor_invariants = on;
         return *this;
     }
     SystemConfig &with_watchdog(bool on)
@@ -318,12 +280,6 @@ struct SystemConfig {
     SystemConfig &with_policy(ArbiterPolicy p)
     {
         display.policy = p;
-        return *this;
-    }
-    SystemConfig &with_compose_cost(Time base, Time per_layer)
-    {
-        display.compose_base = base;
-        display.compose_per_layer = per_layer;
         return *this;
     }
 };
@@ -417,7 +373,7 @@ class RenderSystem
     /** The swap-interval pacer; null unless mode == kPaced. */
     SwapIntervalPacer *pacer() { return at(0).swap_pacer.get(); }
 
-    /** Per-surface invariant monitor; null when monitoring is off. */
+    /** Invariant monitor of surface @p i; always built, never null. */
     InvariantMonitor *monitor(int i = 0) { return at(i).monitor.get(); }
     const InvariantMonitor *monitor(int i = 0) const
     {
@@ -451,7 +407,7 @@ class RenderSystem
     /** Buffer-budget arbiter; null on the single-app device. */
     BufferBudgetArbiter *arbiter() { return arbiter_.get(); }
 
-    /** Cross-surface monitor; null unless composed and monitoring. */
+    /** Cross-surface monitor; null on the single-app device. */
     InvariantMonitor *display_monitor() { return display_monitor_.get(); }
     const InvariantMonitor *display_monitor() const
     {

@@ -49,8 +49,8 @@ struct InvariantViolation {
 };
 
 /**
- * Always-on pipeline invariant checker (opt out per run for release
- * benches via SystemConfig::monitor_invariants).
+ * Always-on pipeline invariant checker: RenderSystem builds one per
+ * surface, plus a cross-surface one on a composed display.
  */
 class InvariantMonitor
 {

@@ -54,9 +54,6 @@ class MetricsRegistry;
 struct GovernorConfig {
     bool enabled = false;
 
-    /** Control cadence; 0 lets the wiring pick 4 refresh periods. */
-    Time control_interval = 0;
-
     /** Demote while the die is at or above this (°C). */
     double temp_demote_c = 43.0;
 

@@ -42,19 +42,6 @@ ExperimentRunner::run_one(const Experiment &point) const
 }
 
 RunReport
-ExperimentRunner::run_task(const Task &task) const
-{
-    FatalThrowsScope recoverable(true);
-    try {
-        return task();
-    } catch (const ConfigError &e) {
-        RunReport failed;
-        failed.error = e.what();
-        return failed;
-    }
-}
-
-RunReport
 ExperimentRunner::run_task(const TaskSpec &task) const
 {
     FatalThrowsScope recoverable(true);
@@ -273,16 +260,6 @@ ExperimentRunner::run_tasks(const std::vector<TaskSpec> &tasks) const
     std::vector<RunReport> reports = sink.take();
     reports.resize(tasks.size());
     return reports;
-}
-
-std::vector<RunReport>
-ExperimentRunner::run_tasks(const std::vector<Task> &tasks) const
-{
-    std::vector<TaskSpec> specs;
-    specs.reserve(tasks.size());
-    for (const Task &task : tasks)
-        specs.push_back(TaskSpec{task, "", ""});
-    return run_tasks(specs);
 }
 
 int

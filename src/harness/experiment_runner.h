@@ -139,18 +139,8 @@ class ExperimentRunner
     std::vector<RunReport>
     run_tasks(const std::vector<TaskSpec> &tasks) const;
 
-    /**
-     * Compatibility shim for bare callables: error slots have empty
-     * label/scenario (the task set nothing before failing). Prefer the
-     * TaskSpec overload, which preserves submission identity.
-     */
-    std::vector<RunReport> run_tasks(const std::vector<Task> &tasks) const;
-
     /** Execute a single point inline on the calling thread. */
     RunReport run_one(const Experiment &point) const;
-
-    /** Execute a single task inline with the ConfigError guard. */
-    RunReport run_task(const Task &task) const;
 
     /** Execute a single labeled task inline (error slots stamped). */
     RunReport run_task(const TaskSpec &task) const;

@@ -7,8 +7,8 @@
 
 namespace dvs {
 
-FrameStats::FrameStats(Producer &producer, Panel &panel, int pipeline_depth)
-    : producer_(producer), pipeline_depth_(pipeline_depth),
+FrameStats::FrameStats(Producer &producer, Panel &panel)
+    : producer_(producer),
       seg_presented_(producer.scenario().size(), 0)
 {
     panel.add_present_listener(
@@ -30,7 +30,7 @@ FrameStats::content_due(Time t) const
         const SegmentState &st = producer_.segment_state(int(i));
         if (st.anchor == kTimeNone)
             continue; // never started producing
-        const Time lag = Time(pipeline_depth_) * st.period;
+        const Time lag = Time(kPipelineDepth) * st.period;
         const Time first = st.anchor + lag;
         if (t < first)
             continue;

@@ -27,6 +27,13 @@
 
 namespace dvs {
 
+/**
+ * Nominal depth of the rendering pipeline in refresh periods: the lag
+ * between a frame's timeline slot and its present (§2: "the end-to-end
+ * rendering procedure usually spans at least two VSync periods").
+ */
+constexpr int kPipelineDepth = 2;
+
 /** One screen refresh as seen by the metrics layer. */
 struct RefreshLog {
     Time time = 0;
@@ -55,11 +62,7 @@ struct ShownFrame {
 class FrameStats
 {
   public:
-    /**
-     * @param pipeline_depth nominal present lag of the architecture in
-     *        refresh periods (2 for the app→RS→display pipeline of §2)
-     */
-    FrameStats(Producer &producer, Panel &panel, int pipeline_depth = 2);
+    FrameStats(Producer &producer, Panel &panel);
 
     // ----- frame drops ------------------------------------------------
 
@@ -117,7 +120,6 @@ class FrameStats
     bool content_due(Time t) const;
 
     Producer &producer_;
-    int pipeline_depth_;
 
     std::uint64_t drops_ = 0;
     std::uint64_t direct_ = 0;

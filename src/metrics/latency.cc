@@ -3,7 +3,7 @@
 namespace dvs {
 
 LatencyBreakdown
-analyze_latency(const FrameStats &stats, Time period, int pipeline_depth)
+analyze_latency(const FrameStats &stats, Time period)
 {
     LatencyBreakdown b;
     const SampleStat &lat = stats.latency();
@@ -14,7 +14,7 @@ analyze_latency(const FrameStats &stats, Time period, int pipeline_depth)
     b.p50_ms = to_ms(Time(lat.percentile(50)));
     b.p95_ms = to_ms(Time(lat.percentile(95)));
     b.max_ms = to_ms(Time(lat.max()));
-    b.floor_ms = to_ms(Time(pipeline_depth) * period);
+    b.floor_ms = to_ms(Time(kPipelineDepth) * period);
     b.above_floor_periods =
         (b.mean_ms - b.floor_ms) / to_ms(period);
 

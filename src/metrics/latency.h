@@ -3,7 +3,7 @@
  * Rendering-latency analysis (§3.3 / §6.3, Fig. 15).
  *
  * Latency of a displayed frame is its present time minus its nominal
- * timeline timestamp. The architectural floor is pipeline_depth refresh
+ * timeline timestamp. The architectural floor is kPipelineDepth refresh
  * periods (2 for the §2 pipeline); buffer stuffing adds one period and
  * drops add the hold time. The breakdown quantifies how far above the
  * floor a run sits — the quantity D-VSync eliminates.
@@ -29,7 +29,7 @@ struct LatencyBreakdown {
     /** Mean over buffer-stuffed frames only. */
     double stuffed_mean_ms = 0.0;
 
-    /** Architectural floor: pipeline_depth × period. */
+    /** Architectural floor: kPipelineDepth × period. */
     double floor_ms = 0.0;
     /** How many periods the mean sits above the floor. */
     double above_floor_periods = 0.0;
@@ -38,10 +38,8 @@ struct LatencyBreakdown {
 /**
  * Analyze the latency of a finished run.
  * @param period the display period of the run
- * @param pipeline_depth the nominal pipeline depth in periods
  */
-LatencyBreakdown analyze_latency(const FrameStats &stats, Time period,
-                                 int pipeline_depth = 2);
+LatencyBreakdown analyze_latency(const FrameStats &stats, Time period);
 
 } // namespace dvs
 

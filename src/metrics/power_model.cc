@@ -28,7 +28,7 @@ PowerModel::dvsync_overhead_mj(const RunActivity &a) const
                            params_.dvsync_overhead_per_frame);
     // Predictor fitting runs on the app side (middle cores).
     mj += params_.active_mw *
-          to_seconds(Time(a.predicted_frames) * a.predictor_overhead);
+          to_seconds(Time(a.predicted_frames) * kPredictorOverhead);
     return mj;
 }
 

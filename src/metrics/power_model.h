@@ -36,6 +36,14 @@
 
 namespace dvs {
 
+/**
+ * UI-stage cost of a frame that runs a registered input predictor: the
+ * map app's ZDP fitting measures 151.6 µs (§6.5). The D-VSync runtime
+ * charges it to the UI thread; the power model bills it as app-side
+ * energy.
+ */
+constexpr Time kPredictorOverhead = 151'600;
+
 /** Model constants (defaults target a Pixel-5-class SoC). */
 struct PowerParams {
     /** Static device power while the screen is on (mW). */
@@ -69,8 +77,6 @@ struct RunActivity {
     bool dvsync_on = false;
     /** Frames that additionally ran an input predictor (ZDP). */
     std::uint64_t predicted_frames = 0;
-    /** Predictor execution time per predicted frame (§6.5: 151.6 µs). */
-    Time predictor_overhead = 151'600;
     /**
      * GPU dynamic energy accounted by the ThermalPlant (mJ); 0 when the
      * plant is off, which keeps the legacy energy model byte-identical.

@@ -7,14 +7,23 @@
 
 namespace dvs {
 
-SwapIntervalPacer::SwapIntervalPacer(SwapIntervalConfig config)
-    : config_(config)
-{
-    if (config.fixed_interval < 0 || config.max_interval < 1)
-        fatal("invalid swap-interval configuration");
-    if (config.fixed_interval > 0)
-        interval_ = config.fixed_interval;
-}
+namespace {
+
+/** Largest interval the pacer will fall back to. */
+constexpr int kMaxInterval = 3;
+
+/** Window of recent frame costs driving the interval decisions. */
+constexpr int kWindow = 12;
+
+/**
+ * The interval rises when the windowed p90 frame cost exceeds
+ * kRaiseThreshold x the current frame budget, and falls when the p90
+ * fits kLowerThreshold x the next smaller budget.
+ */
+constexpr double kRaiseThreshold = 0.95;
+constexpr double kLowerThreshold = 0.70;
+
+} // namespace
 
 void
 SwapIntervalPacer::on_segment_start(int)
@@ -45,10 +54,9 @@ void
 SwapIntervalPacer::on_frame_queued(const FrameRecord &rec)
 {
     recent_cost_ms_.push_back(to_ms(rec.cost.total()));
-    while (int(recent_cost_ms_.size()) > config_.window)
+    while (int(recent_cost_ms_.size()) > kWindow)
         recent_cost_ms_.pop_front();
-    if (config_.fixed_interval == 0)
-        retune();
+    retune();
 }
 
 double
@@ -62,20 +70,18 @@ SwapIntervalPacer::windowed_p90_ms() const
 void
 SwapIntervalPacer::retune()
 {
-    if (int(recent_cost_ms_.size()) < config_.window)
+    if (int(recent_cost_ms_.size()) < kWindow)
         return;
     const double p90 = windowed_p90_ms();
     const double period_ms = to_ms(period_hint_);
     const double budget = double(interval_) * period_ms;
 
-    if (p90 > config_.raise_threshold * budget &&
-        interval_ < config_.max_interval) {
+    if (p90 > kRaiseThreshold * budget && interval_ < kMaxInterval) {
         ++interval_;
         ++changes_;
         debug("swap interval raised to %d (p90 %.2f ms)", interval_, p90);
     } else if (interval_ > 1 &&
-               p90 < config_.lower_threshold *
-                         double(interval_ - 1) * period_ms) {
+               p90 < kLowerThreshold * double(interval_ - 1) * period_ms) {
         --interval_;
         ++changes_;
         debug("swap interval lowered to %d (p90 %.2f ms)", interval_,

@@ -27,34 +27,13 @@
 
 namespace dvs {
 
-/** Auto swap-interval tuning knobs. */
-struct SwapIntervalConfig {
-    /** Fixed swap interval; 0 enables auto mode. */
-    int fixed_interval = 0;
-
-    /** Largest interval auto mode will fall back to. */
-    int max_interval = 3;
-
-    /** Window of recent frame costs driving auto decisions. */
-    int window = 12;
-
-    /**
-     * Auto mode raises the interval when the windowed p90 frame cost
-     * exceeds `raise_threshold` x the current frame budget, and lowers
-     * it when the p90 fits `lower_threshold` x the next smaller budget.
-     */
-    double raise_threshold = 0.95;
-    double lower_threshold = 0.70;
-};
-
 /**
- * A FramePacer that starts one frame every `interval` vsync edges.
+ * A FramePacer that starts one frame every `interval` vsync edges and
+ * tunes the interval to the recent frame costs (Swappy's auto mode).
  */
 class SwapIntervalPacer : public FramePacer
 {
   public:
-    explicit SwapIntervalPacer(SwapIntervalConfig config = {});
-
     const char *name() const override { return "swap-interval"; }
 
     void on_segment_start(int segment_index) override;
@@ -66,14 +45,13 @@ class SwapIntervalPacer : public FramePacer
     /** Swap interval currently in force. */
     int interval() const { return interval_; }
 
-    /** Auto-mode interval changes performed. */
+    /** Interval changes performed. */
     std::uint64_t interval_changes() const { return changes_; }
 
   private:
     void retune();
     double windowed_p90_ms() const;
 
-    SwapIntervalConfig config_;
     int interval_ = 1;
     int edges_since_frame_ = 0;
     std::uint64_t changes_ = 0;

@@ -2,18 +2,23 @@
 
 #include <algorithm>
 
-#include "sim/logging.h"
-
 namespace dvs {
 
+namespace {
+
+/**
+ * Composition cost charged to the shared GPU per refresh that latched
+ * at least one layer: kBaseCost + kPerLayerCost × layers.
+ */
+constexpr Time kBaseCost = 200'000;     // 0.2 ms
+constexpr Time kPerLayerCost = 100'000; // 0.1 ms per layer
+
+} // namespace
+
 MultiSurfaceCompositor::MultiSurfaceCompositor(HwVsyncGenerator &hw,
-                                               ExecResource &gpu,
-                                               Time base_cost,
-                                               Time per_layer_cost)
-    : gpu_(gpu), base_cost_(base_cost), per_layer_cost_(per_layer_cost)
+                                               ExecResource &gpu)
+    : gpu_(gpu)
 {
-    if (base_cost < 0 || per_layer_cost < 0)
-        fatal("composition costs must be >= 0");
     hw.add_listener([this](const VsyncEdge &edge) { on_edge(edge); });
 }
 
@@ -40,10 +45,9 @@ MultiSurfaceCompositor::on_edge(const VsyncEdge &)
     ++compositions_;
     layers_latched_ += std::uint64_t(layers);
     peak_layers_ = std::max(peak_layers_, layers);
-    const Time cost = base_cost_ + per_layer_cost_ * Time(layers);
+    const Time cost = kBaseCost + kPerLayerCost * Time(layers);
     gpu_time_ += cost;
-    if (cost > 0)
-        gpu_.run(cost, [] {});
+    gpu_.run(cost, [] {});
 }
 
 } // namespace dvs

@@ -25,7 +25,8 @@ namespace dvs {
 /**
  * Display-level composition stage: counts the layers latched at each
  * refresh (via the per-surface present fences) and charges the shared
- * GPU the composition cost after the latch pass of every edge.
+ * GPU the composition cost (0.2 ms + 0.1 ms per latched layer) after
+ * the latch pass of every edge.
  */
 class MultiSurfaceCompositor
 {
@@ -34,8 +35,7 @@ class MultiSurfaceCompositor
      * Registers an HW-VSync listener; construct AFTER every Panel so the
      * charge lands once all layers of the edge have latched.
      */
-    MultiSurfaceCompositor(HwVsyncGenerator &hw, ExecResource &gpu,
-                           Time base_cost, Time per_layer_cost);
+    MultiSurfaceCompositor(HwVsyncGenerator &hw, ExecResource &gpu);
 
     /** Observe @p panel as one layer of the display. */
     void observe(Panel &panel);
@@ -56,8 +56,6 @@ class MultiSurfaceCompositor
     void on_edge(const VsyncEdge &edge);
 
     ExecResource &gpu_;
-    Time base_cost_;
-    Time per_layer_cost_;
     int latched_this_edge_ = 0;
     std::uint64_t compositions_ = 0;
     std::uint64_t layers_latched_ = 0;

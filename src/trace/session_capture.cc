@@ -87,64 +87,9 @@ decode_device(ByteReader &r, DeviceConfig &d)
 }
 
 void
-encode_thermal(ByteWriter &w, const ThermalSpec &t)
-{
-    w.u8(t.enabled ? 1 : 0);
-    w.f64(t.envelope_scale);
-    w.u8(t.params.has_value() ? 1 : 0);
-    if (t.params) {
-        const ThermalParams &p = *t.params;
-        w.varint(p.levels.size());
-        for (const DvfsLevel &lvl : p.levels) {
-            w.f64(lvl.clock_ghz);
-            w.f64(lvl.speed);
-            w.f64(lvl.power_mw);
-        }
-        w.f64(p.ambient_c);
-        w.f64(p.start_c);
-        w.f64(p.throttle_c);
-        w.f64(p.release_c);
-        w.f64(p.resistance_c_per_w);
-        w.svarint(p.tau);
-        w.f64(p.coherent_scale);
-    }
-}
-
-void
-decode_thermal(ByteReader &r, ThermalSpec &t)
-{
-    t.enabled = read_bool(r, "thermal.enabled");
-    t.envelope_scale = r.f64();
-    if (read_bool(r, "thermal.has_params")) {
-        ThermalParams p;
-        const std::uint64_t n = r.count(24);
-        p.levels.clear();
-        p.levels.reserve(n);
-        for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-            DvfsLevel lvl;
-            lvl.clock_ghz = r.f64();
-            lvl.speed = r.f64();
-            lvl.power_mw = r.f64();
-            p.levels.push_back(lvl);
-        }
-        p.ambient_c = r.f64();
-        p.start_c = r.f64();
-        p.throttle_c = r.f64();
-        p.release_c = r.f64();
-        p.resistance_c_per_w = r.f64();
-        p.tau = r.svarint();
-        p.coherent_scale = r.f64();
-        t.params = p;
-    } else {
-        t.params.reset();
-    }
-}
-
-void
 encode_governor(ByteWriter &w, const GovernorConfig &g)
 {
     w.u8(g.enabled ? 1 : 0);
-    w.svarint(g.control_interval);
     w.f64(g.temp_demote_c);
     w.f64(g.temp_promote_c);
     w.f64(g.energy_budget_mw);
@@ -158,7 +103,6 @@ void
 decode_governor(ByteReader &r, GovernorConfig &g)
 {
     g.enabled = read_bool(r, "governor.enabled");
-    g.control_interval = r.svarint();
     g.temp_demote_c = r.f64();
     g.temp_promote_c = r.f64();
     g.energy_budget_mw = r.f64();
@@ -169,9 +113,10 @@ decode_governor(ByteReader &r, GovernorConfig &g)
 }
 
 void
-encode_config(ByteWriter &w, const SystemConfig &c,
-              const std::vector<SurfaceCapture> &surfaces)
+encode_config(ByteWriter &w, const SessionCapture &cap)
 {
+    const SystemConfig &c = cap.config;
+    w.u8(std::uint8_t(cap.kind));
     encode_device(w, c.device);
     w.u8(std::uint8_t(c.mode));
     w.svarint(c.buffers);
@@ -182,25 +127,17 @@ encode_config(ByteWriter &w, const SystemConfig &c,
     w.svarint(c.latch_lead);
     w.svarint(c.vsync_app_offset);
     w.svarint(c.vsync_rs_offset);
-    w.svarint(c.predictor_overhead);
-    w.svarint(c.pacing.fixed_interval);
-    w.svarint(c.pacing.max_interval);
-    w.svarint(c.pacing.window);
-    w.f64(c.pacing.raise_threshold);
-    w.f64(c.pacing.lower_threshold);
-    w.u8(c.monitor_invariants ? 1 : 0);
     w.u8(c.watchdog ? 1 : 0);
     w.u8(c.forensics ? 1 : 0);
     w.svarint(c.metrics_interval);
-    encode_thermal(w, c.thermal);
+    w.u8(c.thermal.enabled ? 1 : 0);
+    w.f64(c.thermal.envelope_scale);
     encode_governor(w, c.governor);
     // display.fault_surface travels with the plan, in FALT.
     w.f64(c.display.budget_mb);
     w.u8(std::uint8_t(c.display.policy));
-    w.svarint(c.display.compose_base);
-    w.svarint(c.display.compose_per_layer);
-    w.varint(surfaces.size());
-    for (const SurfaceCapture &s : surfaces) {
+    w.varint(cap.surfaces.size());
+    for (const SurfaceCapture &s : cap.surfaces) {
         w.str(s.name);
         w.u8(s.dvsync_aware ? 1 : 0);
         w.f64(s.buffer_mb);
@@ -211,9 +148,10 @@ encode_config(ByteWriter &w, const SystemConfig &c,
 }
 
 void
-decode_config(ByteReader &r, SystemConfig &c,
-              std::vector<SurfaceCapture> &surfaces)
+decode_config(ByteReader &r, SessionCapture &cap)
 {
+    SystemConfig &c = cap.config;
+    cap.kind = read_enum<SessionCapture::Kind>(r, 2, "capture kind");
     decode_device(r, c.device);
     c.mode = read_enum<RenderMode>(r, 3, "render mode");
     c.buffers = int(r.svarint());
@@ -224,24 +162,17 @@ decode_config(ByteReader &r, SystemConfig &c,
     c.latch_lead = r.svarint();
     c.vsync_app_offset = r.svarint();
     c.vsync_rs_offset = r.svarint();
-    c.predictor_overhead = r.svarint();
-    c.pacing.fixed_interval = int(r.svarint());
-    c.pacing.max_interval = int(r.svarint());
-    c.pacing.window = int(r.svarint());
-    c.pacing.raise_threshold = r.f64();
-    c.pacing.lower_threshold = r.f64();
-    c.monitor_invariants = read_bool(r, "monitor_invariants");
     c.watchdog = read_bool(r, "watchdog");
     c.forensics = read_bool(r, "forensics");
     c.metrics_interval = r.svarint();
-    decode_thermal(r, c.thermal);
+    c.thermal.enabled = read_bool(r, "thermal.enabled");
+    c.thermal.envelope_scale = r.f64();
     decode_governor(r, c.governor);
     c.display.budget_mb = r.f64();
     c.display.policy = read_enum<ArbiterPolicy>(r, 2, "arbiter policy");
-    c.display.compose_base = r.svarint();
-    c.display.compose_per_layer = r.svarint();
     c.faults.reset(); // FALT section reinstalls a recorded plan
     const std::uint64_t n = r.count(20);
+    std::vector<SurfaceCapture> &surfaces = cap.surfaces;
     surfaces.clear();
     surfaces.reserve(n);
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -450,15 +381,14 @@ SessionCapture::encode() const
     ByteWriter w;
     w.raw(kMagic, 4);
     w.u16(kSchemaVersion);
-    w.u8(std::uint8_t(kind));
-    w.u8(0); // reserved
+    w.u16(0); // reserved
 
     w.begin_section(kTagMeta);
     encode_meta(w, *this, plan ? kMapFaults : 0);
     w.end_section();
 
     w.begin_section(kTagConf);
-    encode_config(w, config, surfaces);
+    encode_config(w, *this);
     w.end_section();
 
     if (plan) {
@@ -500,13 +430,7 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
                 std::to_string(kSchemaVersion) + ")";
         return false;
     }
-    const std::uint8_t kind_byte = std::uint8_t(bytes[6]);
-    if (kind_byte > 1) {
-        error = "bad capture kind byte " + std::to_string(kind_byte);
-        return false;
-    }
-    cap.kind = Kind(kind_byte);
-    if (std::uint8_t(bytes[7]) != 0) {
+    if (bytes[6] != 0 || bytes[7] != 0) {
         error = "nonzero reserved header byte";
         return false;
     }
@@ -563,7 +487,7 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
                 error = "CONF section out of order or duplicated";
                 return false;
             }
-            decode_config(r, cap.config, cap.surfaces);
+            decode_config(r, cap);
             stage = kWantSegs;
         } else if (tag_is(tag, kTagFaults)) {
             if (stage != kWantSegs || have_faults) {
@@ -630,8 +554,7 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
         cap.config.faults = plan;
         cap.config.display.fault_surface = fault_surface;
     }
-    // The header's kind byte lies outside every CRC; a capture replay
-    // could not assemble is malformed, whichever byte made it so.
+    // A capture replay could not assemble is malformed.
     const std::string unbuildable = RenderSystem::config_error(
         cap.config, cap.kind == Kind::kMulti, cap.surfaces.size());
     if (!unbuildable.empty()) {

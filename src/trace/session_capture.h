@@ -12,15 +12,16 @@
  * recording the table of values a segment *can* query reproduces the
  * run exactly without recording scheduler state.
  *
- * File format (.dvst), schema version 3:
+ * File format (.dvst), schema version 4:
  *
- *   "DVST"  u16 version  u8 kind (0 single / 1 multi)  u8 reserved(0)
+ *   "DVST"  u16 version  u16 reserved(0)
  *   then sections, each:  4-byte tag | u32 payload len | payload | u32 CRC
  *
  *   META  provenance: section map, label, verbatim flag, source dispatch
  *         hash + report fingerprint, transform lineage
- *   CONF  every SystemConfig field (display.fault_surface travels in
- *         FALT) + the surface descriptors, for both device kinds
+ *   CONF  the device kind (0 single / 1 multi), every SystemConfig field
+ *         (display.fault_surface travels in FALT) and the surface
+ *         descriptors, for both device kinds
  *   FALT  fault plan windows (optional; absent = no injection)
  *   SEGS  one scenario per surface: per-segment kind/duration/label,
  *         dense cost table, touch events
@@ -93,7 +94,7 @@ struct SurfaceCapture {
  * A complete recorded session, loadable/savable as .dvst.
  */
 struct SessionCapture {
-    static constexpr std::uint16_t kSchemaVersion = 3;
+    static constexpr std::uint16_t kSchemaVersion = 4;
 
     /** Device kind: the RenderSystem constructor replay must use. */
     enum class Kind : std::uint8_t { kSingle = 0, kMulti = 1 };

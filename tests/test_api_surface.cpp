@@ -107,14 +107,13 @@ TEST(ApiSurface, PredictorOverheadAppearsInFrameCosts)
 
     SystemConfig cfg;
     cfg.mode = RenderMode::kDvsync;
-    cfg.predictor_overhead = 500_us;
     RenderSystem sys(cfg, sc);
     sys.runtime()->register_predictor("scroll",
                                       std::make_shared<LinearPredictor>());
     sys.run();
 
     for (const auto &rec : sys.producer().records())
-        EXPECT_EQ(rec.cost.ui_time, 2_ms + 500_us);
+        EXPECT_EQ(rec.cost.ui_time, 2_ms + kPredictorOverhead);
 }
 
 TEST(ApiSurface, SkipSlotsClampsAndIgnoresBadInput)

@@ -110,16 +110,15 @@ record_multi(RunReport *report = nullptr)
 
 /** A deliberately tiny capture to keep the fuzz loop fast. */
 SessionCapture
-tiny_capture()
+tiny_capture(RenderMode mode = RenderMode::kDvsync)
 {
     auto cost = std::make_shared<ConstantCostModel>(1_ms, 3_ms);
     Scenario sc("tiny");
     sc.animate(60_ms, cost);
-    SystemConfig cfg;
-    cfg.mode = RenderMode::kDvsync;
-    RenderSystem sys(cfg, sc);
+    RenderSystem sys(SystemConfig().with_mode(mode), sc);
     sys.run();
-    return SessionRecorder::capture(sys, "tiny");
+    return SessionRecorder::capture(
+        sys, std::string("tiny-") + to_string(mode));
 }
 
 /** The composed-display twin of tiny_capture(), with a fault plan. */
@@ -510,8 +509,6 @@ TEST(Capture, ComposedDisplaySettingsSurviveVerifiedCapture)
     } cases[] = {
         {"dtv_calibration_interval",
          [](SystemConfig &c) { c.dtv_calibration_interval = 4; }},
-        {"predictor_overhead",
-         [](SystemConfig &c) { c.predictor_overhead = 0; }},
         {"vsync_app_offset",
          [](SystemConfig &c) { c.vsync_app_offset = 1_ms; }},
         {"vsync_rs_offset",
@@ -532,7 +529,6 @@ TEST(Capture, ComposedDisplaySettingsSurviveVerifiedCapture)
             << error;
         EXPECT_EQ(loaded.config.dtv_calibration_interval,
                   cfg.dtv_calibration_interval);
-        EXPECT_EQ(loaded.config.predictor_overhead, cfg.predictor_overhead);
         EXPECT_EQ(loaded.config.vsync_app_offset, cfg.vsync_app_offset);
         EXPECT_EQ(loaded.config.vsync_rs_offset, cfg.vsync_rs_offset);
         std::remove(path.c_str());
@@ -754,10 +750,11 @@ TEST(Loader, RejectsBadMagicAndLeavesOutputUntouched)
 
 TEST(Loader, RejectsVersionSkewNamingBothVersions)
 {
-    static_assert(SessionCapture::kSchemaVersion == 3);
-    // Version 2 is the retired format (it stored per-frame samples and
-    // a separate composed-display config section); 4 is from the future.
-    for (char version : {char(2), char(4)}) {
+    static_assert(SessionCapture::kSchemaVersion == 4);
+    // Version 3 is the retired format (it kept the device kind in the
+    // header, outside every CRC, and stored the knobs that are now
+    // constants); 5 is from the future.
+    for (char version : {char(3), char(5)}) {
         std::string bytes = tiny_capture().encode();
         bytes[4] = version; // u16 LE version low byte
         SessionCapture out;
@@ -767,7 +764,7 @@ TEST(Loader, RejectsVersionSkewNamingBothVersions)
         EXPECT_NE(error.find(std::to_string(int(version))),
                   std::string::npos)
             << error;
-        EXPECT_NE(error.find("reads version 3"), std::string::npos) << error;
+        EXPECT_NE(error.find("reads version 4"), std::string::npos) << error;
     }
 }
 
@@ -849,9 +846,13 @@ TEST(Loader, RejectsTrailingGarbage)
 TEST(Loader, EverySingleByteMutationFailsCleanly)
 {
     // Both device kinds; the composed capture also covers CONF's
-    // surface list and a FALT section aimed at its second surface.
+    // surface list and a FALT section aimed at its second surface. The
+    // default-settings VSync capture is also a valid one-surface
+    // composed configuration, so only the CRC over CONF's kind byte
+    // keeps a flipped kind from loading as the other device.
     for (const SessionCapture &cap :
-         {tiny_capture(), tiny_composed_capture()}) {
+         {tiny_capture(), tiny_capture(RenderMode::kVsync),
+          tiny_composed_capture()}) {
         SCOPED_TRACE(cap.label);
         ASSERT_EQ(cap.config.faults != nullptr,
                   cap.kind == SessionCapture::Kind::kMulti);

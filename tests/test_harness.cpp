@@ -377,7 +377,6 @@ TEST(SystemConfig, FluentSettersMatchMutation)
     mutated.latch_lead = 2_ms;
     mutated.vsync_app_offset = 1_ms;
     mutated.vsync_rs_offset = 500_us;
-    mutated.predictor_overhead = 100'000;
 
     const SystemConfig fluent =
         SystemConfig()
@@ -389,8 +388,7 @@ TEST(SystemConfig, FluentSettersMatchMutation)
             .with_vsync_jitter(300_us)
             .with_dtv_calibration_interval(4)
             .with_latch_lead(2_ms)
-            .with_offsets(1_ms, 500_us)
-            .with_predictor_overhead(100'000);
+            .with_offsets(1_ms, 500_us);
 
     // Equivalence is observable: both configurations produce identical
     // reports on the same scenario.

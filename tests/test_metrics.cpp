@@ -115,8 +115,8 @@ TEST(Stutter, TrailingRunFlushedByFinish)
 TEST(Power, EnergyScalesWithBusyTime)
 {
     PowerModel pm;
-    RunActivity idle{10_s, 0, 0, false, 0, 151'600};
-    RunActivity busy{10_s, 2_s, 600, false, 0, 151'600};
+    RunActivity idle{10_s, 0, 0, false, 0};
+    RunActivity busy{10_s, 2_s, 600, false, 0};
     EXPECT_GT(pm.energy_mj(busy), pm.energy_mj(idle));
     EXPECT_NEAR(pm.energy_mj(idle), pm.params().base_mw * 10.0, 1e-6);
 }
@@ -152,7 +152,7 @@ TEST(Power, PercentIncreaseIsNanOnAnEmptyBaseline)
     // never as 0% which would mask it.
     PowerModel pm;
     RunActivity empty;
-    RunActivity busy{10_s, 2_s, 600, false, 0, 151'600};
+    RunActivity busy{10_s, 2_s, 600, false, 0};
     EXPECT_TRUE(std::isnan(pm.percent_increase(empty, busy)));
     EXPECT_TRUE(std::isnan(pm.percent_increase(empty, empty)));
     // A valid baseline still answers, even against an empty subject.
@@ -164,8 +164,8 @@ TEST(Power, InstructionOverheadMatchesPaper)
 {
     // §6.7: 10.793M vs 10.849M instructions per frame => +0.52%.
     PowerModel pm;
-    RunActivity a{1_s, 0, 1000, false, 0, 151'600};
-    RunActivity b{1_s, 0, 1000, true, 0, 151'600};
+    RunActivity a{1_s, 0, 1000, false, 0};
+    RunActivity b{1_s, 0, 1000, true, 0};
     const double increase =
         100.0 * (pm.instructions(b) - pm.instructions(a)) /
         pm.instructions(a);

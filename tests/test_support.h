@@ -33,7 +33,7 @@ inline void
 expect_no_invariant_violations(RenderSystem &sys)
 {
     const InvariantMonitor *m = sys.monitor();
-    ASSERT_NE(m, nullptr) << "run built with monitor_invariants=false";
+    ASSERT_NE(m, nullptr) << "RenderSystem built no invariant monitor";
     EXPECT_EQ(m->violations(), 0u);
     for (const InvariantViolation &v : m->log()) {
         ADD_FAILURE() << "t=" << v.time << " [" << v.invariant << "] "

@@ -212,7 +212,6 @@ TEST(MultiSurface, SingleAppDeviceRejectsDisplaySettings)
     const SystemConfig rejected[] = {
         SystemConfig().with_budget_mb(12.0),
         SystemConfig().with_policy(ArbiterPolicy::kEqualSplit),
-        SystemConfig().with_compose_cost(0, 0),
         SystemConfig().with_faults(
             std::make_shared<const FaultPlan>(FaultPlan::generate(
                 1, 600_ms, FaultMix::everything())),
@@ -382,15 +381,16 @@ TEST(MultiSurface, DebugStringCarriesSurfaceLines)
 
 TEST(MultiSurface, HarnessRunsSessionsAsTasks)
 {
-    std::vector<ExperimentRunner::Task> tasks;
+    std::vector<ExperimentRunner::TaskSpec> tasks;
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        tasks.push_back([seed] {
-            RunReport r = run_experiment(
+        ExperimentRunner::TaskSpec task;
+        task.run = [seed] {
+            return run_experiment(
                 SystemConfig().with_budget_mb(24.0).with_seed(seed),
                 two_aware_surfaces());
-            r.label = "seed" + std::to_string(seed);
-            return r;
-        });
+        };
+        task.label = "seed" + std::to_string(seed);
+        tasks.push_back(std::move(task));
     }
     const std::vector<RunReport> parallel =
         ExperimentRunner(4).run_tasks(tasks);

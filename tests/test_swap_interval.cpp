@@ -23,40 +23,62 @@ animation(std::shared_ptr<const FrameCostModel> cost, Time duration = 1_s)
     return sc;
 }
 
+/**
+ * Every frame takes ~1.3 periods (60 Hz is unreachable), so the pacer
+ * raises the interval to 2 once it has a full window of frame costs and
+ * holds it there.
+ */
+std::shared_ptr<const FrameCostModel>
+over_budget()
+{
+    return std::make_shared<ConstantCostModel>(4_ms, 18_ms);
+}
+
+/**
+ * By this time the pacer has filled its window at interval 1 and
+ * settled at 2, and the frames started at interval 1 have presented.
+ */
+constexpr Time kSettled = 500'000'000;
+
 } // namespace
 
-TEST(SwapInterval, FixedIntervalHalvesRate)
+TEST(SwapInterval, SettledIntervalHalvesRate)
 {
-    auto cost = std::make_shared<ConstantCostModel>(1_ms, 4_ms);
     SystemConfig cfg;
     cfg.mode = RenderMode::kPaced;
-    cfg.pacing.fixed_interval = 2;
-    RenderSystem sys(cfg, animation(cost));
+    RenderSystem sys(cfg, animation(over_budget(), 2_s));
     sys.run();
 
     ASSERT_NE(sys.pacer(), nullptr);
     EXPECT_EQ(sys.pacer()->interval(), 2);
-    // ~30 presents per second on the 60 Hz panel.
-    EXPECT_NEAR(sys.stats().fps(), 30.0, 2.0);
+    EXPECT_EQ(sys.pacer()->interval_changes(), 1u);
 
-    // Presents land exactly two periods apart: a steady cadence.
+    // Once settled, presents land exactly two periods apart: a steady
+    // ~30 Hz cadence on the 60 Hz panel.
     Time prev = kTimeNone;
+    int settled_presents = 0;
     for (const ShownFrame &f : sys.stats().shown()) {
+        if (f.present_time < kSettled)
+            continue;
+        ++settled_presents;
         if (prev != kTimeNone) {
             EXPECT_EQ(f.present_time - prev, 2 * 16'666'666);
         }
         prev = f.present_time;
     }
+    EXPECT_NEAR(settled_presents / to_seconds(2_s - kSettled), 30.0, 2.0);
 }
 
 TEST(SwapInterval, IntervalOneBehavesLikeVsync)
 {
+    // Light frames fit every period, so the interval never leaves 1.
     auto cost = std::make_shared<ConstantCostModel>(1_ms, 4_ms);
     SystemConfig paced;
     paced.mode = RenderMode::kPaced;
-    paced.pacing.fixed_interval = 1;
     RenderSystem a(paced, animation(cost));
     a.run();
+    EXPECT_EQ(a.pacer()->interval(), 1);
+    EXPECT_EQ(a.pacer()->interval_changes(), 0u);
 
     SystemConfig vsync;
     RenderSystem b(vsync, animation(cost));
@@ -68,12 +90,10 @@ TEST(SwapInterval, IntervalOneBehavesLikeVsync)
 
 TEST(SwapInterval, AutoModeRaisesIntervalUnderSustainedLoad)
 {
-    // Every frame takes ~1.3 periods: 60 Hz is unreachable; auto pacing
-    // settles at interval 2 (steady 30 Hz).
-    auto cost = std::make_shared<ConstantCostModel>(4_ms, 18_ms);
+    // Auto pacing settles at interval 2 (steady 30 Hz).
     SystemConfig cfg;
     cfg.mode = RenderMode::kPaced;
-    RenderSystem sys(cfg, animation(cost, 2_s));
+    RenderSystem sys(cfg, animation(over_budget(), 2_s));
     sys.run();
 
     EXPECT_EQ(sys.pacer()->interval(), 2);
@@ -85,10 +105,9 @@ TEST(SwapInterval, AutoModeRaisesIntervalUnderSustainedLoad)
 TEST(SwapInterval, AutoModeLowersIntervalWhenLoadLifts)
 {
     // Heavy first half, light second half: the interval comes back down.
-    auto cost = std::make_shared<ConstantCostModel>(4_ms, 18_ms);
     auto light = std::make_shared<ConstantCostModel>(1_ms, 3_ms);
     Scenario sc("t");
-    sc.animate(1_s, cost).animate(2_s, light);
+    sc.animate(1_s, over_budget()).animate(2_s, light);
     SystemConfig cfg;
     cfg.mode = RenderMode::kPaced;
     RenderSystem sys(cfg, sc);
@@ -101,13 +120,18 @@ TEST(SwapInterval, CadenceIsNotPerceivedAsStutter)
 {
     // The point of pacing: a steady half-rate cadence produces no
     // perceived stutters even though every other refresh repeats.
-    auto cost = std::make_shared<ConstantCostModel>(4_ms, 18_ms);
     SystemConfig cfg;
     cfg.mode = RenderMode::kPaced;
-    cfg.pacing.fixed_interval = 2;
-    RenderSystem sys(cfg, animation(cost, 2_s));
+    RenderSystem sys(cfg, animation(over_budget(), 2_s));
     sys.run();
-    EXPECT_EQ(count_stutters(sys.stats()), 0u);
+    ASSERT_EQ(sys.pacer()->interval(), 2);
+    StutterDetector settled;
+    for (const RefreshLog &r : sys.stats().refreshes()) {
+        if (r.time >= kSettled)
+            settled.on_refresh(r.time, r.drop);
+    }
+    settled.finish();
+    EXPECT_EQ(settled.stutters(), 0u);
     // But the conceded refreshes count as drops (the paper's point:
     // "50 FPS without G-Sync implies 10 janks on a 60 Hz screen").
     EXPECT_GT(sys.stats().frame_drops(), 50u);
