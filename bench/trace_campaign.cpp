@@ -204,13 +204,12 @@ main(int argc, char **argv)
     ArgParser args(argc, argv);
     const std::string corpus = args.string_flag("corpus", "traces");
     const bool golden = args.bool_flag("golden");
-    std::string out_path = args.string_flag("out", "BENCH_trace.json");
+    const std::string out_flag = args.string_flag("out", "BENCH_trace.json");
     const std::string extra_dir = args.string_flag("write-extra");
     const std::string synth_dir = args.string_flag("record-synthetics");
     const int jobs = args.jobs();
     args.finish();
-    if (golden)
-        out_path = "-";
+    const std::string out_path = golden ? "-" : out_flag;
 
     if (!synth_dir.empty()) {
         record_synthetics(synth_dir);

@@ -15,14 +15,21 @@
 #                             # dir; guards the ExperimentRunner workers,
 #                             # OrderedDelivery, the TeeSink fan-out and
 #                             # concurrent capture encode/decode)
+#   scripts/ci.sh --release   # the plain checks on a Release build
+#                             # (separate build dir): the optimizer's
+#                             # inlining surfaces warnings the default
+#                             # RelWithDebInfo build never sees, and
+#                             # perfbench builds Release
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SANITIZE=OFF
+BUILD_TYPE=
 for arg in "$@"; do
     case "$arg" in
         --sanitize) SANITIZE=address ;;
         --tsan) SANITIZE=thread ;;
+        --release) BUILD_TYPE=Release ;;
         *) echo "unknown argument: $arg" >&2; exit 2 ;;
     esac
 done
@@ -30,8 +37,20 @@ done
 case "$SANITIZE" in
     address) BUILD_DIR="${BUILD_DIR:-build-sanitize}" ;;
     thread)  BUILD_DIR="${BUILD_DIR:-build-tsan}" ;;
-    *)       BUILD_DIR="${BUILD_DIR:-build}" ;;
+    *)       if [[ "$BUILD_TYPE" == Release ]]; then
+                 BUILD_DIR="${BUILD_DIR:-build-release}"
+             else
+                 BUILD_DIR="${BUILD_DIR:-build}"
+             fi ;;
 esac
+CONFIGURE=(-DDVS_WERROR=ON)
+if [[ -n "$BUILD_TYPE" ]]; then
+    if [[ "$SANITIZE" != OFF ]]; then
+        echo "--release does not combine with a sanitizer build" >&2
+        exit 2
+    fi
+    CONFIGURE+=(-DCMAKE_BUILD_TYPE="$BUILD_TYPE")
+fi
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 if [[ "$SANITIZE" == thread ]]; then
@@ -42,7 +61,7 @@ if [[ "$SANITIZE" == thread ]]; then
     # several threads at once), plus a multi-job chaos smoke. Each
     # simulation is single-threaded, so the full suite under TSan would
     # mostly re-run serial code at 5-15x slowdown for no extra coverage.
-    cmake -B "$BUILD_DIR" -S . -DDVS_WERROR=ON -DDVS_SANITIZE=thread
+    cmake -B "$BUILD_DIR" -S . "${CONFIGURE[@]}" -DDVS_SANITIZE=thread
     cmake --build "$BUILD_DIR" -j"$JOBS"
     (cd "$BUILD_DIR" \
         && ctest --output-on-failure -j"$JOBS" \
@@ -52,7 +71,7 @@ if [[ "$SANITIZE" == thread ]]; then
     exit 0
 fi
 
-cmake -B "$BUILD_DIR" -S . -DDVS_WERROR=ON -DDVS_SANITIZE="$SANITIZE"
+cmake -B "$BUILD_DIR" -S . "${CONFIGURE[@]}" -DDVS_SANITIZE="$SANITIZE"
 cmake --build "$BUILD_DIR" -j"$JOBS"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$JOBS")
 

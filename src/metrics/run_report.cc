@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <type_traits>
+
+#include "sim/fnv.h"
 
 namespace dvs {
 
@@ -81,58 +84,64 @@ RunReport::averaged(const std::vector<RunReport> &runs)
 
 namespace {
 
-// debug_string() formatting. Each overload writes what its printf
-// conversion did: %s (a string ends at its first NUL), %d/%lld/%llu, and
-// %.17g, which std::to_chars in general format at precision 17 is
-// specified to match, nan/inf spellings included.
+// debug_string() formatting, templated over its sink: a std::string, or
+// an Fnv1a that hashes the same bytes without building the string
+// (fingerprint()). Each overload writes what its printf conversion did:
+// %s (a string ends at its first NUL), %d/%lld/%llu, and %.17g, which
+// std::to_chars in general format at precision 17 is specified to match,
+// nan/inf spellings included.
 
+template <class Sink>
 void
-put(std::string &out, const char *s)
+put(Sink &out, const char *s)
 {
-    out += s;
+    out.append(s, std::strlen(s));
 }
 
+template <class Sink>
 void
-put(std::string &out, const std::string &s)
+put(Sink &out, const std::string &s)
 {
-    out += s.c_str();
+    put(out, s.c_str());
 }
 
+template <class Sink>
 void
-put(std::string &out, double v)
+put(Sink &out, double v)
 {
     char buf[32];
     const auto r = std::to_chars(buf, buf + sizeof buf, v,
                                  std::chars_format::general, 17);
-    out.append(buf, r.ptr);
+    out.append(buf, std::size_t(r.ptr - buf));
 }
 
-template <typename T>
+template <class Sink, typename T>
     requires std::is_integral_v<T> && (!std::is_same_v<T, bool>)
 void
-put(std::string &out, T v)
+put(Sink &out, T v)
 {
     char buf[24];
     const auto r = std::to_chars(buf, buf + sizeof buf, v);
-    out.append(buf, r.ptr);
+    out.append(buf, std::size_t(r.ptr - buf));
 }
 
-template <typename... Args>
+template <class Sink, typename... Args>
 void
-append(std::string &out, const Args &...args)
+append(Sink &out, const Args &...args)
 {
     (put(out, args), ...);
 }
 
+template <class Sink>
 void
-append_causes(std::string &out,
+append_causes(Sink &out,
               const std::array<std::uint64_t, kDropCauseCount> &causes,
               std::uint64_t injected)
 {
     // Legacy causes print unconditionally; causes added later
     // (thermal/governor) only when nonzero, so runs that cannot produce
     // them stay byte-identical to pre-existing goldens.
-    out += " causes=[";
+    put(out, " causes=[");
     for (int c = 0; c < kDropCauseCount; ++c) {
         if (c >= kDropCauseLegacyCount && causes[c] == 0)
             continue;
@@ -141,49 +150,47 @@ append_causes(std::string &out,
     append(out, "] injected_drops=", injected);
 }
 
-} // namespace
-
-std::string
-RunReport::debug_string() const
+template <class Sink>
+void
+format(Sink &out, const RunReport &r)
 {
     // %.17g round-trips doubles exactly, so equal strings <=> equal
     // reports bit for bit.
-    std::string out;
-    append(out, "label=", label, " scenario=", scenario,
-           " mode=", config.mode, " device=", config.device,
-           " hz=", config.refresh_hz, " buffers=", config.buffers,
-           " limit=", config.prerender_limit, " seed=", config.seed,
-           " fdps=", fdps, " fd%=", fd_percent, " fps=", fps,
-           " drops=", drops, " due=", frames_due, " presents=", presents,
-           " direct=", direct, " stuffed=", stuffed);
-    append(out, " lat(ms)=[", latency_mean_ms, " ", latency_p50_ms, " ",
-           latency_p95_ms, " ", latency_p99_ms, " ", latency_max_ms,
-           "] stutters=", stutters, " deadline_misses=", deadline_misses,
-           " wall=", activity.wall_time, " busy=", activity.pipeline_busy,
-           " produced=", activity.frames_produced,
-           " predicted=", activity.predicted_frames,
-           " dvsync=", int(activity.dvsync_on), " energy_mj=", energy_mj,
-           " repeats=", repeats);
-    append(out, " violations=", invariant_violations,
-           " faults=", faults_injected, " degradations=", degradations,
-           " repromotions=", repromotions, " resyncs=", dtv_resyncs,
+    append(out, "label=", r.label, " scenario=", r.scenario,
+           " mode=", r.config.mode, " device=", r.config.device,
+           " hz=", r.config.refresh_hz, " buffers=", r.config.buffers,
+           " limit=", r.config.prerender_limit, " seed=", r.config.seed,
+           " fdps=", r.fdps, " fd%=", r.fd_percent, " fps=", r.fps,
+           " drops=", r.drops, " due=", r.frames_due,
+           " presents=", r.presents, " direct=", r.direct,
+           " stuffed=", r.stuffed);
+    append(out, " lat(ms)=[", r.latency_mean_ms, " ", r.latency_p50_ms,
+           " ", r.latency_p95_ms, " ", r.latency_p99_ms, " ",
+           r.latency_max_ms, "] stutters=", r.stutters,
+           " deadline_misses=", r.deadline_misses,
+           " wall=", r.activity.wall_time,
+           " busy=", r.activity.pipeline_busy,
+           " produced=", r.activity.frames_produced,
+           " predicted=", r.activity.predicted_frames,
+           " dvsync=", int(r.activity.dvsync_on),
+           " energy_mj=", r.energy_mj, " repeats=", r.repeats);
+    append(out, " violations=", r.invariant_violations,
+           " faults=", r.faults_injected, " degradations=", r.degradations,
+           " repromotions=", r.repromotions, " resyncs=", r.dtv_resyncs,
            " error=");
-    if (error.empty())
-        out += "-";
-    else
-        put(out, error);
-    append_causes(out, drop_causes, drops_injected);
-    if (thermal_on)
-        append(out, " thermal=[peak_c=", peak_temp_c,
-               " final_c=", final_temp_c, " trips=", thermal_trips,
-               " dvfs_end=", dvfs_level_end, " gpu_mj=", gpu_energy_mj,
-               "] governor=[demotions=", governor_demotions,
-               " promotions=", governor_promotions,
-               " rung_end=", governor_rung_end, "]");
-    if (!surfaces.empty()) {
-        append(out, " budget_mb=", budget_mb, " used_mb=", budget_used_mb,
-               " rearb=", rearbitrations);
-        for (const SurfaceReport &s : surfaces) {
+    put(out, r.error.empty() ? "-" : r.error.c_str());
+    append_causes(out, r.drop_causes, r.drops_injected);
+    if (r.thermal_on)
+        append(out, " thermal=[peak_c=", r.peak_temp_c,
+               " final_c=", r.final_temp_c, " trips=", r.thermal_trips,
+               " dvfs_end=", r.dvfs_level_end, " gpu_mj=", r.gpu_energy_mj,
+               "] governor=[demotions=", r.governor_demotions,
+               " promotions=", r.governor_promotions,
+               " rung_end=", r.governor_rung_end, "]");
+    if (!r.surfaces.empty()) {
+        append(out, " budget_mb=", r.budget_mb, " used_mb=", r.budget_used_mb,
+               " rearb=", r.rearbitrations);
+        for (const SurfaceReport &s : r.surfaces) {
             append(out, "\n  surface=", s.name, " mode=", s.mode,
                    " buffers=", s.buffers, " extra=", s.extra_buffers,
                    " mb=", s.buffer_mb, " fdps=", s.fdps,
@@ -196,11 +203,29 @@ RunReport::debug_string() const
             append_causes(out, s.drop_causes, s.drops_injected);
         }
     }
-    for (const std::string &t : timeline) {
-        out += "\n  ";
-        out += t;
+    // Timeline lines are written whole, NULs included.
+    for (const std::string &t : r.timeline) {
+        put(out, "\n  ");
+        out.append(t.data(), t.size());
     }
+}
+
+} // namespace
+
+std::string
+RunReport::debug_string() const
+{
+    std::string out;
+    format(out, *this);
     return out;
+}
+
+std::uint64_t
+RunReport::fingerprint() const
+{
+    Fnv1a h;
+    format(h, *this);
+    return h.value();
 }
 
 } // namespace dvs

@@ -181,6 +181,12 @@ struct RunReport {
      */
     std::string debug_string() const;
 
+    /**
+     * fnv1a(debug_string()) — the report fingerprint a .dvst capture
+     * records — hashed as it is formatted, without building the string.
+     */
+    std::uint64_t fingerprint() const;
+
     friend bool operator==(const RunReport &, const RunReport &) = default;
 };
 

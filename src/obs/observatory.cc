@@ -309,15 +309,14 @@ Observatory::summary() const
                 slos += config_.slos[i].name;
             }
         }
-        if (slos.empty())
-            slos = "-";
         std::snprintf(
             buf, sizeof(buf),
             "  #%zu session %llu  score %.3f  cohort %s  slos [%s]  "
             "drops %llu/%lld  stutters %llu  p99 %.2fms  "
             "energy/frame %.1fmJ\n",
             r + 1, (unsigned long long)v.session,
-            double(v.score_milli) / 1e3, v.cohort.c_str(), slos.c_str(),
+            double(v.score_milli) / 1e3, v.cohort.c_str(),
+            slos.empty() ? "-" : slos.c_str(),
             (unsigned long long)v.drops, (long long)v.frames_due,
             (unsigned long long)v.stutters, double(v.latency_p99_us) / 1e3,
             v.presents ? double(v.energy_uj) / 1e3 / double(v.presents)

@@ -37,9 +37,21 @@ struct FrameRecord {
 
     /** True when started by the Frame Pre-Executor ahead of VSync. */
     bool pre_rendered = false;
+    /** Whether content_value holds a rendered content value. */
+    bool has_content_value = false;
 
-    /** Sampled workload. */
+    /**
+     * Workload: the segment cost model's sample for this slot, with
+     * extra_ui_time added to its ui_time.
+     */
     FrameCost cost;
+
+    /**
+     * UI-stage overhead the producer added on top of the sample (the
+     * D-VSync input predictor's fit), so cost.ui_time - extra_ui_time
+     * recovers what the cost model returned.
+     */
+    Time extra_ui_time = 0;
 
     /** Refresh rate in force when the frame was produced (LTPO). */
     double rate_hz = 0.0;
@@ -49,7 +61,6 @@ struct FrameRecord {
      * y position or the pinch distance used). NaN for animations.
      */
     double content_value = 0.0;
-    bool has_content_value = false;
 
     // Stage timestamps (kTimeNone until the stage happens).
     Time trigger_time = kTimeNone;  ///< pacer decision time
@@ -71,6 +82,11 @@ struct FrameRecord {
                                        : queue_time - trigger_time;
     }
 };
+
+// The producer appends one record per frame on the hot path, and a
+// larger record measurably slows it: keep the two flags side by side in
+// one padding slot.
+static_assert(sizeof(FrameRecord) <= 184, "FrameRecord grew");
 
 } // namespace dvs
 

@@ -206,8 +206,10 @@ Producer::begin_frame(int seg_idx, std::int64_t slot, Time content_ts,
     rec.rate_hz = rate_source_ ? rate_source_()
                                : 1e9 / double(dist_.model().period());
     rec.trigger_time = sim_.now();
-    if (extra_cost_)
-        rec.cost.ui_time += extra_cost_(seg, rec);
+    if (extra_cost_) {
+        rec.extra_ui_time = extra_cost_(seg, rec);
+        rec.cost.ui_time += rec.extra_ui_time;
+    }
     if (seg.kind == SegmentKind::kInteraction) {
         rec.content_value = sample_content(seg, rec);
         rec.has_content_value = true;

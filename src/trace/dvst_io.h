@@ -36,6 +36,8 @@
 #include <string>
 #include <string_view>
 
+#include "sim/fnv.h" // fnv1a(), the captures' report fingerprint
+
 namespace dvs {
 
 /**
@@ -44,18 +46,6 @@ namespace dvs {
  * from any thread.
  */
 std::uint32_t dvst_crc32(const void *data, std::size_t n);
-
-/** FNV-1a over a string — the report-fingerprint hash of the captures. */
-inline std::uint64_t
-fnv1a(std::string_view s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 /** Appends primitives to a byte buffer that grows geometrically. */
 class ByteWriter

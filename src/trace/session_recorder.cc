@@ -3,18 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
-#include "trace/dvst_io.h"
 #include "trace/trace_replay.h"
 
 namespace dvs {
 
 ScenarioCapture
-SessionRecorder::capture_scenario(const Scenario &scenario,
-                                  const DeviceConfig &device,
-                                  const Producer &producer)
+SessionRecorder::capture_scenario(const Producer &producer,
+                                  const DeviceConfig &device)
 {
+    // Marks a table entry the run never sampled. Real costs are never
+    // negative; a model that did return this value would only be
+    // sampled again below, to the same result.
+    constexpr FrameCost kUnsampled{-1, -1, -1};
+
+    const Scenario &scenario = producer.scenario();
     ScenarioCapture sc;
     sc.name = scenario.name();
+    sc.segments.reserve(scenario.size());
     const double max_hz = device.max_refresh_hz();
     for (std::size_t i = 0; i < scenario.size(); ++i) {
         const Segment &seg = scenario.segments()[i];
@@ -35,14 +40,32 @@ SessionRecorder::capture_scenario(const Scenario &scenario,
                 slots = std::max(slots, st.total_slots);
             cap.costs.name = seg.label;
             cap.costs.rate_hz = max_hz;
-            cap.costs.frames.reserve(std::size_t(slots));
-            for (std::int64_t s = 0; s < slots; ++s)
-                cap.costs.frames.push_back(seg.cost->cost_for(
-                    s + std::int64_t(i) * kCostIndexStride));
+            cap.costs.frames.assign(std::size_t(slots), kUnsampled);
         }
         if (seg.touch)
             cap.touch = seg.touch->events();
         sc.segments.push_back(std::move(cap));
+    }
+
+    // Every slot the run started already holds its sample in the frame
+    // record, plus the UI overhead the producer added to it.
+    for (const FrameRecord &rec : producer.records()) {
+        FrameCost &c =
+            sc.segments[std::size_t(rec.segment_index)]
+                .costs.frames[std::size_t(rec.slot)];
+        c = rec.cost;
+        c.ui_time -= rec.extra_ui_time;
+    }
+    // Sample the rest: slots the run passed over (drop elasticity, late
+    // vsync triggers) and the table's tail past what this run reached.
+    for (std::size_t i = 0; i < scenario.size(); ++i) {
+        const Segment &seg = scenario.segments()[i];
+        std::vector<FrameCost> &frames = sc.segments[i].costs.frames;
+        for (std::size_t s = 0; s < frames.size(); ++s) {
+            if (frames[s] == kUnsampled)
+                frames[s] = seg.cost->cost_for(
+                    std::int64_t(s) + std::int64_t(i) * kCostIndexStride);
+        }
     }
     return sc;
 }
@@ -57,14 +80,13 @@ SessionRecorder::capture(RenderSystem &sys, const std::string &label)
     cap.config = sys.config();
     for (int i = 0; i < int(sys.size()); ++i) {
         SurfaceCapture s = SurfaceCapture::from_desc(sys.desc(i));
-        s.scenario = capture_scenario(sys.producer(i).scenario(),
-                                      sys.config().device, sys.producer(i));
+        s.scenario = capture_scenario(sys.producer(i), sys.config().device);
         cap.surfaces.push_back(std::move(s));
     }
 
     cap.verbatim = true;
     cap.source_dispatch_hash = sys.sim().events().dispatch_hash();
-    cap.source_report_fnv = fnv1a(sys.report().debug_string());
+    cap.source_report_fnv = sys.report().fingerprint();
     return cap;
 }
 

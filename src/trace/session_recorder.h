@@ -14,11 +14,14 @@
  * The one derivation step is the workload: scenario segments carry live
  * FrameCostModel objects, which a file cannot hold. Because every cost
  * model is a pure function of the nominal frame index — the producer
- * queries slot + segment * kCostIndexStride — the recorder evaluates
- * each segment's model over the full slot range the segment can reach
- * and stores the resulting dense table. Replay serves that table back
- * through TraceCostModel in kSegmentSlot mode, reproducing every query
- * the original models would have answered, bit for bit.
+ * queries slot + segment * kCostIndexStride — the recorder stores each
+ * segment's model as a dense table over the full slot range the segment
+ * can reach. Slots the run started already hold their sample in the
+ * producer's FrameRecords (less FrameRecord::extra_ui_time); the
+ * recorder queries the model only for the slots the run never reached.
+ * Replay serves the table back through TraceCostModel in kSegmentSlot
+ * mode, reproducing every query the original models would have
+ * answered, bit for bit.
  */
 
 #ifndef DVS_TRACE_SESSION_RECORDER_H
@@ -59,14 +62,14 @@ class SessionRecorder
                                  SessionCapture *out = nullptr);
 
     /**
-     * Derive the replayable form of @p scenario: dense per-segment cost
-     * tables sized for @p device (covering the highest rate the panel
-     * can anchor a segment at) widened to @p producer's observed slot
-     * counts. Exposed for tests; capture() calls this per surface.
+     * Derive the replayable form of @p producer's scenario: dense
+     * per-segment cost tables sized for @p device (covering the highest
+     * rate the panel can anchor a segment at) widened to the producer's
+     * observed slot counts. @pre the producer's run finished. Exposed
+     * for tests; capture() calls this per surface.
      */
-    static ScenarioCapture capture_scenario(const Scenario &scenario,
-                                            const DeviceConfig &device,
-                                            const Producer &producer);
+    static ScenarioCapture capture_scenario(const Producer &producer,
+                                            const DeviceConfig &device);
 };
 
 } // namespace dvs

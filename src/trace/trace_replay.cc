@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "sim/logging.h"
-#include "trace/dvst_io.h"
 
 namespace dvs {
 
@@ -67,7 +66,7 @@ build_surfaces(const SessionCapture &cap)
 std::uint64_t
 ReplayResult::report_fnv() const
 {
-    return fnv1a(report.debug_string());
+    return report.fingerprint();
 }
 
 std::string
@@ -83,10 +82,11 @@ ReplayResult::verify_against(const SessionCapture &cap) const
         return "dispatch hash diverged: recorded " +
                std::to_string(cap.source_dispatch_hash) + ", replayed " +
                std::to_string(dispatch_hash);
-    if (report_fnv() != cap.source_report_fnv)
+    const std::uint64_t fnv = report_fnv();
+    if (fnv != cap.source_report_fnv)
         return "RunReport diverged: recorded fingerprint " +
                std::to_string(cap.source_report_fnv) + ", replayed " +
-               std::to_string(report_fnv());
+               std::to_string(fnv);
     return {};
 }
 

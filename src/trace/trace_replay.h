@@ -50,7 +50,7 @@ struct ReplayResult {
      */
     bool verbatim = false;
 
-    /** FNV-1a fingerprint of report.debug_string(). */
+    /** report.fingerprint(): FNV-1a of report.debug_string(). */
     std::uint64_t report_fnv() const;
 
     /**

@@ -43,8 +43,12 @@ struct FrameCost {
 /**
  * Generates frame costs keyed by nominal frame index.
  *
- * Implementations must be pure functions of (model state, index): querying
- * the same index repeatedly returns the same cost.
+ * Implementations must be pure functions of the slot index (for a given
+ * model state): querying the same index repeatedly, in any order and any
+ * number of times, returns the same cost. The trace recorder relies on
+ * it — it copies the costs a run already sampled out of the frame
+ * records and queries the model only for the slots the run never
+ * reached, and replay must see the same table either way.
  */
 class FrameCostModel
 {

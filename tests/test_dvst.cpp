@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/input_prediction_layer.h"
 #include "fault/fault_plan.h"
 #include "input/gesture.h"
 #include "test_support.h"
@@ -29,6 +30,7 @@
 #include "trace/session_recorder.h"
 #include "trace/trace_replay.h"
 #include "trace/transforms.h"
+#include "workload/app_profiles.h"
 #include "workload/frame_cost.h"
 
 using namespace dvs;
@@ -570,6 +572,134 @@ TEST(Capture, GovernorThermalSessionRoundTripsAndReplays)
     const ReplayResult replay = replay_session(back);
     EXPECT_EQ(replay.verify_against(back), "");
     EXPECT_EQ(replay.report, recorded);
+}
+
+namespace {
+
+/**
+ * Require every cost-table entry of @p sys's capture to equal what the
+ * segment's live cost model returns for that slot: capture fills the
+ * tables from the run's frame records, and must land where a fresh
+ * sample would. @return the slots the run passed over without starting
+ * a frame, summed over every producing segment.
+ */
+std::int64_t
+expect_tables_match_fresh_sampling(RenderSystem &sys)
+{
+    const SessionCapture cap = SessionRecorder::capture(sys, "tables");
+    std::int64_t skipped = 0;
+    EXPECT_EQ(cap.surfaces.size(), sys.size());
+    for (int p = 0; p < int(sys.size()) && p < int(cap.surfaces.size());
+         ++p) {
+        const Producer &producer = sys.producer(p);
+        const Scenario &scenario = producer.scenario();
+        const ScenarioCapture &sc = cap.surfaces[std::size_t(p)].scenario;
+        EXPECT_EQ(sc.segments.size(), scenario.size());
+        for (std::size_t i = 0;
+             i < scenario.size() && i < sc.segments.size(); ++i) {
+            const Segment &seg = scenario.segments()[i];
+            const std::vector<FrameCost> &table = sc.segments[i].costs.frames;
+            if (!seg.produces_frames()) {
+                EXPECT_TRUE(table.empty());
+                continue;
+            }
+            EXPECT_FALSE(table.empty());
+            for (std::size_t s = 0; s < table.size(); ++s) {
+                const FrameCost fresh = seg.cost->cost_for(
+                    std::int64_t(s) + std::int64_t(i) * kCostIndexStride);
+                if (!(table[s] == fresh)) {
+                    ADD_FAILURE() << "surface " << p << " segment " << i
+                                  << " slot " << s << ": table ui/render/gpu "
+                                  << table[s].ui_time << "/"
+                                  << table[s].render_time << "/"
+                                  << table[s].gpu_time << ", model "
+                                  << fresh.ui_time << "/"
+                                  << fresh.render_time << "/"
+                                  << fresh.gpu_time;
+                    return skipped;
+                }
+            }
+            const SegmentState &st = producer.segment_state(int(i));
+            skipped += st.next_slot - st.started;
+        }
+    }
+    return skipped;
+}
+
+std::shared_ptr<const FrameCostModel>
+app_costs(double hz, std::uint64_t seed)
+{
+    return make_cost_model(pixel5_app_profiles().front(), hz, seed);
+}
+
+} // namespace
+
+TEST(Capture, CostTableEqualsFreshSampling)
+{
+    GestureTiming timing;
+    timing.duration = 400_ms;
+    const auto swipe = std::make_shared<const TouchStream>(
+        make_swipe(timing, 1800.0, 900.0));
+
+    {
+        SCOPED_TRACE("single-app VSync");
+        Scenario sc("vsync");
+        sc.animate(300_ms, app_costs(60.0, 1))
+            .idle(40_ms)
+            .realtime(200_ms, app_costs(60.0, 2));
+        RenderSystem sys(SystemConfig().with_mode(RenderMode::kVsync), sc);
+        sys.run();
+        expect_tables_match_fresh_sampling(sys);
+    }
+    {
+        // The predictor's UI overhead is added to every interaction
+        // frame's ui_time; capture must take it back out.
+        SCOPED_TRACE("D-VSync with an IPL interaction");
+        Scenario sc("ipl");
+        sc.animate(200_ms, app_costs(60.0, 3))
+            .interact(swipe, app_costs(60.0, 4), "scroll");
+        RenderSystem sys(SystemConfig().with_mode(RenderMode::kDvsync), sc);
+        sys.runtime()->register_predictor(
+            "scroll", std::make_shared<LinearPredictor>());
+        sys.run();
+        const auto &records = sys.producer().records();
+        EXPECT_TRUE(std::any_of(records.begin(), records.end(),
+                                [](const FrameRecord &r) {
+                                    return r.extra_ui_time > 0;
+                                }));
+        expect_tables_match_fresh_sampling(sys);
+    }
+    {
+        // Heavy key frames under a fault plan: drop elasticity skips
+        // timeline slots, which the run never sampled.
+        SCOPED_TRACE("D-VSync under a fault plan");
+        Scenario sc("faulted");
+        sc.animate(600_ms, app_costs(120.0, 5)).realtime(200_ms,
+                                                          app_costs(120.0, 6));
+        SystemConfig cfg;
+        cfg.mode = RenderMode::kDvsync;
+        cfg.seed = 2;
+        cfg.faults = std::make_shared<const FaultPlan>(FaultPlan::generate(
+            2, sc.total_duration(), FaultMix::everything()));
+        RenderSystem sys(cfg, sc);
+        sys.run();
+        EXPECT_GT(expect_tables_match_fresh_sampling(sys), 0);
+    }
+    {
+        // The corpus's composed session, rebuilt live: four surfaces
+        // sharing one GPU, each with its own producer and records.
+        SCOPED_TRACE("composed 4-surface display");
+        SessionCapture cap;
+        std::string error;
+        ASSERT_TRUE(SessionCapture::load(
+            std::string(DVS_TRACES_DIR) + "/fleet-4surface.dvst", cap, error))
+            << error;
+        ASSERT_EQ(cap.kind, SessionCapture::Kind::kMulti);
+        ASSERT_EQ(cap.surfaces.size(), 4u);
+        RenderSystem sys(cap.config, build_surfaces(cap));
+        sys.run();
+        expect_tables_match_fresh_sampling(sys);
+    }
 }
 
 // ----- the bit-exact replay contract --------------------------------------

@@ -248,7 +248,7 @@ TEST(StreamingRunner, StreamRetainsNothingBetweenDeliveries)
     std::vector<Experiment> points(16);
     for (std::size_t i = 0; i < points.size(); ++i) {
         points[i].scenario = steady();
-        points[i].label = "p" + std::to_string(i);
+        points[i].label = std::string("p").append(std::to_string(i));
     }
     std::vector<std::string> labels;
     CallbackSink sink([&](std::size_t, RunReport &&r) {
@@ -452,7 +452,8 @@ TEST(StreamingRunner, ThrowingSinkAbortsStreamWithoutDeadlock)
         ASSERT_EQ(sink.delivered.size(), kThrowAt + 1) << "jobs=" << jobs;
         for (std::size_t i = 0; i <= kThrowAt; ++i) {
             EXPECT_EQ(sink.delivered[i], i);
-            EXPECT_EQ(sink.labels[i], "t" + std::to_string(i));
+            EXPECT_EQ(sink.labels[i],
+                      std::string("t").append(std::to_string(i)));
         }
     }
 }

@@ -1,10 +1,13 @@
 /**
  * @file
- * Allocation budget of a session's dispatch loop.
+ * Allocation budgets of a session's dispatch loop and of its trace
+ * round trip.
  *
  * This binary replaces the global allocation functions with counting
  * versions and counts the heap allocations made inside
- * RenderSystem::run() over a fixed slice of the paper fleet. A count is
+ * RenderSystem::run(), SessionRecorder::capture(), RunReport::fingerprint()
+ * and ReplayResult::verify_against() over a fixed slice of the paper
+ * fleet. A count is
  * deterministic where a timing is not, so a change that puts the
  * allocator back on the per-event path (a heap-stored callback, a
  * container that drops its capacity every edge) fails here on any host.
@@ -21,6 +24,8 @@
 #include "core/render_system.h"
 #include "harness/experiment_runner.h"
 #include "sim/logging.h"
+#include "trace/session_recorder.h"
+#include "trace/trace_replay.h"
 #include "workload/device_population.h"
 
 namespace {
@@ -156,4 +161,51 @@ TEST(HotPathAllocs, FleetSessionRunStaysWithinBudget)
     RecordProperty("allocs_per_session", std::to_string(per_session));
     EXPECT_LE(per_session, kBudgetPerSession)
         << allocs << " allocations over " << ran << " sessions";
+}
+
+TEST(HotPathAllocs, CaptureAndVerifyStayWithinBudget)
+{
+    // Capture copies the config, the surface descriptors, the touch
+    // streams and one cost table per producing segment, 5.9 allocations
+    // per session here; it hashes the report fingerprint without
+    // formatting a string. Verifying a replay compares two hashes and
+    // allocates nothing when they match.
+    constexpr std::uint64_t kSessions = 256;
+    constexpr double kCaptureBudgetPerSession = 6.0;
+
+    const DevicePopulation pop = DevicePopulation::paper_fleet(1);
+    FatalThrowsScope recoverable(true);
+    std::uint64_t capture_allocs = 0;
+    std::uint64_t ran = 0;
+    for (std::uint64_t i = 0; i < kSessions; ++i) {
+        const Experiment exp = pop.experiment(i);
+        std::optional<RenderSystem> sys;
+        try {
+            sys.emplace(exp.config, exp.scenario);
+        } catch (const ConfigError &) {
+            continue;
+        }
+        sys->run();
+        SessionCapture cap;
+        capture_allocs += allocations_in(
+            [&] { cap = SessionRecorder::capture(*sys, exp.label); });
+        ++ran;
+
+        const ReplayResult replay = replay_session(cap);
+        std::uint64_t fnv = 0;
+        EXPECT_EQ(allocations_in([&] { fnv = replay.report.fingerprint(); }),
+                  0u)
+            << "session " << i;
+        EXPECT_EQ(fnv, cap.source_report_fnv) << "session " << i;
+        std::string verdict = "not run";
+        EXPECT_EQ(allocations_in([&] { verdict = replay.verify_against(cap); }),
+                  0u)
+            << "session " << i;
+        EXPECT_EQ(verdict, "") << "session " << i;
+    }
+    ASSERT_EQ(ran, kSessions);
+    const double per_session = double(capture_allocs) / double(ran);
+    RecordProperty("capture_allocs_per_session", std::to_string(per_session));
+    EXPECT_LE(per_session, kCaptureBudgetPerSession)
+        << capture_allocs << " allocations over " << ran << " captures";
 }

@@ -18,6 +18,7 @@
 #include "metrics/reporter.h"
 #include "metrics/run_report.h"
 #include "metrics/stutter_model.h"
+#include "sim/fnv.h"
 
 using namespace dvs;
 using namespace dvs::time_literals;
@@ -561,6 +562,7 @@ TEST(RunReportString, MatchesTheSnprintfFormatterOnRandomReports)
         const RunReport r = fuzz.report();
         ASSERT_EQ(r.debug_string(), snprintf_debug_string(r))
             << "report " << i;
+        ASSERT_EQ(r.fingerprint(), fnv1a(r.debug_string())) << "report " << i;
     }
 }
 
@@ -568,6 +570,7 @@ TEST(RunReportString, DefaultAndRealisticReportsMatchTheOracle)
 {
     RunReport r;
     EXPECT_EQ(r.debug_string(), snprintf_debug_string(r));
+    EXPECT_EQ(r.fingerprint(), fnv1a(r.debug_string()));
     r.label = "paper-fleet/0042";
     r.config.mode = "D-VSync";
     r.config.refresh_hz = 120.0;
@@ -579,6 +582,7 @@ TEST(RunReportString, DefaultAndRealisticReportsMatchTheOracle)
     r.peak_temp_c = 41.25;
     r.timeline = {"t=100 degrade", "t=200 re-promote"};
     EXPECT_EQ(r.debug_string(), snprintf_debug_string(r));
+    EXPECT_EQ(r.fingerprint(), fnv1a(r.debug_string()));
 }
 
 TEST(RunReportString, LongLabelKeepsEveryLaterField)
@@ -598,7 +602,10 @@ TEST(RunReportString, LongLabelKeepsEveryLaterField)
     EXPECT_NE(s.find(" error=replay diverged causes=["), std::string::npos);
     EXPECT_NE(s.find(" slow-render=7 "), std::string::npos);
 
+    EXPECT_EQ(r.fingerprint(), fnv1a(s));
+
     RunReport other = r;
     other.drops = 8;
     EXPECT_NE(other.debug_string(), s);
+    EXPECT_NE(other.fingerprint(), r.fingerprint());
 }
