@@ -324,24 +324,6 @@ run_profile(const ProfileSpec &spec, const DeviceConfig &device,
                             seed_base)));
 }
 
-std::vector<RunReport>
-average_groups(const std::vector<RunReport> &reports, int group_size)
-{
-    std::vector<RunReport> cells;
-    if (group_size <= 0)
-        return cells;
-    cells.reserve(reports.size() / std::size_t(group_size) + 1);
-    for (std::size_t start = 0; start < reports.size();
-         start += std::size_t(group_size)) {
-        const std::size_t end =
-            std::min(start + std::size_t(group_size), reports.size());
-        const std::vector<RunReport> group(reports.begin() + long(start),
-                                           reports.begin() + long(end));
-        cells.push_back(RunReport::averaged(group));
-    }
-    return cells;
-}
-
 GroupAverageSink::GroupAverageSink(int group_size)
     : group_size_(group_size > 0 ? std::size_t(group_size) : 1)
 {
@@ -365,6 +347,39 @@ GroupAverageSink::take()
         pending_.clear();
     }
     return std::move(cells_);
+}
+
+void
+DropCauseTally::add(const RunReport &r)
+{
+    for (int c = 0; c < kDropCauseCount; ++c)
+        causes_[c] += r.drop_causes[c];
+    injected_ += r.drops_injected;
+    total_ += r.drops;
+}
+
+void
+DropCauseTally::print(const char *heading) const
+{
+    std::printf("%s:", heading);
+    for (int c = 0; c < kDropCauseCount; ++c) {
+        if (causes_[c] > 0)
+            std::printf(" %s=%llu", to_string(DropCause(c)),
+                        (unsigned long long)causes_[c]);
+    }
+    std::printf(" | injected %llu of %llu drops\n",
+                (unsigned long long)injected_, (unsigned long long)total_);
+}
+
+bool
+DropCauseTally::flag_unattributed() const
+{
+    const std::uint64_t unknown = causes_[int(DropCause::kUnknown)];
+    if (unknown == 0)
+        return false;
+    std::printf("UNATTRIBUTED DROPS: %llu frames carry no cause\n",
+                (unsigned long long)unknown);
+    return true;
 }
 
 ProfileSpec

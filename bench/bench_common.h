@@ -201,17 +201,10 @@ RunReport run_profile(const ProfileSpec &spec, const DeviceConfig &device,
                       std::uint64_t seed_base = 1);
 
 /**
- * Collapse a flat report list into per-cell averages: every consecutive
- * @p group_size entries (one cell's repeats) become one averaged report.
- */
-std::vector<RunReport> average_groups(const std::vector<RunReport> &reports,
-                                      int group_size);
-
-/**
- * Streaming counterpart of average_groups: a sink that folds every
- * @p group_size consecutive reports (one cell's repeats) into one
- * averaged cell on delivery. Peak retention is the finished cells plus
- * at most one partial group — not the raw report list.
+ * A sink that folds every @p group_size consecutive reports (one cell's
+ * repeats) into one averaged cell on delivery. Peak retention is the
+ * finished cells plus at most one partial group — not the raw report
+ * list.
  */
 class GroupAverageSink final : public ReportSink
 {
@@ -227,6 +220,33 @@ class GroupAverageSink final : public ReportSink
     std::size_t group_size_;
     std::vector<RunReport> pending_; ///< current group, < group_size_
     std::vector<RunReport> cells_;
+};
+
+/**
+ * A campaign's drop-cause roll-up: every drop must carry a cause. Fold
+ * each report with add(), then print() the summary line and
+ * flag_unattributed() the verdict.
+ */
+class DropCauseTally
+{
+  public:
+    void add(const RunReport &r);
+
+    /**
+     * "<heading>: cause=N ... | injected X of Y drops", causes with a
+     * zero count omitted. @p heading carries the campaign's label and
+     * any leading newline, e.g. "\ndrop causes (all runs)".
+     */
+    void print(const char *heading) const;
+
+    /** Print the UNATTRIBUTED DROPS verdict if any drop has no cause;
+     *  return whether it did. */
+    bool flag_unattributed() const;
+
+  private:
+    std::uint64_t causes_[kDropCauseCount] = {};
+    std::uint64_t injected_ = 0;
+    std::uint64_t total_ = 0;
 };
 
 /** Percentage reduction from a to b (positive = improvement). */

@@ -180,9 +180,7 @@ main(int argc, char **argv)
             cells.push_back(cell);
         }
     }
-    std::uint64_t cause_totals[kDropCauseCount] = {};
-    std::uint64_t injected_drops = 0;
-    std::uint64_t total_drops = 0;
+    DropCauseTally causes;
     CallbackSink sink([&](std::size_t idx, RunReport &&r) {
         Cell &cell = cells[idx / std::size_t(seeds)];
         ++cell.runs;
@@ -192,10 +190,7 @@ main(int argc, char **argv)
         cell.drops += r.drops;
         cell.degradations += r.degradations;
         cell.repromotions += r.repromotions;
-        for (int c = 0; c < kDropCauseCount; ++c)
-            cause_totals[c] += r.drop_causes[c];
-        injected_drops += r.drops_injected;
-        total_drops += r.drops;
+        causes.add(r);
         if (!r.error.empty()) {
             ++cell.errors;
             std::printf("ERROR %s: %s\n", r.label.c_str(),
@@ -251,15 +246,7 @@ main(int argc, char **argv)
                     (unsigned long long)c.degradations, c.errors);
     }
     // Root-cause roll-up: every drop in the campaign must carry a cause.
-    std::printf("\ndrop causes (all runs):");
-    for (int c = 0; c < kDropCauseCount; ++c) {
-        if (cause_totals[c] > 0)
-            std::printf(" %s=%llu", to_string(DropCause(c)),
-                        (unsigned long long)cause_totals[c]);
-    }
-    std::printf(" | injected %llu of %llu drops\n",
-                (unsigned long long)injected_drops,
-                (unsigned long long)total_drops);
+    causes.print("\ndrop causes (all runs)");
 
     std::printf("\ntotal: %llu violations, %d failed runs\n",
                 (unsigned long long)total_violations, total_errors);
@@ -340,12 +327,8 @@ main(int argc, char **argv)
     }
 
     bool failed = total_violations > 0 || total_errors > 0;
-    if (cause_totals[int(DropCause::kUnknown)] > 0) {
-        std::printf("UNATTRIBUTED DROPS: %llu frames carry no cause\n",
-                    (unsigned long long)
-                        cause_totals[int(DropCause::kUnknown)]);
+    if (causes.flag_unattributed())
         failed = true;
-    }
     if (failed) {
         std::printf("CHAOS CAMPAIGN FAILED\n");
         return 1;

@@ -23,8 +23,7 @@
  *   --metrics  dump the MetricsRegistry time series embedded in a
  *              forensics dump as CSV on stdout: one `t_ns` column plus
  *              one column per counter/gauge series, rows over the union
- *              of sample timestamps (histograms have no time axis and
- *              are skipped)
+ *              of sample timestamps
  *   --specimens list an observatory specimen directory: parse its
  *              manifest.json, print each captured offender (rank,
  *              session, score, cohort, violated SLOs, drop causes), and
@@ -318,8 +317,6 @@ run_metrics_csv(const std::string &path)
         return 1;
     }
 
-    // Counter/gauge series only: histograms are distributions, not time
-    // series, so they have no row in a timestamp-keyed table.
     struct Series {
         const JsonValue *metric = nullptr;
         std::map<long long, double> by_time;
@@ -327,8 +324,6 @@ run_metrics_csv(const std::string &path)
     std::vector<Series> series;
     std::map<long long, std::size_t> times; // timestamp -> row ordinal
     for (const JsonValue &m : metrics.at("metrics").items()) {
-        if (m.string_at("type") == "histogram")
-            continue;
         Series s;
         s.metric = &m;
         for (const JsonValue &sample : m.at("samples").items()) {

@@ -40,8 +40,9 @@ sweep(const std::vector<ProfileSpec> &specs, const DeviceConfig &device,
                                         device.vsync_buffers, setup, seed);
         points.insert(points.end(), cell.begin(), cell.end());
     }
-    const std::vector<RunReport> cells =
-        average_groups(runner.run(points), setup.repeats);
+    GroupAverageSink groups(setup.repeats);
+    runner.run_stream(points, groups);
+    const std::vector<RunReport> cells = groups.take();
 
     Summary s;
     for (const RunReport &r : cells) {

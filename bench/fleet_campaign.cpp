@@ -216,14 +216,9 @@ main(int argc, char **argv)
     // on delivery.
     std::uint64_t total_violations = 0;
     int total_errors = 0;
-    std::uint64_t cause_totals[kDropCauseCount] = {};
-    std::uint64_t injected_drops = 0;
-    std::uint64_t total_drops = 0;
+    DropCauseTally causes;
     CallbackSink sink([&](std::size_t idx, RunReport &&r) {
-        for (int c = 0; c < kDropCauseCount; ++c)
-            cause_totals[c] += r.drop_causes[c];
-        injected_drops += r.drops_injected;
-        total_drops += r.drops;
+        causes.add(r);
         Cell &cell = cells[idx / std::size_t(seeds)];
         ++cell.runs;
         cell.violations += r.invariant_violations;
@@ -303,15 +298,7 @@ main(int argc, char **argv)
                 (unsigned long long)constrained_equal);
 
     // Root-cause roll-up: every drop in the fleet must carry a cause.
-    std::printf("drop causes (all sessions):");
-    for (int c = 0; c < kDropCauseCount; ++c) {
-        if (cause_totals[c] > 0)
-            std::printf(" %s=%llu", to_string(DropCause(c)),
-                        (unsigned long long)cause_totals[c]);
-    }
-    std::printf(" | injected %llu of %llu drops\n",
-                (unsigned long long)injected_drops,
-                (unsigned long long)total_drops);
+    causes.print("drop causes (all sessions)");
 
     std::printf("total: %llu violations, %d failed runs\n",
                 (unsigned long long)total_violations, total_errors);
@@ -374,12 +361,8 @@ main(int argc, char **argv)
     }
 
     bool failed = total_violations > 0 || total_errors > 0;
-    if (cause_totals[int(DropCause::kUnknown)] > 0) {
-        std::printf("UNATTRIBUTED DROPS: %llu frames carry no cause\n",
-                    (unsigned long long)
-                        cause_totals[int(DropCause::kUnknown)]);
+    if (causes.flag_unattributed())
         failed = true;
-    }
     if (constrained_weighted >= constrained_equal) {
         std::printf("ARBITER DID NOT BEAT EQUAL-SPLIT (constrained "
                     "budgets)\n");

@@ -106,18 +106,6 @@ soak_scenario(const DeviceConfig &dev)
     return sc;
 }
 
-/** Ladder thresholds pegged to the tier's throttle point. */
-GovernorConfig
-governor_for(const DeviceTier &tier)
-{
-    GovernorConfig g;
-    g.enabled = true;
-    const double throttle_c = 25.0 + tier.device.thermal_headroom_c;
-    g.temp_demote_c = throttle_c - 2.0; // engage before the plant trips
-    g.temp_promote_c = throttle_c - 6.0;
-    return g;
-}
-
 SystemConfig
 policy_config(const DeviceTier &tier, const Envelope &env, int policy,
               std::uint64_t seed)
@@ -137,7 +125,7 @@ policy_config(const DeviceTier &tier, const Envelope &env, int policy,
         cfg.with_mode(RenderMode::kDvsync).with_prerender_limit(1);
         break;
     case kGoverned:
-        cfg.with_mode(RenderMode::kDvsync).with_governor(governor_for(tier));
+        cfg.with_mode(RenderMode::kDvsync).with_governor(true);
         break;
     }
     return cfg;
@@ -313,9 +301,7 @@ main(int argc, char **argv)
         }
     }
 
-    std::uint64_t cause_totals[kDropCauseCount] = {};
-    std::uint64_t injected_drops = 0;
-    std::uint64_t total_drops = 0;
+    DropCauseTally causes;
     CallbackSink sink([&](std::size_t idx, RunReport &&r) {
         const std::size_t cell_idx =
             idx < grid_points
@@ -323,10 +309,7 @@ main(int argc, char **argv)
                 : chaos_cell0 + (idx - grid_points) / std::size_t(seeds);
         Cell &cell = cells[cell_idx];
         accumulate(cell, r);
-        for (int c = 0; c < kDropCauseCount; ++c)
-            cause_totals[c] += r.drop_causes[c];
-        injected_drops += r.drops_injected;
-        total_drops += r.drops;
+        causes.add(r);
         if (!r.error.empty()) {
             ++cell.errors;
             std::printf("ERROR %s: %s\n", r.label.c_str(), r.error.c_str());
@@ -416,15 +399,7 @@ main(int argc, char **argv)
                     (unsigned long long)c.promotions, "-", "-", c.errors);
     }
 
-    std::printf("\ndrop causes (all runs):");
-    for (int c = 0; c < kDropCauseCount; ++c) {
-        if (cause_totals[c] > 0)
-            std::printf(" %s=%llu", to_string(DropCause(c)),
-                        (unsigned long long)cause_totals[c]);
-    }
-    std::printf(" | injected %llu of %llu drops\n",
-                (unsigned long long)injected_drops,
-                (unsigned long long)total_drops);
+    causes.print("\ndrop causes (all runs)");
 
     if (governor_wins_constrained) {
         std::printf("\nfrontier: governor beats every static config in");
@@ -487,12 +462,8 @@ main(int argc, char **argv)
     }
 
     bool failed = total_violations > 0 || total_errors > 0;
-    if (cause_totals[int(DropCause::kUnknown)] > 0) {
-        std::printf("UNATTRIBUTED DROPS: %llu frames carry no cause\n",
-                    (unsigned long long)
-                        cause_totals[int(DropCause::kUnknown)]);
+    if (causes.flag_unattributed())
         failed = true;
-    }
     if (!governor_wins_constrained) {
         std::printf("GOVERNOR LOSES THE CONSTRAINED FRONTIER\n");
         failed = true;

@@ -65,7 +65,8 @@ class DvsyncRuntime
      * conventional VSync pacing — and resyncs the DTV promise chain.
      * After 32 clean presents it *re-promotes* back to decoupled
      * operation. Call after bind(); the thresholds are fixed
-     * (dvsync_runtime.cc). Off unless attached.
+     * (dvsync_runtime.cc). Off unless attached; RenderSystem attaches
+     * it whenever a fault plan or the governor is present.
      */
     void attach_watchdog(Panel &panel, const InvariantMonitor *monitor);
 

@@ -77,7 +77,7 @@ RenderSystem::config_error(const SystemConfig &c, bool composed,
         if (c.thermal.enabled)
             return "a composed display has no thermal plant; "
                    "disable config.thermal";
-        if (c.governor.enabled)
+        if (c.governor)
             return "a composed display has no governor; "
                    "disable config.governor";
         if (c.mode != RenderMode::kVsync)
@@ -96,7 +96,7 @@ RenderSystem::config_error(const SystemConfig &c, bool composed,
             return "config.display needs a composed display; construct "
                    "the RenderSystem from a list of surfaces";
     }
-    if (c.governor.enabled && !c.thermal.enabled)
+    if (c.governor && !c.thermal.enabled)
         return "the governor needs the thermal plant (its primary "
                "sensor); enable config.thermal";
     return {};
@@ -146,8 +146,6 @@ RenderSystem::RenderSystem(const SystemConfig &config,
                                                config.latch_lead);
     }
     dist_ = std::make_unique<VsyncDistributor>(sim_, *hw_);
-    dist_->set_offset(VsyncChannel::kApp, config.vsync_app_offset);
-    dist_->set_offset(VsyncChannel::kRs, config.vsync_rs_offset);
     // Typical runs keep a few hundred events live per surface;
     // pre-sizing the heap and slot map keeps the hot loop out of the
     // allocator.
@@ -205,24 +203,17 @@ RenderSystem::RenderSystem(const SystemConfig &config,
     if (plant_)
         attach_plant();
     if (config.faults) {
-        Surface &s = at(fault_target());
+        Surface &s = surfaces_.front();
         injector_ = std::make_unique<FaultInjector>(sim_, config.faults);
         injector_->arm(*hw_, *s.queue, *s.latch, *s.producer);
     }
-    if (config.forensics || config.governor.enabled)
+    if (config.forensics || config.governor)
         register_metrics();
-    if (config.governor.enabled)
+    if (config.governor)
         install_governor();
 }
 
 RenderSystem::~RenderSystem() = default;
-
-int
-RenderSystem::fault_target() const
-{
-    return std::clamp(config_.display.fault_surface, 0,
-                      int(surfaces_.size()) - 1);
-}
 
 int
 RenderSystem::prerender_limit_at(int capacity) const
@@ -266,19 +257,18 @@ RenderSystem::build_pipeline(Surface &s, int id)
     // The classifier reads the RefreshLog FrameStats appends, so it must
     // register its present listener after the stats. It schedules no
     // events and never reads the RNG — always-on is free for
-    // determinism. Only the fault-target surface sees the plan.
+    // determinism. Only surface 0, the fault target, sees the plan.
     DropClassifier::Context cc;
     cc.producer = s.producer.get();
     cc.queue = s.queue.get();
     cc.stats = s.stats.get();
     cc.runtime = s.runtime.get();
     cc.dtv = s.dtv.get();
-    cc.plan = config_.faults && id == fault_target() ? config_.faults.get()
-                                                     : nullptr;
+    cc.plan = id == 0 ? config_.faults.get() : nullptr;
     cc.gpu = &s.producer->gpu();
     cc.shared_gpu = composed_;
     cc.plant = plant_.get();
-    if (config_.governor.enabled) {
+    if (config_.governor) {
         // governor_ is constructed last; the classifier only calls the
         // closure during the run, when it exists.
         cc.governor_capped = [this] {
@@ -297,11 +287,10 @@ RenderSystem::build_pipeline(Surface &s, int id)
     const int deepest = buffers_ + s.desc.max_extra_buffers;
     const int depth = s.fpe ? prerender_limit_at(deepest) + 1 : 0;
     s.monitor->attach(*s.producer, *s.panel, depth);
-    // Chaos runs always get the safety net; outside them it is opt-in so
-    // fault-free goldens keep their exact behavior. The governor's final
-    // rung hands off to the watchdog, so enabling it arms the watchdog.
-    if (s.runtime &&
-        (config_.watchdog || config_.faults || config_.governor.enabled))
+    // Chaos runs always get the safety net; fault-free runs go without,
+    // keeping their exact behavior. The governor's final rung hands off
+    // to the watchdog, so enabling it arms the watchdog.
+    if (s.runtime && (config_.faults || config_.governor))
         s.runtime->attach_watchdog(*s.panel, s.monitor.get());
     if (s.runtime && arbiter_) {
         // Registered after the watchdog's own listener, so the
@@ -471,7 +460,7 @@ RenderSystem::install_governor()
         };
         hooks.handoff_cleared = [rt] { return !rt->degraded(); };
     }
-    governor_ = std::make_unique<Governor>(config_.governor,
+    governor_ = std::make_unique<Governor>(plant->params().throttle_c,
                                            std::move(hooks));
     // One control decision every 4 refresh periods.
     governor_->install(sim_, *metrics_, config_.device.period() * 4);
@@ -608,9 +597,6 @@ RenderSystem::single_report() const
 
     r.activity = activity();
     r.energy_mj = PowerModel().energy_mj(r.activity);
-    r.pipeline_busy_s = to_seconds(r.activity.pipeline_busy);
-    r.frames_produced = r.activity.frames_produced;
-    r.predicted_frames = r.activity.predicted_frames;
 
     r.invariant_violations = sf.monitor->violations();
     if (injector_)
@@ -741,9 +727,6 @@ RenderSystem::composed_report() const
     r.fps = wall_s > 0 ? double(r.presents) / wall_s : 0.0;
 
     r.energy_mj = PowerModel().energy_mj(r.activity);
-    r.pipeline_busy_s = to_seconds(r.activity.pipeline_busy);
-    r.frames_produced = r.activity.frames_produced;
-    r.predicted_frames = r.activity.predicted_frames;
 
     r.invariant_violations += display_monitor_->violations();
     if (injector_)

@@ -90,9 +90,6 @@ struct DisplaySpec {
     double budget_mb = 0.0;
     ArbiterPolicy policy = ArbiterPolicy::kWeighted;
 
-    /** Surface the fault plan targets (clamped to the surface range). */
-    int fault_surface = 0;
-
     friend bool operator==(const DisplaySpec &,
                            const DisplaySpec &) = default;
 };
@@ -101,7 +98,9 @@ struct DisplaySpec {
  * Full configuration of a simulated device. Every field applies to both
  * device kinds except where noted; the composed display rejects (with
  * ConfigError) the settings it cannot honour: thermal, governor, a
- * non-default mode, buffers or prerender_limit.
+ * non-default mode, buffers or prerender_limit. What no workload varies
+ * is not a setting: the VSync-app/-rs channels fire on the hardware
+ * edge (zero offset), and the governor's knobs are Governor constants.
  */
 struct SystemConfig {
     DeviceConfig device;          ///< Table-1 preset (default Pixel 5)
@@ -128,26 +127,17 @@ struct SystemConfig {
     /** SurfaceFlinger-style latch deadline per surface (0 = direct). */
     Time latch_lead = 0;
 
-    /** VSync-app / VSync-rs offsets from the hardware edge. */
-    Time vsync_app_offset = 0;
-    Time vsync_rs_offset = 0;
-
     /**
      * Fault-injection plan for chaos runs; null = no injection. Shared
-     * so a sweep can replay one plan across many configurations. A
-     * composed display injects into display.fault_surface.
+     * so a sweep can replay one plan across many configurations. The
+     * plan targets surface 0. Installing one arms the degradation
+     * watchdog on every D-VSync runtime.
      */
     std::shared_ptr<const FaultPlan> faults;
 
     /**
-     * Arm the degradation watchdog on every D-VSync runtime. Also armed
-     * automatically whenever a fault plan is installed.
-     */
-    bool watchdog = false;
-
-    /**
      * Enable frame forensics: a MetricsRegistry sampled every
-     * metrics_interval (default: one refresh period) and the forensics
+     * metrics_interval (default: 16 refresh periods) and the forensics
      * dump/flow exports. Off by default — the hot path then pays
      * nothing, and the event interleaving is untouched (the sampler
      * schedules simulator events).
@@ -166,14 +156,14 @@ struct SystemConfig {
     ThermalSpec thermal;
 
     /**
-     * Closed-loop governor walking the graded degradation ladder.
-     * Requires thermal.enabled (the plant is its primary sensor); arms
-     * the watchdog automatically (the ladder's final rung hands off to
-     * it).
+     * Closed-loop governor walking the graded degradation ladder, its
+     * thresholds derived from the plant's throttle point. Requires
+     * thermal.enabled (the plant is its primary sensor); arms the
+     * watchdog (the ladder's final rung hands off to it).
      */
-    GovernorConfig governor;
+    bool governor = false;
 
-    /** Composed-display settings (arbiter, fault target). */
+    /** Composed-display settings (the arbiter). */
     DisplaySpec display;
 
     SystemConfig() : device(pixel5()) {}
@@ -227,22 +217,9 @@ struct SystemConfig {
         latch_lead = lead;
         return *this;
     }
-    SystemConfig &with_offsets(Time app, Time rs)
-    {
-        vsync_app_offset = app;
-        vsync_rs_offset = rs;
-        return *this;
-    }
-    SystemConfig &with_faults(std::shared_ptr<const FaultPlan> plan,
-                              int surface = 0)
+    SystemConfig &with_faults(std::shared_ptr<const FaultPlan> plan)
     {
         faults = std::move(plan);
-        display.fault_surface = surface;
-        return *this;
-    }
-    SystemConfig &with_watchdog(bool on)
-    {
-        watchdog = on;
         return *this;
     }
     SystemConfig &with_forensics(bool on)
@@ -267,9 +244,9 @@ struct SystemConfig {
         thermal.envelope_scale = envelope_scale;
         return *this;
     }
-    SystemConfig &with_governor(const GovernorConfig &g)
+    SystemConfig &with_governor(bool on)
     {
-        governor = g;
+        governor = on;
         return *this;
     }
     SystemConfig &with_budget_mb(double mb)
@@ -397,7 +374,7 @@ class RenderSystem
     ThermalPlant *plant() { return plant_.get(); }
     const ThermalPlant *plant() const { return plant_.get(); }
 
-    /** Governor; null unless config.governor.enabled. */
+    /** Governor; null unless config.governor. */
     Governor *governor() { return governor_.get(); }
     const Governor *governor() const { return governor_.get(); }
 
@@ -478,7 +455,6 @@ class RenderSystem
     const Surface &at(int i) const { return surfaces_[std::size_t(i)]; }
     Surface &at(int i) { return surfaces_[std::size_t(i)]; }
 
-    int fault_target() const;
     int prerender_limit_at(int capacity) const;
     void build_pipeline(Surface &s, int id);
     void attach_plant();

@@ -9,16 +9,11 @@
 
 namespace dvs {
 
-Governor::Governor(const GovernorConfig &config, GovernorHooks hooks)
-    : config_(config), hooks_(std::move(hooks))
+Governor::Governor(double throttle_c, GovernorHooks hooks)
+    // Engage before the plant trips; calm well below the throttle point.
+    : demote_c_(throttle_c - 2.0), calm_c_(throttle_c - 6.0),
+      hooks_(std::move(hooks)), max_rung_(hooks_.handoff ? 4 : 3)
 {
-    if (config_.hold_ticks < 1 || config_.promote_ticks < 1)
-        fatal("governor hold/promote ticks must be >= 1");
-    if (config_.backoff_cap < 1)
-        fatal("governor backoff cap must be >= 1");
-    if (config_.temp_promote_c > config_.temp_demote_c)
-        fatal("governor promote temperature above demote threshold");
-    max_rung_ = hooks_.handoff ? 4 : 3;
 }
 
 void
@@ -143,8 +138,8 @@ Governor::demote(Time now, const Sensors &s)
     // Exponential re-promotion backoff: demoting again soon after the
     // last demotion means the previous promotion was premature — double
     // the calm streak the next promotion must earn.
-    if (last_demote_ != kTimeNone && now - last_demote_ <= config_.backoff_window)
-        backoff_ = std::min(backoff_ * 2, config_.backoff_cap);
+    if (last_demote_ != kTimeNone && now - last_demote_ <= kBackoffWindow)
+        backoff_ = std::min(backoff_ * 2, kBackoffCap);
     else
         backoff_ = 1;
     last_demote_ = now;
@@ -174,17 +169,13 @@ Governor::tick(Time now)
     if (ticks_ == 1)
         return; // first tick only primes the differentiated sensors
 
-    const bool over_budget = config_.energy_budget_mw > 0.0 &&
-                             s.have_rate &&
-                             s.rate_mw > config_.energy_budget_mw;
-    const bool pressure = s.temp_c >= config_.temp_demote_c || over_budget;
-    const bool calm = s.temp_c <= config_.temp_promote_c &&
-                      s.new_drops <= 0.0 && !over_budget;
+    const bool pressure = s.temp_c >= demote_c_;
+    const bool calm = s.temp_c <= calm_c_ && s.new_drops <= 0.0;
 
     if (pressure) {
         calm_streak_ = 0;
         ++pressure_streak_;
-        if (rung_ < max_rung_ && pressure_streak_ >= config_.hold_ticks)
+        if (rung_ < max_rung_ && pressure_streak_ >= kHoldTicks)
             demote(now, s);
         return;
     }
@@ -196,7 +187,7 @@ Governor::tick(Time now)
     ++calm_streak_;
     if (rung_ == 0)
         return;
-    if (calm_streak_ < config_.promote_ticks * backoff_)
+    if (calm_streak_ < kPromoteTicks * backoff_)
         return;
     // Leaving the handoff rung additionally waits for the watchdog to
     // have re-promoted on its own — the governor never yanks a degraded

@@ -16,15 +16,21 @@
  *   rung 4  handoff        — force the PR 3 watchdog's VSync fallback
  *
  * Sensors come from the MetricsRegistry (the PR 5 sensor bus): die
- * temperature, cumulative GPU energy (differentiated into a rate), and
- * the drop counter. Actions are injected as closures (GovernorHooks) so
- * this library depends only on sim + obs, never on the core runtime.
+ * temperature, cumulative GPU energy (differentiated into a rate the
+ * timeline prints), and the drop counter. Actions are injected as
+ * closures (GovernorHooks) so this library depends only on sim + obs,
+ * never on the core runtime.
  *
- * No-flap guarantee: a demotion requires `hold_ticks` consecutive ticks
+ * Thresholds are derived, not configured: the governor takes the
+ * plant's throttle point and demotes at throttle - 2 °C (engaging
+ * before the plant trips), counting a tick calm only at or below
+ * throttle - 6 °C. The hysteresis and backoff knobs are constants.
+ *
+ * No-flap guarantee: a demotion requires `kHoldTicks` consecutive ticks
  * at the current rung (per-rung hysteresis), a promotion requires a calm
- * streak of `promote_ticks * backoff` ticks, and every re-demotion
- * within `backoff_window` of the previous one doubles the backoff (up to
- * `backoff_cap`). A workload that keeps re-triggering pressure therefore
+ * streak of `kPromoteTicks * backoff` ticks, and every re-demotion
+ * within `kBackoffWindow` of the previous one doubles the backoff (up to
+ * `kBackoffCap`). A workload that keeps re-triggering pressure therefore
  * pays exponentially longer calm streaks before each retry, so the
  * transition count over any horizon T is O(rungs * log(T)) rather than
  * O(T) — the flap-storm test pins this bound.
@@ -49,32 +55,6 @@ namespace dvs {
 
 class Simulator;
 class MetricsRegistry;
-
-/** Control-loop knobs. */
-struct GovernorConfig {
-    bool enabled = false;
-
-    /** Demote while the die is at or above this (°C). */
-    double temp_demote_c = 43.0;
-
-    /** Count a tick as calm only at or below this (°C). */
-    double temp_promote_c = 39.0;
-
-    /** GPU energy-rate budget (mW); 0 disables the energy sensor. */
-    double energy_budget_mw = 0.0;
-
-    /** Consecutive pressured ticks required before each demotion. */
-    int hold_ticks = 2;
-
-    /** Calm ticks (scaled by the backoff) required before a promotion. */
-    int promote_ticks = 6;
-
-    /** Backoff multiplier cap. */
-    int backoff_cap = 8;
-
-    /** Re-demotion within this window doubles the backoff. */
-    Time backoff_window = 1'500'000'000; // 1.5 s
-};
 
 /**
  * Actuators, injected by the wiring layer (RenderSystem). A null hook
@@ -102,7 +82,23 @@ struct GovernorHooks {
 class Governor
 {
   public:
-    Governor(const GovernorConfig &config, GovernorHooks hooks);
+    /** Consecutive pressured ticks required before each demotion. */
+    static constexpr int kHoldTicks = 2;
+
+    /** Calm ticks (scaled by the backoff) required before a promotion. */
+    static constexpr int kPromoteTicks = 6;
+
+    /** Backoff multiplier cap. */
+    static constexpr int kBackoffCap = 8;
+
+    /** Re-demotion within this window doubles the backoff. */
+    static constexpr Time kBackoffWindow = 1'500'000'000; // 1.5 s
+
+    /**
+     * A ladder for a plant that throttles at @p throttle_c (°C): demote
+     * at throttle_c - 2, calm at or below throttle_c - 6.
+     */
+    Governor(double throttle_c, GovernorHooks hooks);
 
     /**
      * Run the control loop every @p interval on @p sim's clock (first
@@ -142,7 +138,11 @@ class Governor
         return transitions_;
     }
 
-    const GovernorConfig &config() const { return config_; }
+    /** Demote while the die is at or above this (°C). */
+    double demote_c() const { return demote_c_; }
+
+    /** Count a tick as calm only at or below this (°C). */
+    double calm_c() const { return calm_c_; }
 
   private:
     struct Sensors {
@@ -160,7 +160,8 @@ class Governor
                 const Sensors &s);
     static const char *rung_name(int rung);
 
-    GovernorConfig config_;
+    double demote_c_;
+    double calm_c_;
     GovernorHooks hooks_;
     const MetricsRegistry *registry_ = nullptr;
     bool installed_ = false;

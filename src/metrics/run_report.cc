@@ -37,9 +37,6 @@ RunReport::averaged(const std::vector<RunReport> &runs)
         avg.activity.frames_produced += r.activity.frames_produced;
         avg.activity.predicted_frames += r.activity.predicted_frames;
         avg.energy_mj += r.energy_mj;
-        avg.pipeline_busy_s += r.pipeline_busy_s;
-        avg.frames_produced += r.frames_produced;
-        avg.predicted_frames += r.predicted_frames;
         avg.invariant_violations += r.invariant_violations;
         avg.faults_injected += r.faults_injected;
         avg.degradations += r.degradations;
@@ -75,7 +72,6 @@ RunReport::averaged(const std::vector<RunReport> &runs)
     avg.latency_p99_ms /= n;
     avg.latency_max_ms /= n;
     avg.energy_mj /= n;
-    avg.pipeline_busy_s /= n;
     avg.peak_temp_c /= n;
     avg.final_temp_c /= n;
     avg.gpu_energy_mj /= n;

@@ -101,9 +101,6 @@ struct RunReport {
     // ----- power model (§6.4) -------------------------------------------
     RunActivity activity;
     double energy_mj = 0.0;
-    double pipeline_busy_s = 0.0;
-    std::uint64_t frames_produced = 0;
-    std::uint64_t predicted_frames = 0;
 
     // ----- robustness (fault campaign + watchdog) -----------------------
     std::uint64_t invariant_violations = 0; ///< InvariantMonitor total

@@ -15,8 +15,6 @@ to_string(MetricKind k)
         return "counter";
       case MetricKind::kGauge:
         return "gauge";
-      case MetricKind::kHistogram:
-        return "histogram";
     }
     return "?";
 }
@@ -47,21 +45,10 @@ MetricsRegistry::register_gauge(const std::string &name, Sampler fn)
     add(name, MetricKind::kGauge).fn = std::move(fn);
 }
 
-Histogram &
-MetricsRegistry::register_histogram(const std::string &name, double lo,
-                                    double hi, int bins)
-{
-    Metric &m = add(name, MetricKind::kHistogram);
-    m.histogram = std::make_unique<Histogram>(lo, hi, bins);
-    return *m.histogram;
-}
-
 void
 MetricsRegistry::sample(Time now)
 {
     for (Metric &m : metrics_) {
-        if (!m.fn)
-            continue;
         const double v = m.fn();
         if (m.kind == MetricKind::kCounter && v < m.last) {
             panic("counter '%s' went backwards (%g -> %g)",
@@ -103,8 +90,6 @@ MetricsRegistry::read(const std::string &name, double *out) const
     for (const Metric &m : metrics_) {
         if (m.name != name)
             continue;
-        if (m.kind == MetricKind::kHistogram || !m.fn)
-            return false;
         *out = m.fn();
         return true;
     }
@@ -116,8 +101,7 @@ MetricsRegistry::series(const std::string &name) const
 {
     for (const Metric &m : metrics_) {
         if (m.name == name)
-            return m.kind == MetricKind::kHistogram ? nullptr
-                                                    : &m.samples;
+            return &m.samples;
     }
     return nullptr;
 }
@@ -134,27 +118,7 @@ MetricsRegistry::to_json() const
         first_metric = false;
         out += "\n{\"name\":\"" + m.name + "\",\"type\":\"";
         out += to_string(m.kind);
-        out += "\",";
-        if (m.kind == MetricKind::kHistogram) {
-            const Histogram &h = *m.histogram;
-            std::snprintf(buf, sizeof(buf),
-                          "\"lo\":%.17g,\"hi\":%.17g,\"underflow\":%llu,"
-                          "\"overflow\":%llu,\"bins\":[",
-                          h.lo(), h.hi(),
-                          (unsigned long long)h.underflow(),
-                          (unsigned long long)h.overflow());
-            out += buf;
-            for (int i = 0; i < h.bins(); ++i) {
-                if (i)
-                    out += ',';
-                std::snprintf(buf, sizeof(buf), "%llu",
-                              (unsigned long long)h.bin_count(i));
-                out += buf;
-            }
-            out += "]}";
-            continue;
-        }
-        out += "\"samples\":[";
+        out += "\",\"samples\":[";
         for (std::size_t i = 0; i < m.samples.size(); ++i) {
             if (i)
                 out += ',';

@@ -1,14 +1,13 @@
 /**
  * @file
- * MetricsRegistry: typed counters/gauges/histograms, sampled on a cadence.
+ * MetricsRegistry: typed counters and gauges, sampled on a cadence.
  *
  * Components register a metric once (a name plus a sampler closure);
  * the registry polls every sampler at a configurable interval on the
  * simulated clock and keeps the time series, exported as JSON alongside
  * the trace. Counters must be non-decreasing (monotonic totals like
  * busy nanoseconds or presents); gauges are instantaneous levels
- * (queue depth, degraded flag); histograms accumulate value
- * distributions pushed by the owning component.
+ * (queue depth, degraded flag).
  *
  * Sampling schedules simulator events, so it is only installed when
  * forensics is enabled — an idle registry costs nothing on the hot path.
@@ -19,11 +18,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "metrics/histogram.h"
 #include "sim/time.h"
 
 namespace dvs {
@@ -31,7 +28,7 @@ namespace dvs {
 class Simulator;
 
 /** Metric flavor; serialized into the JSON export. */
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kGauge };
 
 const char *to_string(MetricKind k);
 
@@ -52,15 +49,7 @@ class MetricsRegistry
     /** Register an instantaneous gauge. Duplicate names are fatal(). */
     void register_gauge(const std::string &name, Sampler fn);
 
-    /**
-     * Register a histogram over [lo, hi) with @p bins equal bins; the
-     * returned reference stays valid for the registry's lifetime and
-     * the owning component pushes samples into it directly.
-     */
-    Histogram &register_histogram(const std::string &name, double lo,
-                                  double hi, int bins);
-
-    /** Poll every counter/gauge sampler once at time @p now. */
+    /** Poll every sampler once at time @p now. */
     void sample(Time now);
 
     /**
@@ -73,13 +62,13 @@ class MetricsRegistry
     std::size_t size() const { return metrics_.size(); }
     std::uint64_t samples_taken() const { return samples_taken_; }
 
-    /** Series of metric @p name; null when unknown or a histogram. */
+    /** Series of metric @p name; null when unknown. */
     const std::vector<MetricSample> *series(const std::string &name) const;
 
     /**
      * Poll metric @p name's sampler once, without recording a sample —
      * the governor's sensor-bus read. Returns false (leaving @p out
-     * untouched) for unknown names and histograms.
+     * untouched) for unknown names.
      */
     bool read(const std::string &name, double *out) const;
 
@@ -92,7 +81,6 @@ class MetricsRegistry
         MetricKind kind = MetricKind::kGauge;
         Sampler fn;
         std::vector<MetricSample> samples;
-        std::unique_ptr<Histogram> histogram;
         double last = 0.0; ///< monotonicity check for counters
     };
 

@@ -15,14 +15,6 @@ Compositor::Compositor(Panel &panel, Time latch_lead)
         });
 }
 
-void
-Compositor::set_latch_lead(Time lead)
-{
-    if (lead < 0)
-        fatal("latch lead must be >= 0");
-    latch_lead_ = lead;
-}
-
 bool
 Compositor::eligible(const FrameBuffer &buf, const VsyncEdge &edge)
 {

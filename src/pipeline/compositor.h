@@ -33,7 +33,6 @@ class Compositor
     explicit Compositor(Panel &panel, Time latch_lead = 0);
 
     Time latch_lead() const { return latch_lead_; }
-    void set_latch_lead(Time lead);
 
     /**
      * Fault-injection hook: while the hook returns true for an edge
@@ -53,7 +52,7 @@ class Compositor
     bool eligible(const FrameBuffer &buf, const VsyncEdge &edge);
 
     Panel &panel_;
-    Time latch_lead_;
+    const Time latch_lead_;
     ForcedMiss forced_miss_;
     std::uint64_t missed_ = 0;
     std::uint64_t latched_ = 0;

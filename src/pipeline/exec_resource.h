@@ -34,9 +34,6 @@ class ExecResource
     /** Whether the resource can start new work right now. */
     bool idle() const { return sim_.now() >= busy_until_; }
 
-    /** Time the current work finishes (may be in the past when idle). */
-    Time busy_until() const { return busy_until_; }
-
     /**
      * Execute work of length @p duration, starting now (or when the
      * current work finishes). @p on_done runs at completion, before the

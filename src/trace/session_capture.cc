@@ -87,32 +87,6 @@ decode_device(ByteReader &r, DeviceConfig &d)
 }
 
 void
-encode_governor(ByteWriter &w, const GovernorConfig &g)
-{
-    w.u8(g.enabled ? 1 : 0);
-    w.f64(g.temp_demote_c);
-    w.f64(g.temp_promote_c);
-    w.f64(g.energy_budget_mw);
-    w.svarint(g.hold_ticks);
-    w.svarint(g.promote_ticks);
-    w.svarint(g.backoff_cap);
-    w.svarint(g.backoff_window);
-}
-
-void
-decode_governor(ByteReader &r, GovernorConfig &g)
-{
-    g.enabled = read_bool(r, "governor.enabled");
-    g.temp_demote_c = r.f64();
-    g.temp_promote_c = r.f64();
-    g.energy_budget_mw = r.f64();
-    g.hold_ticks = int(r.svarint());
-    g.promote_ticks = int(r.svarint());
-    g.backoff_cap = int(r.svarint());
-    g.backoff_window = r.svarint();
-}
-
-void
 encode_config(ByteWriter &w, const SessionCapture &cap)
 {
     const SystemConfig &c = cap.config;
@@ -125,15 +99,11 @@ encode_config(ByteWriter &w, const SessionCapture &cap)
     w.svarint(c.vsync_jitter);
     w.svarint(c.dtv_calibration_interval);
     w.svarint(c.latch_lead);
-    w.svarint(c.vsync_app_offset);
-    w.svarint(c.vsync_rs_offset);
-    w.u8(c.watchdog ? 1 : 0);
     w.u8(c.forensics ? 1 : 0);
     w.svarint(c.metrics_interval);
     w.u8(c.thermal.enabled ? 1 : 0);
     w.f64(c.thermal.envelope_scale);
-    encode_governor(w, c.governor);
-    // display.fault_surface travels with the plan, in FALT.
+    w.u8(c.governor ? 1 : 0);
     w.f64(c.display.budget_mb);
     w.u8(std::uint8_t(c.display.policy));
     w.varint(cap.surfaces.size());
@@ -160,17 +130,13 @@ decode_config(ByteReader &r, SessionCapture &cap)
     c.vsync_jitter = r.svarint();
     c.dtv_calibration_interval = int(r.svarint());
     c.latch_lead = r.svarint();
-    c.vsync_app_offset = r.svarint();
-    c.vsync_rs_offset = r.svarint();
-    c.watchdog = read_bool(r, "watchdog");
     c.forensics = read_bool(r, "forensics");
     c.metrics_interval = r.svarint();
     c.thermal.enabled = read_bool(r, "thermal.enabled");
     c.thermal.envelope_scale = r.f64();
-    decode_governor(r, c.governor);
+    c.governor = read_bool(r, "governor");
     c.display.budget_mb = r.f64();
     c.display.policy = read_enum<ArbiterPolicy>(r, 2, "arbiter policy");
-    c.faults.reset(); // FALT section reinstalls a recorded plan
     const std::uint64_t n = r.count(20);
     std::vector<SurfaceCapture> &surfaces = cap.surfaces;
     surfaces.clear();
@@ -190,11 +156,10 @@ decode_config(ByteReader &r, SessionCapture &cap)
 // ----- fault plan payload ----------------------------------------------
 
 void
-encode_faults(ByteWriter &w, const FaultPlan &plan, int fault_surface)
+encode_faults(ByteWriter &w, const FaultPlan &plan)
 {
     w.u64(plan.seed());
     w.str(plan.mix_name());
-    w.svarint(fault_surface);
     w.varint(plan.windows().size());
     Time prev_start = 0;
     for (const FaultWindow &win : plan.windows()) {
@@ -207,12 +172,10 @@ encode_faults(ByteWriter &w, const FaultPlan &plan, int fault_surface)
 }
 
 bool
-decode_faults(ByteReader &r, std::shared_ptr<const FaultPlan> &out,
-              int &fault_surface)
+decode_faults(ByteReader &r, std::shared_ptr<const FaultPlan> &out)
 {
     const std::uint64_t seed = r.u64();
     const std::string mix_name = r.str();
-    fault_surface = int(r.svarint());
     const std::uint64_t n = r.count(4);
     std::vector<FaultWindow> windows;
     windows.reserve(n);
@@ -393,7 +356,7 @@ SessionCapture::encode() const
 
     if (plan) {
         w.begin_section(kTagFaults);
-        encode_faults(w, *plan, config.display.fault_surface);
+        encode_faults(w, *plan);
         w.end_section();
     }
 
@@ -441,7 +404,6 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
     enum Stage { kWantMeta, kWantConf, kWantSegs, kDone };
     Stage stage = kWantMeta;
     std::shared_ptr<const FaultPlan> plan;
-    int fault_surface = 0;
     bool have_faults = false;
     std::uint8_t section_map = 0;
 
@@ -494,7 +456,7 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
                 error = "FALT section out of order or duplicated";
                 return false;
             }
-            if (!decode_faults(r, plan, fault_surface)) {
+            if (!decode_faults(r, plan)) {
                 error = "malformed FALT section: " + r.error();
                 return false;
             }
@@ -545,15 +507,7 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
         return false;
     }
 
-    if (have_faults) {
-        if (cap.kind == Kind::kSingle && fault_surface != 0) {
-            error = "single-app capture targets faults at surface " +
-                    std::to_string(fault_surface);
-            return false;
-        }
-        cap.config.faults = plan;
-        cap.config.display.fault_surface = fault_surface;
-    }
+    cap.config.faults = plan;
     // A capture replay could not assemble is malformed.
     const std::string unbuildable = RenderSystem::config_error(
         cap.config, cap.kind == Kind::kMulti, cap.surfaces.size());

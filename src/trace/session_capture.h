@@ -12,7 +12,7 @@
  * recording the table of values a segment *can* query reproduces the
  * run exactly without recording scheduler state.
  *
- * File format (.dvst), schema version 4:
+ * File format (.dvst), schema version 5:
  *
  *   "DVST"  u16 version  u16 reserved(0)
  *   then sections, each:  4-byte tag | u32 payload len | payload | u32 CRC
@@ -20,9 +20,9 @@
  *   META  provenance: section map, label, verbatim flag, source dispatch
  *         hash + report fingerprint, transform lineage
  *   CONF  the device kind (0 single / 1 multi), every SystemConfig field
- *         (display.fault_surface travels in FALT) and the surface
- *         descriptors, for both device kinds
- *   FALT  fault plan windows (optional; absent = no injection)
+ *         and the surface descriptors, for both device kinds
+ *   FALT  fault plan windows, injected into surface 0 (optional;
+ *         absent = no injection)
  *   SEGS  one scenario per surface: per-segment kind/duration/label,
  *         dense cost table, touch events
  *
@@ -94,7 +94,7 @@ struct SurfaceCapture {
  * A complete recorded session, loadable/savable as .dvst.
  */
 struct SessionCapture {
-    static constexpr std::uint16_t kSchemaVersion = 4;
+    static constexpr std::uint16_t kSchemaVersion = 5;
 
     /** Device kind: the RenderSystem constructor replay must use. */
     enum class Kind : std::uint8_t { kSingle = 0, kMulti = 1 };

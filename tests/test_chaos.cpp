@@ -184,8 +184,8 @@ TEST(Degradation, MultiSecondStallDegradesThenRepromotes)
     sc.animate(4_s, cost);
     SystemConfig cfg;
     cfg.mode = RenderMode::kDvsync;
-    cfg.watchdog = true;
     RenderSystem sys(cfg, sc);
+    sys.runtime()->attach_watchdog(sys.panel(), sys.monitor());
 
     // The display dies for 2 seconds mid-animation (screen off / panel
     // hang); the watchdog must fall back to VSync pacing, resync DTV,

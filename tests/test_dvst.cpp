@@ -141,11 +141,26 @@ tiny_composed_capture()
                            .with_start_at(10_ms));
     SystemConfig cfg = SystemConfig().with_budget_mb(24.0).with_faults(
         std::make_shared<const FaultPlan>(
-            FaultPlan::generate(3, 60_ms, FaultMix::everything())),
-        1);
+            FaultPlan::generate(3, 60_ms, FaultMix::everything())));
     RenderSystem sys(cfg, std::move(surfaces));
     sys.run();
     return SessionRecorder::capture(sys, "tiny-composed");
+}
+
+/** tiny_capture() on a governed D-VSync device: plant and ladder on. */
+SessionCapture
+tiny_governed_capture()
+{
+    auto cost = std::make_shared<ConstantCostModel>(1_ms, 3_ms);
+    Scenario sc("tiny");
+    sc.animate(60_ms, cost);
+    RenderSystem sys(SystemConfig()
+                         .with_mode(RenderMode::kDvsync)
+                         .with_thermal_envelope(0.5)
+                         .with_governor(true),
+                     sc);
+    sys.run();
+    return SessionRecorder::capture(sys, "tiny-governed");
 }
 
 } // namespace
@@ -511,10 +526,6 @@ TEST(Capture, ComposedDisplaySettingsSurviveVerifiedCapture)
     } cases[] = {
         {"dtv_calibration_interval",
          [](SystemConfig &c) { c.dtv_calibration_interval = 4; }},
-        {"vsync_app_offset",
-         [](SystemConfig &c) { c.vsync_app_offset = 1_ms; }},
-        {"vsync_rs_offset",
-         [](SystemConfig &c) { c.vsync_rs_offset = 1_ms; }},
     };
     const std::string path =
         testing::TempDir() + "/dvst_composed_setting.dvst";
@@ -531,8 +542,6 @@ TEST(Capture, ComposedDisplaySettingsSurviveVerifiedCapture)
             << error;
         EXPECT_EQ(loaded.config.dtv_calibration_interval,
                   cfg.dtv_calibration_interval);
-        EXPECT_EQ(loaded.config.vsync_app_offset, cfg.vsync_app_offset);
-        EXPECT_EQ(loaded.config.vsync_rs_offset, cfg.vsync_rs_offset);
         std::remove(path.c_str());
     }
 }
@@ -552,11 +561,8 @@ TEST(Capture, GovernorThermalSessionRoundTripsAndReplays)
     sc.animate(1_s, cost);
     SystemConfig cfg;
     cfg.mode = RenderMode::kDvsync;
-    cfg.watchdog = true;
     cfg.with_thermal_envelope(0.4);
-    GovernorConfig gov;
-    gov.enabled = true;
-    cfg.with_governor(gov);
+    cfg.with_governor(true);
 
     RenderSystem sys(cfg, sc);
     const RunReport recorded = sys.run();
@@ -567,7 +573,7 @@ TEST(Capture, GovernorThermalSessionRoundTripsAndReplays)
     ASSERT_TRUE(SessionCapture::decode(cap.encode(), back, error)) << error;
     EXPECT_TRUE(back.config.thermal.enabled);
     EXPECT_EQ(back.config.thermal.envelope_scale, 0.4);
-    EXPECT_TRUE(back.config.governor.enabled);
+    EXPECT_TRUE(back.config.governor);
 
     const ReplayResult replay = replay_session(back);
     EXPECT_EQ(replay.verify_against(back), "");
@@ -880,11 +886,11 @@ TEST(Loader, RejectsBadMagicAndLeavesOutputUntouched)
 
 TEST(Loader, RejectsVersionSkewNamingBothVersions)
 {
-    static_assert(SessionCapture::kSchemaVersion == 4);
-    // Version 3 is the retired format (it kept the device kind in the
-    // header, outside every CRC, and stored the knobs that are now
-    // constants); 5 is from the future.
-    for (char version : {char(3), char(5)}) {
+    static_assert(SessionCapture::kSchemaVersion == 5);
+    // Version 4 is the retired format (its CONF stored the vsync
+    // offsets, the watchdog flag and the governor's thresholds and
+    // knobs, its FALT the fault target); 6 is from the future.
+    for (char version : {char(4), char(6)}) {
         std::string bytes = tiny_capture().encode();
         bytes[4] = version; // u16 LE version low byte
         SessionCapture out;
@@ -894,7 +900,7 @@ TEST(Loader, RejectsVersionSkewNamingBothVersions)
         EXPECT_NE(error.find(std::to_string(int(version))),
                   std::string::npos)
             << error;
-        EXPECT_NE(error.find("reads version 4"), std::string::npos) << error;
+        EXPECT_NE(error.find("reads version 5"), std::string::npos) << error;
     }
 }
 
@@ -908,18 +914,6 @@ TEST(Loader, RejectsEveryTruncation)
             << "prefix of " << n << " bytes parsed";
         EXPECT_FALSE(error.empty());
     }
-}
-
-TEST(Loader, RejectsSingleAppCaptureFaultingAnotherSurface)
-{
-    // A single-app device has one surface; a FALT section aimed at any
-    // other is malformed input, not a replayable session.
-    SessionCapture cap = record_single(RenderMode::kVsync, 3);
-    cap.config.display.fault_surface = 1;
-    SessionCapture out;
-    std::string error;
-    EXPECT_FALSE(SessionCapture::decode(cap.encode(), out, error));
-    EXPECT_NE(error.find("surface 1"), std::string::npos) << error;
 }
 
 TEST(Loader, RejectsCapturesReplayCannotBuild)
@@ -976,13 +970,14 @@ TEST(Loader, RejectsTrailingGarbage)
 TEST(Loader, EverySingleByteMutationFailsCleanly)
 {
     // Both device kinds; the composed capture also covers CONF's
-    // surface list and a FALT section aimed at its second surface. The
-    // default-settings VSync capture is also a valid one-surface
-    // composed configuration, so only the CRC over CONF's kind byte
-    // keeps a flipped kind from loading as the other device.
+    // surface list and a FALT section, the governed one CONF's thermal
+    // and governor flags. The default-settings VSync capture is also a
+    // valid one-surface composed configuration, so only the CRC over
+    // CONF's kind byte keeps a flipped kind from loading as the other
+    // device.
     for (const SessionCapture &cap :
          {tiny_capture(), tiny_capture(RenderMode::kVsync),
-          tiny_composed_capture()}) {
+          tiny_governed_capture(), tiny_composed_capture()}) {
         SCOPED_TRACE(cap.label);
         ASSERT_EQ(cap.config.faults != nullptr,
                   cap.kind == SessionCapture::Kind::kMulti);

@@ -188,6 +188,12 @@ TEST(ThermalPlant, EnvelopeScaleShrinksTheBudget)
 namespace {
 
 /**
+ * Throttle point of the hand-built ladders: demote at 40 °C, calm at
+ * or below 36 °C. The tests below drive 45 °C as pressure, 30 °C as calm.
+ */
+constexpr double kThrottleC = 42.0;
+
+/**
  * A governor wired to fake sensors: tests poke temp/energy/drops and
  * tick the control loop by hand; every hook invocation is recorded.
  */
@@ -201,21 +207,7 @@ struct LadderHarness {
     bool handoff_cleared = true;
     Governor gov;
 
-    static GovernorConfig fast_config()
-    {
-        GovernorConfig cfg;
-        cfg.enabled = true;
-        cfg.temp_demote_c = 40.0;
-        cfg.temp_promote_c = 36.0;
-        cfg.hold_ticks = 2;
-        cfg.promote_ticks = 2;
-        cfg.backoff_cap = 8;
-        cfg.backoff_window = 1'000_ms;
-        return cfg;
-    }
-
-    explicit LadderHarness(GovernorConfig cfg = fast_config())
-        : gov(cfg, make_hooks(this))
+    LadderHarness() : gov(kThrottleC, make_hooks(this))
     {
         reg.register_gauge("thermal.temp_c", [this] { return temp_c; });
         reg.register_counter("power.gpu_mj", [this] { return gpu_mj; });
@@ -241,8 +233,7 @@ struct LadderHarness {
 /** Governor bound to the harness registry without a simulator. */
 struct BoundLadder : LadderHarness {
     Simulator sim{1};
-    explicit BoundLadder(GovernorConfig cfg = fast_config())
-        : LadderHarness(cfg)
+    BoundLadder()
     {
         gov.install(sim, reg, 10_ms);
         gov.tick(0); // prime the differentiated sensors
@@ -251,20 +242,14 @@ struct BoundLadder : LadderHarness {
 
 } // namespace
 
-TEST(Governor, ValidatesItsConfig)
-{
-    GovernorConfig cfg = LadderHarness::fast_config();
-    cfg.temp_promote_c = cfg.temp_demote_c + 1.0; // inverted band
-    EXPECT_DEATH({ Governor g(cfg, {}); }, "promote temperature");
-}
-
 TEST(Governor, HoldTicksGateEveryDemotion)
 {
+    static_assert(Governor::kHoldTicks == 2);
     BoundLadder h;
     h.temp_c = 45.0; // pressure
-    h.tick(10_ms);   // streak 1 of 2
+    h.tick(10_ms);   // streak 1 of kHoldTicks
     EXPECT_EQ(h.gov.rung(), 0);
-    h.tick(20_ms); // streak 2: demote
+    h.tick(20_ms); // streak kHoldTicks: demote
     EXPECT_EQ(h.gov.rung(), 1);
     ASSERT_EQ(h.actions.size(), 1u);
     EXPECT_EQ(h.actions[0], std::make_pair(1, true));
@@ -294,11 +279,10 @@ TEST(Governor, LadderWalksEveryRungAndHandoffIsEnterOnly)
 
 TEST(Governor, WithoutHandoffHookLadderTopsOutAtDvfs)
 {
-    GovernorConfig cfg = LadderHarness::fast_config();
-    LadderHarness base(cfg);
+    LadderHarness base;
     GovernorHooks hooks = LadderHarness::make_hooks(&base);
     hooks.handoff = nullptr;
-    Governor gov(cfg, hooks);
+    Governor gov(kThrottleC, hooks);
     Simulator sim{1};
     gov.install(sim, base.reg, 10_ms);
     EXPECT_EQ(gov.max_rung(), 3);
@@ -327,9 +311,11 @@ TEST(Governor, PromotionWaitsForTheWatchdogAtHandoff)
 
     // The watchdog re-promotes; the governor may now climb. The rapid
     // demotion burst drove the backoff to its cap, so every promotion
-    // costs promote_ticks * backoff_cap calm ticks.
+    // costs kPromoteTicks * kBackoffCap calm ticks.
+    ASSERT_EQ(h.gov.backoff_multiplier(), Governor::kBackoffCap);
     h.handoff_cleared = true;
-    for (int i = 41; i <= 120; ++i)
+    const int climb = 4 * Governor::kPromoteTicks * Governor::kBackoffCap;
+    for (int i = 41; i <= 40 + climb; ++i)
         h.tick(Time(i) * 10_ms);
     EXPECT_EQ(h.gov.rung(), 0);
     EXPECT_EQ(h.gov.promotions(), 4u);
@@ -356,20 +342,22 @@ TEST(Governor, NewDropsBlockTheCalmStreak)
         h.tick(Time(i) * 10_ms);
     }
     EXPECT_EQ(h.gov.rung(), 1);
-    // Drops stop: promotion after the calm streak.
-    for (int i = 31; i <= 33; ++i)
-        h.tick(Time(i) * 10_ms);
+    // Drops stop: promotion after kPromoteTicks calm ticks (the backoff
+    // is 1 after a single demotion).
+    ASSERT_EQ(h.gov.backoff_multiplier(), 1);
+    for (int i = 1; i < Governor::kPromoteTicks; ++i)
+        h.tick(Time(30 + i) * 10_ms);
+    EXPECT_EQ(h.gov.rung(), 1);
+    h.tick(Time(30 + Governor::kPromoteTicks) * 10_ms);
     EXPECT_EQ(h.gov.rung(), 0);
 }
 
-TEST(Governor, EnergyBudgetIsAPressureSource)
+TEST(Governor, TimelineReportsTheEnergyRate)
 {
-    GovernorConfig cfg = LadderHarness::fast_config();
-    cfg.energy_budget_mw = 1000.0;
-    BoundLadder h(cfg);
-    h.temp_c = 30.0; // thermally calm: only the budget can demote
-    // 2 mJ per ms of simulated time = 2000 mW, double the budget.
-    for (int i = 1; i <= 3; ++i) {
+    BoundLadder h;
+    h.temp_c = 45.0;
+    // 2 mJ per ms of simulated time = 2000 mW.
+    for (int i = 1; i <= Governor::kHoldTicks; ++i) {
         h.gpu_mj += 20.0;
         h.tick(Time(i) * 10_ms);
     }
@@ -407,13 +395,13 @@ TEST(Governor, ReDemotionDoublesThePromotionBackoff)
     EXPECT_EQ(h.gov.backoff_multiplier(), 4);
     t = flap_once(t);
     t = flap_once(t);
-    EXPECT_EQ(h.gov.backoff_multiplier(), 8); // capped
+    EXPECT_EQ(h.gov.backoff_multiplier(), Governor::kBackoffCap);
     t = flap_once(t);
-    EXPECT_EQ(h.gov.backoff_multiplier(), 8);
+    EXPECT_EQ(h.gov.backoff_multiplier(), Governor::kBackoffCap);
 
-    // ...and a demotion after a long quiet spell resets it.
+    // ...and a demotion after a quiet spell past the window resets it.
     h.temp_c = 45.0;
-    t += 5'000_ms;
+    t += Governor::kBackoffWindow + 10_ms;
     h.tick(t);
     h.tick(t + 10_ms);
     EXPECT_EQ(h.gov.rung(), 1);
@@ -437,13 +425,12 @@ TEST(Governor, FlapStormTransitionsAreBounded)
         h.gov.demotions() + h.gov.promotions();
     // Worst case at the cap: one demote+promote per
     // (hold + promote*cap) ticks, plus the pre-cap ramp.
-    const GovernorConfig &cfg = h.gov.config();
     const std::uint64_t cycle =
-        std::uint64_t(cfg.hold_ticks) +
-        std::uint64_t(cfg.promote_ticks) * cfg.backoff_cap;
+        std::uint64_t(Governor::kHoldTicks) +
+        std::uint64_t(Governor::kPromoteTicks) * Governor::kBackoffCap;
     EXPECT_LE(transitions, 2 * (kTicks / cycle) + 16);
     EXPECT_GE(transitions, 4u); // it did flap, the bound is not vacuous
-    EXPECT_EQ(h.gov.backoff_multiplier(), cfg.backoff_cap);
+    EXPECT_EQ(h.gov.backoff_multiplier(), Governor::kBackoffCap);
     EXPECT_EQ(h.gov.transitions().size(), transitions);
 }
 
@@ -468,10 +455,8 @@ TEST(DvsyncRuntime, WatchdogBackoffBoundsAFlapStorm)
     Scenario sc("flap-storm");
     sc.animate(4'000_ms,
                std::make_shared<ConstantCostModel>(FrameCost{1_ms, 3_ms}));
-    RenderSystem sys(SystemConfig()
-                         .with_mode(RenderMode::kDvsync)
-                         .with_watchdog(true),
-                     sc);
+    RenderSystem sys(SystemConfig().with_mode(RenderMode::kDvsync), sc);
+    sys.runtime()->attach_watchdog(sys.panel(), sys.monitor());
     int storms = 0;
     for (Time at = 150_ms; at < 4'000_ms; at += 150_ms) {
         ++storms;
@@ -511,21 +496,41 @@ hot_scenario(const DeviceConfig &dev)
     return sc;
 }
 
+/** Mate 40 Pro throttles at 45 °C: the ladder demotes at 43, calms at 39. */
 SystemConfig
 governed_config()
 {
-    GovernorConfig gov;
-    gov.enabled = true;
-    gov.temp_demote_c = 43.0;
-    gov.temp_promote_c = 39.0;
     return SystemConfig()
         .with_device(mate40_pro())
         .with_mode(RenderMode::kDvsync)
         .with_thermal_envelope(0.5)
-        .with_governor(gov);
+        .with_governor(true);
 }
 
 } // namespace
+
+TEST(Governor, ThresholdsFollowTheDeviceThrottlePoint)
+{
+    Scenario sc("bare");
+    sc.animate(100_ms,
+               std::make_shared<ConstantCostModel>(FrameCost{1_ms, 3_ms}));
+    for (const DeviceConfig &dev : all_devices()) {
+        RenderSystem sys(SystemConfig()
+                             .with_device(dev)
+                             .with_mode(RenderMode::kDvsync)
+                             .with_thermal_envelope(0.5)
+                             .with_governor(true),
+                         sc);
+        ASSERT_NE(sys.governor(), nullptr) << dev.name;
+        const double throttle_c = sys.plant()->params().throttle_c;
+        EXPECT_EQ(throttle_c, 25.0 + dev.thermal_headroom_c) << dev.name;
+        EXPECT_EQ(sys.governor()->demote_c(), throttle_c - 2.0) << dev.name;
+        EXPECT_EQ(sys.governor()->calm_c(), throttle_c - 6.0) << dev.name;
+    }
+    // The presets do not share one throttle point, so neither do their
+    // ladders.
+    EXPECT_NE(pixel5().thermal_headroom_c, mate60_pro().thermal_headroom_c);
+}
 
 TEST(Governor, EngagesUnderAConstrainedEnvelope)
 {
@@ -554,13 +559,11 @@ TEST(Governor, EngagesUnderAConstrainedEnvelope)
 
 TEST(Governor, RequiresTheThermalPlant)
 {
-    GovernorConfig gov;
-    gov.enabled = true;
     Scenario sc("bare");
     sc.animate(100_ms,
                std::make_shared<ConstantCostModel>(FrameCost{1_ms, 3_ms}));
     EXPECT_DEATH(
-        { RenderSystem sys(SystemConfig().with_governor(gov), sc); },
+        { RenderSystem sys(SystemConfig().with_governor(true), sc); },
         "thermal");
 }
 

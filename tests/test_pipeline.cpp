@@ -144,12 +144,12 @@ TEST(ExecResource, TeardownMidRunWithPendingWork)
     SystemConfig cfg;
     cfg.device = pixel5();
     cfg.mode = RenderMode::kVsync;
-    cfg.vsync_app_offset = 2_ms;
 
     auto token = std::make_shared<int>(0); // use_count tracks captures
     bool ran = false;
     {
         RenderSystem sys(cfg, sc);
+        sys.distributor().set_offset(VsyncChannel::kApp, 2_ms);
         sys.hw_vsync().start();
         sys.producer().start(0);
         const Time edge = 10 * kPeriod;

@@ -97,9 +97,8 @@ TEST(RenderSystem, FpsDegradesWithDrops)
 
 TEST(RenderSystem, VsyncOffsetsShiftTriggerTimes)
 {
-    SystemConfig cfg;
-    cfg.vsync_app_offset = 2_ms;
-    RenderSystem sys(cfg, steady(200_ms));
+    RenderSystem sys(SystemConfig(), steady(200_ms));
+    sys.distributor().set_offset(VsyncChannel::kApp, 2_ms);
     sys.run();
     // Every UI start sits 2 ms after a 60 Hz edge.
     for (const auto &rec : sys.producer().records())

@@ -179,14 +179,12 @@ TEST(MultiSurface, OneSurfaceComposedDisplayStillComposes)
 TEST(MultiSurface, ComposedDisplayRejectsSettingsItCannotHonour)
 {
     FatalThrowsScope scope(true);
-    GovernorConfig governed;
-    governed.enabled = true;
     const struct {
         SystemConfig config;
         const char *field; ///< the setting the error must name
     } rejected[] = {
         {SystemConfig().with_thermal_envelope(1.0), "config.thermal"},
-        {SystemConfig().with_governor(governed), "config.governor"},
+        {SystemConfig().with_governor(true), "config.governor"},
         {SystemConfig().with_mode(RenderMode::kDvsync), "config.mode"},
         {SystemConfig().with_mode(RenderMode::kPaced), "config.mode"},
         {SystemConfig().with_buffers(4), "config.buffers"},
@@ -212,10 +210,6 @@ TEST(MultiSurface, SingleAppDeviceRejectsDisplaySettings)
     const SystemConfig rejected[] = {
         SystemConfig().with_budget_mb(12.0),
         SystemConfig().with_policy(ArbiterPolicy::kEqualSplit),
-        SystemConfig().with_faults(
-            std::make_shared<const FaultPlan>(FaultPlan::generate(
-                1, 600_ms, FaultMix::everything())),
-            /*surface=*/1),
     };
     for (const SystemConfig &cfg : rejected)
         EXPECT_THROW(RenderSystem(cfg, light_scenario("app")), ConfigError);
@@ -337,7 +331,7 @@ TEST(MultiSurface, ChaosOnOneSurfaceDegradesAndRearbitrates)
     };
     RenderSystem sys(SystemConfig()
                          .with_budget_mb(24.0)
-                         .with_faults(plan, /*surface=*/0),
+                         .with_faults(plan),
                      std::move(descs));
     const RunReport r = sys.run();
 
