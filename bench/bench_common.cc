@@ -121,26 +121,6 @@ ArgParser::bool_flag(const char *name)
     return true;
 }
 
-ShardSpec
-ArgParser::shard_flag(const char *name)
-{
-    const std::string text = string_flag(name, "");
-    if (text.empty())
-        return ShardSpec{};
-    const std::size_t slash = text.find('/');
-    ShardSpec shard;
-    char *end = nullptr;
-    if (slash != std::string::npos) {
-        shard.index = std::strtoull(text.c_str(), &end, 10);
-        const bool index_ok = end == text.c_str() + slash;
-        shard.count = std::strtoull(text.c_str() + slash + 1, &end, 10);
-        if (index_ok && *end == '\0' && shard.count > 0 &&
-            shard.index < shard.count)
-            return shard;
-    }
-    fatal("--%s=%s is not K/N with 0 <= K < N", name, text.c_str());
-}
-
 int
 ArgParser::jobs()
 {

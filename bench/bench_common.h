@@ -56,20 +56,6 @@ struct SwipeSetup {
 /** The shared bench runner; jobs from $DVS_JOBS (see default_jobs). */
 const ExperimentRunner &bench_runner();
 
-/** A `--shard=K/N` slice: global session indices congruent to K mod N. */
-struct ShardSpec {
-    std::uint64_t index = 0;
-    std::uint64_t count = 1;
-
-    /** Sessions of this shard for a campaign of @p total sessions. */
-    std::uint64_t size(std::uint64_t total) const
-    {
-        return index >= total ? 0 : (total - index - 1) / count + 1;
-    }
-    /** Global session index of this shard's local position @p p. */
-    std::uint64_t global(std::uint64_t p) const { return index + p * count; }
-};
-
 /**
  * Uniform flag parsing for the bench binaries. Flags use the repo-wide
  * `--name=value` convention (presence flags take no value); each typed
@@ -106,9 +92,6 @@ class ArgParser
 
     /** Presence flag `--name` (no value). */
     bool bool_flag(const char *name);
-
-    /** `--name=K/N` with 0 <= K < N; {0, 1} when absent. */
-    ShardSpec shard_flag(const char *name);
 
     /** Worker count: `--jobs=N`, then $DVS_JOBS, then all cores. */
     int jobs();

@@ -102,68 +102,20 @@ cmake --build "$BUILD_DIR" -j"$JOBS"
 # under sanitizers here.
 "$BUILD_DIR/bench/fleet_campaign" --seeds=2 --out=-
 
-# Megafleet sharded smoke: run a small fleet campaign unsharded and as
-# two shards, merge the shard checkpoints, and require the merged
-# summary to be byte-identical to the unsharded one — the determinism
-# contract that makes 1M-session campaigns composable (see DESIGN.md
-# §5f). Each invocation also enforces the campaign acceptance bar
-# (zero errors / violations / unattributed drops, bounded RSS).
+# Megafleet smoke: a small fleet campaign with the SLO/anomaly
+# observatory on must finish clean (zero errors / violations /
+# unattributed drops, bounded RSS; nonzero exit otherwise) and
+# auto-capture its top-K offenders as verified .dvst specimens. Every
+# specimen must then replay bit-exactly through trace_campaign, and the
+# specimen listing must resolve every manifest entry to a file on disk.
 MEGATMP="$(mktemp -d)"
 trap 'rm -rf "$MEGATMP"' EXIT
-MEGA="$BUILD_DIR/bench/megafleet_campaign"
-SMOKE_SESSIONS=600
-"$MEGA" --sessions="$SMOKE_SESSIONS" --out=- \
-    --checkpoint="$MEGATMP/unsharded.json" > /dev/null
-"$MEGA" --sessions="$SMOKE_SESSIONS" --shard=0/2 --out=- \
-    --checkpoint="$MEGATMP/shard0.json" > /dev/null
-"$MEGA" --sessions="$SMOKE_SESSIONS" --shard=1/2 --out=- \
-    --checkpoint="$MEGATMP/shard1.json" > /dev/null
-"$MEGA" --merge --checkpoint="$MEGATMP/merged.json" \
-    "$MEGATMP/shard0.json" "$MEGATMP/shard1.json" \
-    > "$MEGATMP/merged_summary.txt"
-"$MEGA" --merge "$MEGATMP/unsharded.json" \
-    > "$MEGATMP/unsharded_summary.txt"
-if ! cmp "$MEGATMP/merged.json" "$MEGATMP/unsharded.json"; then
-    echo "megafleet: merged shard checkpoint differs from unsharded" >&2
-    exit 1
-fi
-if ! cmp "$MEGATMP/merged_summary.txt" "$MEGATMP/unsharded_summary.txt"; then
-    echo "megafleet: merged shard summary differs from unsharded" >&2
-    exit 1
-fi
-echo "megafleet sharded smoke: 2-way merge byte-identical to unsharded"
-
-# Observatory smoke: the same sharded campaign with the SLO/anomaly
-# monitor on. The merged observatory state (checkpoint AND printed
-# summary: burn-rates, cohort table, top-K offenders) must be
-# byte-identical to the unsharded run, the merge must auto-capture the
-# top-K offenders as verified .dvst specimens, every specimen must
-# replay bit-exactly through trace_campaign, and the specimen listing
-# must resolve every manifest entry to a file on disk.
 OBSTMP="$MEGATMP/observatory"
-"$MEGA" --sessions="$SMOKE_SESSIONS" --observatory --out=- \
-    --checkpoint="$MEGATMP/obs_unsharded.json" > /dev/null
-"$MEGA" --sessions="$SMOKE_SESSIONS" --shard=0/2 --observatory --out=- \
-    --checkpoint="$MEGATMP/obs_shard0.json" > /dev/null
-"$MEGA" --sessions="$SMOKE_SESSIONS" --shard=1/2 --observatory --out=- \
-    --checkpoint="$MEGATMP/obs_shard1.json" > /dev/null
-"$MEGA" --merge --observatory --specimens="$OBSTMP" \
-    --checkpoint="$MEGATMP/obs_merged.json" \
-    "$MEGATMP/obs_shard0.json" "$MEGATMP/obs_shard1.json" \
-    > "$MEGATMP/obs_merged_summary.txt"
-"$MEGA" --merge --observatory "$MEGATMP/obs_unsharded.json" \
-    > "$MEGATMP/obs_unsharded_summary.txt"
-if ! cmp "$MEGATMP/obs_merged.json.obs" "$MEGATMP/obs_unsharded.json.obs"; then
-    echo "observatory: merged shard checkpoint differs from unsharded" >&2
-    exit 1
-fi
-if ! cmp "$MEGATMP/obs_merged_summary.txt" "$MEGATMP/obs_unsharded_summary.txt"; then
-    echo "observatory: merged shard summary differs from unsharded" >&2
-    exit 1
-fi
+"$BUILD_DIR/bench/megafleet_campaign" --sessions=600 --observatory \
+    --specimens="$OBSTMP" --out=- > /dev/null
 "$BUILD_DIR/bench/trace_campaign" --corpus="$OBSTMP" --out=- > /dev/null
 "$BUILD_DIR/bench/dvsync_inspect" --specimens="$OBSTMP" > /dev/null
-echo "observatory smoke: 2-way merge byte-identical, top-K specimens bit-exact"
+echo "megafleet smoke: clean campaign, top-K specimens bit-exact"
 
 # Trace corpus regression: replay every committed .dvst capture as
 # recorded and under both forced pacing modes. Every verbatim entry must

@@ -232,11 +232,6 @@ struct SystemConfig {
         metrics_interval = interval;
         return *this;
     }
-    SystemConfig &with_thermal(ThermalSpec t)
-    {
-        thermal = std::move(t);
-        return *this;
-    }
     /** Enable the plant with the device envelope at @p envelope_scale. */
     SystemConfig &with_thermal_envelope(double envelope_scale)
     {

@@ -61,9 +61,6 @@ class Panel
         listeners_.push_back(std::move(fn));
     }
 
-    /** Metadata of the frame currently on screen. */
-    const FrameMeta &front_meta() const { return last_meta_; }
-
     /** Whether any frame has ever been displayed. */
     bool has_content() const { return has_content_; }
 

@@ -2,10 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
-#include "obs/json_view.h"
 #include "sim/logging.h"
 
 namespace dvs {
@@ -52,31 +49,6 @@ CohortStats::accumulate(const RunReport &r)
     drops_hist.add(double(r.drops));
 }
 
-void
-CohortStats::merge(const CohortStats &other)
-{
-    sessions += other.sessions;
-    errors += other.errors;
-    drops += other.drops;
-    frames_due += other.frames_due;
-    presents += other.presents;
-    stutters += other.stutters;
-    deadline_misses += other.deadline_misses;
-    invariant_violations += other.invariant_violations;
-    faults_injected += other.faults_injected;
-    degradations += other.degradations;
-    repromotions += other.repromotions;
-    for (int c = 0; c < kDropCauseCount; ++c)
-        drop_causes[std::size_t(c)] += other.drop_causes[std::size_t(c)];
-    drops_injected += other.drops_injected;
-    fdps_milli_sum += other.fdps_milli_sum;
-    latency_p95_us_sum += other.latency_p95_us_sum;
-    energy_uj_sum += other.energy_uj_sum;
-    fdps_hist.merge(other.fdps_hist);
-    latency_hist.merge(other.latency_hist);
-    drops_hist.merge(other.drops_hist);
-}
-
 double
 CohortStats::mean_fdps() const
 {
@@ -103,18 +75,12 @@ CampaignAggregator::CampaignAggregator(CohortFn cohort_of)
     : cohort_of_(std::move(cohort_of))
 {}
 
-CohortStats &
-CampaignAggregator::cohort(const std::string &key)
-{
-    return cohorts_[key];
-}
-
 void
 CampaignAggregator::add(const RunReport &report)
 {
     const std::string key =
         cohort_of_ ? cohort_of_(report) : report.label;
-    cohort(key).accumulate(report);
+    cohorts_[key].accumulate(report);
     ++sessions_;
     if (!report.error.empty())
         ++errors_;
@@ -124,19 +90,7 @@ void
 CampaignAggregator::consume(std::size_t, RunReport &&report)
 {
     add(report);
-    // Delivery is in submission order (the runner's sink contract), so
-    // a count of consumed reports is exactly the resume watermark.
     ++resume_pos_;
-}
-
-void
-CampaignAggregator::merge(const CampaignAggregator &other)
-{
-    for (const auto &[key, stats] : other.cohorts_)
-        cohort(key).merge(stats);
-    sessions_ += other.sessions_;
-    errors_ += other.errors_;
-    resume_pos_ += other.resume_pos_;
 }
 
 std::uint64_t
@@ -262,32 +216,6 @@ append_histogram(std::string &out, const char *name, const Histogram &h)
     out += "]}";
 }
 
-/** Restore a histogram from its checkpoint node; false on mismatch. */
-bool
-load_histogram(const JsonValue &node, Histogram &h, std::string *error)
-{
-    const auto &bins = node.at("bins");
-    if (!node.is_object() || !bins.is_array()) {
-        if (error)
-            *error = "histogram node malformed";
-        return false;
-    }
-    if (node.number_at("lo") != h.lo() || node.number_at("hi") != h.hi() ||
-        int(bins.items().size()) != h.bins()) {
-        if (error)
-            *error = "histogram layout mismatch (incompatible checkpoint)";
-        return false;
-    }
-    h.add_to_bin(Histogram::kUnderflowBin,
-                 std::uint64_t(node.number_at("underflow")));
-    h.add_to_bin(Histogram::kOverflowBin,
-                 std::uint64_t(node.number_at("overflow")));
-    for (int i = 0; i < h.bins(); ++i)
-        h.add_to_bin(i, std::uint64_t(bins.items()[std::size_t(i)]
-                                          .as_number()));
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -350,8 +278,7 @@ CampaignAggregator::to_json() const
         out += ", ";
         append_histogram(out, "drops_hist", c.drops_hist);
         // Derived percentile surface for consumers that do not rebin the
-        // histograms. Explicit nulls for empty cohorts (JSON has no NaN);
-        // load() ignores the block — the histograms stay authoritative.
+        // histograms. Explicit nulls for empty cohorts (JSON has no NaN).
         out += ", \"percentiles\": {";
         if (c.completed() == 0) {
             out += "\"fdps_p50\": null, \"fdps_p95\": null, "
@@ -371,85 +298,6 @@ CampaignAggregator::to_json() const
     }
     out += "  ]\n}\n";
     return out;
-}
-
-bool
-CampaignAggregator::save(const std::string &path) const
-{
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        return false;
-    f << to_json();
-    return bool(f.flush());
-}
-
-bool
-CampaignAggregator::load(const std::string &path, std::string *error)
-{
-    std::ifstream f(path);
-    if (!f) {
-        if (error)
-            *error = "cannot open " + path;
-        return false;
-    }
-    std::stringstream ss;
-    ss << f.rdbuf();
-    std::string parse_error;
-    const JsonValue root = JsonValue::parse(ss.str(), &parse_error);
-    if (!root.is_object()) {
-        if (error)
-            *error = path + ": " + (parse_error.empty() ? "not an object"
-                                                        : parse_error);
-        return false;
-    }
-    if (int(root.number_at("schema", -1)) != kSchema) {
-        if (error)
-            *error = path + ": unsupported checkpoint schema " +
-                     std::to_string(int(root.number_at("schema", -1)));
-        return false;
-    }
-
-    cohorts_.clear();
-    sessions_ = std::uint64_t(root.number_at("sessions"));
-    errors_ = std::uint64_t(root.number_at("errors"));
-    resume_pos_ = std::uint64_t(root.number_at("resume_pos"));
-    for (const JsonValue &node : root.at("cohorts").items()) {
-        CohortStats &c = cohort(node.string_at("key"));
-        c.sessions = std::uint64_t(node.number_at("sessions"));
-        c.errors = std::uint64_t(node.number_at("errors"));
-        c.drops = std::uint64_t(node.number_at("drops"));
-        c.frames_due = std::uint64_t(node.number_at("frames_due"));
-        c.presents = std::uint64_t(node.number_at("presents"));
-        c.stutters = std::uint64_t(node.number_at("stutters"));
-        c.deadline_misses =
-            std::uint64_t(node.number_at("deadline_misses"));
-        c.invariant_violations =
-            std::uint64_t(node.number_at("violations"));
-        c.faults_injected = std::uint64_t(node.number_at("faults"));
-        c.degradations = std::uint64_t(node.number_at("degradations"));
-        c.repromotions = std::uint64_t(node.number_at("repromotions"));
-        c.drops_injected = std::uint64_t(node.number_at("drops_injected"));
-        const auto &causes = node.at("drop_causes").items();
-        if (int(causes.size()) != kDropCauseCount) {
-            if (error)
-                *error = path + ": drop_causes arity mismatch";
-            return false;
-        }
-        for (int i = 0; i < kDropCauseCount; ++i)
-            c.drop_causes[std::size_t(i)] =
-                std::uint64_t(causes[std::size_t(i)].as_number());
-        c.fdps_milli_sum =
-            std::int64_t(node.number_at("fdps_milli_sum"));
-        c.latency_p95_us_sum =
-            std::int64_t(node.number_at("latency_p95_us_sum"));
-        c.energy_uj_sum = std::int64_t(node.number_at("energy_uj_sum"));
-        if (!load_histogram(node.at("fdps_hist"), c.fdps_hist, error) ||
-            !load_histogram(node.at("latency_hist"), c.latency_hist,
-                            error) ||
-            !load_histogram(node.at("drops_hist"), c.drops_hist, error))
-            return false;
-    }
-    return true;
 }
 
 } // namespace dvs

@@ -1,6 +1,6 @@
 /**
  * @file
- * CampaignAggregator: sharded, mergeable campaign accumulators.
+ * CampaignAggregator: streaming per-cohort campaign accumulators.
  *
  * The streaming counterpart of "collect every RunReport in a vector":
  * an aggregator consumes reports one at a time, folds each into the
@@ -11,22 +11,10 @@
  * Everything the aggregator stores is an *integer*: event counts,
  * histogram bins, and fixed-point sums of the per-session rates
  * (milli-FDPS, microsecond latency, micro-joule energy). Integer
- * addition is associative and commutative, so
- *
- *   - consuming reports in any delivery order,
- *   - splitting a campaign into --shard K/N slices, and
- *   - merging the shard checkpoints in any order
- *
- * all produce *bit-identical* aggregator state — and therefore
- * byte-identical summary() and to_json() output — compared to the
- * unsharded run. Derived floating-point figures (means, percentile
- * surfaces) are computed from the merged integers at read time only.
- * CI enforces the guarantee by byte-comparing a merged 2-way-sharded
- * smoke against the unsharded run.
- *
- * Checkpoints are versioned JSON (kSchema); save/load round-trips the
- * exact integer state, so a campaign can stop, resume (resume_pos is
- * the in-order delivery watermark), and compose across invocations.
+ * addition is associative and commutative, so the state — and
+ * therefore summary() and to_json() — does not depend on the order the
+ * reports arrive in. Derived floating-point figures (means, percentile
+ * surfaces) are computed from the integers at read time only.
  */
 
 #ifndef DVS_HARNESS_AGGREGATOR_H
@@ -79,9 +67,6 @@ struct CohortStats {
     /** Fold one finished run in (error runs count sessions+errors only). */
     void accumulate(const RunReport &r);
 
-    /** Fold another cohort's accumulators in (integer sums throughout). */
-    void merge(const CohortStats &other);
-
     // ----- derived views -----------------------------------------------
     double mean_fdps() const;
     double mean_latency_p95_ms() const;
@@ -93,13 +78,13 @@ struct CohortStats {
 /**
  * A ReportSink that reduces a campaign to per-cohort CohortStats, keyed
  * by a caller-supplied cohort labeling of each report (default: the
- * report's `label`). See the file comment for the merge/shard
- * determinism contract.
+ * report's `label`). See the file comment for the determinism
+ * contract.
  */
 class CampaignAggregator final : public ReportSink
 {
   public:
-    /** Checkpoint schema version written by to_json()/save(). */
+    /** Schema version written by to_json(). */
     static constexpr int kSchema = 1;
 
     using CohortFn = std::function<std::string(const RunReport &)>;
@@ -107,31 +92,18 @@ class CampaignAggregator final : public ReportSink
     /** @param cohort_of cohort label per report; null uses the label. */
     explicit CampaignAggregator(CohortFn cohort_of = nullptr);
 
-    /** Sink entry: accumulate and advance the resume watermark. */
+    /** Sink entry: accumulate, and count the report in to_json()'s
+     *  `resume_pos` (reports consumed through the sink). */
     void consume(std::size_t index, RunReport &&report) override;
 
-    /** Accumulate a report without touching the watermark. */
+    /** Accumulate a report without counting it as consumed. */
     void add(const RunReport &report);
-
-    /**
-     * Fold @p other in: cohorts merge by key, watermarks and totals
-     * sum. Merging N shard checkpoints (any order, any grouping) yields
-     * the exact state of the unsharded campaign.
-     */
-    void merge(const CampaignAggregator &other);
 
     // ----- queries ------------------------------------------------------
     std::uint64_t sessions() const { return sessions_; }
     std::uint64_t errors() const { return errors_; }
     std::uint64_t invariant_violations() const;
     std::uint64_t unattributed_drops() const;
-
-    /**
-     * In-order delivery watermark: number of reports consumed via the
-     * sink interface (plus any restored by load()/merge()). A resumed
-     * shard skips this many positions of its session stream.
-     */
-    std::uint64_t resume_pos() const { return resume_pos_; }
 
     /** Cohorts in key order (deterministic iteration). */
     const std::map<std::string, CohortStats> &cohorts() const
@@ -143,33 +115,19 @@ class CampaignAggregator final : public ReportSink
 
     /**
      * Deterministic human-readable roll-up: totals, per-cohort rows
-     * with mean/percentile surfaces, and the drop-cause tally. Shard
-     * composition is byte-stable: merged shards print exactly the
-     * unsharded text.
+     * with mean/percentile surfaces, and the drop-cause tally.
      */
     std::string summary() const;
 
-    /** Versioned JSON checkpoint of the full integer state. */
+    /** Versioned JSON dump of the full integer state. */
     std::string to_json() const;
 
-    /** Write to_json() to @p path. @return false on I/O failure. */
-    bool save(const std::string &path) const;
-
-    /**
-     * Replace this aggregator's state with the checkpoint at @p path.
-     * @return false (with *error set when non-null) on unreadable
-     * files, malformed JSON, or a schema mismatch.
-     */
-    bool load(const std::string &path, std::string *error = nullptr);
-
   private:
-    CohortStats &cohort(const std::string &key);
-
     CohortFn cohort_of_;
     std::map<std::string, CohortStats> cohorts_;
     std::uint64_t sessions_ = 0;
     std::uint64_t errors_ = 0;
-    std::uint64_t resume_pos_ = 0;
+    std::uint64_t resume_pos_ = 0; ///< reports consumed through the sink
 };
 
 } // namespace dvs

@@ -111,9 +111,8 @@ class OrderedDelivery
             // ReportSink documents.
             //
             // A throwing consume() counts as delivered: its slot is
-            // retired before the exception is recorded, so a resumed
-            // stream never re-delivers the report the sink already saw
-            // (watermark sinks bumped their resume position first).
+            // retired before the exception is recorded, so the report
+            // the sink already saw is never delivered again.
             // Without the catch the exception would unwind a worker
             // thread (std::terminate) and, were it swallowed instead,
             // the unflushed slot would wedge claim() forever.

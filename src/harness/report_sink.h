@@ -7,7 +7,7 @@
  * flow: workers finish runs and the runner *emits* each report into a
  * sink exactly once, in submission order, retaining nothing. Aggregating
  * sinks (CampaignAggregator) reduce a million sessions to a few KB of
- * mergeable counters; the legacy vector-returning entry points are thin
+ * integer counters; the legacy vector-returning entry points are thin
  * adapters over a VectorSink.
  */
 
@@ -33,8 +33,7 @@ namespace dvs {
  * thread is unspecified; sinks must not assume it is the submitter.
  *
  * A consume() that throws aborts the stream: the throwing index still
- * counts as delivered (a watermark-keeping sink should bump its resume
- * position before throwing), later indices are never delivered, and the
+ * counts as delivered, later indices are never delivered, and the
  * runner rethrows the exception to its caller once every worker has
  * drained. Workers never deadlock on the backpressure window.
  */
@@ -92,8 +91,8 @@ class CallbackSink final : public ReportSink
  * throws does not deprive later branches — every remaining branch is
  * still offered the report — and the *first* exception is rethrown to
  * the runner afterwards (aborting the stream per the ReportSink
- * contract). Branches keeping resume watermarks therefore stay
- * consistent with each other even on the aborting index.
+ * contract), so every branch has seen the same reports even on the
+ * aborting index.
  */
 class TeeSink final : public ReportSink
 {

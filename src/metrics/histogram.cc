@@ -34,33 +34,6 @@ Histogram::add(double x)
     ++counts_[std::size_t(i)];
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-    if (other.lo_ != lo_ || other.hi_ != hi_ ||
-        other.counts_.size() != counts_.size())
-        fatal("Histogram::merge needs identical (lo, hi, bins) layouts");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-}
-
-void
-Histogram::add_to_bin(int i, std::uint64_t count)
-{
-    if (i == kUnderflowBin)
-        underflow_ += count;
-    else if (i == kOverflowBin)
-        overflow_ += count;
-    else if (i >= 0 && i < bins())
-        counts_[std::size_t(i)] += count;
-    else
-        fatal("Histogram::add_to_bin: bin %d out of range", i);
-    total_ += count;
-}
-
 double
 Histogram::percentile(double p) const
 {

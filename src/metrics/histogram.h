@@ -17,12 +17,6 @@ namespace dvs {
  * separately as underflow/overflow rather than clamped into the edge
  * bins, so bin counts describe only in-range mass and the CDF tail is
  * not silently pinned to 1.0 when samples exceed the range.
- *
- * Histograms over the same range are *mergeable*: bin counts are plain
- * integer sums, so merge() is associative and commutative and sharded
- * campaigns combine per-shard histograms into exactly the histogram the
- * unsharded run would have built (the keystone of CampaignAggregator's
- * shard-composition guarantee).
  */
 class Histogram
 {
@@ -30,24 +24,6 @@ class Histogram
     Histogram(double lo, double hi, int bins);
 
     void add(double x);
-
-    /**
-     * Fold @p other into this histogram. Both must share the exact
-     * (lo, hi, bins) layout — merging differently-binned histograms is
-     * a fatal() configuration error. Under/overflow counts merge too;
-     * integer addition makes the operation associative, commutative,
-     * and bit-exact in any grouping.
-     */
-    void merge(const Histogram &other);
-
-    /**
-     * Record @p count samples into bin @p i directly (checkpoint
-     * restore). Negative @p i addresses the out-of-range counters:
-     * kUnderflowBin / kOverflowBin.
-     */
-    static constexpr int kUnderflowBin = -1;
-    static constexpr int kOverflowBin = -2;
-    void add_to_bin(int i, std::uint64_t count);
 
     double lo() const { return lo_; }
     double hi() const { return hi_; }
@@ -79,8 +55,8 @@ class Histogram
      * edge of the first bin whose cumulative count reaches p% of all
      * samples. Resolution is one bin width; underflow resolves to lo()
      * and a crossing beyond the last bin (overflow mass) to hi(). The
-     * result depends only on the integer bin counts, so merged shards
-     * report bit-identical percentile surfaces. @return NaN when empty
+     * result depends only on the integer bin counts, never on the order
+     * samples arrived in. @return NaN when empty
      * (no samples means no percentile surface; 0 would be
      * indistinguishable from an all-zero cohort).
      */

@@ -29,7 +29,6 @@ class JsonValue
 
     Kind kind() const { return kind_; }
     bool is_null() const { return kind_ == Kind::kNull; }
-    bool is_bool() const { return kind_ == Kind::kBool; }
     bool is_number() const { return kind_ == Kind::kNumber; }
     bool is_string() const { return kind_ == Kind::kString; }
     bool is_array() const { return kind_ == Kind::kArray; }

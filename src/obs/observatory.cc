@@ -6,10 +6,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "core/render_system.h"
-#include "obs/json_view.h"
 #include "sim/logging.h"
 #include "trace/dvst_io.h"
 #include "trace/session_recorder.h"
@@ -122,10 +120,8 @@ ObservatoryConfig::canonical() const
     return out;
 }
 
-Observatory::Observatory(ObservatoryConfig config, CohortFn cohort_of,
-                         IndexFn global_index)
-    : config_(std::move(config)), cohort_of_(std::move(cohort_of)),
-      global_index_(std::move(global_index))
+Observatory::Observatory(ObservatoryConfig config, CohortFn cohort_of)
+    : config_(std::move(config)), cohort_of_(std::move(cohort_of))
 {
     if (config_.slos.empty() || config_.slos.size() > 32)
         fatal("observatory: need 1..32 SLOs, got %zu",
@@ -138,9 +134,7 @@ Observatory::Observatory(ObservatoryConfig config, CohortFn cohort_of,
 void
 Observatory::consume(std::size_t index, RunReport &&report)
 {
-    observe(global_index_ ? global_index_(index) : index, report);
-    // Delivery is in submission order (the runner's sink contract), so
-    // a count of consumed reports is exactly the resume watermark.
+    observe(index, report);
     ++resume_pos_;
 }
 
@@ -199,31 +193,6 @@ Observatory::rank_insert(SessionVerdict &&v)
     top_.insert(pos, std::move(v));
     if (top_.size() > std::size_t(config_.top_k))
         top_.pop_back();
-}
-
-void
-Observatory::merge(const Observatory &other)
-{
-    if (config_fnv_ != other.config_fnv_)
-        fatal("observatory merge: configuration mismatch (the shards "
-              "were monitored under different SLOs/weights)");
-    for (const auto &[key, mon] : other.cohorts_) {
-        CohortMonitor &c = cohorts_[key];
-        if (c.violations.empty())
-            c.violations.resize(config_.slos.size(), 0);
-        c.sessions += mon.sessions;
-        c.errors += mon.errors;
-        for (std::size_t i = 0; i < c.violations.size(); ++i)
-            c.violations[i] += mon.violations[i];
-    }
-    // The global top-K is a subset of the union of per-shard top-Ks
-    // (any globally retained verdict is in its own shard's top-K), so
-    // rank-merge-truncate loses nothing.
-    for (const SessionVerdict &v : other.top_)
-        rank_insert(SessionVerdict(v));
-    sessions_ += other.sessions_;
-    errors_ += other.errors_;
-    resume_pos_ += other.resume_pos_;
 }
 
 std::uint64_t
@@ -396,99 +365,6 @@ Observatory::to_json() const
     }
     out += "  ]\n}\n";
     return out;
-}
-
-bool
-Observatory::save(const std::string &path) const
-{
-    std::ofstream f(path, std::ios::trunc);
-    if (!f)
-        return false;
-    f << to_json();
-    return bool(f.flush());
-}
-
-bool
-Observatory::load(const std::string &path, std::string *error)
-{
-    std::ifstream f(path);
-    if (!f) {
-        if (error)
-            *error = "cannot open " + path;
-        return false;
-    }
-    std::stringstream ss;
-    ss << f.rdbuf();
-    std::string parse_error;
-    const JsonValue root = JsonValue::parse(ss.str(), &parse_error);
-    if (!root.is_object()) {
-        if (error)
-            *error = path + ": " + (parse_error.empty() ? "not an object"
-                                                        : parse_error);
-        return false;
-    }
-    if (int(root.number_at("schema", -1)) != kSchema) {
-        if (error)
-            *error = path + ": unsupported observatory schema " +
-                     std::to_string(int(root.number_at("schema", -1)));
-        return false;
-    }
-    char fnv_hex[32];
-    std::snprintf(fnv_hex, sizeof(fnv_hex), "%016llx",
-                  (unsigned long long)config_fnv_);
-    if (root.string_at("config_fnv") != fnv_hex) {
-        if (error)
-            *error = path + ": checkpoint was written under a different "
-                            "observatory configuration";
-        return false;
-    }
-
-    cohorts_.clear();
-    top_.clear();
-    sessions_ = std::uint64_t(root.number_at("sessions"));
-    errors_ = std::uint64_t(root.number_at("errors"));
-    resume_pos_ = std::uint64_t(root.number_at("resume_pos"));
-    for (const JsonValue &node : root.at("cohorts").items()) {
-        CohortMonitor &c = cohorts_[node.string_at("key")];
-        c.sessions = std::uint64_t(node.number_at("sessions"));
-        c.errors = std::uint64_t(node.number_at("errors"));
-        const auto &viol = node.at("violations").items();
-        if (viol.size() != config_.slos.size()) {
-            if (error)
-                *error = path + ": violations arity mismatch";
-            return false;
-        }
-        c.violations.resize(config_.slos.size(), 0);
-        for (std::size_t i = 0; i < viol.size(); ++i)
-            c.violations[i] = std::uint64_t(viol[i].as_number());
-    }
-    for (const JsonValue &node : root.at("top").items()) {
-        SessionVerdict v;
-        v.session = std::uint64_t(node.number_at("session"));
-        v.score_milli = std::int64_t(node.number_at("score_milli"));
-        v.violated = std::uint32_t(node.number_at("violated"));
-        v.cohort = node.string_at("cohort");
-        v.label = node.string_at("label");
-        v.drops = std::uint64_t(node.number_at("drops"));
-        v.frames_due = std::int64_t(node.number_at("frames_due"));
-        v.presents = std::uint64_t(node.number_at("presents"));
-        v.stutters = std::uint64_t(node.number_at("stutters"));
-        v.invariant_violations =
-            std::uint64_t(node.number_at("invariant_violations"));
-        v.latency_p99_us = std::int64_t(node.number_at("latency_p99_us"));
-        v.energy_uj = std::int64_t(node.number_at("energy_uj"));
-        const auto &causes = node.at("drop_causes").items();
-        if (int(causes.size()) != kDropCauseCount) {
-            if (error)
-                *error = path + ": drop_causes arity mismatch";
-            return false;
-        }
-        for (int i = 0; i < kDropCauseCount; ++i)
-            v.drop_causes[std::size_t(i)] =
-                std::uint64_t(causes[std::size_t(i)].as_number());
-        rank_insert(std::move(v));
-    }
-    return true;
 }
 
 bool

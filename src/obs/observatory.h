@@ -31,13 +31,11 @@
  *     for `trace_campaign` replay and bisection.
  *
  * Determinism contract (the same bar as CampaignAggregator, DESIGN.md
- * §5j): all monitor state is integral, merging is associative and
- * commutative over disjoint session sets, and the bounded top-K is
- * merge-stable because the global top-K is always a subset of the union
- * of per-shard top-Ks. Running a campaign at any --jobs, sharded
- * --shard K/N + --merge, or resumed from a checkpoint therefore yields
- * byte-identical summary() and to_json() output. CI enforces this by byte-comparing a merged 2-way-sharded
- * smoke against the unsharded run.
+ * §5j): all monitor state is integral and the top-K ranking is a total
+ * order, so the state does not depend on the order sessions are
+ * observed in. Running a campaign at any --jobs therefore yields
+ * byte-identical summary() and to_json() output; CI enforces this by
+ * byte-comparing megafleet_campaign at --jobs=1 and --jobs=4.
  *
  * (Like DevicePopulation, the sources live where they belong
  * conceptually — src/obs/ — but compile into the harness library: the
@@ -79,7 +77,7 @@ double slo_metric_value(const RunReport &report, SloMetric metric);
 
 /** One service-level objective: violated when value > threshold. */
 struct SloSpec {
-    std::string name; ///< stable tag used in summaries and checkpoints
+    std::string name; ///< stable tag used in summaries and to_json()
     SloMetric metric = SloMetric::kDropRatePercent;
     double threshold = 0.0;
 };
@@ -113,8 +111,8 @@ struct ScoreWeights {
 /**
  * Pure anomaly score of one session in fixed-point millis: the weighted
  * sum of each metric's relative excess over the baseline, plus the
- * violation penalty. >= 0; identical inputs give identical scores on
- * every shard, which is what makes the top-K mergeable.
+ * violation penalty. >= 0; a pure function of its inputs, so a
+ * re-simulated session scores exactly as it did in the campaign.
  */
 std::int64_t anomaly_score_milli(const RunReport &report,
                                  const CohortBaseline &baseline,
@@ -123,10 +121,10 @@ std::int64_t anomaly_score_milli(const RunReport &report,
 /**
  * The retained record of one scored session — everything the manifest
  * and the summary need, in integral fields only (fixed-point micros for
- * the latency/energy figures) so shard composition stays byte-exact.
+ * the latency/energy figures).
  */
 struct SessionVerdict {
-    std::uint64_t session = 0;    ///< global campaign session index
+    std::uint64_t session = 0;    ///< campaign session index
     std::int64_t score_milli = 0; ///< anomaly_score_milli()
     std::uint32_t violated = 0;   ///< bitmask over the config's SLOs
     std::string cohort;
@@ -153,10 +151,9 @@ struct SessionVerdict {
 };
 
 /**
- * Observatory configuration. Checkpoints embed a fingerprint of this
- * (SLO list, weights, baselines, K); load() and merge() refuse state
- * produced under a different configuration — mixed-config merges would
- * silently compare incomparable scores.
+ * Observatory configuration. to_json() embeds a fingerprint of this
+ * (SLO list, weights, baselines, K), so two dumps taken under different
+ * configurations — whose scores are incomparable — are told apart.
  */
 struct ObservatoryConfig {
     std::vector<SloSpec> slos = default_slos(); ///< at most 32 (bitmask)
@@ -174,40 +171,25 @@ struct ObservatoryConfig {
 /**
  * A ReportSink that monitors SLOs, scores every session, and retains
  * the bounded top-K — the streaming observability side of a campaign.
- * See the file comment for the merge/shard determinism contract.
+ * See the file comment for the determinism contract.
  */
 class Observatory final : public ReportSink
 {
   public:
-    /** Checkpoint schema version written by to_json()/save(). */
+    /** Schema version written by to_json(). */
     static constexpr int kSchema = 1;
 
     using CohortFn = std::function<std::string(const RunReport &)>;
 
-    /**
-     * Maps a sink delivery index to the global campaign session index —
-     * a sharded/resumed run passes `shard.global(done + i)` so verdicts
-     * carry re-materializable indices. Null means identity.
-     */
-    using IndexFn = std::function<std::uint64_t(std::size_t)>;
-
     explicit Observatory(ObservatoryConfig config = {},
-                         CohortFn cohort_of = nullptr,
-                         IndexFn global_index = nullptr);
+                         CohortFn cohort_of = nullptr);
 
-    /** Sink entry: observe and advance the resume watermark. */
+    /** Sink entry: observe the report as session @p index, and count it
+     *  in to_json()'s `resume_pos` (reports consumed through the sink). */
     void consume(std::size_t index, RunReport &&report) override;
 
-    /** Score/monitor one session without touching the watermark. */
+    /** Score/monitor one session without counting it as consumed. */
     void observe(std::uint64_t session, const RunReport &report);
-
-    /**
-     * Fold @p other in: counters sum, top-Ks merge-rank-truncate.
-     * Fatals on a configuration fingerprint mismatch. Merging N shard
-     * checkpoints (any order, any grouping) yields the exact state of
-     * the unsharded campaign.
-     */
-    void merge(const Observatory &other);
 
     // ----- queries ------------------------------------------------------
 
@@ -217,9 +199,6 @@ class Observatory final : public ReportSink
 
     /** Total violations of SLO @p slo across cohorts. */
     std::uint64_t violations(std::size_t slo) const;
-
-    /** In-order delivery watermark (see CampaignAggregator). */
-    std::uint64_t resume_pos() const { return resume_pos_; }
 
     /** Final ranked top-K verdicts (best first). */
     const std::vector<SessionVerdict> &top() const { return top_; }
@@ -239,25 +218,12 @@ class Observatory final : public ReportSink
 
     /**
      * Deterministic human-readable roll-up: SLO burn-rate totals, the
-     * per-cohort burn-rate table, and the ranked top offenders. Shard
-     * composition is byte-stable: merged shards print exactly the
-     * unsharded text.
+     * per-cohort burn-rate table, and the ranked top offenders.
      */
     std::string summary() const;
 
-    /** Versioned JSON checkpoint of the full integer state. */
+    /** Versioned JSON dump of the full integer state. */
     std::string to_json() const;
-
-    /** Write to_json() to @p path. @return false on I/O failure. */
-    bool save(const std::string &path) const;
-
-    /**
-     * Replace this observatory's state with the checkpoint at @p path.
-     * @return false (with *error set when non-null) on unreadable files,
-     * malformed JSON, a schema mismatch, or a checkpoint written under a
-     * different ObservatoryConfig.
-     */
-    bool load(const std::string &path, std::string *error = nullptr);
 
   private:
     void rank_insert(SessionVerdict &&v);
@@ -265,12 +231,11 @@ class Observatory final : public ReportSink
     ObservatoryConfig config_;
     std::uint64_t config_fnv_ = 0;
     CohortFn cohort_of_;
-    IndexFn global_index_;
     std::map<std::string, CohortMonitor> cohorts_;
     std::vector<SessionVerdict> top_; ///< ranked, size <= top_k
     std::uint64_t sessions_ = 0;
     std::uint64_t errors_ = 0;
-    std::uint64_t resume_pos_ = 0;
+    std::uint64_t resume_pos_ = 0; ///< reports consumed through the sink
 };
 
 /**
@@ -282,9 +247,8 @@ class Observatory final : public ReportSink
  * `@p dir/manifest.json` (score, violated SLOs, per-cause drop counts,
  * dispatch hash per specimen). The directory is created if absent.
  *
- * Only meaningful on the *final merged* state: a shard's local top-K is
- * not the campaign's. @return false with *error set on a re-simulation
- * divergence, a replay mismatch, or I/O failure.
+ * Call it on the finished campaign's state. @return false with *error
+ * set on a re-simulation divergence, a replay mismatch, or I/O failure.
  */
 bool capture_specimens(const Observatory &obs,
                        const std::function<Experiment(std::uint64_t)>

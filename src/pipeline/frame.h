@@ -74,13 +74,6 @@ struct FrameRecord {
     Time gpu_end = kTimeNone;
     Time queue_time = kTimeNone;    ///< buffer submitted to the FIFO
     Time present_time = kTimeNone;  ///< filled by metrics at the fence
-
-    /** End-to-end producer time: trigger to queueing. */
-    Time produce_latency() const
-    {
-        return queue_time == kTimeNone ? kTimeNone
-                                       : queue_time - trigger_time;
-    }
 };
 
 // The producer appends one record per frame on the hot path, and a

@@ -199,9 +199,6 @@ class Producer
     /** Frames begun but not yet queued. */
     int in_flight() const { return in_flight_; }
 
-    /** Current display period as seen through the vsync model. */
-    Time display_period() const { return dist_.model().period(); }
-
     /** Timeline timestamp of slot @p slot in segment @p i. */
     Time slot_timeline(int i, std::int64_t slot) const;
 

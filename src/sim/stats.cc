@@ -56,38 +56,6 @@ SampleStat::percentile(double p) const
 }
 
 void
-SampleStat::merge(const SampleStat &other)
-{
-    if (keep_samples_ != other.keep_samples_)
-        fatal("SampleStat::merge requires matching keep_samples modes");
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        n_ = other.n_;
-        mean_ = other.mean_;
-        m2_ = other.m2_;
-        min_ = other.min_;
-        max_ = other.max_;
-        sum_ = other.sum_;
-    } else {
-        // Chan et al.: combine (count, mean, M2) of two partitions.
-        const double na = double(n_), nb = double(other.n_);
-        const double delta = other.mean_ - mean_;
-        mean_ += delta * nb / (na + nb);
-        m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-        sum_ += other.sum_;
-        n_ += other.n_;
-    }
-    if (keep_samples_) {
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-        sorted_ = false;
-    }
-}
-
-void
 SampleStat::reset()
 {
     n_ = 0;

@@ -60,19 +60,6 @@ class SampleStat
      */
     double percentile(double p) const;
 
-    /**
-     * Fold @p other into this accumulator as if its samples had been
-     * add()ed here (Chan's parallel-Welford combination for mean/M2;
-     * min/max/sum/count combine directly). Merging a sample-keeping
-     * stat with one that dropped its samples is a fatal() configuration
-     * error — the merged percentile view would silently lose mass.
-     * Kept samples are concatenated, so percentile() over the merge
-     * equals percentile() over the union.
-     */
-    void merge(const SampleStat &other);
-
-    bool keeps_samples() const { return keep_samples_; }
-
     /** Make room for @p n kept samples (a no-op without keep_samples). */
     void
     reserve(std::size_t n)

@@ -77,11 +77,6 @@ struct SurfaceDesc {
         buffer_mb = mb;
         return *this;
     }
-    SurfaceDesc &with_max_extra_buffers(int n)
-    {
-        max_extra_buffers = n;
-        return *this;
-    }
     SurfaceDesc &with_weight(double w)
     {
         weight = w;

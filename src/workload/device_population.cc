@@ -9,7 +9,7 @@ namespace {
 /**
  * splitmix64 finalizer (Steele et al.). Each session index is hashed
  * independently — no sequential RNG state — so session(i) is a pure
- * function and shards can materialize disjoint index slices without
+ * function and workers can materialize sessions in any order without
  * ever touching each other's draws.
  */
 std::uint64_t

@@ -10,8 +10,7 @@
  * and the population seed, so
  *
  *  - a 1M-session campaign never holds a point list in memory,
- *  - --shard K/N slices (indices congruent to K mod N) partition the
- *    exact same session stream, and
+ *  - workers at any --jobs draw the exact same session stream, and
  *  - any session can be re-materialized afterwards for bisection by
  *    index alone.
  *
@@ -66,7 +65,7 @@ struct SessionSpec {
 /**
  * Weighted device-tier x app-class population. Draws are made with a
  * splitmix64 hash of (population seed, session index) — deterministic,
- * order-free, and identical across shards by construction.
+ * order-free, and identical at any worker count by construction.
  */
 class DevicePopulation
 {

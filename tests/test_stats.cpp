@@ -97,197 +97,6 @@ TEST(SampleStat, ResetClearsEverything)
     EXPECT_EQ(s.mean(), 0.0);
 }
 
-// ----- merge: the correctness keystone of sharded aggregation ----------
-//
-// A sharded campaign folds per-shard accumulators together in whatever
-// order the shards land, and the result must equal the unsharded run.
-// These tests pin commutativity, associativity, and the preservation of
-// the out-of-range bins across merges. Values are chosen to be exactly
-// representable so floating-point equality is legitimate.
-
-namespace {
-
-SampleStat
-stat_of(const std::vector<double> &xs, bool keep = false)
-{
-    SampleStat s(keep);
-    for (double x : xs)
-        s.add(x);
-    return s;
-}
-
-Histogram
-hist_of(const std::vector<double> &xs, double lo = 0.0, double hi = 10.0,
-        int bins = 10)
-{
-    Histogram h(lo, hi, bins);
-    for (double x : xs)
-        h.add(x);
-    return h;
-}
-
-void
-expect_hist_eq(const Histogram &a, const Histogram &b)
-{
-    ASSERT_EQ(a.bins(), b.bins());
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.underflow(), b.underflow());
-    EXPECT_EQ(a.overflow(), b.overflow());
-    for (int i = 0; i < a.bins(); ++i)
-        EXPECT_EQ(a.bin_count(i), b.bin_count(i)) << "bin " << i;
-}
-
-} // namespace
-
-TEST(SampleStatMerge, EqualsSequentialAddition)
-{
-    const std::vector<double> xs = {2.0, 4.0, 4.0, 5.0};
-    const std::vector<double> ys = {7.0, 9.0, 1.0};
-    SampleStat merged = stat_of(xs);
-    merged.merge(stat_of(ys));
-
-    SampleStat all = stat_of(xs);
-    for (double y : ys)
-        all.add(y);
-    EXPECT_EQ(merged.count(), all.count());
-    EXPECT_DOUBLE_EQ(merged.mean(), all.mean());
-    EXPECT_DOUBLE_EQ(merged.min(), all.min());
-    EXPECT_DOUBLE_EQ(merged.max(), all.max());
-    EXPECT_DOUBLE_EQ(merged.sum(), all.sum());
-    EXPECT_NEAR(merged.variance(), all.variance(), 1e-12);
-}
-
-TEST(SampleStatMerge, Commutative)
-{
-    SampleStat ab = stat_of({1.0, 2.0, 3.0});
-    ab.merge(stat_of({10.0, 20.0}));
-    SampleStat ba = stat_of({10.0, 20.0});
-    ba.merge(stat_of({1.0, 2.0, 3.0}));
-    EXPECT_EQ(ab.count(), ba.count());
-    EXPECT_DOUBLE_EQ(ab.mean(), ba.mean());
-    EXPECT_DOUBLE_EQ(ab.sum(), ba.sum());
-    EXPECT_DOUBLE_EQ(ab.min(), ba.min());
-    EXPECT_DOUBLE_EQ(ab.max(), ba.max());
-    EXPECT_NEAR(ab.variance(), ba.variance(), 1e-12);
-}
-
-TEST(SampleStatMerge, Associative)
-{
-    // (a + b) + c  vs  a + (b + c): values exactly representable, counts
-    // small — the combination formulae are exact here.
-    const std::vector<double> a = {1.0, 3.0}, b = {5.0, 7.0},
-                              c = {2.0, 6.0};
-    SampleStat left = stat_of(a);
-    left.merge(stat_of(b));
-    left.merge(stat_of(c));
-
-    SampleStat bc = stat_of(b);
-    bc.merge(stat_of(c));
-    SampleStat right = stat_of(a);
-    right.merge(bc);
-
-    EXPECT_EQ(left.count(), right.count());
-    EXPECT_DOUBLE_EQ(left.mean(), right.mean());
-    EXPECT_DOUBLE_EQ(left.sum(), right.sum());
-    EXPECT_NEAR(left.variance(), right.variance(), 1e-12);
-}
-
-TEST(SampleStatMerge, EmptySidesAreIdentity)
-{
-    SampleStat empty;
-    SampleStat s = stat_of({4.0, 8.0});
-    s.merge(empty);
-    EXPECT_EQ(s.count(), 2u);
-    EXPECT_DOUBLE_EQ(s.mean(), 6.0);
-
-    SampleStat onto_empty;
-    onto_empty.merge(stat_of({4.0, 8.0}));
-    EXPECT_EQ(onto_empty.count(), 2u);
-    EXPECT_DOUBLE_EQ(onto_empty.mean(), 6.0);
-    EXPECT_DOUBLE_EQ(onto_empty.min(), 4.0);
-    EXPECT_DOUBLE_EQ(onto_empty.max(), 8.0);
-}
-
-TEST(SampleStatMerge, KeptSamplesConcatenateForPercentiles)
-{
-    SampleStat a = stat_of({1.0, 2.0, 3.0}, /*keep=*/true);
-    a.merge(stat_of({4.0, 5.0}, /*keep=*/true));
-    EXPECT_EQ(a.count(), 5u);
-    EXPECT_NEAR(a.percentile(50), 3.0, 1e-9);
-    EXPECT_NEAR(a.percentile(100), 5.0, 1e-9);
-}
-
-TEST(SampleStatMergeDeathTest, MixedKeepModesAreFatal)
-{
-    SampleStat keeping(/*keep_samples=*/true);
-    keeping.add(1.0);
-    SampleStat dropping(/*keep_samples=*/false);
-    dropping.add(2.0);
-    EXPECT_EXIT(keeping.merge(dropping), ::testing::ExitedWithCode(1),
-                "keep_samples");
-}
-
-TEST(HistogramMerge, EqualsSequentialAddition)
-{
-    // Include out-of-range mass on both sides: -1 underflows, 12 and 15
-    // overflow, and merge must carry the separate counters over instead
-    // of clamping them into edge bins.
-    const std::vector<double> xs = {-1.0, 0.5, 3.5, 12.0};
-    const std::vector<double> ys = {1.5, 3.5, 9.5, 15.0};
-    Histogram merged = hist_of(xs);
-    merged.merge(hist_of(ys));
-
-    std::vector<double> all = xs;
-    all.insert(all.end(), ys.begin(), ys.end());
-    expect_hist_eq(merged, hist_of(all));
-    EXPECT_EQ(merged.underflow(), 1u);
-    EXPECT_EQ(merged.overflow(), 2u);
-    EXPECT_EQ(merged.count(), 8u);
-}
-
-TEST(HistogramMerge, CommutativeAndAssociative)
-{
-    const std::vector<double> a = {-2.0, 1.0, 4.0};
-    const std::vector<double> b = {2.0, 11.0};
-    const std::vector<double> c = {0.1, 5.0, 20.0};
-
-    Histogram ab = hist_of(a);
-    ab.merge(hist_of(b));
-    Histogram ba = hist_of(b);
-    ba.merge(hist_of(a));
-    expect_hist_eq(ab, ba);
-
-    Histogram left = hist_of(a);
-    left.merge(hist_of(b));
-    left.merge(hist_of(c));
-    Histogram bc = hist_of(b);
-    bc.merge(hist_of(c));
-    Histogram right = hist_of(a);
-    right.merge(bc);
-    expect_hist_eq(left, right);
-}
-
-TEST(HistogramMerge, PreservesCdfSemantics)
-{
-    // Overflow mass keeps the top CDF below 1 after a merge, exactly as
-    // it would in a single histogram.
-    Histogram a = hist_of({1.0, 2.0});
-    a.merge(hist_of({3.0, 25.0}));
-    EXPECT_LT(a.cdf_at(a.bins() - 1), 1.0);
-    EXPECT_DOUBLE_EQ(a.cdf_at(a.bins() - 1), 0.75);
-}
-
-TEST(HistogramMergeDeathTest, MismatchedLayoutsAreFatal)
-{
-    Histogram a(0.0, 10.0, 10);
-    Histogram narrower(0.0, 5.0, 10);
-    Histogram coarser(0.0, 10.0, 5);
-    EXPECT_EXIT(a.merge(narrower), ::testing::ExitedWithCode(1),
-                "identical");
-    EXPECT_EXIT(a.merge(coarser), ::testing::ExitedWithCode(1),
-                "identical");
-}
-
 TEST(HistogramPercentile, ReadsBinEdgesDeterministically)
 {
     Histogram h(0.0, 10.0, 10);
@@ -315,19 +124,6 @@ TEST(HistogramPercentile, ReadsBinEdgesDeterministically)
     Histogram empty(0.0, 10.0, 10);
     EXPECT_TRUE(std::isnan(empty.percentile(50)));
     EXPECT_TRUE(std::isnan(empty.percentile(99)));
-}
-
-TEST(HistogramCheckpoint, AddToBinRestoresState)
-{
-    // The aggregator checkpoint rebuilds histograms bin by bin; the
-    // restored object must be indistinguishable from the original.
-    Histogram orig = hist_of({-1.0, 0.5, 3.5, 3.6, 12.0});
-    Histogram restored(orig.lo(), orig.hi(), orig.bins());
-    restored.add_to_bin(Histogram::kUnderflowBin, orig.underflow());
-    restored.add_to_bin(Histogram::kOverflowBin, orig.overflow());
-    for (int i = 0; i < orig.bins(); ++i)
-        restored.add_to_bin(i, orig.bin_count(i));
-    expect_hist_eq(orig, restored);
 }
 
 TEST(StatSet, InsertGetOverwrite)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/render_system.h"
@@ -39,6 +40,19 @@ expect_no_invariant_violations(RenderSystem &sys)
         ADD_FAILURE() << "t=" << v.time << " [" << v.invariant << "] "
                       << v.detail;
     }
+}
+
+/**
+ * The `"resume_pos": N,` line of a CampaignAggregator or Observatory
+ * to_json() dump, unindented; empty when the dump has none.
+ */
+inline std::string
+resume_pos_line(const std::string &json)
+{
+    const std::size_t at = json.find("\"resume_pos\"");
+    return at == std::string::npos
+               ? ""
+               : json.substr(at, json.find('\n', at) - at);
 }
 
 } // namespace dvs
