@@ -75,6 +75,10 @@ cmake -B "$BUILD_DIR" -S . "${CONFIGURE[@]}" -DDVS_SANITIZE="$SANITIZE"
 cmake --build "$BUILD_DIR" -j"$JOBS"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$JOBS")
 
+# EXPERIMENTS.md quotes the goldens: every figure on a golden's
+# `measured:` line must appear in the headline row naming that golden.
+python3 scripts/check_experiments.py
+
 # Chaos smoke: a small seeded fault-injection campaign must finish with
 # zero invariant violations and zero failed runs (nonzero exit
 # otherwise). Runs in both the plain and the sanitized build — the fault

@@ -1,5 +1,6 @@
 #include "buffer/buffer_queue.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "sim/logging.h"
@@ -11,6 +12,9 @@ BufferQueue::BufferQueue(int capacity) : capacity_(capacity)
     if (capacity < 2)
         fatal("BufferQueue needs at least 2 slots (front + back), got %d",
               capacity);
+    if (capacity > kMaxSlots)
+        fatal("BufferQueue holds at most %d slots, got %d", kMaxSlots,
+              capacity);
     for (int i = 0; i < capacity; ++i)
         make_slot();
 }
@@ -18,15 +22,33 @@ BufferQueue::BufferQueue(int capacity) : capacity_(capacity)
 void
 BufferQueue::make_slot()
 {
-    slots_.push_back(std::make_unique<FrameBuffer>(int(slots_.size())));
-    free_.push_back(slots_.back().get());
+    // A new slot takes the first unused storage entry; its number is the
+    // live slot count, as if the retired slots had never been.
+    std::size_t i = 0;
+    while (in_use_[i])
+        ++i;
+    in_use_[i] = true;
+    FrameBuffer &buf = storage_[i];
+    buf = FrameBuffer(slot_count_);
+    slots_[std::size_t(slot_count_++)] = &buf;
+    free_.push_back(&buf);
+}
+
+void
+BufferQueue::retire(FrameBuffer *buf)
+{
+    in_use_[std::size_t(buf - storage_.data())] = false;
+    FrameBuffer **end = slots_.data() + slot_count_;
+    FrameBuffer **pos = std::find(slots_.data(), end, buf);
+    std::copy(pos + 1, end, pos);
+    --slot_count_;
 }
 
 int
 BufferQueue::dequeued_count() const
 {
     int n = 0;
-    for (const auto &s : slots_) {
+    for (const FrameBuffer *s : slots()) {
         if (s->state() == BufferState::kDequeued)
             ++n;
     }
@@ -40,8 +62,7 @@ BufferQueue::try_dequeue(Time now)
         return nullptr;
     if (alloc_fault_ && alloc_fault_(now))
         return nullptr;
-    FrameBuffer *buf = free_.front();
-    free_.pop_front();
+    FrameBuffer *buf = free_.pop_front();
     assert(buf->state_ == BufferState::kFree);
     buf->state_ = BufferState::kDequeued;
     buf->dequeue_time_ = now;
@@ -74,8 +95,7 @@ BufferQueue::acquire(Time now)
         return nullptr;
     if (stall_fault_ && stall_fault_(now))
         return nullptr;
-    FrameBuffer *next = queued_.front();
-    queued_.pop_front();
+    FrameBuffer *next = queued_.pop_front();
     assert(next->state_ == BufferState::kQueued);
 
     FrameBuffer *old = front_;
@@ -98,12 +118,7 @@ BufferQueue::release_to_free(FrameBuffer *buf)
         // yanking buffers out from under the producer or the screen.
         --pending_shrink_;
         buf->state_ = BufferState::kFree;
-        for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-            if (it->get() == buf) {
-                slots_.erase(it);
-                break;
-            }
-        }
+        retire(buf);
         return;
     }
     buf->state_ = BufferState::kFree;
@@ -117,24 +132,20 @@ BufferQueue::set_capacity(int capacity)
 {
     if (capacity < 2)
         fatal("BufferQueue capacity must be >= 2, got %d", capacity);
+    if (capacity > kMaxSlots)
+        fatal("BufferQueue holds at most %d slots, got %d", kMaxSlots,
+              capacity);
     pending_shrink_ = 0;
-    while (int(slots_.size()) < capacity) {
+    while (slot_count_ < capacity) {
         make_slot();
         if (on_free_)
             on_free_();
     }
-    if (int(slots_.size()) > capacity) {
-        int excess = int(slots_.size()) - capacity;
+    if (slot_count_ > capacity) {
+        int excess = slot_count_ - capacity;
         // Retire free slots immediately; the remainder lazily.
         while (excess > 0 && !free_.empty()) {
-            FrameBuffer *buf = free_.back();
-            free_.pop_back();
-            for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-                if (it->get() == buf) {
-                    slots_.erase(it);
-                    break;
-                }
-            }
+            retire(free_.pop_back());
             --excess;
         }
         pending_shrink_ = excess;

@@ -13,13 +13,13 @@
 #ifndef DVS_BUFFER_BUFFER_QUEUE_H
 #define DVS_BUFFER_BUFFER_QUEUE_H
 
+#include <array>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <vector>
+#include <span>
 
 #include "buffer/frame_buffer.h"
+#include "sim/inline_ring.h"
 #include "sim/time.h"
 
 namespace dvs {
@@ -32,11 +32,21 @@ namespace dvs {
  *    free / dequeued / queued / front;
  *  - at most one slot is in the kFront state;
  *  - buffers are acquired in exactly the order they were queued.
+ *
+ * The queue owns its buffers by value, in storage for kMaxSlots of them
+ * that never moves, so the pointers the pipeline and the screen hold
+ * stay valid while the capacity changes.
  */
 class BufferQueue
 {
   public:
-    /** @param capacity total slot count (1 front + capacity-1 back). */
+    /** Deepest queue any configuration may ask for. */
+    static constexpr int kMaxSlots = 16;
+
+    /**
+     * @param capacity total slot count (1 front + capacity-1 back),
+     *        2..kMaxSlots.
+     */
     explicit BufferQueue(int capacity);
 
     int capacity() const { return capacity_; }
@@ -127,23 +137,28 @@ class BufferQueue
      * Grow or shrink the total capacity at runtime (decoupling-aware API:
      * pre-render limit reconfiguration). Shrinking below the number of
      * in-use slots takes effect lazily as buffers free up.
+     * @param capacity 2..kMaxSlots
      */
     void set_capacity(int capacity);
 
-    /** All slots, for tests and introspection. */
-    const std::vector<std::unique_ptr<FrameBuffer>> &slots() const
+    /** All live slots in creation order, for tests and introspection. */
+    std::span<FrameBuffer *const> slots() const
     {
-        return slots_;
+        return {slots_.data(), std::size_t(slot_count_)};
     }
 
   private:
     void make_slot();
+    void retire(FrameBuffer *buf);
     void release_to_free(FrameBuffer *buf);
 
     int capacity_;
-    std::vector<std::unique_ptr<FrameBuffer>> slots_;
-    std::deque<FrameBuffer *> free_;
-    std::deque<FrameBuffer *> queued_;
+    std::array<FrameBuffer, kMaxSlots> storage_;
+    std::array<bool, kMaxSlots> in_use_{};
+    std::array<FrameBuffer *, kMaxSlots> slots_{};
+    int slot_count_ = 0;
+    InlineRing<FrameBuffer *, kMaxSlots> free_;
+    InlineRing<FrameBuffer *, kMaxSlots> queued_;
     FrameBuffer *front_ = nullptr;
     std::function<void()> on_free_;
     AllocFault alloc_fault_;

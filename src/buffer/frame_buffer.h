@@ -65,6 +65,7 @@ struct FrameMeta {
 class FrameBuffer
 {
   public:
+    FrameBuffer() = default;
     explicit FrameBuffer(int slot) : slot_(slot) {}
 
     int slot() const { return slot_; }
@@ -85,7 +86,7 @@ class FrameBuffer
   private:
     friend class BufferQueue;
 
-    int slot_;
+    int slot_ = 0;
     BufferState state_ = BufferState::kFree;
     FrameMeta meta_;
     Time dequeue_time_ = kTimeNone;

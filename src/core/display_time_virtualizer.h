@@ -21,12 +21,12 @@
 #define DVS_CORE_DISPLAY_TIME_VIRTUALIZER_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "core/dvsync_config.h"
 #include "display/hw_vsync.h"
 #include "display/panel.h"
+#include "sim/inline_ring.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "vsyncsrc/vsync_model.h"
@@ -115,8 +115,12 @@ class DisplayTimeVirtualizer
     Time last_promised_ = kTimeNone;
     /** Present time of the most recent latched frame (fence floor). */
     Time fence_floor_ = kTimeNone;
-    /** Outstanding promised display timestamps, in FIFO order. */
-    std::deque<Time> pending_;
+    /**
+     * Outstanding promised display timestamps, in FIFO order: one per
+     * pre-rendered frame not yet on screen, so the pre-render limit
+     * bounds them.
+     */
+    InlineRing<Time, 8> pending_;
     /** Edges left until the next calibration sample (0: this edge). */
     int edges_to_calibration_ = 0;
     std::uint64_t promises_ = 0;

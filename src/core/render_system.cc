@@ -33,24 +33,6 @@ base_buffers(const SystemConfig &config)
            (config.mode == RenderMode::kDvsync ? 1 : 0);
 }
 
-/**
- * The single-app device's one surface, @p scenario moved in: unnamed,
- * so its tracks and forensics carry no prefix, paced by config.mode,
- * never arbitrated.
- */
-std::vector<SurfaceDesc>
-single_surface(const SystemConfig &config, Scenario scenario)
-{
-    SurfaceDesc d;
-    d.name.clear();
-    d.dvsync_aware = config.mode == RenderMode::kDvsync;
-    d.max_extra_buffers = 0;
-    d.scenario = std::move(scenario);
-    std::vector<SurfaceDesc> out;
-    out.push_back(std::move(d));
-    return out;
-}
-
 } // namespace
 
 const char *
@@ -69,7 +51,7 @@ to_string(RenderMode m)
 
 std::string
 RenderSystem::config_error(const SystemConfig &c, bool composed,
-                           std::size_t surfaces)
+                           std::size_t surfaces, int max_extra_buffers)
 {
     if (composed) {
         if (surfaces == 0)
@@ -99,7 +81,42 @@ RenderSystem::config_error(const SystemConfig &c, bool composed,
     if (c.governor && !c.thermal.enabled)
         return "the governor needs the thermal plant (its primary "
                "sensor); enable config.thermal";
+    // Queues hold their buffers in place; a D-VSync queue is resized to
+    // its pre-render limit + 2.
+    if (base_buffers(c) + max_extra_buffers > BufferQueue::kMaxSlots ||
+        c.prerender_limit + 2 > BufferQueue::kMaxSlots)
+        return "a buffer queue holds at most " +
+               std::to_string(BufferQueue::kMaxSlots) +
+               " buffers; lower config.buffers, config.prerender_limit or "
+               "SurfaceDesc::max_extra_buffers";
     return {};
+}
+
+/**
+ * The single-app device's one surface, @p scenario moved in: unnamed,
+ * so its tracks and forensics carry no prefix, paced by config.mode,
+ * never arbitrated.
+ */
+std::vector<RenderSystem::Surface>
+RenderSystem::single_surface(const SystemConfig &config, Scenario scenario)
+{
+    std::vector<Surface> out(1);
+    SurfaceDesc &d = out.front().desc;
+    d.name.clear();
+    d.dvsync_aware = config.mode == RenderMode::kDvsync;
+    d.max_extra_buffers = 0;
+    d.scenario = std::move(scenario);
+    return out;
+}
+
+/** One unbuilt surface per declaration, @p descs moved in. */
+std::vector<RenderSystem::Surface>
+RenderSystem::surfaces_of(std::vector<SurfaceDesc> descs)
+{
+    std::vector<Surface> out(descs.size());
+    for (std::size_t i = 0; i < descs.size(); ++i)
+        out[i].desc = std::move(descs[i]);
+    return out;
 }
 
 RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
@@ -110,49 +127,54 @@ RenderSystem::RenderSystem(const SystemConfig &config, Scenario scenario)
 
 RenderSystem::RenderSystem(const SystemConfig &config,
                            std::vector<SurfaceDesc> surfaces)
-    : RenderSystem(config, std::move(surfaces), true)
+    : RenderSystem(config, surfaces_of(std::move(surfaces)), true)
 {
 }
 
 RenderSystem::RenderSystem(const SystemConfig &config,
-                           std::vector<SurfaceDesc> descs, bool composed)
+                           std::vector<Surface> surfaces, bool composed)
     : config_(config), composed_(composed), buffers_(base_buffers(config)),
-      sim_(config.seed)
+      sim_(config.seed), hw_(sim_, config.device.refresh_hz),
+      surfaces_(std::move(surfaces))
 {
-    const std::string error = config_error(config, composed, descs.size());
+    for (const Surface &s : surfaces_)
+        max_extra_ = std::max(max_extra_, s.desc.max_extra_buffers);
+    const std::string error =
+        config_error(config, composed, surfaces_.size(), max_extra_);
     if (!error.empty())
         fatal("%s", error.c_str());
 
-    hw_ = std::make_unique<HwVsyncGenerator>(sim_,
-                                             config.device.refresh_hz);
     if (config.vsync_jitter > 0)
-        hw_->set_jitter(config.vsync_jitter, &sim_.rng());
+        hw_.set_jitter(config.vsync_jitter, &sim_.rng());
 
     // Registration order matters: every panel registers its HW-VSync
     // listener first, so each layer latches before the software
     // distributor, the DTVs and the display compositor see the edge.
-    // Listeners capture Surface pointers, so the vector never grows
-    // after this pass.
-    surfaces_.reserve(descs.size());
-    for (SurfaceDesc &d : descs) {
-        Surface &s = surfaces_.emplace_back();
-        s.desc = std::move(d);
+    // Listeners capture Surface pointers; surfaces_ is sized already
+    // and never grows.
+    for (Surface &s : surfaces_) {
         session_end_ = std::max(session_end_,
                                 s.desc.start_at +
                                     s.desc.scenario.total_duration());
-        s.queue = std::make_unique<BufferQueue>(buffers_);
-        s.panel = std::make_unique<Panel>(*hw_, *s.queue);
-        s.latch = std::make_unique<Compositor>(*s.panel,
-                                               config.latch_lead);
+        s.queue.emplace(buffers_);
+        s.panel.emplace(hw_, *s.queue);
+        s.latch.emplace(*s.panel, config.latch_lead);
     }
-    dist_ = std::make_unique<VsyncDistributor>(sim_, *hw_);
-    // Typical runs keep a few hundred events live per surface;
-    // pre-sizing the heap and slot map keeps the hot loop out of the
-    // allocator.
-    sim_.events().reserve(256 * surfaces_.size());
+    dist_.emplace(sim_, hw_);
+    // Pre-sizing the heap and slot map keeps the hot loop out of the
+    // allocator. A producer schedules every segment boundary of its
+    // scenario when it starts; on top of those, no golden and no traces/
+    // capture ever had more than 4 events live per surface (its next
+    // edge, a vsync delivery, stage completions), and the metrics
+    // sampler and the governor tick add one each. A fault plan's
+    // scheduled windows are not counted: chaos runs may grow the queue.
+    std::size_t live = 2;
+    for (const Surface &s : surfaces_)
+        live += s.desc.scenario.size() + 4;
+    sim_.events().reserve(live);
 
     if (composed) {
-        shared_gpu_ = std::make_unique<ExecResource>(sim_, "device gpu");
+        shared_gpu_.emplace(sim_, "device gpu");
         // A producer only pumps its own GPU backlog when its own job
         // finishes; on a shared GPU the finishing job may belong to
         // another surface, so every completion re-kicks all of them.
@@ -160,26 +182,23 @@ RenderSystem::RenderSystem(const SystemConfig &config,
             for (Surface &s : surfaces_)
                 s.producer->kick_gpu();
         });
-        arbiter_ = std::make_unique<BufferBudgetArbiter>(
-            config.display.budget_mb, config.display.policy);
+        arbiter_.emplace(config.display.budget_mb, config.display.policy);
     }
     if (config.thermal.enabled) {
-        plant_ = std::make_unique<ThermalPlant>(
-            thermal_params_for(config.device.thermal_budget_mw,
-                               config.device.thermal_headroom_c,
-                               config.thermal.envelope_scale));
+        plant_.emplace(thermal_params_for(config.device.thermal_budget_mw,
+                                          config.device.thermal_headroom_c,
+                                          config.thermal.envelope_scale));
     }
 
     for (std::size_t i = 0; i < surfaces_.size(); ++i)
         build_pipeline(surfaces_[i], int(i));
 
     if (composed) {
-        compositor_ =
-            std::make_unique<MultiSurfaceCompositor>(*hw_, *shared_gpu_);
+        compositor_.emplace(hw_, *shared_gpu_);
         for (Surface &s : surfaces_)
             compositor_->observe(*s.panel);
 
-        display_monitor_ = std::make_unique<InvariantMonitor>();
+        display_monitor_.emplace();
         for (std::size_t i = 0; i < surfaces_.size(); ++i)
             display_monitor_->watch_latches(int(i), *surfaces_[i].panel);
 
@@ -204,8 +223,8 @@ RenderSystem::RenderSystem(const SystemConfig &config,
         attach_plant();
     if (config.faults) {
         Surface &s = surfaces_.front();
-        injector_ = std::make_unique<FaultInjector>(sim_, config.faults);
-        injector_->arm(*hw_, *s.queue, *s.latch, *s.producer);
+        injector_.emplace(sim_, config.faults);
+        injector_->arm(hw_, *s.queue, *s.latch, *s.producer);
     }
     if (config.forensics || config.governor)
         register_metrics();
@@ -226,8 +245,7 @@ RenderSystem::prerender_limit_at(int capacity) const
 void
 RenderSystem::build_pipeline(Surface &s, int id)
 {
-    s.producer = std::make_unique<Producer>(
-        sim_, std::move(s.desc.scenario), *s.queue, *dist_);
+    s.producer.emplace(sim_, std::move(s.desc.scenario), *s.queue, *dist_);
     if (shared_gpu_)
         s.producer->use_shared_gpu(*shared_gpu_);
 
@@ -236,38 +254,35 @@ RenderSystem::build_pipeline(Surface &s, int id)
         dc.prerender_limit = prerender_limit_at(buffers_);
         dc.calibration_interval = config_.dtv_calibration_interval;
 
-        s.runtime = std::make_unique<DvsyncRuntime>(dc);
-        s.dtv = std::make_unique<DisplayTimeVirtualizer>(sim_, *hw_,
-                                                         *s.panel, dc);
-        s.fpe = std::make_unique<FramePreExecutor>(*s.dtv, *s.queue,
-                                                   *s.panel, *s.runtime,
-                                                   dc);
+        s.runtime.emplace(dc);
+        s.dtv.emplace(sim_, hw_, *s.panel, dc);
+        s.fpe.emplace(*s.dtv, *s.queue, *s.panel, *s.runtime, dc);
         s.runtime->bind(*s.producer, *s.dtv, *s.fpe, *s.queue);
-        s.producer->set_pacer(s.fpe.get());
+        s.producer->set_pacer(&*s.fpe);
     } else if (config_.mode == RenderMode::kPaced) {
-        s.swap_pacer = std::make_unique<SwapIntervalPacer>();
-        s.producer->set_pacer(s.swap_pacer.get());
+        s.swap_pacer.emplace();
+        s.producer->set_pacer(&*s.swap_pacer);
     } else {
-        s.vsync_pacer = std::make_unique<VsyncPacer>();
-        s.producer->set_pacer(s.vsync_pacer.get());
+        s.vsync_pacer.emplace();
+        s.producer->set_pacer(&*s.vsync_pacer);
     }
 
-    s.stats = std::make_unique<FrameStats>(*s.producer, *s.panel);
+    s.stats.emplace(*s.producer, *s.panel);
 
     // The classifier reads the RefreshLog FrameStats appends, so it must
     // register its present listener after the stats. It schedules no
     // events and never reads the RNG — always-on is free for
     // determinism. Only surface 0, the fault target, sees the plan.
     DropClassifier::Context cc;
-    cc.producer = s.producer.get();
-    cc.queue = s.queue.get();
-    cc.stats = s.stats.get();
-    cc.runtime = s.runtime.get();
-    cc.dtv = s.dtv.get();
+    cc.producer = &*s.producer;
+    cc.queue = &*s.queue;
+    cc.stats = &*s.stats;
+    cc.runtime = ptr(s.runtime);
+    cc.dtv = ptr(s.dtv);
     cc.plan = id == 0 ? config_.faults.get() : nullptr;
     cc.gpu = &s.producer->gpu();
     cc.shared_gpu = composed_;
-    cc.plant = plant_.get();
+    cc.plant = ptr(plant_);
     if (config_.governor) {
         // governor_ is constructed last; the classifier only calls the
         // closure during the run, when it exists.
@@ -275,9 +290,9 @@ RenderSystem::build_pipeline(Surface &s, int id)
             return governor_ && governor_->capping();
         };
     }
-    s.classifier = std::make_unique<DropClassifier>(cc, *s.panel);
+    s.classifier.emplace(cc, *s.panel);
 
-    s.monitor = std::make_unique<InvariantMonitor>();
+    s.monitor.emplace();
     // The FPE's limit bounds accumulated (queued) pre-rendered buffers;
     // one frame in flight when the limit was checked may land on top,
     // hence +1. The arbiter may deepen the queue up to
@@ -291,16 +306,16 @@ RenderSystem::build_pipeline(Surface &s, int id)
     // keeping their exact behavior. The governor's final rung hands off
     // to the watchdog, so enabling it arms the watchdog.
     if (s.runtime && (config_.faults || config_.governor))
-        s.runtime->attach_watchdog(*s.panel, s.monitor.get());
+        s.runtime->attach_watchdog(*s.panel, &*s.monitor);
     if (s.runtime && arbiter_) {
         // Registered after the watchdog's own listener, so the
         // degradation state is already updated for this present when
         // the arbiter hears about it.
-        Surface *sp = &s;
-        s.panel->add_present_listener([this, sp, id](const PresentEvent &) {
-            const bool degraded = sp->runtime->degraded();
-            if (degraded != sp->degraded_seen) {
-                sp->degraded_seen = degraded;
+        s.panel->add_present_listener([this, id](const PresentEvent &) {
+            Surface &sf = at(id);
+            const bool degraded = sf.runtime->degraded();
+            if (degraded != sf.degraded_seen) {
+                sf.degraded_seen = degraded;
                 arbiter_->on_surface_degraded(id, degraded, sim_.now());
             }
         });
@@ -310,7 +325,7 @@ RenderSystem::build_pipeline(Surface &s, int id)
 void
 RenderSystem::attach_plant()
 {
-    ThermalPlant *plant = plant_.get();
+    ThermalPlant *plant = &*plant_;
     // Registered before the fault injector's transforms, so an injected
     // throttle multiplies the DVFS-scaled duration.
     gpu().add_cost_transform([plant](Time, Time duration) {
@@ -343,11 +358,10 @@ RenderSystem::attach_plant()
 void
 RenderSystem::register_metrics()
 {
-    metrics_ = std::make_unique<MetricsRegistry>();
-    MetricsRegistry &m = *metrics_;
+    MetricsRegistry &m = metrics_.emplace();
     if (composed_) {
-        ExecResource *gpu = shared_gpu_.get();
-        BufferBudgetArbiter *arb = arbiter_.get();
+        ExecResource *gpu = &*shared_gpu_;
+        BufferBudgetArbiter *arb = &*arbiter_;
         m.register_counter("gpu.busy_ns",
                            [gpu] { return double(gpu->total_busy()); });
         m.register_gauge("arbiter.used_mb", [arb] { return arb->used_mb(); });
@@ -358,9 +372,9 @@ RenderSystem::register_metrics()
     for (Surface &s : surfaces_) {
         // A composed display names each surface's series "<surface>.".
         const std::string p = composed_ ? s.desc.name + "." : "";
-        BufferQueue *queue = s.queue.get();
-        Producer *producer = s.producer.get();
-        Panel *panel = s.panel.get();
+        BufferQueue *queue = &*s.queue;
+        Producer *producer = &*s.producer;
+        Panel *panel = &*s.panel;
         m.register_gauge(p + "queue.depth",
                          [queue] { return double(queue->queued_count()); });
         m.register_gauge(p + "queue.free",
@@ -382,24 +396,24 @@ RenderSystem::register_metrics()
                            [panel] { return double(panel->presented()); });
         m.register_counter(p + "panel.repeats",
                            [panel] { return double(panel->repeats()); });
-        Compositor *latch = s.latch.get();
+        Compositor *latch = &*s.latch;
         m.register_counter(p + "compositor.latch_misses", [latch] {
             return double(latch->missed_deadline());
         });
-        FrameStats *stats = s.stats.get();
+        FrameStats *stats = &*s.stats;
         m.register_counter(p + "stats.drops",
                            [stats] { return double(stats->frame_drops()); });
-        if (DvsyncRuntime *rt = s.runtime.get()) {
+        if (DvsyncRuntime *rt = ptr(s.runtime)) {
             m.register_gauge(p + "runtime.degraded",
                              [rt] { return rt->degraded() ? 1.0 : 0.0; });
         }
-        if (FramePreExecutor *fpe = s.fpe.get()) {
+        if (FramePreExecutor *fpe = ptr(s.fpe)) {
             m.register_counter(p + "fpe.pre_rendered", [fpe] {
                 return double(fpe->pre_rendered_frames());
             });
         }
     }
-    if (ThermalPlant *plant = plant_.get()) {
+    if (ThermalPlant *plant = ptr(plant_)) {
         Simulator *sim = &sim_;
         m.register_gauge("thermal.temp_c", [plant, sim] {
             return plant->temperature_at(sim->now());
@@ -431,7 +445,7 @@ void
 RenderSystem::install_governor()
 {
     Surface &s = surfaces_.front();
-    DvsyncRuntime *rt = s.runtime.get();
+    DvsyncRuntime *rt = ptr(s.runtime);
     GovernorHooks hooks;
     if (s.fpe) {
         const int nominal = s.fpe->prerender_limit();
@@ -440,14 +454,14 @@ RenderSystem::install_governor()
         };
     }
     if (!config_.device.ltpo_rates.empty()) {
-        HwVsyncGenerator *hw = hw_.get();
+        HwVsyncGenerator *hw = &hw_;
         const double lowest = config_.device.ltpo_rates.back();
         const double native = config_.device.refresh_hz;
         hooks.ltpo_cap = [hw, lowest, native](bool on) {
             hw->request_rate(on ? lowest : native);
         };
     }
-    ThermalPlant *plant = plant_.get();
+    ThermalPlant *plant = &*plant_;
     if (plant->level_count() > 1) {
         const int floor = std::min(2, plant->level_count() - 1);
         hooks.dvfs_cap = [plant, floor](bool on) {
@@ -460,8 +474,7 @@ RenderSystem::install_governor()
         };
         hooks.handoff_cleared = [rt] { return !rt->degraded(); };
     }
-    governor_ = std::make_unique<Governor>(plant->params().throttle_c,
-                                           std::move(hooks));
+    governor_.emplace(plant->params().throttle_c, std::move(hooks));
     // One control decision every 4 refresh periods.
     governor_->install(sim_, *metrics_, config_.device.period() * 4);
 }
@@ -491,17 +504,15 @@ RenderSystem::run()
         panic("RenderSystem::run called twice");
     ran_ = true;
 
-    hw_->start();
+    hw_.start();
     // Initial allocation happens before any frame renders, so surfaces
     // start with their arbitrated depth instead of growing mid-segment.
     if (arbiter_)
         arbiter_->arbitrate(0);
 
-    int max_extra = 0;
     for (std::size_t i = 0; i < surfaces_.size(); ++i) {
         Surface &s = surfaces_[i];
         s.producer->start(s.desc.start_at);
-        max_extra = std::max(max_extra, s.desc.max_extra_buffers);
         if (!arbiter_)
             continue;
         // The surface leaves the arbiter's pool when its scenario ends;
@@ -517,12 +528,12 @@ RenderSystem::run()
     // Drain margin: enough refreshes for the pipeline and any accumulated
     // buffers to reach the panel after the last segment ends.
     const Time tail =
-        Time(buffers_ + max_extra + 4) * config_.device.period();
+        Time(buffers_ + max_extra_ + 4) * config_.device.period();
     const Time horizon = session_end_ + tail;
     for (Surface &s : surfaces_)
         s.stats->reserve_for(horizon, config_.device.max_refresh_hz());
     sim_.run_until(horizon);
-    hw_->stop();
+    hw_.stop();
     for (Surface &s : surfaces_)
         s.monitor->finalize(sim_.now());
     if (display_monitor_)
@@ -760,7 +771,7 @@ RenderSystem::activity() const
 int
 RenderSystem::prerender_limit() const
 {
-    const FramePreExecutor *fpe = at(0).fpe.get();
+    const FramePreExecutor *fpe = ptr(at(0).fpe);
     return fpe ? fpe->prerender_limit() : 0;
 }
 
@@ -847,8 +858,7 @@ RenderSystem::forensics() const
         panic("RenderSystem::forensics before run");
     FrameForensics f;
     for (const Surface &s : surfaces_) {
-        f.add_surface(s.desc.name, *s.producer, *s.stats,
-                      s.classifier.get());
+        f.add_surface(s.desc.name, *s.producer, *s.stats, &*s.classifier);
     }
     return f;
 }
@@ -857,7 +867,7 @@ bool
 RenderSystem::save_forensics(const std::string &path) const
 {
     return forensics().save(path, scenario_label(), mode_label(),
-                            metrics_.get());
+                            ptr(metrics_));
 }
 
 RunReport

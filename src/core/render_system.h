@@ -22,6 +22,7 @@
 #define DVS_CORE_RENDER_SYSTEM_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -278,12 +279,14 @@ class RenderSystem
 
     /**
      * Why @p config cannot assemble a device of the given kind with
-     * @p surfaces surfaces, or "" when it can. The constructors fail
-     * (fatal) with this message; the .dvst loader rejects a capture
-     * with it, so a loaded capture always assembles.
+     * @p surfaces surfaces, the deepest of which may be granted
+     * @p max_extra_buffers extra buffers, or "" when it can. The
+     * constructors fail (fatal) with this message; the .dvst loader
+     * rejects a capture with it, so a loaded capture always assembles.
      */
     static std::string config_error(const SystemConfig &config,
-                                    bool composed, std::size_t surfaces);
+                                    bool composed, std::size_t surfaces,
+                                    int max_extra_buffers);
 
     ~RenderSystem();
 
@@ -316,7 +319,7 @@ class RenderSystem
     /** Number of surfaces (1 for the single-app device). */
     std::size_t size() const { return surfaces_.size(); }
 
-    HwVsyncGenerator &hw_vsync() { return *hw_; }
+    HwVsyncGenerator &hw_vsync() { return hw_; }
     VsyncDistributor &distributor() { return *dist_; }
 
     /** The shared GPU of a composed display, else surface 0's own. */
@@ -338,18 +341,18 @@ class RenderSystem
     FrameStats &stats(int i = 0) { return *at(i).stats; }
 
     /** D-VSync components of surface @p i; null when it paces by VSync. */
-    DvsyncRuntime *runtime(int i = 0) { return at(i).runtime.get(); }
-    DisplayTimeVirtualizer *dtv(int i = 0) { return at(i).dtv.get(); }
-    FramePreExecutor *fpe(int i = 0) { return at(i).fpe.get(); }
+    DvsyncRuntime *runtime(int i = 0) { return ptr(at(i).runtime); }
+    DisplayTimeVirtualizer *dtv(int i = 0) { return ptr(at(i).dtv); }
+    FramePreExecutor *fpe(int i = 0) { return ptr(at(i).fpe); }
 
     /** The swap-interval pacer; null unless mode == kPaced. */
-    SwapIntervalPacer *pacer() { return at(0).swap_pacer.get(); }
+    SwapIntervalPacer *pacer() { return ptr(at(0).swap_pacer); }
 
     /** Invariant monitor of surface @p i; always built, never null. */
-    InvariantMonitor *monitor(int i = 0) { return at(i).monitor.get(); }
+    InvariantMonitor *monitor(int i = 0) { return ptr(at(i).monitor); }
     const InvariantMonitor *monitor(int i = 0) const
     {
-        return at(i).monitor.get();
+        return ptr(at(i).monitor);
     }
 
     /** Drop root-cause classifier of surface @p i (always on). */
@@ -359,31 +362,31 @@ class RenderSystem
     }
 
     /** Fault injector; null unless a plan was installed. */
-    FaultInjector *fault_injector() { return injector_.get(); }
+    FaultInjector *fault_injector() { return ptr(injector_); }
 
     /** Metrics registry; null unless forensics or the governor is on. */
-    MetricsRegistry *metrics() { return metrics_.get(); }
-    const MetricsRegistry *metrics() const { return metrics_.get(); }
+    MetricsRegistry *metrics() { return ptr(metrics_); }
+    const MetricsRegistry *metrics() const { return ptr(metrics_); }
 
     /** Thermal/DVFS plant; null unless config.thermal.enabled. */
-    ThermalPlant *plant() { return plant_.get(); }
-    const ThermalPlant *plant() const { return plant_.get(); }
+    ThermalPlant *plant() { return ptr(plant_); }
+    const ThermalPlant *plant() const { return ptr(plant_); }
 
     /** Governor; null unless config.governor. */
-    Governor *governor() { return governor_.get(); }
-    const Governor *governor() const { return governor_.get(); }
+    Governor *governor() { return ptr(governor_); }
+    const Governor *governor() const { return ptr(governor_); }
 
     /** Display compositor; null on the single-app device. */
-    MultiSurfaceCompositor *compositor() { return compositor_.get(); }
+    MultiSurfaceCompositor *compositor() { return ptr(compositor_); }
 
     /** Buffer-budget arbiter; null on the single-app device. */
-    BufferBudgetArbiter *arbiter() { return arbiter_.get(); }
+    BufferBudgetArbiter *arbiter() { return ptr(arbiter_); }
 
     /** Cross-surface monitor; null on the single-app device. */
-    InvariantMonitor *display_monitor() { return display_monitor_.get(); }
+    InvariantMonitor *display_monitor() { return ptr(display_monitor_); }
     const InvariantMonitor *display_monitor() const
     {
-        return display_monitor_.get();
+        return ptr(display_monitor_);
     }
 
     /** Activity summary for the power model, summed over surfaces. */
@@ -419,22 +422,43 @@ class RenderSystem
     bool save_forensics(const std::string &path) const;
 
   private:
+    /**
+     * One surface's pipeline, every component held by value. The
+     * components reference each other and register listeners that
+     * capture their addresses, so a Surface is built in place, member
+     * by member in declaration order, and never moves: the surfaces
+     * vector is sized once, before the first one is built. Parts a
+     * surface may lack (the pacers it does not use, the D-VSync trio)
+     * stay empty; the others are filled by the constructor.
+     */
     struct Surface {
         SurfaceDesc desc;
-        std::unique_ptr<BufferQueue> queue;
-        std::unique_ptr<Panel> panel;
-        std::unique_ptr<Compositor> latch;
-        std::unique_ptr<Producer> producer;
-        std::unique_ptr<FramePacer> vsync_pacer;
-        std::unique_ptr<SwapIntervalPacer> swap_pacer;
-        std::unique_ptr<DvsyncRuntime> runtime;
-        std::unique_ptr<DisplayTimeVirtualizer> dtv;
-        std::unique_ptr<FramePreExecutor> fpe;
-        std::unique_ptr<FrameStats> stats;
-        std::unique_ptr<DropClassifier> classifier;
-        std::unique_ptr<InvariantMonitor> monitor;
+        std::optional<BufferQueue> queue;
+        std::optional<Panel> panel;
+        std::optional<Compositor> latch;
+        std::optional<Producer> producer;
+        std::optional<VsyncPacer> vsync_pacer;
+        std::optional<SwapIntervalPacer> swap_pacer;
+        std::optional<DvsyncRuntime> runtime;
+        std::optional<DisplayTimeVirtualizer> dtv;
+        std::optional<FramePreExecutor> fpe;
+        std::optional<FrameStats> stats;
+        std::optional<DropClassifier> classifier;
+        std::optional<InvariantMonitor> monitor;
         bool degraded_seen = false; ///< last watchdog state forwarded
     };
+
+    /** The held component, or null when @p part is empty. */
+    template <class T>
+    static T *ptr(std::optional<T> &part)
+    {
+        return part ? &*part : nullptr;
+    }
+    template <class T>
+    static const T *ptr(const std::optional<T> &part)
+    {
+        return part ? &*part : nullptr;
+    }
 
     /** One arbiter decision, kept for the trace export. */
     struct AllocSample {
@@ -444,8 +468,12 @@ class RenderSystem
         double used_mb = 0.0;
     };
 
-    RenderSystem(const SystemConfig &config,
-                 std::vector<SurfaceDesc> surfaces, bool composed);
+    RenderSystem(const SystemConfig &config, std::vector<Surface> surfaces,
+                 bool composed);
+
+    static std::vector<Surface> single_surface(const SystemConfig &config,
+                                               Scenario scenario);
+    static std::vector<Surface> surfaces_of(std::vector<SurfaceDesc> descs);
 
     const Surface &at(int i) const { return surfaces_[std::size_t(i)]; }
     Surface &at(int i) { return surfaces_[std::size_t(i)]; }
@@ -461,22 +489,28 @@ class RenderSystem
     std::string scenario_label() const;
     std::string mode_label() const;
 
+    // The device is assembled in place: every component below is held
+    // by value, and the optional ones stay empty on devices without
+    // them. The constructor fills them in listener-registration order
+    // (every panel before the distributor), not declaration order;
+    // destruction runs in reverse declaration order.
     SystemConfig config_;
     bool composed_;
     int buffers_;
     Simulator sim_;
-    std::unique_ptr<HwVsyncGenerator> hw_;
-    std::unique_ptr<VsyncDistributor> dist_;
-    std::unique_ptr<ExecResource> shared_gpu_;
-    std::unique_ptr<ThermalPlant> plant_;
-    std::unique_ptr<BufferBudgetArbiter> arbiter_;
+    HwVsyncGenerator hw_;
+    std::optional<VsyncDistributor> dist_;
+    std::optional<ExecResource> shared_gpu_;
+    std::optional<ThermalPlant> plant_;
+    std::optional<BufferBudgetArbiter> arbiter_;
     std::vector<Surface> surfaces_;
-    std::unique_ptr<MultiSurfaceCompositor> compositor_;
-    std::unique_ptr<InvariantMonitor> display_monitor_;
-    std::unique_ptr<FaultInjector> injector_;
-    std::unique_ptr<MetricsRegistry> metrics_;
-    std::unique_ptr<Governor> governor_;
+    std::optional<MultiSurfaceCompositor> compositor_;
+    std::optional<InvariantMonitor> display_monitor_;
+    std::optional<FaultInjector> injector_;
+    std::optional<MetricsRegistry> metrics_;
+    std::optional<Governor> governor_;
     std::vector<AllocSample> alloc_log_;
+    int max_extra_ = 0;    ///< deepest surface's max_extra_buffers
     Time session_end_ = 0; ///< last scenario's end time
     bool ran_ = false;
 };

@@ -10,6 +10,9 @@ HwVsyncGenerator::HwVsyncGenerator(Simulator &sim, double rate_hz,
                                    Time first_edge)
     : sim_(sim), timing_(rate_hz, first_edge), next_edge_(first_edge)
 {
+    // A single-app device registers its panel, the software distributor
+    // and, under D-VSync, the DTV.
+    listeners_.reserve(4);
 }
 
 void

@@ -4,6 +4,11 @@ namespace dvs {
 
 Panel::Panel(HwVsyncGenerator &vsync, BufferQueue &queue) : queue_(queue)
 {
+    // Room for every listener a surface registers: the DTV, FPE,
+    // watchdog, stats, classifier and monitor, and on a composed display
+    // the arbiter forward, the display compositor and the display
+    // monitor.
+    listeners_.reserve(9);
     vsync.add_listener([this](const VsyncEdge &e) { on_vsync(e); });
 }
 

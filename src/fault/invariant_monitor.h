@@ -28,7 +28,6 @@
 #define DVS_FAULT_INVARIANT_MONITOR_H
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -127,7 +126,7 @@ class InvariantMonitor
     std::uint64_t violation_count_ = 0;
     std::vector<InvariantViolation> log_;
     /** Violation timestamps (all of them) for windowed pressure. */
-    std::deque<Time> violation_times_;
+    std::vector<Time> violation_times_;
     bool finalized_ = false;
 };
 

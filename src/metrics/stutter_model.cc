@@ -21,7 +21,7 @@ StutterDetector::end_run()
         while (!recent_isolated_.empty() &&
                last_drop_time_ - recent_isolated_.front() >
                    params_.cluster_window) {
-            recent_isolated_.erase(recent_isolated_.begin());
+            recent_isolated_.pop_front();
         }
         if (int(recent_isolated_.size()) >= params_.cluster_drops &&
             !steady_cadence()) {

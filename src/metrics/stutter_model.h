@@ -14,9 +14,9 @@
 #define DVS_METRICS_STUTTER_MODEL_H
 
 #include <cstdint>
-#include <vector>
 
 #include "metrics/frame_stats.h"
+#include "sim/inline_ring.h"
 #include "sim/time.h"
 
 namespace dvs {
@@ -64,7 +64,9 @@ class StutterDetector
     std::uint64_t stutters_ = 0;
     int run_length_ = 0;
     Time last_drop_time_ = 0;
-    std::vector<Time> recent_isolated_;
+    // Isolated drops inside the cluster window: a few at most, since
+    // cluster_drops of them at an irregular rhythm count a stutter.
+    InlineRing<Time, 8> recent_isolated_;
     bool finished_ = false;
 };
 

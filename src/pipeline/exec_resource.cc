@@ -43,17 +43,7 @@ ExecResource::complete()
 {
     // Move the callback out first: it may submit the next job, which
     // can grow the FIFO.
-    EventQueue::Callback fn = std::move(done_fifo_[done_head_++]);
-    if (done_head_ == done_fifo_.size()) {
-        done_fifo_.clear();
-        done_head_ = 0;
-    } else if (done_head_ >= 32 && 2 * done_head_ >= done_fifo_.size()) {
-        // A resource that never drains: drop the spent prefix so memory
-        // stays O(queued jobs).
-        done_fifo_.erase(done_fifo_.begin(),
-                         done_fifo_.begin() + std::ptrdiff_t(done_head_));
-        done_head_ = 0;
-    }
+    EventQueue::Callback fn = done_fifo_.pop_front();
     fn();
     for (auto &listener : done_listeners_)
         listener();

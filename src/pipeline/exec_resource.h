@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/inline_ring.h"
 #include "sim/simulator.h"
 
 namespace dvs {
@@ -91,10 +92,10 @@ class ExecResource
     std::string name_;
     // Jobs end in submission order (end times never decrease, every
     // completion has the same priority, and ties keep schedule order),
-    // so each completion event pops the oldest callback. The vector keeps
-    // its capacity: done_head_ rewinds whenever the FIFO drains.
-    std::vector<EventQueue::Callback> done_fifo_;
-    std::size_t done_head_ = 0;
+    // so each completion event pops the oldest callback. The pipeline
+    // submits one job at a time per stage; a shared GPU may queue one
+    // behind another.
+    InlineRing<EventQueue::Callback, 2> done_fifo_;
     std::vector<CostTransform> cost_transforms_;
     std::vector<UsageListener> usage_listeners_;
     std::vector<std::function<void()>> done_listeners_;

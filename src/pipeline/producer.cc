@@ -18,8 +18,17 @@ Producer::Producer(Simulator &sim, Scenario scenario, BufferQueue &queue,
         [this](const SwVsync &sw) { handle_vsync_trigger(sw); });
     queue_.on_slot_free([this] { on_slot_free(); });
     // FrameRecords are flat PODs indexed by frame id; pre-sizing keeps
-    // the begin_frame hot path out of the allocator for typical runs.
-    records_.reserve(512);
+    // the begin_frame hot path out of the allocator. A segment starts at
+    // most one frame per slot of its display timeline, and its slots
+    // span no more than its duration at the current period.
+    const Time period = dist_.model().period();
+    std::size_t slots = 0;
+    for (const Segment &seg : scenario_.segments()) {
+        if (seg.produces_frames())
+            slots += std::size_t(
+                std::max<Time>(1, (seg.duration + period - 1) / period));
+    }
+    records_.reserve(slots);
 }
 
 void
@@ -227,8 +236,7 @@ Producer::pump_ui()
 {
     if (pending_ui_.empty() || !ui_thread_.idle())
         return;
-    const std::uint64_t id = pending_ui_.front();
-    pending_ui_.pop_front();
+    const std::uint64_t id = pending_ui_.pop_front();
     FrameRecord &rec = records_[id];
     rec.ui_start = ui_thread_.run(rec.cost.ui_time,
                                   [this, id] { on_ui_done(id); });
@@ -256,9 +264,11 @@ void
 Producer::enqueue_render(std::uint64_t id)
 {
     records_[id].render_ready = sim_.now();
-    pending_render_.insert(std::lower_bound(pending_render_.begin(),
-                                            pending_render_.end(), id),
-                           id);
+    // Insertion sort from the back: frames almost always arrive in order.
+    pending_render_.push_back(id);
+    for (std::size_t i = pending_render_.size() - 1;
+         i > 0 && pending_render_[i - 1] > pending_render_[i]; --i)
+        std::swap(pending_render_[i - 1], pending_render_[i]);
     pump_render();
 }
 
@@ -267,21 +277,21 @@ Producer::pump_render()
 {
     // Renders run strictly in frame order: frame N+1 may be ready (its
     // UI chained ahead) while frame N still waits for its VSync-rs edge.
-    const auto it = std::lower_bound(
-        pending_render_.begin(), pending_render_.end(), next_render_id_);
-    if (it == pending_render_.end() || *it != next_render_id_ ||
+    // Every pending id is at least next_render_id_, so frame N, when
+    // ready, is the front.
+    if (pending_render_.empty() ||
+        pending_render_.front() != next_render_id_ ||
         !render_thread_.idle())
         return;
     FrameBuffer *buf = queue_.try_dequeue(sim_.now());
     if (!buf) {
         // Record the stall start (forensics: queue-stuffing evidence).
-        FrameRecord &stalled = records_[*it];
+        FrameRecord &stalled = records_[next_render_id_];
         if (stalled.buffer_stall_start == kTimeNone)
             stalled.buffer_stall_start = sim_.now();
         return; // resumed by on_slot_free
     }
-    const std::uint64_t id = *it;
-    pending_render_.erase(it);
+    const std::uint64_t id = pending_render_.pop_front();
     ++next_render_id_;
     FrameRecord &rec = records_[id];
     rec.render_start = render_thread_.run(
@@ -297,7 +307,7 @@ Producer::on_render_done(std::uint64_t id, FrameBuffer *buf)
     if (rec.cost.gpu_time > 0) {
         // Command buffers execute on the GPU in submission order while
         // the render thread moves on to the next frame.
-        pending_gpu_.emplace_back(id, buf);
+        pending_gpu_.push_back({id, buf});
         pump_gpu();
         pump_render();
         return;
@@ -310,8 +320,7 @@ Producer::pump_gpu()
 {
     if (pending_gpu_.empty() || !gpu_res_->idle())
         return;
-    const auto [id, buf] = pending_gpu_.front();
-    pending_gpu_.pop_front();
+    const auto [id, buf] = pending_gpu_.pop_front();
     FrameRecord &rec = records_[id];
     Time gpu_cost = rec.cost.gpu_time;
     if (gpu_shaper_)

@@ -18,13 +18,14 @@
 #define DVS_PIPELINE_PRODUCER_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "buffer/buffer_queue.h"
 #include "pipeline/exec_resource.h"
 #include "pipeline/frame.h"
+#include "sim/inline_ring.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/choreographer.h"
 #include "vsyncsrc/vsync_distributor.h"
@@ -214,7 +215,9 @@ class Producer
     }
 
     ExecResource &ui_thread() { return ui_thread_; }
+    const ExecResource &ui_thread() const { return ui_thread_; }
     ExecResource &render_thread() { return render_thread_; }
+    const ExecResource &render_thread() const { return render_thread_; }
     ExecResource &gpu() { return *gpu_res_; }
 
     /**
@@ -270,16 +273,21 @@ class Producer
 
     std::vector<SegmentState> states_;
     std::vector<FrameRecord> records_;
-    std::deque<std::uint64_t> pending_ui_;
+    // Frames waiting for the UI thread: one or two in practice, since a
+    // frame begins on a vsync trigger or within the pre-render limit.
+    InlineRing<std::uint64_t, 8> pending_ui_;
     // Render stages must execute in frame order even when a pre-rendered
     // frame's UI finishes while an older frame still waits for its
-    // VSync-rs edge; the sorted vector holds ready frames (a handful at
-    // most), next_render_id_ gates.
-    std::vector<std::uint64_t> pending_render_;
+    // VSync-rs edge; the ring holds ready frames sorted by id, and
+    // next_render_id_ gates its front.
+    InlineRing<std::uint64_t, 8> pending_render_;
     std::uint64_t next_render_id_ = 0;
     // GPU work is submitted in render-completion order and executes
-    // serially; entries pair the frame with its dequeued buffer.
-    std::deque<std::pair<std::uint64_t, FrameBuffer *>> pending_gpu_;
+    // serially; entries pair the frame with its dequeued buffer, so
+    // there are never more than the queue has slots.
+    InlineRing<std::pair<std::uint64_t, FrameBuffer *>,
+               BufferQueue::kMaxSlots>
+        pending_gpu_;
     int current_segment_ = -1;
     int in_flight_ = 0;
     Time start_time_ = 0;

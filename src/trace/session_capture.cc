@@ -1,5 +1,6 @@
 #include "trace/session_capture.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -509,8 +510,12 @@ SessionCapture::decode(const std::string &bytes, SessionCapture &out,
 
     cap.config.faults = plan;
     // A capture replay could not assemble is malformed.
-    const std::string unbuildable = RenderSystem::config_error(
-        cap.config, cap.kind == Kind::kMulti, cap.surfaces.size());
+    int max_extra = 0;
+    for (const SurfaceCapture &s : cap.surfaces)
+        max_extra = std::max(max_extra, s.max_extra_buffers);
+    const std::string unbuildable =
+        RenderSystem::config_error(cap.config, cap.kind == Kind::kMulti,
+                                   cap.surfaces.size(), max_extra);
     if (!unbuildable.empty()) {
         error = "capture cannot be replayed: " + unbuildable;
         return false;

@@ -15,6 +15,8 @@ VsyncDistributor::set_offset(VsyncChannel ch, Time offset)
 {
     if (offset < 0)
         fatal("vsync channel offsets must be >= 0");
+    if (scheduled_[int(ch)] != 0)
+        fatal("vsync channel offset changed with a delivery scheduled");
     offsets_[int(ch)] = offset;
 }
 
@@ -27,13 +29,13 @@ VsyncDistributor::offset(VsyncChannel ch) const
 void
 VsyncDistributor::request_callback(VsyncChannel ch, Callback fn)
 {
-    pending_[int(ch)].push_back(std::move(fn));
+    requests_[int(ch)].push_back(std::move(fn));
 }
 
 std::size_t
 VsyncDistributor::pending(VsyncChannel ch) const
 {
-    return pending_[int(ch)].size();
+    return requests_[int(ch)].size() - scheduled_[int(ch)];
 }
 
 void
@@ -42,36 +44,33 @@ VsyncDistributor::on_edge(const VsyncEdge &edge)
     model_.add_sample(edge.timestamp);
 
     for (int ch = 0; ch < kNumVsyncChannels; ++ch) {
-        if (pending_[ch].empty())
+        // Snapshot: callbacks requested from here on, during delivery
+        // included, belong to the next edge.
+        const std::size_t batch = requests_[ch].size() - scheduled_[ch];
+        if (batch == 0)
             continue;
-        // Snapshot and clear: callbacks requested during delivery belong
-        // to the next edge. A recycled batch takes the snapshot's place,
-        // so pending_[ch] keeps its capacity from edge to edge.
-        std::vector<Callback> batch;
-        if (!spare_.empty()) {
-            batch.swap(spare_.back());
-            spare_.pop_back();
-        }
-        batch.swap(pending_[ch]);
+        scheduled_[ch] += batch;
         const Time deliver_at = edge.timestamp + offsets_[ch];
         sim_.events().schedule(
             deliver_at,
-            [this, edge, deliver_at, batch = std::move(batch)]() mutable {
-                deliver(edge, deliver_at, batch);
+            [this, edge, deliver_at, ch, batch] {
+                deliver(edge, deliver_at, ch, batch);
             },
             EventPriority::kVsyncDist);
     }
 }
 
 void
-VsyncDistributor::deliver(const VsyncEdge &edge, Time deliver_at,
-                          std::vector<Callback> &batch)
+VsyncDistributor::deliver(const VsyncEdge &edge, Time deliver_at, int ch,
+                          std::size_t batch)
 {
     const SwVsync sw{edge.timestamp, deliver_at, edge.index, edge.rate_hz};
-    for (const auto &fn : batch)
+    // Earlier batches were delivered first, so this one is at the front.
+    for (std::size_t i = 0; i < batch; ++i) {
+        const Callback fn = requests_[ch].pop_front();
+        --scheduled_[ch];
         fn(sw);
-    batch.clear();
-    spare_.push_back(std::move(batch));
+    }
 }
 
 } // namespace dvs

@@ -15,9 +15,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "display/hw_vsync.h"
+#include "sim/inline_ring.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/vsync_model.h"
 
@@ -50,7 +50,13 @@ class VsyncDistributor
 
     VsyncDistributor(Simulator &sim, HwVsyncGenerator &hw);
 
-    /** Set a channel's offset from the hardware edge (>= 0). */
+    /**
+     * Set a channel's offset from the hardware edge (>= 0). Only while
+     * no delivery is scheduled on the channel: a delivery pops its batch
+     * off the front of the channel's requests, so deliveries must fire
+     * in the order their edges scheduled them, which a lowered offset
+     * would break.
+     */
     void set_offset(VsyncChannel ch, Time offset);
     Time offset(VsyncChannel ch) const;
 
@@ -68,16 +74,18 @@ class VsyncDistributor
 
   private:
     void on_edge(const VsyncEdge &edge);
-    void deliver(const VsyncEdge &edge, Time deliver_at,
-                 std::vector<Callback> &batch);
+    void deliver(const VsyncEdge &edge, Time deliver_at, int ch,
+                 std::size_t batch);
 
     Simulator &sim_;
     VsyncModel model_;
     std::array<Time, kNumVsyncChannels> offsets_{};
-    std::array<std::vector<Callback>, kNumVsyncChannels> pending_;
-    // Delivered batches, emptied but holding their capacity: each edge
-    // swaps one into pending_[ch] in place of the batch it schedules.
-    std::vector<std::vector<Callback>> spare_;
+    // Per channel, every requested callback in request order. The first
+    // scheduled_[ch] of them belong to deliveries an edge has already
+    // scheduled; the rest wait for the next edge. One callback per
+    // surface and stage at most, so a few fit inline.
+    std::array<InlineRing<Callback, 4>, kNumVsyncChannels> requests_;
+    std::array<std::size_t, kNumVsyncChannels> scheduled_{};
 };
 
 } // namespace dvs

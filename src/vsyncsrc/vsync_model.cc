@@ -5,25 +5,27 @@
 namespace dvs {
 
 VsyncModel::VsyncModel(Time nominal_period, int window)
-    : nominal_period_(nominal_period), period_(nominal_period)
+    : nominal_period_(nominal_period), period_(nominal_period),
+      window_(std::size_t(window))
 {
     if (nominal_period <= 0)
         fatal("VsyncModel period must be positive");
     if (window < 2)
         fatal("VsyncModel window must be >= 2");
-    ring_.resize(std::size_t(window));
+    if (window > kMaxWindow)
+        fatal("VsyncModel window must be <= %d", kMaxWindow);
 }
 
 void
 VsyncModel::push_delta(Time delta)
 {
-    if (count_ == ring_.size()) {
+    if (count_ == window_) {
         // Full window: the new delta takes the oldest one's place. A
         // steady grid evicts a delta equal to the new one, which leaves
         // the sum and its mean as they were.
         const Time evicted = ring_[head_];
         ring_[head_] = delta;
-        if (++head_ == ring_.size())
+        if (++head_ == window_)
             head_ = 0;
         if (delta != evicted) {
             sum_ += delta - evicted;
@@ -32,8 +34,8 @@ VsyncModel::push_delta(Time delta)
         return;
     }
     std::size_t tail = head_ + count_;
-    if (tail >= ring_.size())
-        tail -= ring_.size();
+    if (tail >= window_)
+        tail -= window_;
     ring_[tail] = delta;
     ++count_;
     sum_ += delta;

@@ -14,8 +14,9 @@
 #ifndef DVS_VSYNCSRC_VSYNC_MODEL_H
 #define DVS_VSYNCSRC_VSYNC_MODEL_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sim/time.h"
 
@@ -30,9 +31,13 @@ class VsyncModel
   public:
     /**
      * @param nominal_period initial period estimate before any samples
-     * @param window number of recent samples used for estimation
+     * @param window number of recent samples used for estimation,
+     *        2..kMaxWindow
      */
     explicit VsyncModel(Time nominal_period, int window = 16);
+
+    /** Largest estimation window; the ring is stored inline. */
+    static constexpr int kMaxWindow = 32;
 
     /**
      * Feed an observed hardware edge timestamp. When the caller samples
@@ -81,7 +86,8 @@ class VsyncModel
     // `window` entries; sum_ is their exact integer sum and mean_ the
     // integer mean, computed once per push: it is both the next edge's
     // reference and, from two deltas on, the period estimate.
-    std::vector<Time> ring_;
+    std::array<Time, kMaxWindow> ring_{};
+    std::size_t window_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     Time sum_ = 0;

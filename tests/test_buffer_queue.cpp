@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "buffer/buffer_queue.h"
+#include "sim/logging.h"
 #include "sim/random.h"
 
 using namespace dvs;
@@ -181,6 +184,38 @@ TEST(BufferQueue, ShrinkWithBusySlotsRetiresLazily)
     q.acquire(4); // c -> front, b released -> back on the free list
     EXPECT_EQ(q.slots().size(), 2u);
     EXPECT_EQ(q.free_count(), 1);
+}
+
+TEST(BufferQueue, HeldBuffersSurviveRegrowthIntoRetiredStorage)
+{
+    // Buffers live in storage that never moves: a slot the producer or
+    // the screen holds keeps its address while the queue shrinks and
+    // grows, and a regrown slot reuses retired storage under the next
+    // slot number.
+    BufferQueue q(4);
+    FrameBuffer *held = q.try_dequeue(0);
+    ASSERT_NE(held, nullptr);
+    q.set_capacity(2); // retires two free slots at once
+    EXPECT_EQ(q.slots().size(), 2u);
+    q.set_capacity(BufferQueue::kMaxSlots);
+    ASSERT_EQ(q.slots().size(), std::size_t(BufferQueue::kMaxSlots));
+    for (int i = 0; i < BufferQueue::kMaxSlots; ++i)
+        EXPECT_EQ(q.slots()[std::size_t(i)]->slot(), i);
+    EXPECT_EQ(std::count(q.slots().begin(), q.slots().end(), held), 1);
+    EXPECT_EQ(held->state(), BufferState::kDequeued);
+    q.queue(held, 1);
+    EXPECT_EQ(q.acquire(2), held);
+    EXPECT_EQ(q.free_count(), BufferQueue::kMaxSlots - 1);
+}
+
+TEST(BufferQueue, CapacityIsBoundedByItsStorage)
+{
+    FatalThrowsScope scope(true);
+    EXPECT_THROW(BufferQueue(BufferQueue::kMaxSlots + 1), ConfigError);
+    BufferQueue q(BufferQueue::kMaxSlots);
+    EXPECT_EQ(q.free_count(), BufferQueue::kMaxSlots);
+    EXPECT_THROW(q.set_capacity(BufferQueue::kMaxSlots + 1), ConfigError);
+    EXPECT_EQ(q.capacity(), BufferQueue::kMaxSlots);
 }
 
 TEST(BufferQueue, SlotStateNamesAreStable)

@@ -944,6 +944,16 @@ TEST(Loader, RejectsCapturesReplayCannotBuild)
              c.kind = SessionCapture::Kind::kMulti;
              c.config.mode = RenderMode::kDvsync;
          }},
+        {"queue deeper than its buffer storage", "holds at most",
+         [](SessionCapture &c) {
+             c.config.buffers = BufferQueue::kMaxSlots + 1;
+         }},
+        {"composed surface granted past the buffer storage", "holds at most",
+         [](SessionCapture &c) {
+             c.kind = SessionCapture::Kind::kMulti;
+             c.config.mode = RenderMode::kVsync;
+             c.surfaces[0].max_extra_buffers = BufferQueue::kMaxSlots;
+         }},
     };
     const SessionCapture recorded = record_single(RenderMode::kDvsync, 11);
     for (const auto &tc : cases) {

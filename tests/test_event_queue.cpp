@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/inline_ring.h"
 
 using namespace dvs;
 using namespace dvs::time_literals;
@@ -588,6 +590,68 @@ TEST(EventQueue, FullCapacityCaptureSurvivesSlotGrowth)
     q.run();
     EXPECT_EQ(fired, 1000);
     EXPECT_EQ(sum, 5u * 0x1000 + 10u);
+}
+
+// ----- InlineRing -------------------------------------------------------------
+
+TEST(InlineRing, StaysFifoAcrossWrapAndSpill)
+{
+    // Interleaved pushes and pops walk the head around the inline
+    // storage; a burst past it moves to the heap mid-wrap. Order is the
+    // model deque's throughout.
+    InlineRing<int, 4> ring;
+    std::deque<int> model;
+    int next = 0;
+    for (int round = 0; round < 40; ++round) {
+        const int pushes = round % 7 == 6 ? 9 : 2;
+        for (int k = 0; k < pushes; ++k) {
+            ring.push_back(next);
+            model.push_back(next++);
+        }
+        while (ring.size() > 1) {
+            ASSERT_EQ(ring.front(), model.front());
+            ASSERT_EQ(ring.back(), model.back());
+            for (std::size_t i = 0; i < model.size(); ++i)
+                ASSERT_EQ(ring[i], model[i]);
+            ASSERT_EQ(ring.pop_front(), model.front());
+            model.pop_front();
+        }
+    }
+    EXPECT_GT(ring.capacity(), 4u) << "the burst never spilled";
+    EXPECT_EQ(ring.pop_back(), model.back());
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(InlineRing, HoldsMoveOnlyCallbacksAndReleasesTheirState)
+{
+    // ExecResource keeps its completion callbacks in a ring: each must
+    // run once, in order, and its captured state must die exactly once,
+    // also when it spilled to the heap or was cleared unrun.
+    int live = 0, owner_dtors = 0;
+    std::vector<int> ran;
+    {
+        InlineRing<EventQueue::Callback, 2> ring;
+        for (int i = 0; i < 5; ++i) {
+            ring.push_back(EventQueue::Callback(
+                [i, &ran, probe = LifetimeProbe(&live, &owner_dtors)] {
+                    ran.push_back(i);
+                }));
+        }
+        for (int i = 0; i < 3; ++i) {
+            EventQueue::Callback fn = ring.pop_front();
+            fn();
+        }
+        EXPECT_EQ(owner_dtors, 3);
+        ring.push_back(EventQueue::Callback(
+            [&ran, probe = LifetimeProbe(&live, &owner_dtors)] {
+                ran.push_back(99);
+            }));
+        ring.clear();
+        EXPECT_EQ(owner_dtors, 6);
+    }
+    EXPECT_EQ(ran, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(live, 0);
+    EXPECT_EQ(owner_dtors, 6);
 }
 
 namespace {

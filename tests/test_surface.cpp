@@ -204,6 +204,42 @@ TEST(MultiSurface, ComposedDisplayRejectsSettingsItCannotHonour)
                  ConfigError);
 }
 
+TEST(MultiSurface, QueuesThatCouldOutgrowTheirStorageAreRejected)
+{
+    // A buffer queue keeps its buffers in place, in room for
+    // BufferQueue::kMaxSlots. A device whose queue could outgrow that is
+    // rejected up front: by its base depth, by a pre-render limit the
+    // runtime or the governor resizes the queue to (limit + 2), or by
+    // the extra buffers the arbiter may grant a surface.
+    FatalThrowsScope scope(true);
+    const SystemConfig single_rejected[] = {
+        SystemConfig().with_buffers(BufferQueue::kMaxSlots + 1),
+        SystemConfig()
+            .with_mode(RenderMode::kDvsync)
+            .with_prerender_limit(BufferQueue::kMaxSlots - 1),
+    };
+    for (const SystemConfig &cfg : single_rejected) {
+        try {
+            RenderSystem sys(cfg, light_scenario("app"));
+            ADD_FAILURE() << "a queue past its storage was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("holds at most 16"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::vector<SurfaceDesc> deep = two_aware_surfaces();
+    deep[1].max_extra_buffers = BufferQueue::kMaxSlots;
+    EXPECT_THROW(RenderSystem(SystemConfig(), std::move(deep)), ConfigError);
+
+    // The deepest queue that fits assembles and runs.
+    const RunReport r = run_experiment(
+        SystemConfig().with_buffers(BufferQueue::kMaxSlots),
+        light_scenario("app"));
+    EXPECT_TRUE(r.error.empty()) << r.error;
+    EXPECT_EQ(r.config.buffers, BufferQueue::kMaxSlots);
+}
+
 TEST(MultiSurface, SingleAppDeviceRejectsDisplaySettings)
 {
     FatalThrowsScope scope(true);

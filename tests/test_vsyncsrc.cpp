@@ -257,10 +257,10 @@ TEST_F(DistributorTest, RequestDuringDeliveryWaitsForNextEdge)
 
 TEST_F(DistributorTest, RecycledBatchRequestsWaitForNextEdge)
 {
-    // From the second edge on, every batch is delivered from a recycled
-    // vector. Requests made while one is being delivered — on the same
-    // channel or another — still belong to the next edge, and a batch
-    // keeps request order.
+    // Every batch is delivered off the front of its channel's request
+    // ring while later requests queue behind it. Requests made while one
+    // is being delivered — on the same channel or another — still belong
+    // to the next edge, and a batch keeps request order.
     dist.set_offset(VsyncChannel::kRs, 3_ms);
     std::vector<std::pair<char, Time>> app; // (callback, edge) on kApp
     std::vector<Time> rs_delivered;
@@ -293,6 +293,49 @@ TEST_F(DistributorTest, RecycledBatchRequestsWaitForNextEdge)
     for (VsyncChannel ch :
          {VsyncChannel::kApp, VsyncChannel::kRs, VsyncChannel::kSf})
         EXPECT_EQ(dist.pending(ch), 0u);
+}
+
+TEST_F(DistributorTest, OffsetPastAPeriodKeepsBatchesApart)
+{
+    // With an offset longer than the period, an edge schedules its
+    // batch while the previous edge's is still waiting for delivery;
+    // each batch delivers its own requests against its own edge.
+    dist.set_offset(VsyncChannel::kApp, 15_ms);
+    std::vector<std::pair<Time, Time>> seen; // (delivered, edge)
+    auto record = [&](const SwVsync &sw) {
+        seen.emplace_back(sim.now(), sw.timestamp);
+    };
+    dist.request_callback(VsyncChannel::kApp, record);
+    sim.events().schedule(5_ms, [&] {
+        EXPECT_EQ(dist.pending(VsyncChannel::kApp), 0u);
+        dist.request_callback(VsyncChannel::kApp, record);
+        dist.request_callback(VsyncChannel::kApp, record);
+        EXPECT_EQ(dist.pending(VsyncChannel::kApp), 2u);
+    });
+    hw.start();
+    sim.run_until(50_ms);
+    const std::vector<std::pair<Time, Time>> want = {
+        {15_ms, 0}, {25_ms, 10_ms}, {25_ms, 10_ms}};
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(dist.pending(VsyncChannel::kApp), 0u);
+}
+
+TEST_F(DistributorTest, OffsetChangeWithADeliveryScheduledIsFatal)
+{
+    // Edge 0 schedules its kApp delivery at 15 ms. Lowering the offset
+    // then would let edge 10's delivery fire first and take edge 0's
+    // callbacks, so the change is refused.
+    dist.set_offset(VsyncChannel::kApp, 15_ms);
+    dist.request_callback(VsyncChannel::kApp, [](const SwVsync &) {});
+    hw.start();
+    sim.run_until(5_ms);
+    EXPECT_DEATH(dist.set_offset(VsyncChannel::kApp, 0),
+                 "offset changed with a delivery scheduled");
+    // Other channels, with nothing scheduled, may still change.
+    dist.set_offset(VsyncChannel::kRs, 1_ms);
+    sim.run_until(20_ms);
+    dist.set_offset(VsyncChannel::kApp, 0); // delivered: free again
+    EXPECT_EQ(dist.offset(VsyncChannel::kApp), 0);
 }
 
 TEST_F(DistributorTest, ChannelsAreIndependent)
