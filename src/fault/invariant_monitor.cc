@@ -11,6 +11,7 @@ InvariantMonitor::attach(Producer &producer, Panel &panel, int max_depth)
 {
     producer_ = &producer;
     max_depth_ = max_depth;
+    presented_.assign(producer.records_reserved(), false);
     producer.add_queued_listener(
         [this](const FrameRecord &rec) { on_queued(rec); });
     panel.add_present_listener(
@@ -126,7 +127,9 @@ InvariantMonitor::on_present(const PresentEvent &ev)
         const std::int64_t id = std::int64_t(ev.meta.frame_id);
         if (id >= 0) {
             if (std::size_t(id) >= presented_.size())
-                presented_.resize(std::size_t(id) + 1, false);
+                presented_.resize(
+                    std::max(std::size_t(id) + 1, 2 * presented_.size()),
+                    false);
             if (presented_[std::size_t(id)]) {
                 record(ev.present_time, "double-present",
                        "frame " + std::to_string(id) +

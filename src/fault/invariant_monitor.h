@@ -120,7 +120,10 @@ class InvariantMonitor
     std::uint64_t presents_seen_ = 0;
     std::uint64_t queued_seen_ = 0;
     int prerendered_queued_ = 0;
-    /** Per-frame presented flags, indexed by frame id. */
+    /**
+     * Per-frame presented flags, indexed by frame id: sized at attach()
+     * for every frame the producer reserved, doubled past that.
+     */
     std::vector<bool> presented_;
 
     std::uint64_t violation_count_ = 0;

@@ -10,7 +10,7 @@ ExecResource::ExecResource(Simulator &sim, std::string name)
 }
 
 Time
-ExecResource::run(Time duration, EventQueue::Callback on_done)
+ExecResource::begin(Time duration)
 {
     if (duration < 0)
         panic("negative work duration on %s", name_.c_str());
@@ -32,21 +32,7 @@ ExecResource::run(Time duration, EventQueue::Callback on_done)
     ++jobs_;
     for (auto &listener : usage_listeners_)
         listener(start, end);
-    done_fifo_.push_back(std::move(on_done));
-    sim_.events().schedule(end, [this] { complete(); },
-                           EventPriority::kPipeline);
     return start;
-}
-
-void
-ExecResource::complete()
-{
-    // Move the callback out first: it may submit the next job, which
-    // can grow the FIFO.
-    EventQueue::Callback fn = done_fifo_.pop_front();
-    fn();
-    for (auto &listener : done_listeners_)
-        listener();
 }
 
 } // namespace dvs

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/inline_ring.h"
 #include "sim/simulator.h"
 
 namespace dvs {
@@ -38,10 +37,27 @@ class ExecResource
     /**
      * Execute work of length @p duration, starting now (or when the
      * current work finishes). @p on_done runs at completion, before the
-     * done listeners.
+     * done listeners; it is stored once, in the completion event's slot,
+     * and may capture at most 56 bytes.
      * @return the work's start time.
      */
-    Time run(Time duration, EventQueue::Callback on_done);
+    template <class F>
+    Time
+    run(Time duration, F &&on_done)
+    {
+        const Time start = begin(duration);
+        // Jobs end in submission order: end times never decrease, every
+        // completion has the same priority, and ties keep schedule order.
+        sim_.events().schedule(
+            busy_until_,
+            [this, f = std::forward<F>(on_done)]() mutable {
+                f();
+                for (auto &listener : done_listeners_)
+                    listener();
+            },
+            EventPriority::kPipeline);
+        return start;
+    }
 
     /**
      * Transform a job's duration before execution. Transforms chain in
@@ -86,16 +102,15 @@ class ExecResource
     std::uint64_t jobs() const { return jobs_; }
 
   private:
-    void complete();
+    /**
+     * Account a job of @p duration: apply the cost transforms, extend
+     * the busy horizon to the job's end and notify the usage listeners.
+     * @return the job's start time.
+     */
+    Time begin(Time duration);
 
     Simulator &sim_;
     std::string name_;
-    // Jobs end in submission order (end times never decrease, every
-    // completion has the same priority, and ties keep schedule order),
-    // so each completion event pops the oldest callback. The pipeline
-    // submits one job at a time per stage; a shared GPU may queue one
-    // behind another.
-    InlineRing<EventQueue::Callback, 2> done_fifo_;
     std::vector<CostTransform> cost_transforms_;
     std::vector<UsageListener> usage_listeners_;
     std::vector<std::function<void()>> done_listeners_;

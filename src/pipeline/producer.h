@@ -208,6 +208,12 @@ class Producer
     /** All frame records, indexed by frame id. */
     const std::vector<FrameRecord> &records() const { return records_; }
 
+    /**
+     * Frame records reserved up front: the most frames the scenario can
+     * start on its display timeline (more only if the rate rises).
+     */
+    std::size_t records_reserved() const { return records_.capacity(); }
+
     /** Mutable access for the metrics layer (fills present_time). */
     FrameRecord &record(std::uint64_t frame_id)
     {

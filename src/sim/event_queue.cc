@@ -70,6 +70,7 @@ EventQueue::run_until(Time horizon, bool advance_to_horizon)
         now_ = e.when;
         --live_count_;
         ++dispatched_;
+        ++dispatched_by_prio_[kPrioIndex[e.key >> kSeqBits]];
         fold_dispatch(e.when, e.key);
         ++n;
         fn();

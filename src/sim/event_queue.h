@@ -31,6 +31,7 @@
 #define DVS_SIM_EVENT_QUEUE_H
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -54,6 +55,13 @@ enum class EventPriority : int {
     kPipeline = 20,  ///< pipeline stage completions
     kDefault = 50,   ///< everything else
     kMetrics = 90,   ///< end-of-tick bookkeeping
+};
+
+/** Every EventPriority, in the order they run within one tick. */
+inline constexpr std::array<EventPriority, 6> kEventPriorities = {
+    EventPriority::kDisplay,  EventPriority::kSegment,
+    EventPriority::kVsyncDist, EventPriority::kPipeline,
+    EventPriority::kDefault,  EventPriority::kMetrics,
 };
 
 /**
@@ -145,6 +153,13 @@ class EventQueue
     /** Total number of events dispatched over the queue's lifetime. */
     std::uint64_t dispatched() const { return dispatched_; }
 
+    /** Events of priority @p prio dispatched over the queue's lifetime. */
+    std::uint64_t
+    dispatched(EventPriority prio) const
+    {
+        return dispatched_by_prio_[kPrioIndex[std::size_t(prio)]];
+    }
+
     /**
      * FNV-style fold of every dispatched event's (when, prio, seq) in
      * dispatch order: a fingerprint of the whole event schedule, which
@@ -170,6 +185,14 @@ class EventQueue
     static constexpr int kSeqBits = 56;
     static constexpr std::uint64_t kSeqMask =
         (std::uint64_t(1) << kSeqBits) - 1;
+
+    /** Index into dispatched_by_prio_ of each 8-bit priority value. */
+    static constexpr std::array<std::uint8_t, 256> kPrioIndex = [] {
+        std::array<std::uint8_t, 256> index{};
+        for (std::size_t i = 0; i < kEventPriorities.size(); ++i)
+            index[std::size_t(kEventPriorities[i])] = std::uint8_t(i);
+        return index;
+    }();
 
     /**
      * A heap entry. `key` packs the priority into its top 8 bits above a
@@ -245,6 +268,9 @@ class EventQueue
     {
         assert(when >= now_ && "cannot schedule events in the past");
         assert(unsigned(prio) < 256 && "priority must fit the key's 8 bits");
+        assert((kPrioIndex[std::size_t(prio)] != 0 ||
+                prio == kEventPriorities[0]) &&
+               "priority missing from kEventPriorities");
         if (next_seq_ > kSeqMask)
             seq_overflow();
         const EventId id = make_id(slot, slots_[slot].gen);
@@ -300,6 +326,7 @@ class EventQueue
     Time now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t dispatched_ = 0;
+    std::array<std::uint64_t, kEventPriorities.size()> dispatched_by_prio_{};
     std::uint64_t dispatch_hash_ = 0xcbf29ce484222325ULL;
     std::size_t live_count_ = 0;
 };

@@ -1,18 +1,20 @@
 /**
  * @file
- * Move-only `void()` callable stored inline, with no heap fallback.
+ * Move-only callable stored inline, with no heap fallback.
  *
- * The event queue keeps one of these in every slot. Almost every event
- * captures `[this]` or `[this, id]`, so a fixed buffer holds every
- * callback the simulator schedules and `schedule()` never allocates. A
- * capture that does not fit is rejected at compile time rather than
- * spilled to the heap: there is one storage path and no size knob.
+ * The event queue keeps an `InlineCallback` (a `void()` one) in every
+ * slot, and the vsync distributor an `InlineFunction<void(const SwVsync
+ * &), 32>` for every request. Almost every callback captures `[this]` or
+ * `[this, id]`, so a fixed buffer holds every callable the simulator
+ * stores and storing one never allocates. A capture that does not fit is
+ * rejected at compile time rather than spilled to the heap: there is one
+ * storage path and no size knob.
  *
  * A trivially copyable capture (`[this]`, `[this, id]`: nearly every
- * event) is relocated with a memcpy of the buffer and needs no
- * destructor call, so moving one out of its slot at dispatch and
- * dropping it afterwards cost no indirect calls. Other captures keep
- * type-erased relocate and destroy functions.
+ * callback) is relocated with a memcpy of the buffer and needs no
+ * destructor call, so moving one out of its slot and dropping it
+ * afterwards cost no indirect calls. Other captures keep type-erased
+ * relocate and destroy functions.
  */
 
 #ifndef DVS_SIM_INLINE_CALLBACK_H
@@ -26,28 +28,35 @@
 
 namespace dvs {
 
-/** A move-only `void()` callable held in 64 bytes of inline storage. */
-class InlineCallback
+template <class Signature, std::size_t Cap>
+class InlineFunction;
+
+/** A move-only `R(A...)` callable held in @p Cap bytes of inline storage. */
+template <class R, class... A, std::size_t Cap>
+class InlineFunction<R(A...), Cap>
 {
+    template <class F, class D = std::decay_t<F>>
+    static constexpr bool kAccepts =
+        !std::is_same_v<D, InlineFunction> &&
+        std::is_invocable_r_v<R, D &, A...>;
+
   public:
     /** Bytes of capture storage; a larger callable does not compile. */
-    static constexpr std::size_t kCapacity = 64;
+    static constexpr std::size_t kCapacity = Cap;
 
-    InlineCallback() noexcept = default;
+    InlineFunction() noexcept = default;
 
     /** Store @p fn by value (moved or copied in, never heap-allocated). */
-    template <class F, class D = std::decay_t<F>,
-              class = std::enable_if_t<!std::is_same_v<D, InlineCallback> &&
-                                       std::is_invocable_r_v<void, D &>>>
-    InlineCallback(F &&fn)
+    template <class F, class = std::enable_if_t<kAccepts<F>>>
+    InlineFunction(F &&fn)
     {
-        emplace<D>(std::forward<F>(fn));
+        emplace<std::decay_t<F>>(std::forward<F>(fn));
     }
 
-    InlineCallback(InlineCallback &&o) noexcept { take(o); }
+    InlineFunction(InlineFunction &&o) noexcept { take(o); }
 
-    InlineCallback &
-    operator=(InlineCallback &&o) noexcept
+    InlineFunction &
+    operator=(InlineFunction &&o) noexcept
     {
         if (this != &o) {
             reset();
@@ -57,24 +66,29 @@ class InlineCallback
     }
 
     /** Replace the stored callable, building @p fn in place. */
-    template <class F, class D = std::decay_t<F>,
-              class = std::enable_if_t<!std::is_same_v<D, InlineCallback> &&
-                                       std::is_invocable_r_v<void, D &>>>
-    InlineCallback &
+    template <class F, class = std::enable_if_t<kAccepts<F>>>
+    InlineFunction &
     operator=(F &&fn)
     {
         reset();
-        emplace<D>(std::forward<F>(fn));
+        emplace<std::decay_t<F>>(std::forward<F>(fn));
         return *this;
     }
 
-    InlineCallback(const InlineCallback &) = delete;
-    InlineCallback &operator=(const InlineCallback &) = delete;
+    InlineFunction(const InlineFunction &) = delete;
+    InlineFunction &operator=(const InlineFunction &) = delete;
 
-    ~InlineCallback() { reset(); }
+    ~InlineFunction() { reset(); }
+
+    /** Whether a callable is stored. */
+    explicit operator bool() const { return ops_ != nullptr; }
 
     /** Invoke the stored callable. @pre it holds one. */
-    void operator()() { ops_->invoke(buf_); }
+    R
+    operator()(A... args)
+    {
+        return ops_->invoke(buf_, std::forward<A>(args)...);
+    }
 
     /** Destroy the stored callable (its captures), leaving this empty. */
     void
@@ -94,7 +108,7 @@ class InlineCallback
      * to destroy.
      */
     struct Ops {
-        void (*invoke)(void *);
+        R (*invoke)(void *, A...);
         /** Move-construct into dst and destroy the source. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
@@ -105,7 +119,9 @@ class InlineCallback
 
     template <class D>
     static constexpr Ops kOps = {
-        [](void *p) { (*static_cast<D *>(p))(); },
+        [](void *p, A... args) -> R {
+            return (*static_cast<D *>(p))(std::forward<A>(args)...);
+        },
         kTrivial<D> ? nullptr
                     : +[](void *dst, void *src) noexcept {
                           ::new (dst) D(std::move(*static_cast<D *>(src)));
@@ -120,18 +136,18 @@ class InlineCallback
     emplace(F &&fn)
     {
         static_assert(sizeof(D) <= kCapacity,
-                      "event callback capture exceeds the 64-byte inline "
-                      "storage; capture a pointer to the state instead");
+                      "callback capture exceeds its inline storage; "
+                      "capture a pointer to the state instead");
         static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "event callback capture is over-aligned");
+                      "callback capture is over-aligned");
         static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "event callbacks must be nothrow-movable");
+                      "callbacks must be nothrow-movable");
         ::new (static_cast<void *>(buf_)) D(std::forward<F>(fn));
         ops_ = &kOps<D>;
     }
 
     void
-    take(InlineCallback &o) noexcept
+    take(InlineFunction &o) noexcept
     {
         if (o.ops_) {
             if (o.ops_->relocate)
@@ -146,6 +162,9 @@ class InlineCallback
     alignas(std::max_align_t) unsigned char buf_[kCapacity];
     const Ops *ops_ = nullptr;
 };
+
+/** The event queue's callback: a `void()` in 64 bytes. */
+using InlineCallback = InlineFunction<void(), 64>;
 
 } // namespace dvs
 

@@ -13,8 +13,6 @@
 #ifndef DVS_VSYNCSRC_CHOREOGRAPHER_H
 #define DVS_VSYNCSRC_CHOREOGRAPHER_H
 
-#include <functional>
-
 #include "vsyncsrc/vsync_distributor.h"
 
 namespace dvs {
@@ -26,7 +24,7 @@ class Choreographer
 {
   public:
     /** Callback receives the vsync timestamp the frame is paced by. */
-    using FrameCallback = std::function<void(const SwVsync &)>;
+    using FrameCallback = VsyncDistributor::Callback;
 
     Choreographer(VsyncDistributor &dist, VsyncChannel channel);
 

@@ -67,7 +67,8 @@ VsyncDistributor::deliver(const VsyncEdge &edge, Time deliver_at, int ch,
     const SwVsync sw{edge.timestamp, deliver_at, edge.index, edge.rate_hz};
     // Earlier batches were delivered first, so this one is at the front.
     for (std::size_t i = 0; i < batch; ++i) {
-        const Callback fn = requests_[ch].pop_front();
+        // Moved out first: it may request again and grow the ring.
+        Callback fn = requests_[ch].pop_front();
         --scheduled_[ch];
         fn(sw);
     }

@@ -14,9 +14,9 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
 #include "display/hw_vsync.h"
+#include "sim/inline_callback.h"
 #include "sim/inline_ring.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/vsync_model.h"
@@ -46,7 +46,12 @@ struct SwVsync {
 class VsyncDistributor
 {
   public:
-    using Callback = std::function<void(const SwVsync &)>;
+    /**
+     * A one-shot request, stored inline in the channel's request ring.
+     * 32 bytes of capture: `[this]` or `[this, id]` in the pipeline, or
+     * a whole `std::function`.
+     */
+    using Callback = InlineFunction<void(const SwVsync &), 32>;
 
     VsyncDistributor(Simulator &sim, HwVsyncGenerator &hw);
 

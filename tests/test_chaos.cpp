@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/render_system.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "fault/invariant_monitor.h"
 #include "sim/logging.h"
 #include "test_support.h"
 #include "workload/frame_cost.h"
@@ -109,6 +112,95 @@ TEST(InvariantMonitor, CleanRunsHaveZeroViolations)
         EXPECT_EQ(r.degradations, 0u);
         EXPECT_TRUE(r.timeline.empty());
     }
+}
+
+namespace {
+
+/**
+ * A panel fed by hand, watched by a monitor attached to a producer that
+ * never starts: every buffer the test queues is presented without the
+ * producer having queued a frame.
+ */
+struct HandFedPanel {
+    Simulator sim;
+    HwVsyncGenerator hw{sim, 100.0};
+    BufferQueue queue{3};
+    Panel panel{hw, queue};
+    VsyncDistributor dist{sim, hw};
+    Producer producer{sim, mixed_scenario(), queue, dist};
+    InvariantMonitor monitor;
+
+    HandFedPanel() { monitor.attach(producer, panel, 0); }
+
+    /** Queue frame ids[i] 5 ms before edge i + 1, then run past them. */
+    void
+    present(const std::vector<std::uint64_t> &ids)
+    {
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            sim.events().schedule(Time(i) * 10_ms + 5_ms, [this, id = ids[i]] {
+                FrameBuffer *buf = queue.try_dequeue(sim.now());
+                ASSERT_NE(buf, nullptr);
+                buf->meta().frame_id = id;
+                queue.queue(buf, sim.now());
+            });
+        }
+        hw.start();
+        sim.run_until(Time(ids.size()) * 10_ms + 1_ms);
+    }
+
+    /** Logged violations named @p invariant. */
+    std::vector<InvariantViolation>
+    logged(const std::string &invariant) const
+    {
+        std::vector<InvariantViolation> out;
+        for (const InvariantViolation &v : monitor.log())
+            if (v.invariant == invariant)
+                out.push_back(v);
+        return out;
+    }
+};
+
+} // namespace
+
+TEST(InvariantMonitor, RepresentedOlderFrameBreaksUniquenessAndOrder)
+{
+    // Frame 0 comes back after frame 2: latched twice, and out of FIFO
+    // order. Frame 900 lies past the producer's reserved frame count and
+    // breaks neither.
+    HandFedPanel t;
+    ASSERT_LT(t.producer.records_reserved(), 900u);
+    t.present({0, 2, 0, 900});
+    EXPECT_EQ(t.panel.presented(), 4u);
+
+    const auto doubles = t.logged("double-present");
+    ASSERT_EQ(doubles.size(), 1u);
+    EXPECT_EQ(doubles[0].detail, "frame 0 latched twice");
+    EXPECT_EQ(doubles[0].time, 30_ms);
+    const auto order = t.logged("fifo-order");
+    ASSERT_EQ(order.size(), 1u);
+    EXPECT_EQ(order[0].detail, "frame 0 after frame 2");
+    EXPECT_EQ(order[0].time, 30_ms);
+}
+
+TEST(InvariantMonitor, PresentsBeyondQueuedFramesBreakConservation)
+{
+    // Nothing was queued through the producer, so every present is one
+    // too many: recorded live at each, and once more at finalize().
+    HandFedPanel t;
+    t.present({0, 1});
+    const auto live = t.logged("frame-conservation");
+    ASSERT_EQ(live.size(), 2u);
+    EXPECT_EQ(live[0].detail, "1 presents > 0 queued");
+    EXPECT_EQ(live[1].detail, "2 presents > 0 queued");
+    EXPECT_TRUE(t.logged("double-present").empty());
+    EXPECT_TRUE(t.logged("fifo-order").empty());
+
+    t.monitor.finalize(t.sim.now());
+    t.monitor.finalize(t.sim.now()); // idempotent
+    const auto all = t.logged("frame-conservation");
+    ASSERT_EQ(all.size(), 3u);
+    EXPECT_EQ(all[2].detail, "run end: 2 presents > 0 queued");
+    EXPECT_EQ(t.monitor.violations(), 3u);
 }
 
 // ----- faulted runs -------------------------------------------------------

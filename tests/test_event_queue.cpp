@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "lifetime_probe.h"
 #include "sim/event_queue.h"
 #include "sim/inline_ring.h"
 
@@ -149,6 +150,32 @@ TEST(EventQueue, DispatchedCounterAccumulates)
         q.schedule(i, [] {});
     q.run();
     EXPECT_EQ(q.dispatched(), 7u);
+}
+
+TEST(EventQueue, DispatchedCountsSplitByPriority)
+{
+    // Priority k gets k + 1 events, one more of each is cancelled, and a
+    // callback schedules one more kMetrics event for its own tick: only
+    // dispatched events count, each at its own priority.
+    EventQueue q;
+    for (std::size_t k = 0; k < kEventPriorities.size(); ++k) {
+        for (std::size_t i = 0; i <= k; ++i)
+            q.schedule(Time(i), [] {}, kEventPriorities[k]);
+        q.cancel(q.schedule(0, [] {}, kEventPriorities[k]));
+    }
+    q.schedule(3, [&q] {
+        q.schedule(q.now(), [] {}, EventPriority::kMetrics);
+    });
+    q.run();
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < kEventPriorities.size(); ++k) {
+        const std::uint64_t want =
+            k + 1 + (kEventPriorities[k] == EventPriority::kDefault) +
+            (kEventPriorities[k] == EventPriority::kMetrics);
+        EXPECT_EQ(q.dispatched(kEventPriorities[k]), want) << "priority " << k;
+        sum += q.dispatched(kEventPriorities[k]);
+    }
+    EXPECT_EQ(sum, q.dispatched());
 }
 
 TEST(EventQueue, CancelFromCallbackSuppressesSameTickEvent)
@@ -317,12 +344,6 @@ struct EventQueueTestPeer {
 
 namespace {
 
-constexpr EventPriority kAllPriorities[] = {
-    EventPriority::kDisplay,  EventPriority::kSegment,
-    EventPriority::kVsyncDist, EventPriority::kPipeline,
-    EventPriority::kDefault,  EventPriority::kMetrics,
-};
-
 /** FNV fold of one dispatched event, as the dispatch hash defines it. */
 std::uint64_t
 fold_event(std::uint64_t h, Time when, EventPriority prio, std::uint64_t seq)
@@ -354,7 +375,7 @@ TEST(EventQueue, AllPrioritiesAtOneTickDispatchByPrioThenSeq)
         plan[seq].second = int(seq);
         const std::pair<int, int> ev = plan[seq];
         q.schedule(7, [&fired, ev] { fired.push_back(ev); },
-                   kAllPriorities[ev.first]);
+                   kEventPriorities[ev.first]);
     }
     q.run();
     std::vector<std::pair<int, int>> want = plan;
@@ -377,12 +398,12 @@ TEST(EventQueue, DispatchHashFoldsWhenPrioSeq)
             [&, when, prio, children, my_seq] {
                 want = fold_event(want, when, prio, my_seq);
                 for (int c = 0; c < children; ++c)
-                    add(q.now() + c, kAllPriorities[(c + 2) % 6], 0);
+                    add(q.now() + c, kEventPriorities[(c + 2) % 6], 0);
             },
             prio);
     };
     for (int i = 0; i < 30; ++i)
-        add(Time(i % 7) * 3, kAllPriorities[i % 6], i % 3);
+        add(Time(i % 7) * 3, kEventPriorities[i % 6], i % 3);
     const EventId id = q.schedule(5, [] {}, EventPriority::kDisplay);
     ++seq;
     EXPECT_TRUE(q.cancel(id));
@@ -406,40 +427,6 @@ TEST(EventQueue, SequenceExhaustionFailsLoudly)
 }
 
 // ----- inline callback storage -------------------------------------------
-
-namespace {
-
-/**
- * Capture that counts its own lifetime: `live` tracks every instance
- * (moved-from husks included), `owner_dtors` counts destructions of the
- * one instance that still owns the state.
- */
-struct LifetimeProbe {
-    int *live;
-    int *owner_dtors;
-    bool owner = true;
-
-    LifetimeProbe(int *l, int *d) : live(l), owner_dtors(d) { ++*live; }
-    LifetimeProbe(const LifetimeProbe &o)
-        : live(o.live), owner_dtors(o.owner_dtors), owner(o.owner)
-    {
-        ++*live;
-    }
-    LifetimeProbe(LifetimeProbe &&o) noexcept
-        : live(o.live), owner_dtors(o.owner_dtors), owner(o.owner)
-    {
-        o.owner = false;
-        ++*live;
-    }
-    ~LifetimeProbe()
-    {
-        --*live;
-        if (owner)
-            ++*owner_dtors;
-    }
-};
-
-} // namespace
 
 TEST(EventQueue, MoveOnlyCaptureRunsExactlyOnce)
 {
@@ -624,9 +611,10 @@ TEST(InlineRing, StaysFifoAcrossWrapAndSpill)
 
 TEST(InlineRing, HoldsMoveOnlyCallbacksAndReleasesTheirState)
 {
-    // ExecResource keeps its completion callbacks in a ring: each must
-    // run once, in order, and its captured state must die exactly once,
-    // also when it spilled to the heap or was cleared unrun.
+    // A ring of move-only inline callables, as the vsync distributor
+    // keeps its requests: each must run once, in order, and its captured
+    // state must die exactly once, also when it spilled to the heap or
+    // was cleared unrun.
     int live = 0, owner_dtors = 0;
     std::vector<int> ran;
     {

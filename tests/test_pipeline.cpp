@@ -73,8 +73,8 @@ TEST(ExecResource, ZeroDurationWorkCompletesSameTick)
 
 TEST(ExecResource, CompletionsFollowSubmissionOrder)
 {
-    // Completions pop a FIFO, so the contract is that they fire in
-    // submission order whatever the mix: zero-duration jobs, jobs queued
+    // Each completion is its own event, and they fire in submission
+    // order whatever the mix: zero-duration jobs, jobs queued
     // behind a busy resource, a cost transform stretching one job, two
     // jobs ending on the same tick, and a completion callback that
     // submits again. Done listeners run after each job's own callback.

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <optional>
 
 #include "core/render_system.h"
+#include "harness/experiment_runner.h"
+#include "sim/logging.h"
+#include "workload/device_population.h"
 #include "workload/frame_cost.h"
 
 using namespace dvs;
@@ -26,6 +31,39 @@ steady(Time duration = 500_ms)
 }
 
 } // namespace
+
+TEST(RenderSystem, FleetDispatchTotalsPerPriority)
+{
+    // Events dispatched per priority over paper_fleet sessions [0, 256)
+    // at seed 1. A change that only makes dispatch cheaper (how a
+    // completion or a vsync request is stored, say) keeps every one of
+    // these; a change that adds, drops or re-prioritizes events moves
+    // them, and the dispatch hashes of the .dvst corpus with them.
+    constexpr std::array<std::uint64_t, kEventPriorities.size()> kWant = {
+        22726, // kDisplay: refresh edges and latches
+        1024,  // kSegment: scenario segment boundaries
+        15288, // kVsyncDist: software vsync deliveries
+        28144, // kPipeline: UI, render and GPU completions
+        0,     // kDefault
+        0,     // kMetrics
+    };
+    const DevicePopulation pop = DevicePopulation::paper_fleet(1);
+    FatalThrowsScope recoverable(true);
+    std::array<std::uint64_t, kEventPriorities.size()> got{};
+    std::uint64_t total = 0;
+    for (std::uint64_t i = 0; i < 256; ++i) {
+        const Experiment exp = pop.experiment(i);
+        std::optional<RenderSystem> sys;
+        sys.emplace(exp.config, exp.scenario);
+        sys->run();
+        const EventQueue &q = sys->sim().events();
+        for (std::size_t k = 0; k < got.size(); ++k)
+            got[k] += q.dispatched(kEventPriorities[k]);
+        total += q.dispatched();
+    }
+    EXPECT_EQ(got, kWant);
+    EXPECT_EQ(total, 67182u) << "every dispatch counted at one priority";
+}
 
 TEST(RenderSystem, BufferDefaultsFollowArchitecture)
 {

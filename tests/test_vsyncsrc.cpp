@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <random>
 #include <vector>
 
 #include "display/hw_vsync.h"
+#include "lifetime_probe.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/choreographer.h"
 #include "vsyncsrc/vsync_distributor.h"
@@ -359,6 +361,79 @@ TEST_F(DistributorTest, ModelTracksHardware)
     sim.run_until(100_ms);
     EXPECT_EQ(dist.model().period(), 10_ms);
     EXPECT_EQ(dist.model().last_edge(), 100_ms);
+}
+
+// ----- VsyncDistributor::Callback ---------------------------------------------
+
+TEST(VsyncCallback, ForwardsItsArgumentByReference)
+{
+    const SwVsync sw{10_ms, 12_ms, 7, 90.0};
+    const SwVsync *seen = nullptr;
+    VsyncDistributor::Callback fn = [&seen](const SwVsync &s) { seen = &s; };
+    ASSERT_TRUE(bool(fn));
+    fn(sw);
+    EXPECT_EQ(seen, &sw) << "the delivery is passed through, not copied";
+
+    // A std::function fits the 32 bytes too, and an lvalue is copied in.
+    std::uint64_t index = 0;
+    std::function<void(const SwVsync &)> f = [&index](const SwVsync &s) {
+        index = s.index;
+    };
+    VsyncDistributor::Callback wrapped = f;
+    EXPECT_TRUE(bool(f));
+    wrapped(sw);
+    EXPECT_EQ(index, 7u);
+}
+
+TEST(VsyncCallback, DeliveredCaptureDestroyedOnce)
+{
+    int live = 0, owner_dtors = 0, ran = 0;
+    {
+        Simulator sim;
+        HwVsyncGenerator hw(sim, 100.0);
+        VsyncDistributor dist(sim, hw);
+        dist.request_callback(
+            VsyncChannel::kApp,
+            [&ran, probe = LifetimeProbe(&live, &owner_dtors)](
+                const SwVsync &) { ++ran; });
+        EXPECT_EQ(live, 1) << "stored once, in the request ring";
+        hw.start();
+        sim.run_until(5_ms);
+        EXPECT_EQ(ran, 1);
+        EXPECT_EQ(owner_dtors, 1) << "released right after it ran";
+        EXPECT_EQ(live, 0);
+    }
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(owner_dtors, 1);
+    EXPECT_EQ(live, 0);
+}
+
+TEST(VsyncCallback, DroppedCaptureDestroyedOnceAtTeardown)
+{
+    // One request waits for an edge that never comes; one belongs to an
+    // edge whose delivery (edge + offset) is still pending at teardown.
+    int live = 0, owner_dtors = 0, ran = 0;
+    {
+        Simulator sim;
+        HwVsyncGenerator hw(sim, 100.0);
+        VsyncDistributor dist(sim, hw);
+        dist.set_offset(VsyncChannel::kRs, 4_ms);
+        dist.request_callback(
+            VsyncChannel::kRs,
+            [&ran, probe = LifetimeProbe(&live, &owner_dtors)](
+                const SwVsync &) { ++ran; });
+        hw.start();
+        sim.run_until(1_ms); // edge 0 scheduled the kRs batch for 4 ms
+        dist.request_callback(
+            VsyncChannel::kApp,
+            [&ran, probe = LifetimeProbe(&live, &owner_dtors)](
+                const SwVsync &) { ++ran; });
+        EXPECT_EQ(live, 2);
+        EXPECT_EQ(owner_dtors, 0);
+    }
+    EXPECT_EQ(ran, 0);
+    EXPECT_EQ(owner_dtors, 2);
+    EXPECT_EQ(live, 0);
 }
 
 // ----- Choreographer ----------------------------------------------------------
