@@ -319,6 +319,72 @@ TEST(Degradation, WatchdogOffByDefaultKeepsRunsUntouched)
     EXPECT_TRUE(r.timeline.empty());
 }
 
+// ----- timeline text ------------------------------------------------------
+//
+// The exact report text of each watchdog transition kind no bench golden
+// shows; debug_string() and the report fingerprint are built from it.
+
+TEST(TimelineText, InvariantPressureDegradeAndRepromote)
+{
+    Scenario sc("pressure");
+    sc.animate(1_s, std::make_shared<ConstantCostModel>(1_ms, 4_ms));
+    InvariantMonitor pressure; // fed by hand below
+    RenderSystem sys(SystemConfig().with_mode(RenderMode::kDvsync), sc);
+    sys.runtime()->attach_watchdog(sys.panel(), &pressure);
+    sys.sim().events().schedule(200_ms, [&] {
+        for (int i = 0; i < 3; ++i)
+            pressure.on_budget(sys.sim().now(), 2.0, 1.0);
+    });
+    const std::string s = sys.run().debug_string();
+    EXPECT_TRUE(s.ends_with(
+        "\n  t=216666658 degrade [invariant-pressure] 3 recent violations "
+        "-> VSync pacing, DTV resync"
+        "\n  t=749999970 repromote after 32 stable presents -> D-VSync"))
+        << s;
+}
+
+TEST(TimelineText, DtvDesyncDegrade)
+{
+    // 70 ms GPU hangs make pre-rendered frames present far from the
+    // display time DTV promised them.
+    Scenario sc("desync");
+    sc.animate(2_s, std::make_shared<ConstantCostModel>(
+                        FrameCost{1_ms, 4_ms, 4_ms}));
+    auto plan = std::make_shared<const FaultPlan>(FaultPlan::from_windows(
+        1, "pin", {{FaultKind::kGpuHang, 300_ms, 1500_ms, 70e6}}));
+    const std::string s =
+        run_experiment(
+            SystemConfig().with_mode(RenderMode::kDvsync).with_faults(plan),
+            sc)
+            .debug_string();
+    EXPECT_TRUE(s.ends_with(
+        "\n  t=749999970 degrade [dtv-desync] 5 consecutive off-promise "
+        "presents -> VSync pacing, DTV resync"
+        "\n  t=1283333282 repromote after 32 stable presents -> D-VSync"))
+        << s;
+}
+
+TEST(TimelineText, BackoffSuffixOnAQuickSecondDegrade)
+{
+    Scenario sc("backoff");
+    sc.animate(2_s, std::make_shared<ConstantCostModel>(1_ms, 4_ms));
+    RenderSystem sys(SystemConfig().with_mode(RenderMode::kDvsync), sc);
+    sys.runtime()->attach_watchdog(sys.panel(), sys.monitor());
+    for (Time at : {100_ms, 1_s}) {
+        sys.sim().events().schedule(at, [&sys] {
+            sys.runtime()->force_degrade(sys.sim().now(), "pinned");
+        });
+    }
+    const std::string s = sys.run().debug_string();
+    EXPECT_TRUE(s.ends_with(
+        "\n  t=100000000 degrade [forced] pinned -> VSync pacing, DTV resync"
+        "\n  t=633333308 repromote after 32 stable presents -> D-VSync"
+        "\n  t=1000000000 degrade [forced] pinned -> VSync pacing, DTV "
+        "resync (backoff x2: 64 stable presents to re-promote)"
+        "\n  t=2066666584 repromote after 64 stable presents -> D-VSync"))
+        << s;
+}
+
 // ----- recovery paths -----------------------------------------------------
 
 TEST(Recovery, ScreenOffOnAcrossLtpoRateSwitch)

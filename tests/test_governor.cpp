@@ -367,6 +367,23 @@ TEST(Governor, TimelineReportsTheEnergyRate)
               std::string::npos);
 }
 
+TEST(Governor, TimelineTextWithoutASensedRate)
+{
+    BoundLadder h;
+    h.temp_c = 45.0;
+    // Two ticks at one instant: no time elapsed, so no energy rate.
+    h.tick(10_ms);
+    h.tick(10_ms);
+    ASSERT_EQ(h.gov.rung(), 1);
+    RunReport r;
+    r.timeline = h.gov.transitions();
+    const std::string s = r.debug_string();
+    EXPECT_TRUE(s.ends_with("\n  t=10000000 governor demote 0->1 "
+                            "[temp=45.0C rate=0mW drops=+0 backoff=x1] "
+                            "trim-prerender"))
+        << s;
+}
+
 TEST(Governor, ReDemotionDoublesThePromotionBackoff)
 {
     BoundLadder h;

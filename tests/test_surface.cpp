@@ -389,6 +389,27 @@ TEST(MultiSurface, ChaosOnOneSurfaceDegradesAndRearbitrates)
         EXPECT_EQ(line.rfind("[", 0), 0u) << line;
 }
 
+TEST(MultiSurface, TimelineIsSurfaceMajorWithNamePrefixes)
+{
+    RenderSystem sys(SystemConfig().with_budget_mb(24.0),
+                     two_aware_surfaces());
+    // The second surface degrades first; its line still follows every
+    // line of the first surface.
+    sys.sim().events().schedule(50_ms, [&sys] {
+        sys.runtime(1)->force_degrade(sys.sim().now(), "second");
+    });
+    sys.sim().events().schedule(100_ms, [&sys] {
+        sys.runtime(0)->force_degrade(sys.sim().now(), "first");
+    });
+    const std::string s = sys.run().debug_string();
+    EXPECT_TRUE(s.ends_with(
+        "\n  [app] t=100000000 degrade [forced] first -> VSync pacing, "
+        "DTV resync"
+        "\n  [status] t=50000000 degrade [forced] second -> VSync pacing, "
+        "DTV resync"))
+        << s;
+}
+
 // ----- reporting + harness integration ------------------------------------
 
 TEST(MultiSurface, DebugStringCarriesSurfaceLines)
