@@ -12,6 +12,8 @@ namespace dvs {
 
 namespace {
 
+using Reason = Transition::Reason;
+
 // Thresholds of the watchdog's graceful-degradation policy (see
 // attach_watchdog). Times are in refresh periods where a period is
 // involved, so the policy survives LTPO rate switches.
@@ -159,43 +161,32 @@ DvsyncRuntime::on_watchdog_present(const PresentEvent &ev)
     wd_last_present_ = ev.present_time;
     const bool stalled =
         prev != kTimeNone &&
-        double(ev.present_time - prev) >
-            kStallPeriods * period;
+        double(ev.present_time - prev) > kStallPeriods * period;
 
     if (!degraded_) {
-        const char *reason = nullptr;
-        std::string detail;
-        if (monitor_) {
-            const std::uint64_t recent = monitor_->violations_since(
-                ev.present_time - kPressureWindow);
-            if (recent >= kPressureThreshold) {
-                reason = "invariant-pressure";
-                detail = std::to_string(recent) + " recent violations";
-            }
+        // The off-promise streak: consecutive pre-rendered frames shown
+        // far from the display time DTV promised them.
+        if (!ev.repeat) {
+            const bool off_promise =
+                ev.meta.pre_rendered &&
+                ev.meta.content_timestamp != kTimeNone &&
+                std::abs(double(ev.present_time -
+                                ev.meta.content_timestamp)) >
+                    kDesyncPeriods * period;
+            desync_streak_ = off_promise ? desync_streak_ + 1 : 0;
         }
-        if (!reason && stalled) {
-            reason = "display-stall";
-            detail = std::to_string(ev.present_time - prev) +
-                     " ns since last present";
-        }
-        if (!reason && !ev.repeat && ev.meta.pre_rendered &&
-            ev.meta.content_timestamp != kTimeNone) {
-            const double err = std::abs(
-                double(ev.present_time - ev.meta.content_timestamp));
-            if (err > kDesyncPeriods * period) {
-                if (++desync_streak_ >= kDesyncStreak) {
-                    reason = "dtv-desync";
-                    detail = std::to_string(desync_streak_) +
-                             " consecutive off-promise presents";
-                }
-            } else {
-                desync_streak_ = 0;
-            }
-        } else if (!ev.repeat) {
-            desync_streak_ = 0;
-        }
-        if (reason)
-            degrade(ev.present_time, reason, detail);
+        const std::uint64_t recent =
+            monitor_ ? monitor_->violations_since(ev.present_time -
+                                                  kPressureWindow)
+                     : 0;
+        if (recent >= kPressureThreshold)
+            degrade(ev.present_time, Reason::kInvariantPressure,
+                    std::int64_t(recent));
+        else if (stalled)
+            degrade(ev.present_time, Reason::kDisplayStall,
+                    ev.present_time - prev);
+        else if (desync_streak_ >= kDesyncStreak)
+            degrade(ev.present_time, Reason::kDtvDesync, desync_streak_);
         return;
     }
 
@@ -215,11 +206,11 @@ void
 DvsyncRuntime::force_degrade(Time now, const std::string &detail)
 {
     if (!degraded_)
-        degrade(now, "forced", detail);
+        degrade(now, Reason::kForced, 0, detail);
 }
 
 void
-DvsyncRuntime::degrade(Time now, const char *reason,
+DvsyncRuntime::degrade(Time now, Reason reason, std::int64_t count,
                        const std::string &detail)
 {
     degraded_ = true;
@@ -243,16 +234,7 @@ DvsyncRuntime::degrade(Time now, const char *reason,
     desync_streak_ = 0;
     stable_streak_ = 0;
     streak_violation_base_ = monitor_ ? monitor_->violations() : 0;
-    std::string line = "t=" + std::to_string(now) + " degrade [" + reason +
-                       "] " + detail + " -> VSync pacing, DTV resync";
-    // Make the backoff timeline-visible, but keep the text byte-identical
-    // to the pre-backoff format when no backoff is in force.
-    if (wd_backoff_mult_ > 1) {
-        line += " (backoff x" + std::to_string(wd_backoff_mult_) + ": " +
-                std::to_string(wd_required_streak_) +
-                " stable presents to re-promote)";
-    }
-    record_transition(std::move(line));
+    record_transition(now, reason, count, detail);
 }
 
 void
@@ -262,16 +244,25 @@ DvsyncRuntime::repromote(Time now)
     ++repromotions_;
     enabled_ = true;
     stable_streak_ = 0;
-    record_transition("t=" + std::to_string(now) + " repromote after " +
-                      std::to_string(wd_required_streak_) +
-                      " stable presents -> D-VSync");
+    record_transition(now, Reason::kNone, 0, {});
 }
 
 void
-DvsyncRuntime::record_transition(std::string line)
+DvsyncRuntime::record_transition(Time now, Reason reason,
+                                 std::int64_t count,
+                                 const std::string &detail)
 {
-    if (int(transitions_.size()) < kMaxTransitions)
-        transitions_.push_back(std::move(line));
+    if (int(transitions_.size()) >= kMaxTransitions)
+        return;
+    Transition &t = transitions_.emplace_back();
+    t.at = now;
+    t.from = degraded_ ? Transition::kDvsync : Transition::kVsync;
+    t.to = degraded_ ? Transition::kVsync : Transition::kDvsync;
+    t.reason = reason;
+    t.count = count;
+    t.detail = detail;
+    t.backoff = wd_backoff_mult_;
+    t.required_streak = wd_required_streak_;
 }
 
 Time

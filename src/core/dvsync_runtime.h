@@ -28,6 +28,7 @@
 #include "core/display_time_virtualizer.h"
 #include "core/dvsync_config.h"
 #include "core/input_prediction_layer.h"
+#include "metrics/run_report.h"
 #include "pipeline/producer.h"
 
 namespace dvs {
@@ -97,11 +98,8 @@ class DvsyncRuntime
      */
     int backoff_multiplier() const { return wd_backoff_mult_; }
 
-    /**
-     * Human-readable degrade/re-promote transition log ("t=<ns> ..."),
-     * surfaced as RunReport::timeline. Capped at kMaxTransitions.
-     */
-    const std::vector<std::string> &transitions() const
+    /** Degrades and re-promotions in time order, at most kMaxTransitions. */
+    const std::vector<Transition> &transitions() const
     {
         return transitions_;
     }
@@ -147,9 +145,11 @@ class DvsyncRuntime
 
   private:
     void on_watchdog_present(const PresentEvent &ev);
-    void degrade(Time now, const char *reason, const std::string &detail);
+    void degrade(Time now, Transition::Reason reason, std::int64_t count,
+                 const std::string &detail = {});
     void repromote(Time now);
-    void record_transition(std::string line);
+    void record_transition(Time now, Transition::Reason reason,
+                           std::int64_t count, const std::string &detail);
 
     DvsyncConfig config_;
     bool enabled_ = true;
@@ -173,7 +173,7 @@ class DvsyncRuntime
     int wd_required_streak_ = 0; ///< set on each degrade()
     Time wd_last_degrade_ = kTimeNone;
     std::uint64_t streak_violation_base_ = 0;
-    std::vector<std::string> transitions_;
+    std::vector<Transition> transitions_;
 };
 
 } // namespace dvs

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <iterator>
+#include <tuple>
 
 #include "metrics/stutter_model.h"
 #include "sim/logging.h"
@@ -11,13 +10,6 @@
 namespace dvs {
 
 namespace {
-
-/** Nanosecond timestamp of a "t=<ns> ..." timeline line. */
-long long
-timeline_ts(const std::string &line)
-{
-    return std::atoll(line.c_str() + 2);
-}
 
 /**
  * Queue capacity every surface starts with. 0 = architecture default:
@@ -568,57 +560,97 @@ RenderSystem::report() const
 {
     if (!ran_)
         panic("RenderSystem::report before run");
-    return composed_ ? composed_report() : single_report();
-}
-
-RunReport
-RenderSystem::single_report() const
-{
-    const Surface &sf = at(0);
     RunReport r;
     r.scenario = scenario_label();
     r.config.mode = mode_label();
     r.config.device = config_.device.name;
     r.config.refresh_hz = config_.device.refresh_hz;
     r.config.buffers = buffers_;
-    r.config.prerender_limit = prerender_limit();
     r.config.seed = config_.seed;
-
-    const FrameStats &s = *sf.stats;
-    r.fdps = s.fdps();
-    r.fd_percent = s.frame_drop_percent();
-    r.fps = s.fps();
-    r.drops = s.frame_drops();
-    r.frames_due = s.frames_due();
-    r.presents = s.presents();
-    r.direct = s.direct_composition();
-    r.stuffed = s.buffer_stuffing();
-    r.latency_mean_ms = to_ms(Time(s.latency().mean()));
-    // percentile() is NaN on an empty sample set; a run that presented no
-    // frames reports 0 latency explicitly so reports stay comparable
-    // (and debug_string() stays byte-stable).
-    if (s.latency().count() > 0) {
-        r.latency_p50_ms = to_ms(Time(s.latency().percentile(50)));
-        r.latency_p95_ms = to_ms(Time(s.latency().percentile(95)));
-        r.latency_p99_ms = to_ms(Time(s.latency().percentile(99)));
-    }
-    r.latency_max_ms = to_ms(Time(s.latency().max()));
-    r.stutters = count_stutters(s);
-    r.deadline_misses = sf.latch->missed_deadline();
-
     r.activity = activity();
     r.energy_mj = PowerModel().energy_mj(r.activity);
-
-    r.invariant_violations = sf.monitor->violations();
     if (injector_)
         r.faults_injected = injector_->injected_total();
-    if (sf.runtime) {
-        r.degradations = sf.runtime->degradations();
-        r.repromotions = sf.runtime->repromotions();
-        r.timeline = sf.runtime->transitions();
+    composed_ ? composed_report(r) : single_report(r);
+    // Surface-major; within a surface, time order with the watchdog's
+    // transition first on a tie.
+    std::ranges::stable_sort(r.timeline, {}, [](const Transition &t) {
+        return std::tie(t.surface, t.at, t.source);
+    });
+    return r;
+}
+
+SurfaceReport
+RenderSystem::fold_surface(int id, RunReport &r) const
+{
+    const Surface &s = at(id);
+    const FrameStats &st = *s.stats;
+    SurfaceReport sr;
+    sr.name = s.desc.name;
+    sr.mode = s.desc.dvsync_aware ? "D-VSync" : "VSync";
+    sr.buffers = s.queue->capacity();
+    sr.buffer_mb = s.desc.buffer_mb;
+    sr.fdps = st.fdps();
+    sr.fd_percent = st.frame_drop_percent();
+    sr.drops = st.frame_drops();
+    sr.frames_due = st.frames_due();
+    sr.presents = st.presents();
+    // percentile() is NaN on an empty sample set; a surface that
+    // presented no frames reports 0 latency, so reports stay comparable.
+    if (st.latency().count() > 0)
+        sr.latency_p95_ms = to_ms(Time(st.latency().percentile(95)));
+    sr.invariant_violations = s.monitor->violations();
+    sr.drop_causes = s.classifier->counts();
+    sr.drops_injected = s.classifier->injected_drops();
+    std::uint64_t attributed = 0;
+    for (int c = 0; c < kDropCauseCount; ++c) {
+        attributed += sr.drop_causes[c];
+        r.drop_causes[c] += sr.drop_causes[c];
     }
-    if (sf.dtv)
-        r.dtv_resyncs = sf.dtv->resyncs();
+    if (attributed != sr.drops)
+        panic("surface %d drop attribution out of sync: %llu causes vs "
+              "%llu drops", id, (unsigned long long)attributed,
+              (unsigned long long)sr.drops);
+    r.drops_injected += sr.drops_injected;
+    r.drops += sr.drops;
+    r.frames_due += sr.frames_due;
+    r.presents += sr.presents;
+    r.direct += st.direct_composition();
+    r.stuffed += st.buffer_stuffing();
+    r.stutters += count_stutters(st);
+    r.deadline_misses += s.latch->missed_deadline();
+    r.invariant_violations += sr.invariant_violations;
+    if (s.runtime) {
+        sr.degradations = s.runtime->degradations();
+        sr.repromotions = s.runtime->repromotions();
+        r.degradations += sr.degradations;
+        r.repromotions += sr.repromotions;
+        for (Transition t : s.runtime->transitions()) {
+            t.surface = id;
+            r.timeline.push_back(std::move(t));
+        }
+    }
+    if (s.dtv)
+        r.dtv_resyncs += s.dtv->resyncs();
+    return sr;
+}
+
+void
+RenderSystem::single_report(RunReport &r) const
+{
+    const SurfaceReport sr = fold_surface(0, r);
+    const FrameStats &s = *at(0).stats;
+    r.config.prerender_limit = prerender_limit();
+    r.fdps = sr.fdps;
+    r.fd_percent = sr.fd_percent;
+    r.fps = s.fps();
+    r.latency_mean_ms = to_ms(Time(s.latency().mean()));
+    if (s.latency().count() > 0) {
+        r.latency_p50_ms = to_ms(Time(s.latency().percentile(50)));
+        r.latency_p99_ms = to_ms(Time(s.latency().percentile(99)));
+    }
+    r.latency_p95_ms = sr.latency_p95_ms;
+    r.latency_max_ms = to_ms(Time(s.latency().max()));
     if (plant_) {
         r.thermal_on = true;
         r.peak_temp_c = plant_->peak_temp_c();
@@ -631,102 +663,19 @@ RenderSystem::single_report() const
         r.governor_demotions = governor_->demotions();
         r.governor_promotions = governor_->promotions();
         r.governor_rung_end = governor_->rung();
-        // Merge governor transitions into the watchdog timeline in time
-        // order (both inputs are already sorted; ties keep the watchdog
-        // line first).
-        const std::vector<std::string> &gov = governor_->transitions();
-        std::vector<std::string> merged;
-        merged.reserve(r.timeline.size() + gov.size());
-        std::merge(r.timeline.begin(), r.timeline.end(), gov.begin(),
-                   gov.end(), std::back_inserter(merged),
-                   [](const std::string &a, const std::string &b) {
-                       return timeline_ts(a) < timeline_ts(b);
-                   });
-        r.timeline = std::move(merged);
+        const std::vector<Transition> &gov = governor_->transitions();
+        r.timeline.insert(r.timeline.end(), gov.begin(), gov.end());
     }
-
-    r.drop_causes = sf.classifier->counts();
-    r.drops_injected = sf.classifier->injected_drops();
-    std::uint64_t attributed = 0;
-    for (int c = 0; c < kDropCauseCount; ++c)
-        attributed += r.drop_causes[c];
-    if (attributed != r.drops) {
-        panic("drop attribution out of sync: %llu causes vs %llu drops",
-              (unsigned long long)attributed,
-              (unsigned long long)r.drops);
-    }
-    return r;
 }
 
-RunReport
-RenderSystem::composed_report() const
+void
+RenderSystem::composed_report(RunReport &r) const
 {
-    RunReport r;
-    r.scenario = scenario_label();
-    r.config.mode = mode_label();
-    r.config.device = config_.device.name;
-    r.config.refresh_hz = config_.device.refresh_hz;
-    r.config.buffers = buffers_;
-    r.config.prerender_limit = 0;
-    r.config.seed = config_.seed;
-    r.activity = activity();
-
     for (std::size_t i = 0; i < surfaces_.size(); ++i) {
-        const Surface &s = surfaces_[i];
-        const FrameStats &st = *s.stats;
-
-        SurfaceReport sr;
-        sr.name = s.desc.name;
-        sr.mode = s.desc.dvsync_aware ? "D-VSync" : "VSync";
-        sr.buffers = s.queue->capacity();
+        SurfaceReport sr = fold_surface(int(i), r);
         sr.extra_buffers = arbiter_->peak_extra_of(int(i));
-        sr.buffer_mb = s.desc.buffer_mb;
-        sr.fdps = st.fdps();
-        sr.fd_percent = st.frame_drop_percent();
-        sr.drops = st.frame_drops();
-        sr.frames_due = st.frames_due();
-        sr.presents = st.presents();
-        if (st.latency().count() > 0)
-            sr.latency_p95_ms = to_ms(Time(st.latency().percentile(95)));
-        sr.invariant_violations = s.monitor->violations();
-        if (s.runtime) {
-            sr.degradations = s.runtime->degradations();
-            sr.repromotions = s.runtime->repromotions();
-        }
-        sr.drop_causes = s.classifier->counts();
-        sr.drops_injected = s.classifier->injected_drops();
-        std::uint64_t attributed = 0;
-        for (int c = 0; c < kDropCauseCount; ++c) {
-            attributed += sr.drop_causes[c];
-            r.drop_causes[c] += sr.drop_causes[c];
-        }
-        if (attributed != st.frame_drops()) {
-            panic("surface %s drop attribution out of sync: "
-                  "%llu causes vs %llu drops",
-                  s.desc.name.c_str(), (unsigned long long)attributed,
-                  (unsigned long long)st.frame_drops());
-        }
-        r.drops_injected += sr.drops_injected;
         r.surfaces.push_back(std::move(sr));
-
-        r.drops += st.frame_drops();
-        r.frames_due += st.frames_due();
-        r.presents += st.presents();
-        r.direct += st.direct_composition();
-        r.stuffed += st.buffer_stuffing();
-        r.stutters += count_stutters(st);
-        r.deadline_misses += s.latch->missed_deadline();
-        r.invariant_violations += s.monitor->violations();
-        if (s.runtime) {
-            r.degradations += s.runtime->degradations();
-            r.repromotions += s.runtime->repromotions();
-            for (const std::string &line : s.runtime->transitions())
-                r.timeline.push_back("[" + s.desc.name + "] " + line);
-        }
-        if (s.dtv)
-            r.dtv_resyncs += s.dtv->resyncs();
     }
-
     // Display aggregates: total drops per second of session wall time
     // (per-surface FDPS stays normalized to each surface's own active
     // duration, the paper's definition).
@@ -736,17 +685,10 @@ RenderSystem::composed_report() const
         r.frames_due > 0 ? 100.0 * double(r.drops) / double(r.frames_due)
                          : 0.0;
     r.fps = wall_s > 0 ? double(r.presents) / wall_s : 0.0;
-
-    r.energy_mj = PowerModel().energy_mj(r.activity);
-
     r.invariant_violations += display_monitor_->violations();
-    if (injector_)
-        r.faults_injected = injector_->injected_total();
-
     r.budget_mb = arbiter_->budget_mb();
     r.budget_used_mb = arbiter_->peak_used_mb();
     r.rearbitrations = arbiter_->rearbitrations();
-    return r;
 }
 
 RunActivity

@@ -484,8 +484,10 @@ class RenderSystem
     void register_metrics();
     void install_governor();
     void apply_extra(int id, int extra);
-    RunReport single_report() const;
-    RunReport composed_report() const;
+    /** Add surface @p id's counts and transitions to @p r; its slice. */
+    SurfaceReport fold_surface(int id, RunReport &r) const;
+    void single_report(RunReport &r) const;
+    void composed_report(RunReport &r) const;
     std::string scenario_label() const;
     std::string mode_label() const;
 

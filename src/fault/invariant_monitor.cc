@@ -9,7 +9,6 @@ namespace dvs {
 void
 InvariantMonitor::attach(Producer &producer, Panel &panel, int max_depth)
 {
-    producer_ = &producer;
     max_depth_ = max_depth;
     presented_.assign(producer.records_reserved(), false);
     producer.add_queued_listener(

@@ -109,7 +109,6 @@ class InvariantMonitor
     void on_surface_latch(int surface_id, const PresentEvent &ev);
     void record(Time t, const char *invariant, std::string detail);
 
-    Producer *producer_ = nullptr;
     int max_depth_ = 0;
 
     /** Per-surface last latched edge index (-1 = none yet). */

@@ -1,7 +1,6 @@
 #include "governor/governor.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/metrics_registry.h"
 #include "sim/logging.h"
@@ -44,10 +43,10 @@ Governor::install(Simulator &sim, const MetricsRegistry &registry,
                           EventPriority::kMetrics);
 }
 
-Governor::Sensors
+GovernorSensors
 Governor::read_sensors(Time now)
 {
-    Sensors s;
+    GovernorSensors s;
     if (!registry_)
         return s;
     registry_->read("thermal.temp_c", &s.temp_c);
@@ -59,7 +58,7 @@ Governor::read_sensors(Time now)
         if (have_mj && now > prev_at_) {
             // mJ per second of simulated time is exactly mW.
             s.rate_mw = (mj - prev_mj_) / to_seconds(now - prev_at_);
-            s.have_rate = true;
+            s.rate_sensed = true;
         }
         s.new_drops = drops - prev_drops_;
     }
@@ -68,38 +67,6 @@ Governor::read_sensors(Time now)
     prev_mj_ = mj;
     prev_drops_ = drops;
     return s;
-}
-
-const char *
-Governor::rung_name(int rung)
-{
-    switch (rung) {
-      case 0:
-        return "nominal";
-      case 1:
-        return "trim-prerender";
-      case 2:
-        return "ltpo-cap";
-      case 3:
-        return "dvfs-cap";
-      case 4:
-        return "handoff";
-    }
-    return "?";
-}
-
-void
-Governor::record(Time now, const char *verb, int from, int to,
-                 const Sensors &s)
-{
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "t=%lld governor %s %d->%d "
-                  "[temp=%.1fC rate=%.0fmW drops=+%.0f backoff=x%d] %s",
-                  (long long)now, verb, from, to, s.temp_c,
-                  s.have_rate ? s.rate_mw : 0.0, s.new_drops, backoff_,
-                  rung_name(to));
-    transitions_.push_back(buf);
 }
 
 void
@@ -130,42 +97,42 @@ Governor::apply(int rung, bool engage, Time now)
 }
 
 void
-Governor::demote(Time now, const Sensors &s)
+Governor::step(Time now, int to, const GovernorSensors &s)
 {
     const int from = rung_;
-    ++rung_;
-    ++demotions_;
-    // Exponential re-promotion backoff: demoting again soon after the
-    // last demotion means the previous promotion was premature — double
-    // the calm streak the next promotion must earn.
-    if (last_demote_ != kTimeNone && now - last_demote_ <= kBackoffWindow)
-        backoff_ = std::min(backoff_ * 2, kBackoffCap);
-    else
-        backoff_ = 1;
-    last_demote_ = now;
+    if (to > from) {
+        ++demotions_;
+        // Exponential re-promotion backoff: demoting again soon after the
+        // last demotion means the previous promotion was premature —
+        // double the calm streak the next promotion must earn.
+        if (last_demote_ != kTimeNone && now - last_demote_ <= kBackoffWindow)
+            backoff_ = std::min(backoff_ * 2, kBackoffCap);
+        else
+            backoff_ = 1;
+        last_demote_ = now;
+        rung_ = to;
+        apply(to, true, now);
+    } else {
+        ++promotions_;
+        apply(from, false, now);
+        rung_ = to;
+    }
     pressure_streak_ = 0;
     calm_streak_ = 0;
-    apply(rung_, true, now);
-    record(now, "demote", from, rung_, s);
-}
-
-void
-Governor::promote(Time now, const Sensors &s)
-{
-    const int from = rung_;
-    apply(rung_, false, now);
-    --rung_;
-    ++promotions_;
-    pressure_streak_ = 0;
-    calm_streak_ = 0;
-    record(now, "promote", from, rung_, s);
+    Transition &t = transitions_.emplace_back();
+    t.at = now;
+    t.source = Transition::Source::kGovernor;
+    t.from = from;
+    t.to = to;
+    t.backoff = backoff_;
+    t.sensors = s;
 }
 
 void
 Governor::tick(Time now)
 {
     ++ticks_;
-    const Sensors s = read_sensors(now);
+    const GovernorSensors s = read_sensors(now);
     if (ticks_ == 1)
         return; // first tick only primes the differentiated sensors
 
@@ -176,7 +143,7 @@ Governor::tick(Time now)
         calm_streak_ = 0;
         ++pressure_streak_;
         if (rung_ < max_rung_ && pressure_streak_ >= kHoldTicks)
-            demote(now, s);
+            step(now, rung_ + 1, s);
         return;
     }
     pressure_streak_ = 0;
@@ -194,7 +161,7 @@ Governor::tick(Time now)
     // runtime back to D-VSync pacing.
     if (rung_ == 4 && hooks_.handoff_cleared && !hooks_.handoff_cleared())
         return;
-    promote(now, s);
+    step(now, rung_ - 1, s);
 }
 
 } // namespace dvs

@@ -46,9 +46,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
+#include "metrics/run_report.h"
 #include "sim/time.h"
 
 namespace dvs {
@@ -132,8 +132,8 @@ class Governor
     /** Current re-promotion backoff multiplier (1 = no backoff). */
     int backoff_multiplier() const { return backoff_; }
 
-    /** Timeline lines, "t=<ns> governor demote 0->1 [...] ...". */
-    const std::vector<std::string> &transitions() const
+    /** Ladder moves in time order, surfaced as RunReport::timeline. */
+    const std::vector<Transition> &transitions() const
     {
         return transitions_;
     }
@@ -145,20 +145,10 @@ class Governor
     double calm_c() const { return calm_c_; }
 
   private:
-    struct Sensors {
-        double temp_c = 0.0;
-        double rate_mw = 0.0;
-        double new_drops = 0.0;
-        bool have_rate = false;
-    };
-
-    Sensors read_sensors(Time now);
+    GovernorSensors read_sensors(Time now);
     void apply(int rung, bool engage, Time now);
-    void demote(Time now, const Sensors &s);
-    void promote(Time now, const Sensors &s);
-    void record(Time now, const char *verb, int from, int to,
-                const Sensors &s);
-    static const char *rung_name(int rung);
+    /** Demote or promote one rung to @p to, and log the move. */
+    void step(Time now, int to, const GovernorSensors &s);
 
     double demote_c_;
     double calm_c_;
@@ -182,7 +172,7 @@ class Governor
     double prev_mj_ = 0.0;
     double prev_drops_ = 0.0;
 
-    std::vector<std::string> transitions_;
+    std::vector<Transition> transitions_;
 };
 
 } // namespace dvs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <iterator>
 #include <type_traits>
 
 #include "sim/fnv.h"
@@ -111,6 +112,22 @@ put(Sink &out, double v)
     out.append(buf, std::size_t(r.ptr - buf));
 }
 
+/** %.<precision>f, which std::to_chars in fixed format matches. */
+struct Fixed {
+    double v;
+    int precision;
+};
+
+template <class Sink>
+void
+put(Sink &out, Fixed f)
+{
+    char buf[320]; // DBL_MAX has 309 integer digits
+    const auto r = std::to_chars(buf, buf + sizeof buf, f.v,
+                                 std::chars_format::fixed, f.precision);
+    out.append(buf, std::size_t(r.ptr - buf));
+}
+
 template <class Sink, typename T>
     requires std::is_integral_v<T> && (!std::is_same_v<T, bool>)
 void
@@ -144,6 +161,46 @@ append_causes(Sink &out,
         append(out, c ? " " : "", to_string(DropCause(c)), "=", causes[c]);
     }
     append(out, "] injected_drops=", injected);
+}
+
+template <class Sink>
+void
+append_transition(Sink &out, const Transition &t)
+{
+    static constexpr const char *kRungs[] = {
+        "nominal", "trim-prerender", "ltpo-cap", "dvfs-cap", "handoff"};
+    // Per degrade reason: its name, and the unit of its count if it has one.
+    static constexpr const char *kReasons[][2] = {
+        {"?", nullptr},
+        {"invariant-pressure", " recent violations"},
+        {"display-stall", " ns since last present"},
+        {"dtv-desync", " consecutive off-promise presents"},
+        {"forced", nullptr}};
+    append(out, "t=", t.at);
+    const GovernorSensors &s = t.sensors;
+    if (t.source == Transition::Source::kGovernor) {
+        const bool rung = t.to >= 0 && t.to < int(std::size(kRungs));
+        append(out, " governor ", t.to > t.from ? "demote " : "promote ",
+               t.from, "->", t.to, " [temp=", Fixed{s.temp_c, 1},
+               "C rate=", Fixed{s.rate_sensed ? s.rate_mw : 0.0, 0},
+               "mW drops=+", Fixed{s.new_drops, 0}, " backoff=x", t.backoff,
+               "] ", rung ? kRungs[t.to] : "?");
+    } else if (t.to == Transition::kDvsync) {
+        append(out, " repromote after ", t.required_streak,
+               " stable presents -> D-VSync");
+    } else {
+        const auto [name, unit] = kReasons[std::size_t(t.reason)];
+        append(out, " degrade [", name, "] ");
+        if (unit)
+            append(out, t.count, unit);
+        if (t.reason == Transition::Reason::kForced)
+            out.append(t.detail.data(), t.detail.size()); // NULs and all
+        put(out, " -> VSync pacing, DTV resync");
+        // Without backoff in force the line keeps its pre-backoff text.
+        if (t.backoff > 1)
+            append(out, " (backoff x", t.backoff, ": ", t.required_streak,
+                   " stable presents to re-promote)");
+    }
 }
 
 template <class Sink>
@@ -199,10 +256,16 @@ format(Sink &out, const RunReport &r)
             append_causes(out, s.drop_causes, s.drops_injected);
         }
     }
-    // Timeline lines are written whole, NULs included.
-    for (const std::string &t : r.timeline) {
+    // A composed run prefixes each line with its surface's whole name.
+    for (const Transition &t : r.timeline) {
         put(out, "\n  ");
-        out.append(t.data(), t.size());
+        if (!r.surfaces.empty()) {
+            const std::string &name = r.surfaces.at(t.surface).name;
+            put(out, "[");
+            out.append(name.data(), name.size());
+            put(out, "] ");
+        }
+        append_transition(out, t);
     }
 }
 

@@ -22,6 +22,7 @@
 
 #include "metrics/power_model.h"
 #include "obs/drop_cause.h"
+#include "sim/time.h"
 
 namespace dvs {
 
@@ -36,6 +37,44 @@ struct ReportConfig {
 
     friend bool operator==(const ReportConfig &,
                            const ReportConfig &) = default;
+};
+
+/** The governor's sensor readings at one control tick. */
+struct GovernorSensors {
+    double temp_c = 0.0;
+    double rate_mw = 0.0;     ///< GPU power since the previous tick
+    double new_drops = 0.0;   ///< frame drops since the previous tick
+    bool rate_sensed = false; ///< false without energy or elapsed time
+
+    friend bool operator==(const GovernorSensors &,
+                           const GovernorSensors &) = default;
+};
+
+/**
+ * A watchdog fall-back or return, or a governor ladder move, held as
+ * data: RunReport's formatter is the only place one becomes text.
+ */
+struct Transition {
+    enum class Source : std::uint8_t { kWatchdog, kGovernor };
+    /** Why the watchdog degraded; kNone on a re-promotion. */
+    enum class Reason : std::uint8_t {
+        kNone, kInvariantPressure, kDisplayStall, kDtvDesync, kForced };
+    /** The watchdog's from/to: the pacing left and the pacing entered. */
+    static constexpr int kVsync = 0, kDvsync = 1;
+
+    Time at = 0;
+    int surface = 0; ///< index into RunReport::surfaces
+    Source source = Source::kWatchdog;
+    int from = 0, to = 0; ///< governor: rungs; watchdog: kVsync/kDvsync
+    Reason reason = Reason::kNone;
+    /** Recent violations, ns since the last present, or the streak. */
+    std::int64_t count = 0;
+    std::string detail;      ///< kForced: the caller's text
+    int backoff = 1;         ///< re-promotion backoff multiplier
+    int required_streak = 0; ///< watchdog: stable presents to re-promote
+    GovernorSensors sensors;
+
+    friend bool operator==(const Transition &, const Transition &) = default;
 };
 
 /**
@@ -148,10 +187,10 @@ struct RunReport {
     int governor_rung_end = 0;  ///< ladder rung at run end
 
     /**
-     * Degrade/re-promote + governor transition log ("t=<ns> ..."),
-     * merged in time order.
+     * Watchdog and governor transitions by (surface, time, source), the
+     * watchdog first on a tie; debug_string() prints a "t=<ns> ..." each.
      */
-    std::vector<std::string> timeline;
+    std::vector<Transition> timeline;
 
     /**
      * Nonempty when the run failed instead of completing (e.g. the

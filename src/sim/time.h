@@ -60,6 +60,13 @@ to_seconds(Time t)
     return double(t) / 1e9;
 }
 
+/** Whether @p ns is a duration the from_*() casts below can take. */
+constexpr bool
+duration_fits(double ns)
+{
+    return ns >= 0.0 && ns < 0x1p63; // NaN fails both
+}
+
 /** Convert (double) milliseconds to nanoseconds. */
 constexpr Time
 from_ms(double ms)

@@ -53,20 +53,15 @@ tokenize(const std::string &text)
 Time
 parse_duration(const std::string &s)
 {
+    static const std::map<std::string, double> kNsPer = {
+        {"", 1.0}, {"ns", 1.0}, {"us", 1e3}, {"ms", 1e6}, {"s", 1e9}};
     char *end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || v < 0)
+    const auto unit = kNsPer.find(end);
+    if (end == s.c_str() || unit == kNsPer.end() ||
+        !duration_fits(v * unit->second))
         return 0;
-    const std::string unit(end);
-    if (unit == "ms")
-        return from_ms(v);
-    if (unit == "us")
-        return from_us(v);
-    if (unit == "s")
-        return from_seconds(v);
-    if (unit == "ns" || unit.empty())
-        return Time(v);
-    return 0;
+    return Time(v * unit->second);
 }
 
 double
@@ -84,11 +79,13 @@ arg_str(const Line &line, const std::string &key,
     return it == line.args.end() ? fallback : it->second;
 }
 
-/** Build the cost model of an `animate`/`realtime`/`interact` line. */
+/** The cost model of a segment line, seeded by its seed= or @p seed. */
 std::shared_ptr<const FrameCostModel>
 cost_from_args(const Line &line, const DeviceConfig &device,
-               std::uint64_t default_seed)
+               std::uint64_t seed)
 {
+    if (line.args.count("seed"))
+        seed = std::uint64_t(arg_num(line, "seed", 0.0));
     ProfileSpec spec;
     spec.name = arg_str(line, "label", "script");
     spec.short_mean_periods = arg_num(line, "mean", 0.45);
@@ -99,8 +96,6 @@ cost_from_args(const Line &line, const DeviceConfig &device,
     spec.heavy_alpha = arg_num(line, "alpha", 1.5);
     spec.heavy_burst = arg_num(line, "burst", 0.1);
     spec.ui_fraction = arg_num(line, "ui", 0.2);
-    const std::uint64_t seed =
-        std::uint64_t(arg_num(line, "seed", double(default_seed)));
     return make_cost_model(spec, device.refresh_hz, seed);
 }
 
@@ -121,6 +116,9 @@ struct Parser {
     handle(const Line &line)
     {
         const std::string &cmd = line.words[0];
+        const double seed = arg_num(line, "seed", 0.0);
+        if (!(seed >= 0.0 && seed < 0x1p64)) // NaN fails both
+            return fail(line, "seed= needs a number in [0, 2^64)");
         if (cmd == "device") {
             if (line.words.size() < 2)
                 return fail(line, "device needs a name");

@@ -65,7 +65,9 @@ FrameTrace::from_csv(const std::string &csv)
         double ui_us = 0, render_us = 0, gpu_us = 0;
         const int fields = std::sscanf(line.c_str(), "%lf,%lf,%lf",
                                        &ui_us, &render_us, &gpu_us);
-        if (fields < 2) {
+        // A stage time must be a duration: NaN, negative or huge is not.
+        if (fields < 2 || !duration_fits(ui_us * 1e3) ||
+            !duration_fits(render_us * 1e3) || !duration_fits(gpu_us * 1e3)) {
             warn("trace line %ld: malformed row ignored: %s", line_no,
                  line.c_str());
             continue;

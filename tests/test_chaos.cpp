@@ -291,12 +291,10 @@ TEST(Degradation, MultiSecondStallDegradesThenRepromotes)
     EXPECT_GE(r.dtv_resyncs, 1u);
     EXPECT_EQ(sys.dtv()->resyncs(), r.dtv_resyncs);
     ASSERT_GE(r.timeline.size(), 2u);
-    EXPECT_NE(r.timeline[0].find("degrade"), std::string::npos)
-        << r.timeline[0];
-    EXPECT_NE(r.timeline[0].find("display-stall"), std::string::npos)
-        << r.timeline[0];
-    EXPECT_NE(r.timeline[1].find("repromote"), std::string::npos)
-        << r.timeline[1];
+    EXPECT_EQ(r.timeline[0].to, Transition::kVsync) << r.debug_string();
+    EXPECT_EQ(r.timeline[0].reason, Transition::Reason::kDisplayStall)
+        << r.debug_string();
+    EXPECT_EQ(r.timeline[1].to, Transition::kDvsync) << r.debug_string();
     // Back on the decoupled path by the end of the run.
     EXPECT_FALSE(sys.runtime()->degraded());
     EXPECT_TRUE(sys.runtime()->enabled());

@@ -424,7 +424,8 @@ TEST(DvsyncRuntime, ForceDegradeRecordsTransitionAndStaysDegraded)
     EXPECT_EQ(r.repromotions, 0u); // no watchdog: stays on the fallback
     EXPECT_TRUE(sys.runtime()->degraded());
     ASSERT_FALSE(r.timeline.empty());
-    EXPECT_NE(r.timeline.front().find("forced"), std::string::npos);
+    EXPECT_EQ(r.timeline.front().reason, Transition::Reason::kForced);
+    EXPECT_EQ(r.timeline.front().detail, "vendor kill switch");
     // Idempotent: a second pull of the switch is a no-op.
     sys.runtime()->force_degrade(sys.sim().now(), "again");
     EXPECT_EQ(sys.runtime()->degradations(), 1u);

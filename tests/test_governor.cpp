@@ -363,8 +363,9 @@ TEST(Governor, TimelineReportsTheEnergyRate)
     }
     EXPECT_EQ(h.gov.rung(), 1);
     ASSERT_FALSE(h.gov.transitions().empty());
-    EXPECT_NE(h.gov.transitions().front().find("rate=2000mW"),
-              std::string::npos);
+    const GovernorSensors &s = h.gov.transitions().front().sensors;
+    EXPECT_TRUE(s.rate_sensed);
+    EXPECT_DOUBLE_EQ(s.rate_mw, 2000.0);
 }
 
 TEST(Governor, TimelineTextWithoutASensedRate)
@@ -489,9 +490,9 @@ TEST(DvsyncRuntime, WatchdogBackoffBoundsAFlapStorm)
     EXPECT_GE(sys.runtime()->backoff_multiplier(), 2);
     // The timeline narrates the growing re-promotion price.
     bool saw_backoff = false;
-    for (const std::string &line : r.timeline)
-        saw_backoff = saw_backoff ||
-                      line.find("backoff x") != std::string::npos;
+    for (const Transition &t : r.timeline)
+        saw_backoff = saw_backoff || (t.to == Transition::kVsync &&
+                                      t.backoff > 1);
     EXPECT_TRUE(saw_backoff);
 }
 
@@ -561,13 +562,12 @@ TEST(Governor, EngagesUnderAConstrainedEnvelope)
     // Governor transitions are merged into the run timeline in time
     // order alongside any watchdog lines.
     bool saw_governor = false;
-    long long prev_t = -1;
-    for (const std::string &line : r.timeline) {
+    Time prev_t = -1;
+    for (const Transition &t : r.timeline) {
         saw_governor =
-            saw_governor || line.find("governor") != std::string::npos;
-        const long long t = std::atoll(line.c_str() + 2);
-        EXPECT_GE(t, prev_t);
-        prev_t = t;
+            saw_governor || t.source == Transition::Source::kGovernor;
+        EXPECT_GE(t.at, prev_t);
+        prev_t = t.at;
     }
     EXPECT_TRUE(saw_governor);
     EXPECT_EQ(r.invariant_violations, 0u);

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "metrics/histogram.h"
 #include "metrics/latency.h"
@@ -275,6 +277,65 @@ TEST(Reporter, AsciiBarProportional)
 namespace {
 
 /**
+ * A transition's line as the watchdog (std::to_string concatenation)
+ * and the governor (snprintf) each built it before transitions became
+ * data.
+ */
+std::string
+snprintf_transition(const Transition &t)
+{
+    if (t.source == Transition::Source::kGovernor) {
+        static const char *const kRungs[] = {
+            "nominal", "trim-prerender", "ltpo-cap", "dvfs-cap", "handoff"};
+        const GovernorSensors &s = t.sensors;
+        char buf[2048]; // three %.0f/%.1f of DBL_MAX still fit
+        std::snprintf(buf, sizeof(buf),
+                      "t=%lld governor %s %d->%d "
+                      "[temp=%.1fC rate=%.0fmW drops=+%.0f backoff=x%d] %s",
+                      (long long)t.at, t.to > t.from ? "demote" : "promote",
+                      t.from, t.to, s.temp_c,
+                      s.rate_sensed ? s.rate_mw : 0.0, s.new_drops,
+                      t.backoff,
+                      t.to >= 0 && t.to < 5 ? kRungs[t.to] : "?");
+        return buf;
+    }
+    const std::string at = "t=" + std::to_string(t.at);
+    if (t.to == Transition::kDvsync) {
+        return at + " repromote after " +
+               std::to_string(t.required_streak) +
+               " stable presents -> D-VSync";
+    }
+    std::string line = at + " degrade [";
+    switch (t.reason) {
+      case Transition::Reason::kNone:
+        line += "?] ";
+        break;
+      case Transition::Reason::kInvariantPressure:
+        line += "invariant-pressure] " + std::to_string(t.count) +
+                " recent violations";
+        break;
+      case Transition::Reason::kDisplayStall:
+        line += "display-stall] " + std::to_string(t.count) +
+                " ns since last present";
+        break;
+      case Transition::Reason::kDtvDesync:
+        line += "dtv-desync] " + std::to_string(t.count) +
+                " consecutive off-promise presents";
+        break;
+      case Transition::Reason::kForced:
+        line += "forced] " + t.detail;
+        break;
+    }
+    line += " -> VSync pacing, DTV resync";
+    if (t.backoff > 1) {
+        line += " (backoff x" + std::to_string(t.backoff) + ": " +
+                std::to_string(t.required_streak) +
+                " stable presents to re-promote)";
+    }
+    return line;
+}
+
+/**
  * The snprintf formatter debug_string() used to be, kept as the oracle
  * of its output. Its first buffer truncates at 1023 bytes, so callers
  * keep reports short enough that it never does (checked here).
@@ -371,8 +432,13 @@ snprintf_debug_string(const RunReport &r)
             out += causes_of(s.drop_causes, s.drops_injected);
         }
     }
-    for (const std::string &t : r.timeline)
-        out += "\n  " + t;
+    // A composed run prefixed each line with "[<surface name>] ".
+    for (const Transition &t : r.timeline) {
+        out += "\n  ";
+        if (!r.surfaces.empty())
+            out += "[" + r.surfaces[std::size_t(t.surface)].name + "] ";
+        out += snprintf_transition(t);
+    }
     return out;
 }
 
@@ -468,6 +534,33 @@ class ReportFuzzer
             causes[c] = c >= kDropCauseLegacyCount && !extended ? 0 : u64();
     }
 
+    /** A transition of surface 0..surfaces-1 (any index if none). */
+    Transition transition(std::size_t surfaces)
+    {
+        Transition t;
+        t.at = i64();
+        t.surface = surfaces > 0 ? int(pick(surfaces)) : i32();
+        t.backoff = i32();
+        t.required_streak = i32();
+        if (coin()) {
+            t.source = Transition::Source::kGovernor;
+            t.from = int(pick(7)) - 1; // out-of-ladder rungs too
+            t.to = int(pick(7)) - 1;
+            t.sensors = {real(), real(), real(), coin()};
+            return t;
+        }
+        const bool degrade = coin();
+        t.from = degrade ? Transition::kDvsync : Transition::kVsync;
+        t.to = degrade ? Transition::kVsync : Transition::kDvsync;
+        if (degrade) {
+            t.reason = Transition::Reason(pick(5));
+            t.count = i64();
+            if (t.reason == Transition::Reason::kForced)
+                t.detail = text(24);
+        }
+        return t;
+    }
+
     RunReport report()
     {
         RunReport r;
@@ -541,8 +634,8 @@ class ReportFuzzer
             }
         }
         r.timeline.resize(pick(4));
-        for (std::string &t : r.timeline)
-            t = text(48);
+        for (Transition &t : r.timeline)
+            t = transition(r.surfaces.size());
         if (coin())
             r.error = text(64);
         r.repeats = i32();
@@ -580,7 +673,22 @@ TEST(RunReportString, DefaultAndRealisticReportsMatchTheOracle)
     r.drop_causes[std::size_t(DropCause::kThermalThrottle)] = 3;
     r.thermal_on = true;
     r.peak_temp_c = 41.25;
-    r.timeline = {"t=100 degrade", "t=200 re-promote"};
+    Transition stall;
+    stall.at = 100;
+    stall.from = Transition::kDvsync;
+    stall.reason = Transition::Reason::kDisplayStall;
+    stall.count = 150'000'000;
+    stall.required_streak = 32;
+    Transition back = stall;
+    back.at = 200;
+    std::swap(back.from, back.to);
+    back.reason = Transition::Reason::kNone;
+    Transition governor;
+    governor.at = 200;
+    governor.source = Transition::Source::kGovernor;
+    governor.to = 1;
+    governor.sensors = {44.25, 1234.5, 2.0, true};
+    r.timeline = {stall, back, governor};
     EXPECT_EQ(r.debug_string(), snprintf_debug_string(r));
     EXPECT_EQ(r.fingerprint(), fnv1a(r.debug_string()));
 }

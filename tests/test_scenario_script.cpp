@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "workload/scenario_script.h"
 
@@ -104,6 +105,25 @@ TEST(ScenarioScript, ErrorsCarryLineNumbers)
     EXPECT_FALSE(parse_scenario_script("end\n").ok);
     EXPECT_FALSE(parse_scenario_script("interact wiggle 100ms\n").ok);
     EXPECT_FALSE(parse_scenario_script("# only comments\n").ok);
+}
+
+TEST(ScenarioScript, RejectsDurationsAndSeedsOutOfRange)
+{
+    // Each would overflow the nanosecond clock or the seed's integer.
+    for (const char *bad :
+         {"idle inf", "animate nan", "animate 1e300s", "realtime -inf",
+          "interact swipe 1e300s", "animate 100ms seed=-1",
+          "animate 100ms seed=1e30", "realtime 100ms seed=nan",
+          "interact swipe 100ms seed=-1"}) {
+        const ScenarioScript s = parse_scenario_script(
+            std::string("animate 100ms\n") + bad + "\n");
+        EXPECT_FALSE(s.ok) << bad;
+        EXPECT_EQ(s.error_line, 2) << bad;
+    }
+    // The largest double below 2^64 is still a seed.
+    EXPECT_TRUE(
+        parse_scenario_script("animate 100ms seed=18446744073709549568\n")
+            .ok);
 }
 
 TEST(ScenarioScript, LoadFromFile)

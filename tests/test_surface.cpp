@@ -384,9 +384,15 @@ TEST(MultiSurface, ChaosOnOneSurfaceDegradesAndRearbitrates)
     // + two exits + one pass per degradation and re-promotion.
     EXPECT_GE(r.rearbitrations,
               3u + r.degradations + r.repromotions);
-    // The timeline carries the per-surface prefix.
-    for (const std::string &line : r.timeline)
-        EXPECT_EQ(line.rfind("[", 0), 0u) << line;
+    // Each transition names its surface, whose name prefixes its line.
+    const std::string s = r.debug_string();
+    for (const Transition &t : r.timeline) {
+        ASSERT_LT(std::size_t(t.surface), r.surfaces.size());
+        EXPECT_NE(s.find("\n  [" + r.surfaces[std::size_t(t.surface)].name +
+                         "] t=" + std::to_string(t.at)),
+                  std::string::npos)
+            << s;
+    }
 }
 
 TEST(MultiSurface, TimelineIsSurfaceMajorWithNamePrefixes)

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "sim/random.h"
@@ -288,6 +289,24 @@ TEST(Trace, TruncatedRowWarnsWithLineNumber)
     ASSERT_EQ(t.frames.size(), 1u);
     EXPECT_EQ(t.frames[0].ui_time, 1_us);
     EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+}
+
+TEST(Trace, StageTimesThatAreNotDurationsWarnAndSkip)
+{
+    // Huge, NaN, infinite or negative stage times: each row is dropped
+    // with a warning instead of reaching the nanosecond clock.
+    ::testing::internal::CaptureStderr();
+    const FrameTrace t = FrameTrace::from_csv(
+        "ui_us,render_us,gpu_us\n1e300,1\nnan,1\n-5,3\n1,inf\n1,2,-1\n"
+        "1.0,2.0,3.0\n");
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(t.frames.size(), 1u);
+    EXPECT_EQ(t.frames[0].ui_time, 1_us);
+    for (int line = 2; line <= 6; ++line) {
+        EXPECT_NE(err.find("line " + std::to_string(line) + ": malformed"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(Trace, MissingHeaderWarnsOnceButStillParses)
