@@ -6,9 +6,10 @@
 #   scripts/ci.sh             # plain build + tests
 #   scripts/ci.sh --sanitize  # ASan+UBSan build + tests (separate
 #                             # build dir; exercises the event-queue
-#                             # slot recycling, the inline callback
-#                             # storage and the allocation-budget test
-#                             # under sanitizers)
+#                             # slot free list, the inline callback
+#                             # storage, the allocation-budget test and
+#                             # the scenario-script loader under
+#                             # sanitizers)
 #   scripts/ci.sh --tsan      # ThreadSanitizer build + the threaded
 #                             # harness suites, the .dvst suites and a
 #                             # multi-job chaos smoke (separate build
@@ -78,6 +79,18 @@ cmake --build "$BUILD_DIR" -j"$JOBS"
 # EXPERIMENTS.md quotes the goldens: every figure on a golden's
 # `measured:` line must appear in the headline row naming that golden.
 python3 scripts/check_experiments.py
+
+# Scenario smoke: every example script must load and run under both
+# architectures (scenario_runner exits nonzero on a script error). Also
+# under sanitizers, so the script loader's number parsing runs on real
+# inputs with float-cast-overflow checked.
+for script in examples/scenarios/*.txt; do
+    if ! "$BUILD_DIR/examples/scenario_runner" "$script" > /dev/null; then
+        echo "scenario smoke: $script failed" >&2
+        exit 1
+    fi
+done
+echo "scenario smoke: $(ls examples/scenarios/*.txt | wc -l) scripts ran"
 
 # Chaos smoke: a small seeded fault-injection campaign must finish with
 # zero invariant violations and zero failed runs (nonzero exit

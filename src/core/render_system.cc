@@ -153,7 +153,7 @@ RenderSystem::RenderSystem(const SystemConfig &config,
         s.latch.emplace(*s.panel, config.latch_lead);
     }
     dist_.emplace(sim_, hw_);
-    // Pre-sizing the heap and slot map keeps the hot loop out of the
+    // Pre-sizing the heap and slots keeps the hot loop out of the
     // allocator. A producer schedules every segment boundary of its
     // scenario when it starts; on top of those, no golden and no traces/
     // capture ever had more than 4 events live per surface (its next
@@ -419,7 +419,7 @@ RenderSystem::register_metrics()
                            [plant] { return plant->gpu_energy_mj(); });
     }
     // Default cadence: 16 refresh periods. Dense per-period sampling is
-    // available via with_metrics_interval(device.period()), but
+    // available by setting metrics_interval to device.period(), but
     // idle-heavy runs would then pay for a tick per refresh — the sparse
     // default keeps the sampler within the 5% extra-event budget
     // tests/test_forensics.cpp enforces. Series sampling stays a

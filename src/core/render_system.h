@@ -228,11 +228,6 @@ struct SystemConfig {
         forensics = on;
         return *this;
     }
-    SystemConfig &with_metrics_interval(Time interval)
-    {
-        metrics_interval = interval;
-        return *this;
-    }
     /** Enable the plant with the device envelope at @p envelope_scale. */
     SystemConfig &with_thermal_envelope(double envelope_scale)
     {

@@ -71,16 +71,10 @@ CohortStats::mean_energy_mj() const
                        : 0.0;
 }
 
-CampaignAggregator::CampaignAggregator(CohortFn cohort_of)
-    : cohort_of_(std::move(cohort_of))
-{}
-
 void
 CampaignAggregator::add(const RunReport &report)
 {
-    const std::string key =
-        cohort_of_ ? cohort_of_(report) : report.label;
-    cohorts_[key].accumulate(report);
+    cohorts_[report.label].accumulate(report);
     ++sessions_;
     if (!report.error.empty())
         ++errors_;

@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 
@@ -77,8 +76,7 @@ struct CohortStats {
 
 /**
  * A ReportSink that reduces a campaign to per-cohort CohortStats, keyed
- * by a caller-supplied cohort labeling of each report (default: the
- * report's `label`). See the file comment for the determinism
+ * by each report's `label`. See the file comment for the determinism
  * contract.
  */
 class CampaignAggregator final : public ReportSink
@@ -86,11 +84,6 @@ class CampaignAggregator final : public ReportSink
   public:
     /** Schema version written by to_json(). */
     static constexpr int kSchema = 1;
-
-    using CohortFn = std::function<std::string(const RunReport &)>;
-
-    /** @param cohort_of cohort label per report; null uses the label. */
-    explicit CampaignAggregator(CohortFn cohort_of = nullptr);
 
     /** Sink entry: accumulate, and count the report in to_json()'s
      *  `resume_pos` (reports consumed through the sink). */
@@ -123,7 +116,6 @@ class CampaignAggregator final : public ReportSink
     std::string to_json() const;
 
   private:
-    CohortFn cohort_of_;
     std::map<std::string, CohortStats> cohorts_;
     std::uint64_t sessions_ = 0;
     std::uint64_t errors_ = 0;

@@ -83,13 +83,6 @@ anomaly_score_milli(const RunReport &r, const CohortBaseline &b,
     return std::llround(1000.0 * score);
 }
 
-const CohortBaseline &
-ObservatoryConfig::baseline_for(const std::string &cohort) const
-{
-    const auto it = baselines.find(cohort);
-    return it != baselines.end() ? it->second : baseline;
-}
-
 std::string
 ObservatoryConfig::canonical() const
 {
@@ -102,16 +95,10 @@ ObservatoryConfig::canonical() const
                   weights.latency, weights.stutter, weights.energy,
                   weights.violation);
     out += buf;
-    const auto baseline_line = [&](const std::string &key,
-                                   const CohortBaseline &b) {
-        std::snprintf(buf, sizeof(buf), "baseline[%s]=%.17g,%.17g,%.17g,%.17g\n",
-                      key.c_str(), b.drop_rate_percent, b.latency_p99_ms,
-                      b.stutters, b.energy_per_frame_mj);
-        out += buf;
-    };
-    baseline_line("", baseline);
-    for (const auto &[cohort, b] : baselines)
-        baseline_line(cohort, b);
+    std::snprintf(buf, sizeof(buf), "baseline[]=%.17g,%.17g,%.17g,%.17g\n",
+                  baseline.drop_rate_percent, baseline.latency_p99_ms,
+                  baseline.stutters, baseline.energy_per_frame_mj);
+    out += buf;
     for (const SloSpec &slo : slos) {
         std::snprintf(buf, sizeof(buf), "slo[%s]=%d,%.17g\n",
                       slo.name.c_str(), int(slo.metric), slo.threshold);
@@ -167,8 +154,8 @@ Observatory::observe(std::uint64_t session, const RunReport &report)
             ++c.violations[i];
         }
     }
-    v.score_milli = anomaly_score_milli(
-        report, config_.baseline_for(cohort), config_.weights);
+    v.score_milli =
+        anomaly_score_milli(report, config_.baseline, config_.weights);
     v.drops = report.drops;
     v.frames_due = report.frames_due;
     v.presents = report.presents;
@@ -395,8 +382,7 @@ capture_specimens(const Observatory &obs,
         RunReport report = sys.run();
         report.label = point.label;
         const std::int64_t rescore = anomaly_score_milli(
-            report, obs.config().baseline_for(v.cohort),
-            obs.config().weights);
+            report, obs.config().baseline, obs.config().weights);
         if (report.drops != v.drops || report.frames_due != v.frames_due ||
             report.presents != v.presents ||
             report.stutters != v.stutters || rescore != v.score_milli) {

@@ -16,7 +16,7 @@
  *     rate is just violations/sessions, derived at read time.
  *
  *  2. **Anomaly scoring + bounded top-K.** Every completed session gets
- *     a pure score of (RunReport, cohort baseline): the weighted sum of
+ *     a pure score of (RunReport, baseline): the weighted sum of
  *     its relative excess over the baseline expectations, plus a large
  *     fixed penalty per invariant violation. Scores are kept in
  *     fixed-point millis and ranked with a total order — (score desc,
@@ -152,17 +152,14 @@ struct SessionVerdict {
 
 /**
  * Observatory configuration. to_json() embeds a fingerprint of this
- * (SLO list, weights, baselines, K), so two dumps taken under different
+ * (SLO list, weights, baseline, K), so two dumps taken under different
  * configurations — whose scores are incomparable — are told apart.
  */
 struct ObservatoryConfig {
     std::vector<SloSpec> slos = default_slos(); ///< at most 32 (bitmask)
     int top_k = 8;                              ///< >= 1
     ScoreWeights weights;
-    CohortBaseline baseline; ///< default for cohorts without an override
-    std::map<std::string, CohortBaseline> baselines; ///< per-cohort
-
-    const CohortBaseline &baseline_for(const std::string &cohort) const;
+    CohortBaseline baseline; ///< every cohort is scored against this
 
     /** Canonical textual form (the fingerprint input). */
     std::string canonical() const;

@@ -3,7 +3,7 @@
  * Software VSync distributor.
  *
  * Receives HW-VSync edges and posts software vsync events to pipeline
- * entities at configured offsets — VSync-app for the UI thread, VSync-rs
+ * entities on the hardware edge — VSync-app for the UI thread, VSync-rs
  * for the render service, VSync-sf for the compositor (§2). Callbacks are
  * one-shot and must be re-requested every frame, matching the Android
  * NativeVSync / Choreographer contract.
@@ -34,14 +34,13 @@ inline constexpr int kNumVsyncChannels = 3;
 
 /** A software vsync delivery. */
 struct SwVsync {
-    Time timestamp;      ///< the hardware edge this delivery derives from
-    Time delivery_time;  ///< when the callback actually ran (edge+offset)
+    Time timestamp;      ///< the hardware edge, and when the callback ran
     std::uint64_t index; ///< hardware edge counter
     double rate_hz;      ///< panel rate at the edge
 };
 
 /**
- * Fans HW-VSync out to software channels with per-channel phase offsets.
+ * Fans HW-VSync out to software channels, each delivered at the edge.
  */
 class VsyncDistributor
 {
@@ -54,16 +53,6 @@ class VsyncDistributor
     using Callback = InlineFunction<void(const SwVsync &), 32>;
 
     VsyncDistributor(Simulator &sim, HwVsyncGenerator &hw);
-
-    /**
-     * Set a channel's offset from the hardware edge (>= 0). Only while
-     * no delivery is scheduled on the channel: a delivery pops its batch
-     * off the front of the channel's requests, so deliveries must fire
-     * in the order their edges scheduled them, which a lowered offset
-     * would break.
-     */
-    void set_offset(VsyncChannel ch, Time offset);
-    Time offset(VsyncChannel ch) const;
 
     /**
      * Request a single callback at the next delivery of @p ch. Requests
@@ -79,12 +68,10 @@ class VsyncDistributor
 
   private:
     void on_edge(const VsyncEdge &edge);
-    void deliver(const VsyncEdge &edge, Time deliver_at, int ch,
-                 std::size_t batch);
+    void deliver(const VsyncEdge &edge, int ch, std::size_t batch);
 
     Simulator &sim_;
     VsyncModel model_;
-    std::array<Time, kNumVsyncChannels> offsets_{};
     // Per channel, every requested callback in request order. The first
     // scheduled_[ch] of them belong to deliveries an edge has already
     // scheduled; the rest wait for the next edge. One callback per

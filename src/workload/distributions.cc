@@ -24,11 +24,12 @@ PowerLawCostModel::PowerLawCostModel(const PowerLawParams &params,
       heavy_extra_(params.heavy_alpha, params.heavy_min_ms,
                    params.heavy_max_ms)
 {
-    if (params.heavy_prob < 0 || params.heavy_prob > 1)
+    // Written so that a NaN parameter fails its check.
+    if (!(params.heavy_prob >= 0 && params.heavy_prob <= 1))
         fatal("heavy_prob must be in [0,1]");
-    if (params.heavy_min_ms >= params.heavy_max_ms)
+    if (!(params.heavy_min_ms < params.heavy_max_ms))
         fatal("heavy_min_ms must be < heavy_max_ms");
-    if (params.ui_fraction < 0 || params.ui_fraction > 1)
+    if (!(params.ui_fraction >= 0 && params.ui_fraction <= 1))
         fatal("ui_fraction must be in [0,1]");
 }
 

@@ -1,5 +1,6 @@
 #include "workload/scenario_script.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -79,13 +80,10 @@ arg_str(const Line &line, const std::string &key,
     return it == line.args.end() ? fallback : it->second;
 }
 
-/** The cost model of a segment line, seeded by its seed= or @p seed. */
-std::shared_ptr<const FrameCostModel>
-cost_from_args(const Line &line, const DeviceConfig &device,
-               std::uint64_t seed)
+/** The cost knobs of a segment line, each defaulted when absent. */
+ProfileSpec
+cost_spec(const Line &line)
 {
-    if (line.args.count("seed"))
-        seed = std::uint64_t(arg_num(line, "seed", 0.0));
     ProfileSpec spec;
     spec.name = arg_str(line, "label", "script");
     spec.short_mean_periods = arg_num(line, "mean", 0.45);
@@ -96,8 +94,34 @@ cost_from_args(const Line &line, const DeviceConfig &device,
     spec.heavy_alpha = arg_num(line, "alpha", 1.5);
     spec.heavy_burst = arg_num(line, "burst", 0.1);
     spec.ui_fraction = arg_num(line, "ui", 0.2);
-    return make_cost_model(spec, device.refresh_hz, seed);
+    return spec;
 }
+
+/** Why @p spec cannot make a cost model, or null when it can. */
+const char *
+cost_spec_error(const ProfileSpec &s)
+{
+    if (s.short_mean_periods <= 0)
+        return "mean= must be > 0";
+    if (s.short_sigma < 0)
+        return "sigma= must be >= 0";
+    if (s.heavy_per_sec < 0)
+        return "heavy_rate= must be >= 0";
+    if (s.heavy_alpha <= 0)
+        return "alpha= must be > 0";
+    if (s.heavy_min_periods >= s.heavy_max_periods)
+        return "heavy_min= must be < heavy_max=";
+    if (s.heavy_burst < 0 || s.heavy_burst > 1)
+        return "burst= must be in [0, 1]";
+    if (s.ui_fraction < 0 || s.ui_fraction > 1)
+        return "ui= must be in [0, 1]";
+    return nullptr;
+}
+
+/** Keys whose value is a number; each must be finite. */
+constexpr const char *kNumericArgs[] = {
+    "seed",  "mean", "sigma", "heavy_rate", "heavy_min", "heavy_max",
+    "alpha", "burst", "ui",   "noise",      "from",      "travel"};
 
 struct Parser {
     ScenarioScript out;
@@ -112,12 +136,33 @@ struct Parser {
         return false;
     }
 
+    /** The cost model of a segment line, or null after fail(). */
+    std::shared_ptr<const FrameCostModel>
+    cost_model(const Line &line)
+    {
+        const ProfileSpec spec = cost_spec(line);
+        if (const char *error = cost_spec_error(spec)) {
+            fail(line, error);
+            return nullptr;
+        }
+        const std::uint64_t seed =
+            line.args.count("seed")
+                ? std::uint64_t(arg_num(line, "seed", 0.0))
+                : out.seed;
+        return make_cost_model(spec, out.device.refresh_hz, seed);
+    }
+
     bool
     handle(const Line &line)
     {
         const std::string &cmd = line.words[0];
+        for (const char *key : kNumericArgs) {
+            if (!std::isfinite(arg_num(line, key, 0.0)))
+                return fail(line, std::string(key) +
+                                      "= needs a finite number");
+        }
         const double seed = arg_num(line, "seed", 0.0);
-        if (!(seed >= 0.0 && seed < 0x1p64)) // NaN fails both
+        if (seed < 0.0 || seed >= 0x1p64)
             return fail(line, "seed= needs a number in [0, 2^64)");
         if (cmd == "device") {
             if (line.words.size() < 2)
@@ -152,7 +197,9 @@ struct Parser {
                 line.words.size() > 1 ? parse_duration(line.words[1]) : 0;
             if (d <= 0)
                 return fail(line, cmd + " needs a positive duration");
-            auto cost = cost_from_args(line, out.device, out.seed);
+            auto cost = cost_model(line);
+            if (!cost)
+                return false;
             const std::string label = arg_str(line, "label", cmd);
             if (cmd == "animate")
                 out.scenario.animate(d, cost, label);
@@ -168,6 +215,9 @@ struct Parser {
             const Time d = parse_duration(line.words[2]);
             if (d <= 0)
                 return fail(line, "interact needs a positive duration");
+            auto cost = cost_model(line);
+            if (!cost)
+                return false;
 
             GestureTiming timing;
             timing.duration = d;
@@ -188,7 +238,7 @@ struct Parser {
 
             out.scenario.interact(
                 std::make_shared<TouchStream>(std::move(stream)),
-                cost_from_args(line, out.device, out.seed),
+                std::move(cost),
                 arg_str(line, "label", gesture));
             return true;
         }

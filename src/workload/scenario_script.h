@@ -25,6 +25,10 @@
  * heavy_rate=, heavy_min=, heavy_max=, alpha=, burst=, ui=, seed=);
  * `interact` takes a gesture (`swipe`, `drag`, `pinch`) with `from=`,
  * `travel=`, `noise=`. `repeat N` ... `end` duplicates a block.
+ * Every numeric value must be finite, and the knobs must give a valid
+ * cost model (mean > 0, sigma >= 0, heavy_rate >= 0, alpha > 0,
+ * heavy_min < heavy_max, burst and ui in [0, 1]); otherwise the line
+ * fails with its number.
  */
 
 #ifndef DVS_WORKLOAD_SCENARIO_SCRIPT_H

@@ -28,7 +28,6 @@ TEST(EventQueue, StartsEmptyAtTimeZero)
     EXPECT_EQ(q.now(), 0);
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.pending(), 0u);
-    EXPECT_EQ(q.next_event_time(), kTimeNone);
 }
 
 TEST(EventQueue, DispatchesInTimeOrder)
@@ -113,36 +112,6 @@ TEST(EventQueue, SameTimeSelfScheduledEventRunsAfterPending)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, CancelPreventsDispatch)
-{
-    EventQueue q;
-    int fired = 0;
-    EventId id = q.schedule(10, [&] { ++fired; });
-    q.schedule(20, [&] { ++fired; });
-    EXPECT_TRUE(q.cancel(id));
-    q.run();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelTwiceIsNoop)
-{
-    EventQueue q;
-    EventId id = q.schedule(10, [] {});
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(99999));
-}
-
-TEST(EventQueue, CancelUpdatesPendingCount)
-{
-    EventQueue q;
-    EventId a = q.schedule(10, [] {});
-    q.schedule(20, [] {});
-    EXPECT_EQ(q.pending(), 2u);
-    q.cancel(a);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
 TEST(EventQueue, DispatchedCounterAccumulates)
 {
     EventQueue q;
@@ -154,14 +123,13 @@ TEST(EventQueue, DispatchedCounterAccumulates)
 
 TEST(EventQueue, DispatchedCountsSplitByPriority)
 {
-    // Priority k gets k + 1 events, one more of each is cancelled, and a
-    // callback schedules one more kMetrics event for its own tick: only
-    // dispatched events count, each at its own priority.
+    // Priority k gets k + 1 events, and a callback schedules one more
+    // kMetrics event for its own tick: each event counts at its own
+    // priority.
     EventQueue q;
     for (std::size_t k = 0; k < kEventPriorities.size(); ++k) {
         for (std::size_t i = 0; i <= k; ++i)
             q.schedule(Time(i), [] {}, kEventPriorities[k]);
-        q.cancel(q.schedule(0, [] {}, kEventPriorities[k]));
     }
     q.schedule(3, [&q] {
         q.schedule(q.now(), [] {}, EventPriority::kMetrics);
@@ -176,97 +144,6 @@ TEST(EventQueue, DispatchedCountsSplitByPriority)
         sum += q.dispatched(kEventPriorities[k]);
     }
     EXPECT_EQ(sum, q.dispatched());
-}
-
-TEST(EventQueue, CancelFromCallbackSuppressesSameTickEvent)
-{
-    EventQueue q;
-    std::vector<int> order;
-    EventId victim = 0;
-    q.schedule(10, [&] {
-        order.push_back(1);
-        EXPECT_TRUE(q.cancel(victim));
-    });
-    victim = q.schedule(10, [&] { order.push_back(2); });
-    q.schedule(10, [&] { order.push_back(3); });
-    q.run();
-    // The cancelled same-tick event must not fire even though its heap
-    // entry was already pending when the cancelling callback ran.
-    EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, RescheduleAfterCancel)
-{
-    EventQueue q;
-    int fired = 0;
-    EventId a = q.schedule(10, [&] { fired += 1; });
-    EXPECT_TRUE(q.cancel(a));
-    EventId b = q.schedule(10, [&] { fired += 10; });
-    EXPECT_NE(a, b);
-    q.run();
-    EXPECT_EQ(fired, 10);
-    EXPECT_EQ(q.dispatched(), 1u);
-}
-
-TEST(EventQueue, StaleHandleCannotCancelRecycledSlot)
-{
-    EventQueue q;
-    int fired = 0;
-    // Cancel a, then schedule b: with slot recycling b likely reuses a's
-    // storage. The stale handle must be rejected by the generation
-    // check, not cancel b.
-    EventId a = q.schedule(10, [] {});
-    EXPECT_TRUE(q.cancel(a));
-    q.schedule(20, [&] { ++fired; });
-    EXPECT_FALSE(q.cancel(a));
-    q.run();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, NextEventTimeSkipsCancelledEarliest)
-{
-    EventQueue q;
-    EventId first = q.schedule(10, [] {});
-    q.schedule(20, [] {});
-    EXPECT_EQ(q.next_event_time(), 10);
-    q.cancel(first);
-    // The cancelled entry must not be reported as the earliest event
-    // (the old storage left it on the heap top until dispatch drained
-    // it, so horizon-driven callers saw a phantom event at t=10).
-    EXPECT_EQ(q.next_event_time(), 20);
-}
-
-TEST(EventQueue, NextEventTimeNoneAfterCancellingEverything)
-{
-    EventQueue q;
-    EventId a = q.schedule(10, [] {});
-    EventId b = q.schedule(20, [] {});
-    q.cancel(b);
-    q.cancel(a);
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.next_event_time(), kTimeNone);
-}
-
-TEST(EventQueue, CancelHeavyChurnStaysBoundedAndConsistent)
-{
-    // High schedule/cancel churn: slots recycle, dead heap entries are
-    // pruned or compacted away, and bookkeeping stays exact throughout.
-    EventQueue q;
-    std::uint64_t fired = 0;
-    std::vector<EventId> window;
-    for (int i = 0; i < 50'000; ++i) {
-        window.push_back(
-            q.schedule(Time(1 + i % 977), [&] { ++fired; }));
-        if (window.size() >= 16) {
-            EXPECT_TRUE(q.cancel(window.front()));
-            window.erase(window.begin());
-        }
-    }
-    EXPECT_EQ(q.pending(), window.size());
-    q.run();
-    EXPECT_EQ(fired, window.size());
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.next_event_time(), kTimeNone);
 }
 
 TEST(EventQueue, DispatchOrderMatchesStableSortModel)
@@ -385,8 +262,7 @@ TEST(EventQueue, AllPrioritiesAtOneTickDispatchByPrioThenSeq)
 
 TEST(EventQueue, DispatchHashFoldsWhenPrioSeq)
 {
-    // Events at mixed times and priorities, some scheduled by callbacks
-    // and one cancelled (its sequence number is spent, never folded).
+    // Events at mixed times and priorities, some scheduled by callbacks.
     EventQueue q;
     std::uint64_t want = 0xcbf29ce484222325ULL;
     std::uint64_t seq = 0;
@@ -404,9 +280,6 @@ TEST(EventQueue, DispatchHashFoldsWhenPrioSeq)
     };
     for (int i = 0; i < 30; ++i)
         add(Time(i % 7) * 3, kEventPriorities[i % 6], i % 3);
-    const EventId id = q.schedule(5, [] {}, EventPriority::kDisplay);
-    ++seq;
-    EXPECT_TRUE(q.cancel(id));
     q.run();
     EXPECT_EQ(q.dispatched(), 30u + 30u);
     EXPECT_EQ(q.dispatch_hash(), want);
@@ -460,29 +333,6 @@ TEST(EventQueue, CapturedStateDestroyedOnceWhenFired)
     EXPECT_EQ(owner_dtors, 1);
 }
 
-TEST(EventQueue, CapturedStateDestroyedOnceWhenCancelled)
-{
-    int live = 0, owner_dtors = 0, ran = 0;
-    {
-        EventQueue q;
-        const EventId id = q.schedule(
-            10, [&ran, probe = LifetimeProbe(&live, &owner_dtors)] {
-                ++ran;
-            });
-        EXPECT_EQ(owner_dtors, 0);
-        EXPECT_TRUE(q.cancel(id));
-        EXPECT_EQ(owner_dtors, 1) << "state must die at cancel()";
-        EXPECT_EQ(live, 0);
-        // The recycled slot takes a new callback without touching the
-        // old capture again.
-        q.schedule(20, [&ran] { ran += 10; });
-        q.run();
-    }
-    EXPECT_EQ(ran, 10);
-    EXPECT_EQ(owner_dtors, 1);
-    EXPECT_EQ(live, 0);
-}
-
 TEST(EventQueue, CapturedStateDestroyedOnceWithQueue)
 {
     int live = 0, owner_dtors = 0, ran = 0;
@@ -506,10 +356,10 @@ TEST(EventQueue, CapturedStateDestroyedOnceWithQueue)
 TEST(EventQueue, NonTrivialCapturesDestroyedOnceAcrossGrowth)
 {
     // std::string and shared_ptr captures take the type-erased relocate
-    // and destroy path. Schedule enough of them to grow the slot map
-    // several times, then fire some, cancel some and leave the rest to
-    // the queue's destructor: each capture dies exactly once, and the
-    // strings arrive intact after every relocation.
+    // and destroy path. Schedule enough of them to grow the slots several
+    // times, then fire some and leave the rest to the queue's
+    // destructor: each capture dies exactly once, and the strings arrive
+    // intact after every relocation.
     auto token = std::make_shared<int>(0);
     struct {
         int fired = 0;
@@ -517,25 +367,21 @@ TEST(EventQueue, NonTrivialCapturesDestroyedOnceAcrossGrowth)
     } seen;
     {
         EventQueue q;
-        std::vector<EventId> ids;
         for (int i = 0; i < 600; ++i) {
             std::string name = "event-" + std::to_string(i) +
                                "-with-a-name-too-long-for-sso";
-            ids.push_back(q.schedule(
-                Time(1 + i % 300),
-                [&seen, i, name = std::move(name), token] {
-                    ++seen.fired;
-                    seen.bad += name != "event-" + std::to_string(i) +
-                                            "-with-a-name-too-long-for-sso";
-                }));
+            q.schedule(Time(1 + i % 300),
+                       [&seen, i, name = std::move(name), token] {
+                           ++seen.fired;
+                           seen.bad +=
+                               name != "event-" + std::to_string(i) +
+                                           "-with-a-name-too-long-for-sso";
+                       });
         }
         EXPECT_EQ(token.use_count(), 601);
-        for (int i = 0; i < 600; i += 3)
-            EXPECT_TRUE(q.cancel(ids[std::size_t(i)]));
-        EXPECT_EQ(token.use_count(), 401) << "cancel destroys at once";
-        q.run_until(150); // 200 of the 400 left are due by then
-        EXPECT_EQ(seen.fired, 200);
-        EXPECT_EQ(token.use_count(), 201)
+        q.run_until(150); // 300 of the 600 are due by then
+        EXPECT_EQ(seen.fired, 300);
+        EXPECT_EQ(token.use_count(), 301)
             << "a fired capture dies right after its call";
     }
     EXPECT_EQ(token.use_count(), 1) << "pending captures die with the queue";
@@ -661,37 +507,6 @@ constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 /**
- * Cancel-heavy mix (the watchdog/timeout pattern): a ring of `window`
- * outstanding timers; each step re-arms a pseudo-random ring slot,
- * cancelling whatever was pending there, and every 256 steps drains a
- * short horizon. Folds (tag, fire time) of every fired event.
- */
-std::uint64_t
-cancel_heavy_mix(EventQueue &q, int events, int window, std::uint64_t &fired)
-{
-    std::vector<EventId> ring(std::size_t(window), 0);
-    std::uint64_t checksum = kFnvBasis;
-    std::uint64_t step = 0;
-    SplitMix rng{42};
-    for (int i = 0; i < events; ++i) {
-        const std::size_t slot = std::size_t(rng.next() % ring.size());
-        if (ring[slot])
-            q.cancel(ring[slot]);
-        const Time when = q.now() + 1 + Time(rng.next() % 4096);
-        const std::uint64_t tag = step++;
-        ring[slot] = q.schedule(when, [&checksum, &fired, tag, &q] {
-            checksum = (checksum ^ tag) * kFnvPrime;
-            checksum = (checksum ^ std::uint64_t(q.now())) * kFnvPrime;
-            ++fired;
-        });
-        if ((i & 255) == 0)
-            q.run_until(q.now() + 64);
-    }
-    q.run();
-    return checksum;
-}
-
-/**
  * Chain mix (the simulator's steady state): `width` self-rescheduling
  * chains, each fired event scheduling its successor, until `events`
  * have been scheduled. Folds (chain, fire time) of every fired event.
@@ -721,19 +536,6 @@ chain_mix(EventQueue &q, int events, int width, std::uint64_t &fired)
 }
 
 } // namespace
-
-TEST(EventQueue, CancelHeavyMixChecksumIsPinned)
-{
-    // Pins the exact dispatch sequence of 200k schedule/cancel steps
-    // through slot recycling, eager pruning and heap compaction.
-    EventQueue q;
-    std::uint64_t fired = 0;
-    EXPECT_EQ(cancel_heavy_mix(q, 200'000, 1024, fired),
-              0x8fa4b363fe09d1d1ULL);
-    EXPECT_EQ(fired, 13241u);
-    EXPECT_EQ(q.dispatched(), fired);
-    EXPECT_TRUE(q.empty());
-}
 
 TEST(EventQueue, ChainMixChecksumIsPinned)
 {

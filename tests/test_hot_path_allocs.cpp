@@ -139,7 +139,7 @@ TEST(HotPathAllocs, FleetSessionSetupStaysWithinBudget)
     // pair per buffer queue and listener vectors grown one registration
     // at a time cost 46.3 allocations per session here. Built in place,
     // with fixed-capacity queues, 11.5 are left: the scenario copy, the
-    // surface storage, the event heap and slot map, the listener lists,
+    // surface storage, the event heap and slots, the listener lists,
     // the per-segment tables, the frame-record reservation and the
     // invariant monitor's presented-frame flags sized to match it.
     constexpr std::uint64_t kSessions = 256;

@@ -136,9 +136,9 @@ TEST(ExecResource, LongBacklogCompletesInSubmissionOrder)
 
 TEST(ExecResource, TeardownMidRunWithPendingWork)
 {
-    // A RenderSystem destroyed mid-run, while a vsync batch is in flight
-    // (delivery pending at edge + offset) and completions are queued on
-    // a busy resource: every captured state is destroyed, none runs.
+    // A RenderSystem destroyed mid-run, while a vsync request waits for
+    // its edge and completions are queued on a busy resource: every
+    // captured state is destroyed, none runs.
     Scenario sc("t");
     sc.animate(1_s, std::make_shared<ConstantCostModel>(4_ms, 9_ms));
     SystemConfig cfg;
@@ -149,12 +149,11 @@ TEST(ExecResource, TeardownMidRunWithPendingWork)
     bool ran = false;
     {
         RenderSystem sys(cfg, sc);
-        sys.distributor().set_offset(VsyncChannel::kApp, 2_ms);
         sys.hw_vsync().start();
         sys.producer().start(0);
         const Time edge = 10 * kPeriod;
         sys.sim().events().schedule(edge - 1_ms, [&sys, &ran, token] {
-            // Snapshotted into the edge's batch, delivered at edge+2 ms.
+            // Waits in the request ring for the edge.
             sys.distributor().request_callback(
                 VsyncChannel::kApp,
                 [&ran, token](const SwVsync &) { ran = true; });
@@ -162,10 +161,10 @@ TEST(ExecResource, TeardownMidRunWithPendingWork)
             gpu.run(30_ms, [&ran, token] { ran = true; });
             gpu.run(1_ms, [&ran, token] { ran = true; });
         });
-        sys.sim().run_until(edge + 1_ms);
+        sys.sim().run_until(edge - 1_ms);
         EXPECT_FALSE(ran);
         EXPECT_FALSE(sys.producer().gpu().idle());
-        EXPECT_EQ(token.use_count(), 4) << "batch entry + two queued jobs";
+        EXPECT_EQ(token.use_count(), 4) << "request + two queued jobs";
     }
     EXPECT_FALSE(ran);
     EXPECT_EQ(token.use_count(), 1);

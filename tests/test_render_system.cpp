@@ -133,16 +133,6 @@ TEST(RenderSystem, FpsDegradesWithDrops)
     EXPECT_GT(sys.stats().fps(), 80.0);
 }
 
-TEST(RenderSystem, VsyncOffsetsShiftTriggerTimes)
-{
-    RenderSystem sys(SystemConfig(), steady(200_ms));
-    sys.distributor().set_offset(VsyncChannel::kApp, 2_ms);
-    sys.run();
-    // Every UI start sits 2 ms after a 60 Hz edge.
-    for (const auto &rec : sys.producer().records())
-        EXPECT_EQ((rec.ui_start - 2_ms) % 16'666'666, 0);
-}
-
 TEST(RenderSystem, JitterDoesNotBreakSmoothRuns)
 {
     for (RenderMode mode : {RenderMode::kVsync, RenderMode::kDvsync}) {

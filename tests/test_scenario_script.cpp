@@ -126,6 +126,35 @@ TEST(ScenarioScript, RejectsDurationsAndSeedsOutOfRange)
             .ok);
 }
 
+TEST(ScenarioScript, RejectsCostKnobsOutOfRange)
+{
+    // A cost model cannot be built from any of these; each fails its
+    // line instead of reaching the model.
+    for (const char *bad :
+         {"animate 100ms mean=nan", "animate 100ms sigma=inf",
+          "realtime 100ms heavy_rate=-inf", "animate 100ms alpha=nan",
+          "animate 100ms heavy_min=nan", "animate 100ms heavy_max=inf",
+          "animate 100ms burst=nan", "animate 100ms ui=nan",
+          "interact swipe 100ms noise=nan", "interact drag 100ms from=inf",
+          "interact pinch 100ms travel=-inf", "animate 100ms mean=0",
+          "animate 100ms mean=-1", "realtime 100ms sigma=-0.1",
+          "animate 100ms heavy_rate=-1", "animate 100ms alpha=0",
+          "animate 100ms heavy_min=3 heavy_max=3",
+          "animate 100ms heavy_min=4 heavy_max=2", "animate 100ms burst=-0.1",
+          "animate 100ms burst=1.5", "animate 100ms ui=-0.5",
+          "interact swipe 100ms ui=2"}) {
+        const ScenarioScript s = parse_scenario_script(
+            std::string("animate 100ms\n") + bad + "\n");
+        EXPECT_FALSE(s.ok) << bad;
+        EXPECT_EQ(s.error_line, 2) << bad;
+    }
+    // The ends of each range are accepted.
+    const ScenarioScript edge = parse_scenario_script(
+        "animate 100ms mean=0.01 sigma=0 heavy_rate=0 burst=0 ui=0\n"
+        "animate 100ms burst=1 ui=1 heavy_min=2.9 heavy_max=3\n");
+    EXPECT_TRUE(edge.ok) << edge.error;
+}
+
 TEST(ScenarioScript, LoadFromFile)
 {
     const std::string path = ::testing::TempDir() + "/dvs_script.txt";

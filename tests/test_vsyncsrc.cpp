@@ -215,32 +215,18 @@ TEST_F(DistributorTest, CallbacksAreOneShot)
 TEST_F(DistributorTest, CallbackCarriesEdgeTimestamp)
 {
     SwVsync seen{};
-    sim.events().schedule(5_ms, [&] {
-        dist.request_callback(VsyncChannel::kApp,
-                              [&](const SwVsync &sw) { seen = sw; });
-    });
-    hw.start();
-    sim.run_until(30_ms);
-    EXPECT_EQ(seen.timestamp, 10_ms);
-    EXPECT_EQ(seen.delivery_time, 10_ms);
-    EXPECT_DOUBLE_EQ(seen.rate_hz, 100.0);
-}
-
-TEST_F(DistributorTest, OffsetsDelayDelivery)
-{
-    dist.set_offset(VsyncChannel::kRs, 2_ms);
     Time delivered = kTimeNone;
-    Time stamp = kTimeNone;
     sim.events().schedule(5_ms, [&] {
-        dist.request_callback(VsyncChannel::kRs, [&](const SwVsync &sw) {
+        dist.request_callback(VsyncChannel::kApp, [&](const SwVsync &sw) {
+            seen = sw;
             delivered = sim.now();
-            stamp = sw.timestamp;
         });
     });
     hw.start();
     sim.run_until(30_ms);
-    EXPECT_EQ(delivered, 12_ms);
-    EXPECT_EQ(stamp, 10_ms); // timestamp is the edge, not the delivery
+    EXPECT_EQ(seen.timestamp, 10_ms);
+    EXPECT_EQ(delivered, 10_ms) << "delivered on the edge itself";
+    EXPECT_DOUBLE_EQ(seen.rate_hz, 100.0);
 }
 
 TEST_F(DistributorTest, RequestDuringDeliveryWaitsForNextEdge)
@@ -263,7 +249,6 @@ TEST_F(DistributorTest, RecycledBatchRequestsWaitForNextEdge)
     // ring while later requests queue behind it. Requests made while one
     // is being delivered — on the same channel or another — still belong
     // to the next edge, and a batch keeps request order.
-    dist.set_offset(VsyncChannel::kRs, 3_ms);
     std::vector<std::pair<char, Time>> app; // (callback, edge) on kApp
     std::vector<Time> rs_delivered;
     int a_calls = 0;
@@ -286,7 +271,7 @@ TEST_F(DistributorTest, RecycledBatchRequestsWaitForNextEdge)
     dist.request_callback(VsyncChannel::kRs, b);
     hw.start();
     sim.run_until(60_ms);
-    EXPECT_EQ(rs_delivered, (std::vector<Time>{3_ms, 13_ms, 23_ms, 33_ms}));
+    EXPECT_EQ(rs_delivered, (std::vector<Time>{0, 10_ms, 20_ms, 30_ms}));
     const std::vector<std::pair<char, Time>> want = {
         {'A', 0},     {'A', 10_ms}, {'C', 10_ms}, {'A', 20_ms},
         {'C', 20_ms}, {'A', 30_ms}, {'C', 30_ms}, {'A', 40_ms},
@@ -295,49 +280,6 @@ TEST_F(DistributorTest, RecycledBatchRequestsWaitForNextEdge)
     for (VsyncChannel ch :
          {VsyncChannel::kApp, VsyncChannel::kRs, VsyncChannel::kSf})
         EXPECT_EQ(dist.pending(ch), 0u);
-}
-
-TEST_F(DistributorTest, OffsetPastAPeriodKeepsBatchesApart)
-{
-    // With an offset longer than the period, an edge schedules its
-    // batch while the previous edge's is still waiting for delivery;
-    // each batch delivers its own requests against its own edge.
-    dist.set_offset(VsyncChannel::kApp, 15_ms);
-    std::vector<std::pair<Time, Time>> seen; // (delivered, edge)
-    auto record = [&](const SwVsync &sw) {
-        seen.emplace_back(sim.now(), sw.timestamp);
-    };
-    dist.request_callback(VsyncChannel::kApp, record);
-    sim.events().schedule(5_ms, [&] {
-        EXPECT_EQ(dist.pending(VsyncChannel::kApp), 0u);
-        dist.request_callback(VsyncChannel::kApp, record);
-        dist.request_callback(VsyncChannel::kApp, record);
-        EXPECT_EQ(dist.pending(VsyncChannel::kApp), 2u);
-    });
-    hw.start();
-    sim.run_until(50_ms);
-    const std::vector<std::pair<Time, Time>> want = {
-        {15_ms, 0}, {25_ms, 10_ms}, {25_ms, 10_ms}};
-    EXPECT_EQ(seen, want);
-    EXPECT_EQ(dist.pending(VsyncChannel::kApp), 0u);
-}
-
-TEST_F(DistributorTest, OffsetChangeWithADeliveryScheduledIsFatal)
-{
-    // Edge 0 schedules its kApp delivery at 15 ms. Lowering the offset
-    // then would let edge 10's delivery fire first and take edge 0's
-    // callbacks, so the change is refused.
-    dist.set_offset(VsyncChannel::kApp, 15_ms);
-    dist.request_callback(VsyncChannel::kApp, [](const SwVsync &) {});
-    hw.start();
-    sim.run_until(5_ms);
-    EXPECT_DEATH(dist.set_offset(VsyncChannel::kApp, 0),
-                 "offset changed with a delivery scheduled");
-    // Other channels, with nothing scheduled, may still change.
-    dist.set_offset(VsyncChannel::kRs, 1_ms);
-    sim.run_until(20_ms);
-    dist.set_offset(VsyncChannel::kApp, 0); // delivered: free again
-    EXPECT_EQ(dist.offset(VsyncChannel::kApp), 0);
 }
 
 TEST_F(DistributorTest, ChannelsAreIndependent)
@@ -367,7 +309,7 @@ TEST_F(DistributorTest, ModelTracksHardware)
 
 TEST(VsyncCallback, ForwardsItsArgumentByReference)
 {
-    const SwVsync sw{10_ms, 12_ms, 7, 90.0};
+    const SwVsync sw{10_ms, 7, 90.0};
     const SwVsync *seen = nullptr;
     VsyncDistributor::Callback fn = [&seen](const SwVsync &s) { seen = &s; };
     ASSERT_TRUE(bool(fn));
@@ -410,20 +352,18 @@ TEST(VsyncCallback, DeliveredCaptureDestroyedOnce)
 
 TEST(VsyncCallback, DroppedCaptureDestroyedOnceAtTeardown)
 {
-    // One request waits for an edge that never comes; one belongs to an
-    // edge whose delivery (edge + offset) is still pending at teardown.
+    // Requests on two channels wait for an edge that never comes.
     int live = 0, owner_dtors = 0, ran = 0;
     {
         Simulator sim;
         HwVsyncGenerator hw(sim, 100.0);
         VsyncDistributor dist(sim, hw);
-        dist.set_offset(VsyncChannel::kRs, 4_ms);
+        hw.start();
+        sim.run_until(1_ms); // edge 0 has been delivered
         dist.request_callback(
             VsyncChannel::kRs,
             [&ran, probe = LifetimeProbe(&live, &owner_dtors)](
                 const SwVsync &) { ++ran; });
-        hw.start();
-        sim.run_until(1_ms); // edge 0 scheduled the kRs batch for 4 ms
         dist.request_callback(
             VsyncChannel::kApp,
             [&ran, probe = LifetimeProbe(&live, &owner_dtors)](
