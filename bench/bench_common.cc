@@ -330,31 +330,24 @@ GroupAverageSink::take()
 }
 
 void
-DropCauseTally::add(const RunReport &r)
-{
-    for (int c = 0; c < kDropCauseCount; ++c)
-        causes_[c] += r.drop_causes[c];
-    injected_ += r.drops_injected;
-    total_ += r.drops;
-}
-
-void
-DropCauseTally::print(const char *heading) const
+print_drop_causes(const CohortStats &all, const char *heading)
 {
     std::printf("%s:", heading);
     for (int c = 0; c < kDropCauseCount; ++c) {
-        if (causes_[c] > 0)
+        if (all.drop_causes[std::size_t(c)] > 0)
             std::printf(" %s=%llu", to_string(DropCause(c)),
-                        (unsigned long long)causes_[c]);
+                        (unsigned long long)all.drop_causes[std::size_t(c)]);
     }
     std::printf(" | injected %llu of %llu drops\n",
-                (unsigned long long)injected_, (unsigned long long)total_);
+                (unsigned long long)all.drops_injected,
+                (unsigned long long)all.drops);
 }
 
 bool
-DropCauseTally::flag_unattributed() const
+flag_unattributed(const CohortStats &all)
 {
-    const std::uint64_t unknown = causes_[int(DropCause::kUnknown)];
+    const std::uint64_t unknown =
+        all.drop_causes[std::size_t(DropCause::kUnknown)];
     if (unknown == 0)
         return false;
     std::printf("UNATTRIBUTED DROPS: %llu frames carry no cause\n",

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/render_system.h"
+#include "harness/aggregator.h"
 #include "harness/experiment_runner.h"
 #include "metrics/latency.h"
 #include "metrics/run_report.h"
@@ -206,31 +207,16 @@ class GroupAverageSink final : public ReportSink
 };
 
 /**
- * A campaign's drop-cause roll-up: every drop must carry a cause. Fold
- * each report with add(), then print() the summary line and
- * flag_unattributed() the verdict.
+ * A campaign's drop-cause roll-up over @p all, every run folded in:
+ * prints "<heading>: cause=N ... | injected X of Y drops", causes with a
+ * zero count omitted. @p heading carries the campaign's label and any
+ * leading newline, e.g. "\ndrop causes (all runs)".
  */
-class DropCauseTally
-{
-  public:
-    void add(const RunReport &r);
+void print_drop_causes(const CohortStats &all, const char *heading);
 
-    /**
-     * "<heading>: cause=N ... | injected X of Y drops", causes with a
-     * zero count omitted. @p heading carries the campaign's label and
-     * any leading newline, e.g. "\ndrop causes (all runs)".
-     */
-    void print(const char *heading) const;
-
-    /** Print the UNATTRIBUTED DROPS verdict if any drop has no cause;
-     *  return whether it did. */
-    bool flag_unattributed() const;
-
-  private:
-    std::uint64_t causes_[kDropCauseCount] = {};
-    std::uint64_t injected_ = 0;
-    std::uint64_t total_ = 0;
-};
+/** Print the UNATTRIBUTED DROPS verdict if any drop in @p all has no
+ *  cause; return whether one did. */
+bool flag_unattributed(const CohortStats &all);
 
 /** Percentage reduction from a to b (positive = improvement). */
 double reduction_percent(double a, double b);

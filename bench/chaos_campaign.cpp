@@ -27,12 +27,6 @@
  *                BASE.dvsync.dvst — feed them to trace_campaign), each
  *                reloaded and replay-verified as it is written, and
  *                exit without running the campaign grid
- *   --observatory  tee the stream into the SLO/anomaly observatory
- *                (cohorts = "mix/mode" cells) and print its summary
- *   --top-k=N    observatory offender ranking depth (default 8)
- *   --specimens=DIR  re-simulate the observatory's top-K offenders into
- *                DIR as verified .dvst specimens + manifest.json
- *                (needs --observatory)
  *
  * Exits nonzero when any run violates an invariant, fails, or drops a
  * frame the classifier cannot attribute to a cause.
@@ -42,13 +36,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "fault/fault_plan.h"
-#include "obs/observatory.h"
 #include "sim/logging.h"
 #include "trace/session_recorder.h"
 #include "workload/frame_cost.h"
@@ -74,14 +66,7 @@ chaos_scenario()
 struct Cell {
     std::string mix;
     std::string mode;
-    int runs = 0;
-    std::uint64_t violations = 0;
-    std::uint64_t faults = 0;
-    std::uint64_t presents = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t degradations = 0;
-    std::uint64_t repromotions = 0;
-    int errors = 0;
+    CohortStats stats;
 };
 
 } // namespace
@@ -96,12 +81,7 @@ main(int argc, char **argv)
     const std::string forensics_path = args.string_flag("forensics");
     const std::string record_base = args.string_flag("record");
     const int jobs = args.jobs();
-    const bool observatory_on = args.bool_flag("observatory");
-    const int top_k = args.int_flag("top-k", 8);
-    const std::string specimens_dir = args.string_flag("specimens");
     args.finish();
-    if (!specimens_dir.empty() && !observatory_on)
-        fatal("--specimens needs --observatory");
     if (seeds < 1)
         fatal("--seeds must be >= 1");
     if (golden) {
@@ -169,7 +149,7 @@ main(int argc, char **argv)
     }
 
     // Streaming fold: every report lands in its (mix, mode) cell and
-    // the campaign-wide cause tally on delivery, then is dropped —
+    // the campaign-wide total on delivery, then is dropped —
     // nothing is retained, whatever --seeds says.
     std::vector<Cell> cells;
     for (const FaultMix &mix : mixes) {
@@ -180,19 +160,11 @@ main(int argc, char **argv)
             cells.push_back(cell);
         }
     }
-    DropCauseTally causes;
+    CohortStats all;
     CallbackSink sink([&](std::size_t idx, RunReport &&r) {
-        Cell &cell = cells[idx / std::size_t(seeds)];
-        ++cell.runs;
-        cell.violations += r.invariant_violations;
-        cell.faults += r.faults_injected;
-        cell.presents += r.presents;
-        cell.drops += r.drops;
-        cell.degradations += r.degradations;
-        cell.repromotions += r.repromotions;
-        causes.add(r);
+        cells[idx / std::size_t(seeds)].stats.accumulate(r);
+        all.accumulate(r);
         if (!r.error.empty()) {
-            ++cell.errors;
             std::printf("ERROR %s: %s\n", r.label.c_str(),
                         r.error.c_str());
         }
@@ -204,31 +176,8 @@ main(int argc, char **argv)
             std::printf("%s\n", r.debug_string().c_str());
     });
 
-    // The observatory keys cohorts by (mix, mode) cell — the label
-    // minus its "/seedN" tail — so burn rates compare cells, not
-    // individual seeds.
-    ObservatoryConfig obs_config;
-    obs_config.top_k = top_k;
-    std::optional<Observatory> obs;
-    if (observatory_on)
-        obs.emplace(obs_config, [](const RunReport &r) {
-            return r.label.substr(0, r.label.rfind('/'));
-        });
-
     const ExperimentRunner runner(jobs);
-    if (obs) {
-        TeeSink tee({&sink, &*obs});
-        runner.run_stream(points, tee);
-    } else {
-        runner.run_stream(points, sink);
-    }
-
-    std::uint64_t total_violations = 0;
-    int total_errors = 0;
-    for (const Cell &cell : cells) {
-        total_violations += cell.violations;
-        total_errors += cell.errors;
-    }
+    runner.run_stream(points, sink);
 
     std::printf("chaos campaign: %d seeds x %zu mixes x 2 modes "
                 "(%zu runs)\n\n",
@@ -237,34 +186,24 @@ main(int argc, char **argv)
                 "runs", "violations", "faults", "presents", "drops",
                 "degrades", "errs");
     for (const Cell &c : cells) {
-        std::printf("%-11s %-9s %5d %10llu %8llu %9llu %7llu %8llu %6d\n",
-                    c.mix.c_str(), c.mode.c_str(), c.runs,
-                    (unsigned long long)c.violations,
-                    (unsigned long long)c.faults,
-                    (unsigned long long)c.presents,
-                    (unsigned long long)c.drops,
-                    (unsigned long long)c.degradations, c.errors);
+        const CohortStats &st = c.stats;
+        std::printf("%-11s %-9s %5llu %10llu %8llu %9llu %7llu %8llu "
+                    "%6llu\n",
+                    c.mix.c_str(), c.mode.c_str(),
+                    (unsigned long long)st.sessions,
+                    (unsigned long long)st.invariant_violations,
+                    (unsigned long long)st.faults_injected,
+                    (unsigned long long)st.presents,
+                    (unsigned long long)st.drops,
+                    (unsigned long long)st.degradations,
+                    (unsigned long long)st.errors);
     }
     // Root-cause roll-up: every drop in the campaign must carry a cause.
-    causes.print("\ndrop causes (all runs)");
+    print_drop_causes(all, "\ndrop causes (all runs)");
 
-    std::printf("\ntotal: %llu violations, %d failed runs\n",
-                (unsigned long long)total_violations, total_errors);
-
-    if (obs) {
-        std::fputs(obs->summary().c_str(), stdout);
-        if (!specimens_dir.empty()) {
-            std::string error;
-            if (!capture_specimens(
-                    obs.value(),
-                    [&](std::uint64_t session) { return points[session]; },
-                    specimens_dir, &error))
-                fatal("specimen capture failed: %s", error.c_str());
-            std::fprintf(stderr,
-                         "observatory: %zu specimens written to %s\n",
-                         obs->top().size(), specimens_dir.c_str());
-        }
-    }
+    std::printf("\ntotal: %llu violations, %llu failed runs\n",
+                (unsigned long long)all.invariant_violations,
+                (unsigned long long)all.errors);
 
     if (!forensics_path.empty()) {
         // The canonical forensics specimen: the everything mix under
@@ -297,26 +236,29 @@ main(int argc, char **argv)
         BenchJson record("chaos_campaign");
         record.i64("seeds", seeds);
         record.u64("runs", points.size());
-        record.u64("total_violations", total_violations);
-        record.i64("failed_runs", total_errors);
+        record.u64("total_violations", all.invariant_violations);
+        record.u64("failed_runs", all.errors);
         std::string cell_json = "[\n";
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const Cell &c = cells[i];
+            const CohortStats &st = c.stats;
             char line[512];
             std::snprintf(
                 line, sizeof(line),
-                "    {\"mix\": \"%s\", \"mode\": \"%s\", \"runs\": %d, "
+                "    {\"mix\": \"%s\", \"mode\": \"%s\", \"runs\": %llu, "
                 "\"violations\": %llu, \"faults\": %llu, "
                 "\"presents\": %llu, \"drops\": %llu, "
                 "\"degradations\": %llu, \"repromotions\": %llu, "
-                "\"errors\": %d}%s\n",
-                c.mix.c_str(), c.mode.c_str(), c.runs,
-                (unsigned long long)c.violations,
-                (unsigned long long)c.faults,
-                (unsigned long long)c.presents,
-                (unsigned long long)c.drops,
-                (unsigned long long)c.degradations,
-                (unsigned long long)c.repromotions, c.errors,
+                "\"errors\": %llu}%s\n",
+                c.mix.c_str(), c.mode.c_str(),
+                (unsigned long long)st.sessions,
+                (unsigned long long)st.invariant_violations,
+                (unsigned long long)st.faults_injected,
+                (unsigned long long)st.presents,
+                (unsigned long long)st.drops,
+                (unsigned long long)st.degradations,
+                (unsigned long long)st.repromotions,
+                (unsigned long long)st.errors,
                 i + 1 < cells.size() ? "," : "");
             cell_json += line;
         }
@@ -326,8 +268,8 @@ main(int argc, char **argv)
         std::printf("chaos record written to %s\n", out_path.c_str());
     }
 
-    bool failed = total_violations > 0 || total_errors > 0;
-    if (causes.flag_unattributed())
+    bool failed = all.invariant_violations > 0 || all.errors > 0;
+    if (flag_unattributed(all))
         failed = true;
     if (failed) {
         std::printf("CHAOS CAMPAIGN FAILED\n");

@@ -127,15 +127,10 @@ struct Cell {
     int count = 0;
     double budget_mb = 0.0;
     ArbiterPolicy policy = ArbiterPolicy::kWeighted;
-    int runs = 0;
-    std::uint64_t violations = 0;
-    std::uint64_t drops = 0;
-    std::uint64_t presents = 0;
-    std::uint64_t degradations = 0;
+    CohortStats stats;
     std::uint64_t rearbitrations = 0;
     double peak_used_mb = 0.0;
-    double fdps_sum = 0.0; ///< summed aggregate FDPS; mean = /runs
-    int errors = 0;
+    double fdps_sum = 0.0; ///< summed aggregate FDPS; mean = /sessions
     std::vector<SurfaceAgg> surfaces;
 };
 
@@ -214,17 +209,11 @@ main(int argc, char **argv)
 
     // Streaming fold into the per-cell aggregates; reports are dropped
     // on delivery.
-    std::uint64_t total_violations = 0;
-    int total_errors = 0;
-    DropCauseTally causes;
+    CohortStats all;
     CallbackSink sink([&](std::size_t idx, RunReport &&r) {
-        causes.add(r);
+        all.accumulate(r);
         Cell &cell = cells[idx / std::size_t(seeds)];
-        ++cell.runs;
-        cell.violations += r.invariant_violations;
-        cell.drops += r.drops;
-        cell.presents += r.presents;
-        cell.degradations += r.degradations;
+        cell.stats.accumulate(r);
         cell.rearbitrations += r.rearbitrations;
         cell.peak_used_mb = std::max(cell.peak_used_mb, r.budget_used_mb);
         cell.fdps_sum += r.fdps;
@@ -237,15 +226,11 @@ main(int argc, char **argv)
             agg.due += r.surfaces[j].frames_due;
             agg.fdps_sum += r.surfaces[j].fdps;
         }
-        if (!r.error.empty()) {
-            ++cell.errors;
-            ++total_errors;
+        if (!r.error.empty())
             std::printf("ERROR %s: %s\n", r.label.c_str(), r.error.c_str());
-        }
         if (r.invariant_violations > 0)
             std::printf("VIOLATIONS %s: %llu\n", r.label.c_str(),
                         (unsigned long long)r.invariant_violations);
-        total_violations += r.invariant_violations;
         if (golden)
             std::printf("%s\n", r.debug_string().c_str());
     });
@@ -265,14 +250,15 @@ main(int argc, char **argv)
                 "budget", "policy", "runs", "violations", "drops",
                 "presents", "rearbs", "peakMB", "errs");
     for (const Cell &c : cells) {
-        std::printf("%5d %7.0f %-10s %5d %10llu %7llu %9llu %8llu %7.0f "
-                    "%6d\n",
-                    c.count, c.budget_mb, to_string(c.policy), c.runs,
-                    (unsigned long long)c.violations,
-                    (unsigned long long)c.drops,
-                    (unsigned long long)c.presents,
+        std::printf("%5d %7.0f %-10s %5llu %10llu %7llu %9llu %8llu %7.0f "
+                    "%6llu\n",
+                    c.count, c.budget_mb, to_string(c.policy),
+                    (unsigned long long)c.stats.sessions,
+                    (unsigned long long)c.stats.invariant_violations,
+                    (unsigned long long)c.stats.drops,
+                    (unsigned long long)c.stats.presents,
                     (unsigned long long)c.rearbitrations, c.peak_used_mb,
-                    c.errors);
+                    (unsigned long long)c.stats.errors);
     }
 
     // The acceptance comparison: at every constrained budget, how many
@@ -285,12 +271,12 @@ main(int argc, char **argv)
         const Cell &e = cells[i + 1];
         const bool constrained = w.budget_mb > 0.0 && w.budget_mb <= 32.0;
         if (constrained) {
-            constrained_weighted += w.drops;
-            constrained_equal += e.drops;
+            constrained_weighted += w.stats.drops;
+            constrained_equal += e.stats.drops;
         }
         std::printf("  %d surfaces, %3.0f MB: %llu vs %llu drops%s\n",
-                    w.count, w.budget_mb, (unsigned long long)w.drops,
-                    (unsigned long long)e.drops,
+                    w.count, w.budget_mb, (unsigned long long)w.stats.drops,
+                    (unsigned long long)e.stats.drops,
                     constrained ? "  [constrained]" : "");
     }
     std::printf("constrained total: weighted %llu, equal-split %llu\n",
@@ -298,10 +284,11 @@ main(int argc, char **argv)
                 (unsigned long long)constrained_equal);
 
     // Root-cause roll-up: every drop in the fleet must carry a cause.
-    causes.print("drop causes (all sessions)");
+    print_drop_causes(all, "drop causes (all sessions)");
 
-    std::printf("total: %llu violations, %d failed runs\n",
-                (unsigned long long)total_violations, total_errors);
+    std::printf("total: %llu violations, %llu failed runs\n",
+                (unsigned long long)all.invariant_violations,
+                (unsigned long long)all.errors);
     if (!golden)
         std::printf("throughput: %zu sessions in %.2f s (%.1f/s, "
                     "jobs=%d)\n",
@@ -312,8 +299,8 @@ main(int argc, char **argv)
         bench::BenchJson record("fleet_campaign");
         record.i64("seeds", seeds);
         record.u64("sessions", tasks.size());
-        record.u64("total_violations", total_violations);
-        record.i64("failed_runs", total_errors);
+        record.u64("total_violations", all.invariant_violations);
+        record.u64("failed_runs", all.errors);
         record.u64("constrained_drops_weighted", constrained_weighted);
         record.u64("constrained_drops_equal_split", constrained_equal);
         record.num("wall_seconds", wall_s, 3);
@@ -324,20 +311,24 @@ main(int argc, char **argv)
         char buf[512];
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const Cell &c = cells[i];
+            const CohortStats &st = c.stats;
+            const double runs = double(st.sessions);
             std::snprintf(
                 buf, sizeof(buf),
                 "    {\"surfaces\": %d, \"budget_mb\": %.0f, "
-                "\"policy\": \"%s\", \"runs\": %d, \"violations\": %llu, "
-                "\"drops\": %llu, \"presents\": %llu, "
-                "\"degradations\": %llu, \"rearbitrations\": %llu, "
-                "\"peak_used_mb\": %.0f, \"fdps\": %.4f, \"errors\": %d, "
-                "\"per_surface\": [",
-                c.count, c.budget_mb, to_string(c.policy), c.runs,
-                (unsigned long long)c.violations,
-                (unsigned long long)c.drops, (unsigned long long)c.presents,
-                (unsigned long long)c.degradations,
+                "\"policy\": \"%s\", \"runs\": %llu, "
+                "\"violations\": %llu, \"drops\": %llu, "
+                "\"presents\": %llu, \"degradations\": %llu, "
+                "\"rearbitrations\": %llu, \"peak_used_mb\": %.0f, "
+                "\"fdps\": %.4f, \"errors\": %llu, \"per_surface\": [",
+                c.count, c.budget_mb, to_string(c.policy),
+                (unsigned long long)st.sessions,
+                (unsigned long long)st.invariant_violations,
+                (unsigned long long)st.drops,
+                (unsigned long long)st.presents,
+                (unsigned long long)st.degradations,
                 (unsigned long long)c.rearbitrations, c.peak_used_mb,
-                c.fdps_sum / double(c.runs), c.errors);
+                c.fdps_sum / runs, (unsigned long long)st.errors);
             cell_json += buf;
             for (std::size_t j = 0; j < c.surfaces.size(); ++j) {
                 const SurfaceAgg &agg = c.surfaces[j];
@@ -347,7 +338,7 @@ main(int argc, char **argv)
                               agg.name.c_str(),
                               (unsigned long long)agg.drops,
                               (unsigned long long)agg.due,
-                              agg.fdps_sum / double(c.runs),
+                              agg.fdps_sum / runs,
                               j + 1 < c.surfaces.size() ? ", " : "");
                 cell_json += buf;
             }
@@ -360,8 +351,8 @@ main(int argc, char **argv)
         std::printf("fleet record written to %s\n", out_path.c_str());
     }
 
-    bool failed = total_violations > 0 || total_errors > 0;
-    if (causes.flag_unattributed())
+    bool failed = all.invariant_violations > 0 || all.errors > 0;
+    if (flag_unattributed(all))
         failed = true;
     if (constrained_weighted >= constrained_equal) {
         std::printf("ARBITER DID NOT BEAT EQUAL-SPLIT (constrained "

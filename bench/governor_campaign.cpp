@@ -135,33 +135,22 @@ struct Cell {
     std::string tier;
     std::string envelope;
     std::string policy;
-    int runs = 0;
-    double energy_mj = 0.0;
-    std::uint64_t stutters = 0;
-    std::uint64_t drops = 0;
-    std::int64_t frames_due = 0;
-    std::uint64_t presents = 0;
-    std::uint64_t violations = 0;
+    CohortStats stats;
+    double energy_mj = 0.0; ///< a double sum, as the frontier reads it
     std::uint64_t trips = 0;
     double peak_c = 0.0; // max over runs
     int dvfs_end = 0;    // max over runs
     std::uint64_t demotions = 0;
     std::uint64_t promotions = 0;
     int rung_end = 0; // max over runs
-    int errors = 0;
     RunActivity act; // summed, for PowerModel::percent_increase
 };
 
 void
 accumulate(Cell &cell, const RunReport &r)
 {
-    ++cell.runs;
+    cell.stats.accumulate(r);
     cell.energy_mj += r.energy_mj;
-    cell.stutters += r.stutters;
-    cell.drops += r.drops;
-    cell.frames_due += r.frames_due;
-    cell.presents += r.presents;
-    cell.violations += r.invariant_violations;
     cell.trips += r.thermal_trips;
     cell.peak_c = std::max(cell.peak_c, r.peak_temp_c);
     cell.dvfs_end = std::max(cell.dvfs_end, r.dvfs_level_end);
@@ -180,8 +169,8 @@ accumulate(Cell &cell, const RunReport &r)
 double
 eps_mj(const Cell &base, const Cell &cell)
 {
-    const std::int64_t avoided =
-        std::int64_t(base.stutters) - std::int64_t(cell.stutters);
+    const std::int64_t avoided = std::int64_t(base.stats.stutters) -
+                                 std::int64_t(cell.stats.stutters);
     if (avoided <= 0)
         return std::nan("");
     return (cell.energy_mj - base.energy_mj) / double(avoided);
@@ -301,19 +290,16 @@ main(int argc, char **argv)
         }
     }
 
-    DropCauseTally causes;
+    CohortStats all;
     CallbackSink sink([&](std::size_t idx, RunReport &&r) {
         const std::size_t cell_idx =
             idx < grid_points
                 ? idx / std::size_t(seeds)
                 : chaos_cell0 + (idx - grid_points) / std::size_t(seeds);
-        Cell &cell = cells[cell_idx];
-        accumulate(cell, r);
-        causes.add(r);
-        if (!r.error.empty()) {
-            ++cell.errors;
+        accumulate(cells[cell_idx], r);
+        all.accumulate(r);
+        if (!r.error.empty())
             std::printf("ERROR %s: %s\n", r.label.c_str(), r.error.c_str());
-        }
         if (r.invariant_violations > 0) {
             std::printf("VIOLATIONS %s: %llu\n", r.label.c_str(),
                         (unsigned long long)r.invariant_violations);
@@ -324,15 +310,9 @@ main(int argc, char **argv)
     const ExperimentRunner runner(jobs);
     runner.run_stream(points, sink);
 
-    std::uint64_t total_violations = 0;
     std::uint64_t chaos_violations = 0;
-    int total_errors = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        total_violations += cells[i].violations;
-        if (i >= chaos_cell0)
-            chaos_violations += cells[i].violations;
-        total_errors += cells[i].errors;
-    }
+    for (std::size_t i = chaos_cell0; i < cells.size(); ++i)
+        chaos_violations += cells[i].stats.invariant_violations;
 
     std::printf("governor campaign: %d seeds x %zu tiers x %zu envelopes "
                 "x %d policies + chaos leg (%zu runs)\n\n",
@@ -362,14 +342,15 @@ main(int argc, char **argv)
                           (unsigned long long)c.demotions,
                           (unsigned long long)c.promotions);
             std::printf("%-12s %-11s %-15s %9.1f %8llu %6llu %6llu %7.1f "
-                        "%5s %9s %9s %8d\n",
+                        "%5s %9s %9s %8llu\n",
                         c.tier.c_str(), c.envelope.c_str(),
                         c.policy.c_str(), c.energy_mj,
-                        (unsigned long long)c.stutters,
-                        (unsigned long long)c.drops,
+                        (unsigned long long)c.stats.stutters,
+                        (unsigned long long)c.stats.drops,
                         (unsigned long long)c.trips, c.peak_c, dp,
                         fmt_or_na(eps, "%.2f").c_str(),
-                        fmt_or_na(pct, "%.1f").c_str(), c.errors);
+                        fmt_or_na(pct, "%.1f").c_str(),
+                        (unsigned long long)c.stats.errors);
             // Frontier verdict: the governor must avoid stutters at a
             // strictly better energy price than every static D-VSync
             // config (a static that avoided nothing concedes the point).
@@ -390,16 +371,17 @@ main(int argc, char **argv)
     for (std::size_t i = chaos_cell0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         std::printf("%-12s %-11s %-15s %9.1f %8llu %6llu %6llu %7.1f "
-                    "%llu/%llu %9s %9s %8d\n",
+                    "%llu/%llu %9s %9s %8llu\n",
                     c.tier.c_str(), c.envelope.c_str(), c.policy.c_str(),
-                    c.energy_mj, (unsigned long long)c.stutters,
-                    (unsigned long long)c.drops,
+                    c.energy_mj, (unsigned long long)c.stats.stutters,
+                    (unsigned long long)c.stats.drops,
                     (unsigned long long)c.trips, c.peak_c,
                     (unsigned long long)c.demotions,
-                    (unsigned long long)c.promotions, "-", "-", c.errors);
+                    (unsigned long long)c.promotions, "-", "-",
+                    (unsigned long long)c.stats.errors);
     }
 
-    causes.print("\ndrop causes (all runs)");
+    print_drop_causes(all, "\ndrop causes (all runs)");
 
     if (governor_wins_constrained) {
         std::printf("\nfrontier: governor beats every static config in");
@@ -410,24 +392,26 @@ main(int argc, char **argv)
         std::printf("\nfrontier: governor does NOT beat the static "
                     "configs in any constrained group\n");
     }
-    std::printf("total: %llu violations (%llu in chaos leg), %d failed "
+    std::printf("total: %llu violations (%llu in chaos leg), %llu failed "
                 "runs\n",
-                (unsigned long long)total_violations,
-                (unsigned long long)chaos_violations, total_errors);
+                (unsigned long long)all.invariant_violations,
+                (unsigned long long)chaos_violations,
+                (unsigned long long)all.errors);
 
     if (out_path != "-") {
         bench::BenchJson record("governor_campaign");
         record.i64("seeds", seeds);
         record.u64("runs", points.size());
-        record.u64("total_violations", total_violations);
+        record.u64("total_violations", all.invariant_violations);
         record.u64("chaos_violations", chaos_violations);
-        record.i64("failed_runs", total_errors);
+        record.u64("failed_runs", all.errors);
         record.boolean("governor_wins_constrained",
                        governor_wins_constrained);
         std::string cell_json = "[\n";
         char jbuf[512];
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const Cell &c = cells[i];
+            const CohortStats &st = c.stats;
             const double eps =
                 i < chaos_cell0
                     ? eps_mj(cells[(i / kPolicies) * kPolicies], c)
@@ -435,24 +419,26 @@ main(int argc, char **argv)
             std::snprintf(
                 jbuf, sizeof(jbuf),
                 "    {\"tier\": \"%s\", \"envelope\": \"%s\", "
-                "\"policy\": \"%s\", \"runs\": %d, "
+                "\"policy\": \"%s\", \"runs\": %llu, "
                 "\"energy_mj\": %.3f, \"stutters\": %llu, "
                 "\"drops\": %llu, \"frames_due\": %lld, "
                 "\"presents\": %llu, \"violations\": %llu, "
                 "\"trips\": %llu, \"peak_c\": %.2f, \"dvfs_end\": %d, "
                 "\"demotions\": %llu, \"promotions\": %llu, "
-                "\"rung_end\": %d, \"eps_mj\": %s, \"errors\": %d}%s\n",
+                "\"rung_end\": %d, \"eps_mj\": %s, \"errors\": %llu}%s\n",
                 c.tier.c_str(), c.envelope.c_str(), c.policy.c_str(),
-                c.runs, c.energy_mj, (unsigned long long)c.stutters,
-                (unsigned long long)c.drops, (long long)c.frames_due,
-                (unsigned long long)c.presents,
-                (unsigned long long)c.violations,
+                (unsigned long long)st.sessions, c.energy_mj,
+                (unsigned long long)st.stutters,
+                (unsigned long long)st.drops, (long long)st.frames_due,
+                (unsigned long long)st.presents,
+                (unsigned long long)st.invariant_violations,
                 (unsigned long long)c.trips, c.peak_c, c.dvfs_end,
                 (unsigned long long)c.demotions,
                 (unsigned long long)c.promotions, c.rung_end,
                 std::isnan(eps) ? "null"
                                 : fmt_or_na(eps, "%.3f").c_str(),
-                c.errors, i + 1 < cells.size() ? "," : "");
+                (unsigned long long)st.errors,
+                i + 1 < cells.size() ? "," : "");
             cell_json += jbuf;
         }
         cell_json += "  ]";
@@ -461,8 +447,8 @@ main(int argc, char **argv)
         std::printf("governor record written to %s\n", out_path.c_str());
     }
 
-    bool failed = total_violations > 0 || total_errors > 0;
-    if (causes.flag_unattributed())
+    bool failed = all.invariant_violations > 0 || all.errors > 0;
+    if (flag_unattributed(all))
         failed = true;
     if (!governor_wins_constrained) {
         std::printf("GOVERNOR LOSES THE CONSTRAINED FRONTIER\n");

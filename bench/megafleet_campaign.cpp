@@ -12,7 +12,7 @@
  * 10k or 1M sessions, which is the property that makes fleet-scale
  * sweeps possible at all.
  *
- * With --observatory the same stream is teed into an Observatory
+ * With --observatory the same stream also feeds an Observatory
  * (src/obs/observatory.h): per-cohort SLO burn-rate monitors plus a
  * bounded top-K anomaly ranking. --specimens=DIR then re-simulates the
  * final top-K offenders and writes verified bit-exact .dvst captures
@@ -21,13 +21,11 @@
  *
  * Usage: megafleet_campaign [--sessions=N] [--jobs=N] [--seed=N]
  *                           [--out=PATH] [--rss-limit-mb=N] [--golden]
- *                           [--observatory] [--top-k=N]
- *                           [--specimens=DIR]
+ *                           [--observatory] [--specimens=DIR]
  *   --sessions=N     campaign size (default 1000000)
  *   --seed=N         population seed (default 1)
- *   --observatory    tee the stream into the SLO/anomaly observatory
- *                    and print its summary after the aggregator's
- *   --top-k=N        observatory offender ranking depth (default 8)
+ *   --observatory    feed the stream to the SLO/anomaly observatory
+ *                    too and print its summary after the aggregator's
  *   --specimens=DIR  after the run, re-simulate the top-K offenders
  *                    into DIR as verified .dvst specimens +
  *                    manifest.json (needs --observatory)
@@ -48,7 +46,6 @@
 #include <cstdio>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "harness/aggregator.h"
@@ -89,7 +86,6 @@ main(int argc, char **argv)
     const double rss_limit_mb = args.double_flag("rss-limit-mb", 1024.0);
     const int jobs = args.jobs();
     const bool observatory_on = args.bool_flag("observatory");
-    const int top_k = args.int_flag("top-k", 8);
     const std::string specimens_dir = args.string_flag("specimens");
     args.finish();
 
@@ -107,17 +103,15 @@ main(int argc, char **argv)
     // The observatory rides the same stream; its verdicts carry session
     // indices so any offender can be re-materialized later.
     std::optional<Observatory> obs;
-    if (observatory_on) {
-        ObservatoryConfig obs_config;
-        obs_config.top_k = top_k;
-        obs.emplace(obs_config);
-    }
+    if (observatory_on)
+        obs.emplace();
 
     const ExperimentRunner runner(jobs);
-    std::vector<ReportSink *> branches{&agg};
-    if (obs)
-        branches.push_back(&*obs);
-    TeeSink sink(std::move(branches));
+    CallbackSink sink([&](std::size_t i, RunReport &&r) {
+        if (obs)
+            obs->observe(i, r);
+        agg.consume(i, std::move(r));
+    });
 
     const auto t0 = std::chrono::steady_clock::now();
     runner.run_stream(

@@ -14,8 +14,9 @@
 #                             # harness suites, the .dvst suites and a
 #                             # multi-job chaos smoke (separate build
 #                             # dir; guards the ExperimentRunner workers,
-#                             # OrderedDelivery, the TeeSink fan-out and
-#                             # concurrent capture encode/decode)
+#                             # OrderedDelivery, the aggregator and
+#                             # observatory sinks and concurrent capture
+#                             # encode/decode)
 #   scripts/ci.sh --release   # the plain checks on a Release build
 #                             # (separate build dir): the optimizer's
 #                             # inlining surfaces warnings the default
@@ -58,7 +59,7 @@ if [[ "$SANITIZE" == thread ]]; then
     # TSan's job here is the session-level harness threads, not the
     # whole suite: build everything (compile coverage), then run the
     # suites that drive ExperimentRunner workers, OrderedDelivery and
-    # TeeSink, the .dvst suites (captures are encoded and decoded from
+    # the campaign sinks, the .dvst suites (captures are encoded and decoded from
     # several threads at once), plus a multi-job chaos smoke. Each
     # simulation is single-threaded, so the full suite under TSan would
     # mostly re-run serial code at 5-15x slowdown for no extra coverage.
@@ -66,7 +67,7 @@ if [[ "$SANITIZE" == thread ]]; then
     cmake --build "$BUILD_DIR" -j"$JOBS"
     (cd "$BUILD_DIR" \
         && ctest --output-on-failure -j"$JOBS" \
-            -R 'ExperimentRunner|StreamingRunner|TeeSink|CampaignAggregator|Observatory|Dvst|Capture|Loader|Replay')
+            -R 'ExperimentRunner|StreamingRunner|CampaignAggregator|Observatory|Dvst|Capture|Loader|Replay')
     "$BUILD_DIR/bench/chaos_campaign" --seeds=2 --jobs=4 --out=-
     echo "tsan: harness + .dvst suites + multi-job chaos smoke clean"
     exit 0

@@ -218,7 +218,7 @@ RenderSystem::RenderSystem(const SystemConfig &config,
         injector_.emplace(sim_, config.faults);
         injector_->arm(hw_, *s.queue, *s.latch, *s.producer);
     }
-    if (config.forensics || config.governor)
+    if (config.forensics)
         register_metrics();
     if (config.governor)
         install_governor();
@@ -422,15 +422,11 @@ RenderSystem::register_metrics()
     // available by setting metrics_interval to device.period(), but
     // idle-heavy runs would then pay for a tick per refresh — the sparse
     // default keeps the sampler within the 5% extra-event budget
-    // tests/test_forensics.cpp enforces. Series sampling stays a
-    // forensics feature: a governor-only registry is a passive sensor
-    // bus, polled on the governor's cadence instead.
-    if (config_.forensics) {
-        const Time interval = config_.metrics_interval > 0
-                                  ? config_.metrics_interval
-                                  : config_.device.period() * 16;
-        m.install(sim_, interval);
-    }
+    // tests/test_forensics.cpp enforces.
+    const Time interval = config_.metrics_interval > 0
+                              ? config_.metrics_interval
+                              : config_.device.period() * 16;
+    m.install(sim_, interval);
 }
 
 void
@@ -467,8 +463,9 @@ RenderSystem::install_governor()
         hooks.handoff_cleared = [rt] { return !rt->degraded(); };
     }
     governor_.emplace(plant->params().throttle_c, std::move(hooks));
+    sensors_.emplace(*plant, *s.stats);
     // One control decision every 4 refresh periods.
-    governor_->install(sim_, *metrics_, config_.device.period() * 4);
+    governor_->install(sim_, *sensors_, config_.device.period() * 4);
 }
 
 void

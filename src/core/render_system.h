@@ -359,7 +359,7 @@ class RenderSystem
     /** Fault injector; null unless a plan was installed. */
     FaultInjector *fault_injector() { return ptr(injector_); }
 
-    /** Metrics registry; null unless forensics or the governor is on. */
+    /** Metrics registry; null unless config.forensics is on. */
     MetricsRegistry *metrics() { return ptr(metrics_); }
     const MetricsRegistry *metrics() const { return ptr(metrics_); }
 
@@ -505,6 +505,26 @@ class RenderSystem
     std::optional<InvariantMonitor> display_monitor_;
     std::optional<FaultInjector> injector_;
     std::optional<MetricsRegistry> metrics_;
+
+    /** The governor's sensors: the plant and the surface's FrameStats. */
+    struct PlantSensors final : SensorSource {
+        const ThermalPlant *plant;
+        const FrameStats *stats;
+
+        PlantSensors(const ThermalPlant &p, const FrameStats &s)
+            : plant(&p), stats(&s)
+        {}
+        double temp_c(Time now) const override
+        {
+            return plant->temperature_at(now);
+        }
+        double gpu_mj() const override { return plant->gpu_energy_mj(); }
+        std::uint64_t drops() const override
+        {
+            return stats->frame_drops();
+        }
+    };
+    std::optional<PlantSensors> sensors_;
     std::optional<Governor> governor_;
     std::vector<AllocSample> alloc_log_;
     int max_extra_ = 0;    ///< deepest surface's max_extra_buffers

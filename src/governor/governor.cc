@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics_registry.h"
 #include "sim/logging.h"
 #include "sim/simulator.h"
 
@@ -16,7 +15,7 @@ Governor::Governor(double throttle_c, GovernorHooks hooks)
 }
 
 void
-Governor::install(Simulator &sim, const MetricsRegistry &registry,
+Governor::install(Simulator &sim, const SensorSource &sensors,
                   Time interval)
 {
     if (installed_)
@@ -24,7 +23,7 @@ Governor::install(Simulator &sim, const MetricsRegistry &registry,
     if (interval <= 0)
         fatal("governor control interval must be > 0");
     installed_ = true;
-    registry_ = &registry;
+    sensors_ = &sensors;
     // Self-rescheduling tick at kMetrics priority: it runs after every
     // other event of its tick, so sensor reads see settled state.
     struct Rearm {
@@ -47,15 +46,13 @@ GovernorSensors
 Governor::read_sensors(Time now)
 {
     GovernorSensors s;
-    if (!registry_)
+    if (!sensors_)
         return s;
-    registry_->read("thermal.temp_c", &s.temp_c);
-    double mj = 0.0;
-    const bool have_mj = registry_->read("power.gpu_mj", &mj);
-    double drops = 0.0;
-    registry_->read("stats.drops", &drops);
+    s.temp_c = sensors_->temp_c(now);
+    const double mj = sensors_->gpu_mj();
+    const double drops = double(sensors_->drops());
     if (have_prev_) {
-        if (have_mj && now > prev_at_) {
+        if (now > prev_at_) {
             // mJ per second of simulated time is exactly mW.
             s.rate_mw = (mj - prev_mj_) / to_seconds(now - prev_at_);
             s.rate_sensed = true;

@@ -15,7 +15,7 @@
  *   rung 3  dvfs-cap       — floor the GPU ladder at a slower level
  *   rung 4  handoff        — force the PR 3 watchdog's VSync fallback
  *
- * Sensors come from the MetricsRegistry (the PR 5 sensor bus): die
+ * Sensors are three typed reads through a SensorSource: die
  * temperature, cumulative GPU energy (differentiated into a rate the
  * timeline prints), and the drop counter. Actions are injected as
  * closures (GovernorHooks) so this library depends only on sim + obs,
@@ -54,7 +54,25 @@
 namespace dvs {
 
 class Simulator;
-class MetricsRegistry;
+
+/**
+ * What the governor senses, read once per tick. RenderSystem backs it
+ * with the thermal plant and the surface's FrameStats.
+ */
+class SensorSource
+{
+  public:
+    virtual ~SensorSource() = default;
+
+    /** Die temperature at @p now (°C). */
+    virtual double temp_c(Time now) const = 0;
+
+    /** Cumulative GPU energy (mJ). */
+    virtual double gpu_mj() const = 0;
+
+    /** Cumulative frame drops. */
+    virtual std::uint64_t drops() const = 0;
+};
 
 /**
  * Actuators, injected by the wiring layer (RenderSystem). A null hook
@@ -102,17 +120,15 @@ class Governor
 
     /**
      * Run the control loop every @p interval on @p sim's clock (first
-     * tick at @p interval), reading sensors from @p registry. Must be
-     * called at most once; kMetrics priority keeps ticks on settled
-     * barrier state.
+     * tick at @p interval), reading @p sensors. Must be called at most
+     * once; kMetrics priority keeps ticks on settled barrier state.
      */
-    void install(Simulator &sim, const MetricsRegistry &registry,
+    void install(Simulator &sim, const SensorSource &sensors,
                  Time interval);
 
     /**
      * One control decision at time @p now. Public so unit tests can
-     * drive the ladder against a hand-built registry without a
-     * simulator.
+     * drive the ladder against fake sensors without a simulator.
      */
     void tick(Time now);
 
@@ -153,7 +169,7 @@ class Governor
     double demote_c_;
     double calm_c_;
     GovernorHooks hooks_;
-    const MetricsRegistry *registry_ = nullptr;
+    const SensorSource *sensors_ = nullptr;
     bool installed_ = false;
     int max_rung_ = 4;
 

@@ -15,7 +15,6 @@
 #define DVS_HARNESS_REPORT_SINK_H
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -79,48 +78,6 @@ class CallbackSink final : public ReportSink
 
   private:
     Fn fn_;
-};
-
-/**
- * Fans one report stream out to several sinks, so independent consumers
- * (e.g. a CampaignAggregator and an Observatory) share a single run.
- *
- * Contract: every branch is offered every report exactly once, in
- * construction order; non-final branches receive a copy so the final
- * branch can take the original by move. Exception safety: a branch that
- * throws does not deprive later branches — every remaining branch is
- * still offered the report — and the *first* exception is rethrown to
- * the runner afterwards (aborting the stream per the ReportSink
- * contract), so every branch has seen the same reports even on the
- * aborting index.
- */
-class TeeSink final : public ReportSink
-{
-  public:
-    explicit TeeSink(std::vector<ReportSink *> branches)
-        : branches_(std::move(branches))
-    {}
-
-    void consume(std::size_t index, RunReport &&report) override
-    {
-        std::exception_ptr first;
-        for (std::size_t b = 0; b < branches_.size(); ++b) {
-            try {
-                if (b + 1 == branches_.size())
-                    branches_[b]->consume(index, std::move(report));
-                else
-                    branches_[b]->consume(index, RunReport(report));
-            } catch (...) {
-                if (!first)
-                    first = std::current_exception();
-            }
-        }
-        if (first)
-            std::rethrow_exception(first);
-    }
-
-  private:
-    std::vector<ReportSink *> branches_;
 };
 
 } // namespace dvs

@@ -84,18 +84,6 @@ MetricsRegistry::install(Simulator &sim, Time interval)
                           EventPriority::kMetrics);
 }
 
-bool
-MetricsRegistry::read(const std::string &name, double *out) const
-{
-    for (const Metric &m : metrics_) {
-        if (m.name != name)
-            continue;
-        *out = m.fn();
-        return true;
-    }
-    return false;
-}
-
 const std::vector<MetricSample> *
 MetricsRegistry::series(const std::string &name) const
 {

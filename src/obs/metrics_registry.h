@@ -65,13 +65,6 @@ class MetricsRegistry
     /** Series of metric @p name; null when unknown. */
     const std::vector<MetricSample> *series(const std::string &name) const;
 
-    /**
-     * Poll metric @p name's sampler once, without recording a sample —
-     * the governor's sensor-bus read. Returns false (leaving @p out
-     * untouched) for unknown names.
-     */
-    bool read(const std::string &name, double *out) const;
-
     /** JSON export: {"interval_ns":..., "metrics":[...]}. */
     std::string to_json() const;
 

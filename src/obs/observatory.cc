@@ -8,29 +8,11 @@
 #include <fstream>
 
 #include "core/render_system.h"
-#include "sim/logging.h"
+#include "sim/fnv.h"
 #include "trace/dvst_io.h"
 #include "trace/session_recorder.h"
 
 namespace dvs {
-
-const char *
-to_string(SloMetric m)
-{
-    switch (m) {
-      case SloMetric::kDropRatePercent:
-        return "drop-rate";
-      case SloMetric::kLatencyP99Ms:
-        return "p99-latency";
-      case SloMetric::kStutters:
-        return "stutters";
-      case SloMetric::kInvariantViolations:
-        return "invariants";
-      case SloMetric::kEnergyPerFrameMj:
-        return "energy/frame";
-    }
-    return "?";
-}
 
 double
 slo_metric_value(const RunReport &r, SloMetric metric)
@@ -52,26 +34,15 @@ slo_metric_value(const RunReport &r, SloMetric metric)
     return 0.0;
 }
 
-std::vector<SloSpec>
-default_slos()
-{
-    return {
-        {"drop-rate", SloMetric::kDropRatePercent, 10.0},
-        {"p99-latency", SloMetric::kLatencyP99Ms, 100.0},
-        {"stutters", SloMetric::kStutters, 3.0},
-        {"invariants", SloMetric::kInvariantViolations, 0.0},
-        {"energy/frame", SloMetric::kEnergyPerFrameMj, 60.0},
-    };
-}
-
 std::int64_t
-anomaly_score_milli(const RunReport &r, const CohortBaseline &b,
-                    const ScoreWeights &w)
+anomaly_score_milli(const RunReport &r)
 {
     // Relative excess over the baseline expectation; 0 when at or below.
     const auto excess = [](double value, double base) {
         return value > base ? (value - base) / std::max(base, 1e-9) : 0.0;
     };
+    const CohortBaseline &b = kBaseline;
+    const ScoreWeights &w = kWeights;
     const double score =
         w.drop * excess(slo_metric_value(r, SloMetric::kDropRatePercent),
                         b.drop_rate_percent) +
@@ -83,40 +54,53 @@ anomaly_score_milli(const RunReport &r, const CohortBaseline &b,
     return std::llround(1000.0 * score);
 }
 
-std::string
-ObservatoryConfig::canonical() const
+namespace {
+
+/**
+ * FNV-1a of the canonical text of the SLOs, weights, baseline and K:
+ * to_json() embeds it so that dumps scored under different constants
+ * are told apart.
+ */
+std::uint64_t
+config_fnv()
 {
     char buf[256];
     std::string out = "observatory-config v1\n";
-    std::snprintf(buf, sizeof(buf), "top_k=%d\n", top_k);
+    std::snprintf(buf, sizeof(buf), "top_k=%d\n", kTopK);
     out += buf;
     std::snprintf(buf, sizeof(buf),
-                  "weights=%.17g,%.17g,%.17g,%.17g,%.17g\n", weights.drop,
-                  weights.latency, weights.stutter, weights.energy,
-                  weights.violation);
+                  "weights=%.17g,%.17g,%.17g,%.17g,%.17g\n", kWeights.drop,
+                  kWeights.latency, kWeights.stutter, kWeights.energy,
+                  kWeights.violation);
     out += buf;
     std::snprintf(buf, sizeof(buf), "baseline[]=%.17g,%.17g,%.17g,%.17g\n",
-                  baseline.drop_rate_percent, baseline.latency_p99_ms,
-                  baseline.stutters, baseline.energy_per_frame_mj);
+                  kBaseline.drop_rate_percent, kBaseline.latency_p99_ms,
+                  kBaseline.stutters, kBaseline.energy_per_frame_mj);
     out += buf;
-    for (const SloSpec &slo : slos) {
-        std::snprintf(buf, sizeof(buf), "slo[%s]=%d,%.17g\n",
-                      slo.name.c_str(), int(slo.metric), slo.threshold);
+    for (const SloSpec &slo : kSlos) {
+        std::snprintf(buf, sizeof(buf), "slo[%s]=%d,%.17g\n", slo.name,
+                      int(slo.metric), slo.threshold);
         out += buf;
+    }
+    return fnv1a(out);
+}
+
+/** The names of the SLOs set in @p violated, comma-separated. */
+std::string
+slo_names(std::uint32_t violated, const char *sep)
+{
+    std::string out;
+    for (std::size_t i = 0; i < kSlos.size(); ++i) {
+        if (violated & (std::uint32_t(1) << i)) {
+            if (!out.empty())
+                out += sep;
+            out += kSlos[i].name;
+        }
     }
     return out;
 }
 
-Observatory::Observatory(ObservatoryConfig config, CohortFn cohort_of)
-    : config_(std::move(config)), cohort_of_(std::move(cohort_of))
-{
-    if (config_.slos.empty() || config_.slos.size() > 32)
-        fatal("observatory: need 1..32 SLOs, got %zu",
-              config_.slos.size());
-    if (config_.top_k < 1)
-        fatal("observatory: --top-k must be >= 1");
-    config_fnv_ = fnv1a(config_.canonical());
-}
+} // namespace
 
 void
 Observatory::consume(std::size_t index, RunReport &&report)
@@ -129,11 +113,7 @@ void
 Observatory::observe(std::uint64_t session, const RunReport &report)
 {
     ++sessions_;
-    const std::string cohort =
-        cohort_of_ ? cohort_of_(report) : report.label;
-    CohortMonitor &c = cohorts_[cohort];
-    if (c.violations.empty())
-        c.violations.resize(config_.slos.size(), 0);
+    CohortMonitor &c = cohorts_[report.label];
     ++c.sessions;
     if (!report.error.empty()) {
         // A failed run has every metric zeroed; checking zeros against
@@ -145,17 +125,15 @@ Observatory::observe(std::uint64_t session, const RunReport &report)
 
     SessionVerdict v;
     v.session = session;
-    v.cohort = cohort;
     v.label = report.label;
-    for (std::size_t i = 0; i < config_.slos.size(); ++i) {
-        const SloSpec &slo = config_.slos[i];
+    for (std::size_t i = 0; i < kSlos.size(); ++i) {
+        const SloSpec &slo = kSlos[i];
         if (slo_metric_value(report, slo.metric) > slo.threshold) {
             v.violated |= std::uint32_t(1) << i;
             ++c.violations[i];
         }
     }
-    v.score_milli =
-        anomaly_score_milli(report, config_.baseline, config_.weights);
+    v.score_milli = anomaly_score_milli(report);
     v.drops = report.drops;
     v.frames_due = report.frames_due;
     v.presents = report.presents;
@@ -175,10 +153,10 @@ Observatory::rank_insert(SessionVerdict &&v)
         [](const SessionVerdict &a, const SessionVerdict &b) {
             return a.ranks_before(b);
         });
-    if (top_.size() >= std::size_t(config_.top_k) && pos == top_.end())
+    if (top_.size() >= std::size_t(kTopK) && pos == top_.end())
         return;
     top_.insert(pos, std::move(v));
-    if (top_.size() > std::size_t(config_.top_k))
+    if (top_.size() > std::size_t(kTopK))
         top_.pop_back();
 }
 
@@ -187,7 +165,7 @@ Observatory::violations(std::size_t slo) const
 {
     std::uint64_t total = 0;
     for (const auto &[_, c] : cohorts_)
-        total += slo < c.violations.size() ? c.violations[slo] : 0;
+        total += c.violations.at(slo);
     return total;
 }
 
@@ -201,7 +179,7 @@ Observatory::summary() const
                   "cohorts | %zu SLOs | top-%d offenders\n",
                   (unsigned long long)sessions_,
                   (unsigned long long)errors_, cohorts_.size(),
-                  config_.slos.size(), config_.top_k);
+                  kSlos.size(), kTopK);
     out += buf;
 
     std::uint64_t completed_total = 0;
@@ -209,14 +187,13 @@ Observatory::summary() const
         completed_total += c.sessions - c.errors;
 
     out += "slo burn-rates (violations / completed sessions):\n";
-    for (std::size_t i = 0; i < config_.slos.size(); ++i) {
+    for (std::size_t i = 0; i < kSlos.size(); ++i) {
         const std::uint64_t viol = violations(i);
         const double burn =
             completed_total ? 100.0 * double(viol) / double(completed_total)
                             : 0.0;
         std::snprintf(buf, sizeof(buf), "  %-14s %8llu / %llu  (%.2f%%)\n",
-                      config_.slos[i].name.c_str(),
-                      (unsigned long long)viol,
+                      kSlos[i].name, (unsigned long long)viol,
                       (unsigned long long)completed_total, burn);
         out += buf;
     }
@@ -227,8 +204,8 @@ Observatory::summary() const
     std::snprintf(buf, sizeof(buf), "%-*s %9s", int(key_width), "cohort",
                   "sessions");
     out += buf;
-    for (const SloSpec &slo : config_.slos) {
-        std::snprintf(buf, sizeof(buf), " %12s", slo.name.c_str());
+    for (const SloSpec &slo : kSlos) {
+        std::snprintf(buf, sizeof(buf), " %12s", slo.name);
         out += buf;
     }
     out += "\n";
@@ -237,7 +214,7 @@ Observatory::summary() const
         std::snprintf(buf, sizeof(buf), "%-*s %9llu", int(key_width),
                       key.c_str(), (unsigned long long)c.sessions);
         out += buf;
-        for (std::size_t i = 0; i < config_.slos.size(); ++i) {
+        for (std::size_t i = 0; i < kSlos.size(); ++i) {
             if (completed == 0) {
                 std::snprintf(buf, sizeof(buf), " %12s", "n/a");
             } else {
@@ -257,21 +234,14 @@ Observatory::summary() const
     out += "top offenders (score desc, session asc):\n";
     for (std::size_t r = 0; r < top_.size(); ++r) {
         const SessionVerdict &v = top_[r];
-        std::string slos;
-        for (std::size_t i = 0; i < config_.slos.size(); ++i) {
-            if (v.violated & (std::uint32_t(1) << i)) {
-                if (!slos.empty())
-                    slos += ",";
-                slos += config_.slos[i].name;
-            }
-        }
+        const std::string slos = slo_names(v.violated, ",");
         std::snprintf(
             buf, sizeof(buf),
             "  #%zu session %llu  score %.3f  cohort %s  slos [%s]  "
             "drops %llu/%lld  stutters %llu  p99 %.2fms  "
             "energy/frame %.1fmJ\n",
             r + 1, (unsigned long long)v.session,
-            double(v.score_milli) / 1e3, v.cohort.c_str(),
+            double(v.score_milli) / 1e3, v.label.c_str(),
             slos.empty() ? "-" : slos.c_str(),
             (unsigned long long)v.drops, (long long)v.frames_due,
             (unsigned long long)v.stutters, double(v.latency_p99_us) / 1e3,
@@ -293,14 +263,15 @@ Observatory::to_json() const
                   "  \"config_fnv\": \"%016llx\",\n"
                   "  \"sessions\": %llu,\n  \"errors\": %llu,\n"
                   "  \"resume_pos\": %llu,\n  \"slos\": [",
-                  kSchema, (unsigned long long)config_fnv_,
+                  kSchema, (unsigned long long)config_fnv(),
                   (unsigned long long)sessions_,
                   (unsigned long long)errors_,
                   (unsigned long long)resume_pos_);
     out += buf;
-    for (std::size_t i = 0; i < config_.slos.size(); ++i) {
-        out += i ? ", " : "";
-        out += "\"" + config_.slos[i].name + "\"";
+    for (std::size_t i = 0; i < kSlos.size(); ++i) {
+        out += i ? ", \"" : "\"";
+        out += kSlos[i].name;
+        out += '"';
     }
     out += "],\n  \"cohorts\": [\n";
     std::size_t n = 0;
@@ -327,7 +298,7 @@ Observatory::to_json() const
             "    {\"session\": %llu, \"score_milli\": %lld, "
             "\"violated\": %llu, \"cohort\": \"%s\", \"label\": \"%s\", ",
             (unsigned long long)v.session, (long long)v.score_milli,
-            (unsigned long long)v.violated, v.cohort.c_str(),
+            (unsigned long long)v.violated, v.label.c_str(),
             v.label.c_str());
         out += buf;
         std::snprintf(
@@ -381,8 +352,7 @@ capture_specimens(const Observatory &obs,
         RenderSystem sys(point.config, point.scenario);
         RunReport report = sys.run();
         report.label = point.label;
-        const std::int64_t rescore = anomaly_score_milli(
-            report, obs.config().baseline, obs.config().weights);
+        const std::int64_t rescore = anomaly_score_milli(report);
         if (report.drops != v.drops || report.frames_due != v.frames_due ||
             report.presents != v.presents ||
             report.stutters != v.stutters || rescore != v.score_milli) {
@@ -403,7 +373,7 @@ capture_specimens(const Observatory &obs,
         const std::string path = dir + "/" + file;
         const std::string label =
             "observatory/session-" + std::to_string(v.session) + "/" +
-            v.cohort;
+            v.label;
         SessionCapture cap;
         std::string verify_error;
         if (!SessionRecorder::capture_verified(sys, label, path,
@@ -416,15 +386,12 @@ capture_specimens(const Observatory &obs,
             "\"score_milli\": %lld, \"cohort\": \"%s\", "
             "\"label\": \"%s\", \"slos\": [",
             r + 1, file.c_str(), (unsigned long long)v.session,
-            (long long)v.score_milli, v.cohort.c_str(), v.label.c_str());
+            (long long)v.score_milli, v.label.c_str(), v.label.c_str());
         manifest += buf;
-        bool first = true;
-        for (std::size_t i = 0; i < obs.config().slos.size(); ++i) {
-            if (v.violated & (std::uint32_t(1) << i)) {
-                manifest += first ? "\"" : ", \"";
-                manifest += obs.config().slos[i].name + "\"";
-                first = false;
-            }
+        if (v.violated) {
+            manifest += '"';
+            manifest += slo_names(v.violated, "\", \"");
+            manifest += '"';
         }
         std::snprintf(
             buf, sizeof(buf),
@@ -437,7 +404,7 @@ capture_specimens(const Observatory &obs,
             (unsigned long long)v.invariant_violations,
             double(v.latency_p99_us) / 1e3, double(v.energy_uj) / 1e3);
         manifest += buf;
-        first = true;
+        bool first = true;
         for (int c = 0; c < kDropCauseCount; ++c) {
             if (v.drop_causes[std::size_t(c)] == 0)
                 continue;

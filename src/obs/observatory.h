@@ -9,18 +9,19 @@
  * hold one in my hand?". The Observatory is the second sink on the same
  * report stream, and closes that gap in three layers:
  *
- *  1. **SLO monitors.** A declarative list of thresholds over RunReport
+ *  1. **SLO monitors.** A fixed list of thresholds over RunReport
  *     fields (drop rate, p99 latency, stutters, invariant violations,
  *     energy per presented frame). Each session is checked against every
- *     SLO and per-(cohort, SLO) violation counters accumulate; a burn
- *     rate is just violations/sessions, derived at read time.
+ *     SLO and per-(cohort, SLO) violation counters accumulate, keyed by
+ *     the report label; a burn rate is just violations/sessions, derived
+ *     at read time.
  *
  *  2. **Anomaly scoring + bounded top-K.** Every completed session gets
- *     a pure score of (RunReport, baseline): the weighted sum of
- *     its relative excess over the baseline expectations, plus a large
+ *     a pure score of its RunReport: the weighted sum of its relative
+ *     excess over the baseline expectations, plus a large
  *     fixed penalty per invariant violation. Scores are kept in
  *     fixed-point millis and ranked with a total order — (score desc,
- *     session index asc) — in a bounded sorted list of at most K
+ *     session index asc) — in a bounded sorted list of at most kTopK
  *     verdicts, so the retained state is O(K), not O(sessions).
  *
  *  3. **Tail auto-capture.** Because a fleet session is a pure function
@@ -69,54 +70,60 @@ enum class SloMetric : int {
     kEnergyPerFrameMj,    ///< energy_mj / presents
 };
 
-/** Stable short name ("drop-rate", "p99-latency", ...) for reports. */
-const char *to_string(SloMetric m);
-
 /** The metric value of one finished session (0 on empty denominators). */
 double slo_metric_value(const RunReport &report, SloMetric metric);
 
 /** One service-level objective: violated when value > threshold. */
 struct SloSpec {
-    std::string name; ///< stable tag used in summaries and to_json()
-    SloMetric metric = SloMetric::kDropRatePercent;
-    double threshold = 0.0;
+    const char *name; ///< stable tag used in summaries and to_json()
+    SloMetric metric;
+    double threshold;
 };
 
 /**
- * The default fleet SLOs, calibrated so a healthy paper-fleet cohort
- * burns a few percent (tail sessions, not the steady state): drop rate
- * over 10% of due, p99 latency over 100 ms, more than 3 stutters, any
- * invariant violation, over 60 mJ per presented frame.
+ * The fleet SLOs, calibrated so a healthy paper-fleet cohort burns a
+ * few percent (tail sessions, not the steady state): drop rate over 10%
+ * of due, p99 latency over 100 ms, more than 3 stutters, any invariant
+ * violation, over 60 mJ per presented frame.
  */
-std::vector<SloSpec> default_slos();
+inline constexpr std::array<SloSpec, 5> kSlos{{
+    {"drop-rate", SloMetric::kDropRatePercent, 10.0},
+    {"p99-latency", SloMetric::kLatencyP99Ms, 100.0},
+    {"stutters", SloMetric::kStutters, 3.0},
+    {"invariants", SloMetric::kInvariantViolations, 0.0},
+    {"energy/frame", SloMetric::kEnergyPerFrameMj, 60.0},
+}};
 
-/** Expected per-cohort session shape the anomaly score measures against. */
+/** Expected session shape the anomaly score measures against. */
 struct CohortBaseline {
-    double drop_rate_percent = 2.0;
-    double latency_p99_ms = 30.0;
-    double stutters = 1.0;
-    double energy_per_frame_mj = 45.0;
+    double drop_rate_percent;
+    double latency_p99_ms;
+    double stutters;
+    double energy_per_frame_mj;
 };
+inline constexpr CohortBaseline kBaseline{2.0, 30.0, 1.0, 45.0};
 
 /** Weights of the anomaly-score terms. */
 struct ScoreWeights {
-    double drop = 1.0;
-    double latency = 1.0;
-    double stutter = 1.0;
-    double energy = 0.5;
+    double drop;
+    double latency;
+    double stutter;
+    double energy;
     /** Flat penalty per invariant violation (dominates every rate term). */
-    double violation = 1000.0;
+    double violation;
 };
+inline constexpr ScoreWeights kWeights{1.0, 1.0, 1.0, 0.5, 1000.0};
+
+/** Depth of the offender ranking. */
+inline constexpr int kTopK = 8;
 
 /**
  * Pure anomaly score of one session in fixed-point millis: the weighted
- * sum of each metric's relative excess over the baseline, plus the
- * violation penalty. >= 0; a pure function of its inputs, so a
+ * sum of each metric's relative excess over kBaseline, plus the
+ * violation penalty. >= 0; a pure function of the report, so a
  * re-simulated session scores exactly as it did in the campaign.
  */
-std::int64_t anomaly_score_milli(const RunReport &report,
-                                 const CohortBaseline &baseline,
-                                 const ScoreWeights &weights);
+std::int64_t anomaly_score_milli(const RunReport &report);
 
 /**
  * The retained record of one scored session — everything the manifest
@@ -126,9 +133,8 @@ std::int64_t anomaly_score_milli(const RunReport &report,
 struct SessionVerdict {
     std::uint64_t session = 0;    ///< campaign session index
     std::int64_t score_milli = 0; ///< anomaly_score_milli()
-    std::uint32_t violated = 0;   ///< bitmask over the config's SLOs
-    std::string cohort;
-    std::string label;
+    std::uint32_t violated = 0;   ///< bitmask over kSlos
+    std::string label;            ///< the report label, also its cohort
     std::uint64_t drops = 0;
     std::int64_t frames_due = 0;
     std::uint64_t presents = 0;
@@ -151,21 +157,6 @@ struct SessionVerdict {
 };
 
 /**
- * Observatory configuration. to_json() embeds a fingerprint of this
- * (SLO list, weights, baseline, K), so two dumps taken under different
- * configurations — whose scores are incomparable — are told apart.
- */
-struct ObservatoryConfig {
-    std::vector<SloSpec> slos = default_slos(); ///< at most 32 (bitmask)
-    int top_k = 8;                              ///< >= 1
-    ScoreWeights weights;
-    CohortBaseline baseline; ///< every cohort is scored against this
-
-    /** Canonical textual form (the fingerprint input). */
-    std::string canonical() const;
-};
-
-/**
  * A ReportSink that monitors SLOs, scores every session, and retains
  * the bounded top-K — the streaming observability side of a campaign.
  * See the file comment for the determinism contract.
@@ -176,11 +167,6 @@ class Observatory final : public ReportSink
     /** Schema version written by to_json(). */
     static constexpr int kSchema = 1;
 
-    using CohortFn = std::function<std::string(const RunReport &)>;
-
-    explicit Observatory(ObservatoryConfig config = {},
-                         CohortFn cohort_of = nullptr);
-
     /** Sink entry: observe the report as session @p index, and count it
      *  in to_json()'s `resume_pos` (reports consumed through the sink). */
     void consume(std::size_t index, RunReport &&report) override;
@@ -190,7 +176,6 @@ class Observatory final : public ReportSink
 
     // ----- queries ------------------------------------------------------
 
-    const ObservatoryConfig &config() const { return config_; }
     std::uint64_t sessions() const { return sessions_; }
     std::uint64_t errors() const { return errors_; }
 
@@ -200,11 +185,12 @@ class Observatory final : public ReportSink
     /** Final ranked top-K verdicts (best first). */
     const std::vector<SessionVerdict> &top() const { return top_; }
 
-    /** Per-(cohort, SLO) integer monitor state, in cohort key order. */
+    /** Per-(cohort, SLO) integer monitor state, in cohort key order;
+     *  a session's cohort is its report label. */
     struct CohortMonitor {
         std::uint64_t sessions = 0;
         std::uint64_t errors = 0;
-        std::vector<std::uint64_t> violations; ///< one per config SLO
+        std::array<std::uint64_t, kSlos.size()> violations{};
     };
     const std::map<std::string, CohortMonitor> &cohorts() const
     {
@@ -225,11 +211,8 @@ class Observatory final : public ReportSink
   private:
     void rank_insert(SessionVerdict &&v);
 
-    ObservatoryConfig config_;
-    std::uint64_t config_fnv_ = 0;
-    CohortFn cohort_of_;
     std::map<std::string, CohortMonitor> cohorts_;
-    std::vector<SessionVerdict> top_; ///< ranked, size <= top_k
+    std::vector<SessionVerdict> top_; ///< ranked, size <= kTopK
     std::uint64_t sessions_ = 0;
     std::uint64_t errors_ = 0;
     std::uint64_t resume_pos_ = 0; ///< reports consumed through the sink

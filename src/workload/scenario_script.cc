@@ -1,5 +1,6 @@
 #include "workload/scenario_script.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -12,6 +13,9 @@
 
 namespace dvs {
 namespace {
+
+/** Most copies one `repeat` block may expand to. */
+constexpr int kMaxRepeat = 10'000;
 
 /** One tokenized script line. */
 struct Line {
@@ -65,11 +69,26 @@ parse_duration(const std::string &s)
     return Time(v * unit->second);
 }
 
+/** Parse all of @p word as a @p T; false on an error or leftover text. */
+template <typename T>
+bool
+parse_whole(const std::string &word, T *out)
+{
+    const char *end = word.data() + word.size();
+    const auto [ptr, ec] = std::from_chars(word.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** The number under @p key, or @p fallback when absent; handle() has
+ *  already checked that every present numeric value parses. */
 double
 arg_num(const Line &line, const std::string &key, double fallback)
 {
     auto it = line.args.find(key);
-    return it == line.args.end() ? fallback : std::atof(it->second.c_str());
+    double v = fallback;
+    if (it != line.args.end())
+        parse_whole(it->second, &v);
+    return v;
 }
 
 std::string
@@ -157,7 +176,10 @@ struct Parser {
     {
         const std::string &cmd = line.words[0];
         for (const char *key : kNumericArgs) {
-            if (!std::isfinite(arg_num(line, key, 0.0)))
+            const auto it = line.args.find(key);
+            double v = 0.0;
+            if (it != line.args.end() &&
+                (!parse_whole(it->second, &v) || !std::isfinite(v)))
                 return fail(line, std::string(key) +
                                       "= needs a finite number");
         }
@@ -179,9 +201,10 @@ struct Parser {
             return true;
         }
         if (cmd == "seed") {
-            if (line.words.size() < 2)
-                return fail(line, "seed needs a value");
-            out.seed = std::strtoull(line.words[1].c_str(), nullptr, 10);
+            std::uint64_t seed = 0;
+            if (line.words.size() < 2 || !parse_whole(line.words[1], &seed))
+                return fail(line, "seed needs an integer in [0, 2^64)");
+            out.seed = seed;
             return true;
         }
         if (cmd == "idle") {
@@ -262,13 +285,12 @@ parse_scenario_script(const std::string &text)
     std::vector<Line> expanded;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         if (lines[i].words[0] == "repeat") {
-            if (lines[i].words.size() < 2) {
-                parser.fail(lines[i], "repeat needs a count");
-                return parser.out;
-            }
-            const int count = std::atoi(lines[i].words[1].c_str());
-            if (count <= 0) {
-                parser.fail(lines[i], "repeat count must be positive");
+            int count = 0;
+            if (lines[i].words.size() < 2 ||
+                !parse_whole(lines[i].words[1], &count) || count <= 0 ||
+                count > kMaxRepeat) {
+                parser.fail(lines[i], "repeat needs a count in [1, " +
+                                          std::to_string(kMaxRepeat) + "]");
                 return parser.out;
             }
             std::vector<Line> body;

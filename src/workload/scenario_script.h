@@ -24,9 +24,11 @@
  * accept the power-law knobs as key=value pairs (mean=, sigma=,
  * heavy_rate=, heavy_min=, heavy_max=, alpha=, burst=, ui=, seed=);
  * `interact` takes a gesture (`swipe`, `drag`, `pinch`) with `from=`,
- * `travel=`, `noise=`. `repeat N` ... `end` duplicates a block.
- * Every numeric value must be finite, and the knobs must give a valid
- * cost model (mean > 0, sigma >= 0, heavy_rate >= 0, alpha > 0,
+ * `travel=`, `noise=`. `repeat N` ... `end` duplicates a block, N in
+ * [1, 10000]. `seed` takes an integer in [0, 2^64). Every number must
+ * be the whole word (`2x` and `abc` are errors, not 2 and 0), every
+ * numeric value must be finite, and the knobs must give a valid cost
+ * model (mean > 0, sigma >= 0, heavy_rate >= 0, alpha > 0,
  * heavy_min < heavy_max, burst and ui in [0, 1]); otherwise the line
  * fails with its number.
  */

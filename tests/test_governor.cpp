@@ -2,8 +2,8 @@
  * @file
  * Closed-loop governor tests: the RC thermal/DVFS plant (monotone
  * heating, Newton cooling, emergent trips, the governor floor,
- * bit-identical replay), the graded ladder driven through a hand-built
- * MetricsRegistry (hold/promote hysteresis, handoff gating, exponential
+ * bit-identical replay), the graded ladder driven through fake
+ * sensors (hold/promote hysteresis, handoff gating, exponential
  * re-promotion backoff, the flap-storm transition bound), the watchdog
  * flap-storm bound, and end-to-end determinism of governed runs.
  */
@@ -19,7 +19,6 @@
 #include "display/device_config.h"
 #include "governor/governor.h"
 #include "metrics/power_model.h"
-#include "obs/metrics_registry.h"
 #include "workload/frame_cost.h"
 #include "workload/scenario.h"
 
@@ -183,7 +182,7 @@ TEST(ThermalPlant, EnvelopeScaleShrinksTheBudget)
                 nominal.throttle_c, 1e-9);
 }
 
-// ----- the ladder, driven through a hand-built registry -------------------
+// ----- the ladder, driven through fake sensors ----------------------------
 
 namespace {
 
@@ -198,21 +197,24 @@ constexpr double kThrottleC = 42.0;
  * tick the control loop by hand; every hook invocation is recorded.
  */
 struct LadderHarness {
-    MetricsRegistry reg;
     double temp_c = 30.0;
     double gpu_mj = 0.0;
-    double drops = 0.0;
+    std::uint64_t drops = 0;
     std::vector<std::pair<int, bool>> actions; // (rung, engage)
     int handoffs = 0;
     bool handoff_cleared = true;
     Governor gov;
 
-    LadderHarness() : gov(kThrottleC, make_hooks(this))
-    {
-        reg.register_gauge("thermal.temp_c", [this] { return temp_c; });
-        reg.register_counter("power.gpu_mj", [this] { return gpu_mj; });
-        reg.register_counter("stats.drops", [this] { return drops; });
-    }
+    /** The governor's typed view of the three fields above. */
+    struct Sensors final : SensorSource {
+        const LadderHarness *h;
+        explicit Sensors(const LadderHarness *harness) : h(harness) {}
+        double temp_c(Time) const override { return h->temp_c; }
+        double gpu_mj() const override { return h->gpu_mj; }
+        std::uint64_t drops() const override { return h->drops; }
+    } sensors{this};
+
+    LadderHarness() : gov(kThrottleC, make_hooks(this)) {}
 
     static GovernorHooks make_hooks(LadderHarness *h)
     {
@@ -230,12 +232,12 @@ struct LadderHarness {
     void tick(Time now) { gov.tick(now); }
 };
 
-/** Governor bound to the harness registry without a simulator. */
+/** Governor bound to the harness sensors on a bare simulator. */
 struct BoundLadder : LadderHarness {
     Simulator sim{1};
     BoundLadder()
     {
-        gov.install(sim, reg, 10_ms);
+        gov.install(sim, sensors, 10_ms);
         gov.tick(0); // prime the differentiated sensors
     }
 };
@@ -284,7 +286,7 @@ TEST(Governor, WithoutHandoffHookLadderTopsOutAtDvfs)
     hooks.handoff = nullptr;
     Governor gov(kThrottleC, hooks);
     Simulator sim{1};
-    gov.install(sim, base.reg, 10_ms);
+    gov.install(sim, base.sensors, 10_ms);
     EXPECT_EQ(gov.max_rung(), 3);
     gov.tick(0);
     base.temp_c = 45.0;
@@ -338,7 +340,7 @@ TEST(Governor, NewDropsBlockTheCalmStreak)
     // Cool but still dropping: never calm, never promoted.
     h.temp_c = 30.0;
     for (int i = 3; i <= 30; ++i) {
-        h.drops += 1.0;
+        h.drops += 1;
         h.tick(Time(i) * 10_ms);
     }
     EXPECT_EQ(h.gov.rung(), 1);
@@ -459,7 +461,7 @@ TEST(Governor, InstallTicksOnTheSimulatorCadence)
     h.sim.run_until(65_ms); // scheduled ticks at 10,20,...,60 ms
     EXPECT_EQ(h.gov.ticks(), 7u);
     EXPECT_GT(h.gov.rung(), 0);
-    EXPECT_DEATH(h.gov.install(h.sim, h.reg, 10_ms), "installed twice");
+    EXPECT_DEATH(h.gov.install(h.sim, h.sensors, 10_ms), "installed twice");
 }
 
 // ----- watchdog flap storm ------------------------------------------------

@@ -476,80 +476,3 @@ TEST(ExperimentRunner, MalformedDvsJobsIsAConfigError)
     ::unsetenv("DVS_JOBS");
     EXPECT_EQ(default_jobs(), 0);
 }
-
-TEST(TeeSink, OffersEveryBranchEveryReportInOrder)
-{
-    struct Log final : ReportSink {
-        std::vector<std::pair<std::size_t, std::string>> seen;
-        void consume(std::size_t index, RunReport &&r) override
-        {
-            seen.emplace_back(index, r.label);
-        }
-    };
-    Log a, b, c;
-    TeeSink tee({&a, &b, &c});
-
-    for (std::size_t i = 0; i < 4; ++i) {
-        RunReport r;
-        r.label = "point-" + std::to_string(i);
-        tee.consume(i, std::move(r));
-    }
-
-    const std::vector<std::pair<std::size_t, std::string>> want{
-        {0, "point-0"}, {1, "point-1"}, {2, "point-2"}, {3, "point-3"}};
-    EXPECT_EQ(a.seen, want);
-    EXPECT_EQ(b.seen, want);
-    EXPECT_EQ(c.seen, want);
-}
-
-TEST(TeeSink, FinalBranchReceivesTheOriginalByMove)
-{
-    // Non-final branches get copies; the last branch must still see the
-    // full report (the move happens only on the final offer).
-    VectorSink first, last;
-    TeeSink tee({&first, &last});
-    RunReport r;
-    r.label = "moved";
-    r.drops = 7;
-    tee.consume(0, std::move(r));
-
-    ASSERT_EQ(first.reports().size(), 1u);
-    ASSERT_EQ(last.reports().size(), 1u);
-    EXPECT_EQ(first.reports()[0].label, "moved");
-    EXPECT_EQ(last.reports()[0].label, "moved");
-    EXPECT_EQ(last.reports()[0].drops, 7u);
-}
-
-TEST(TeeSink, ThrowingBranchDoesNotDepriveLaterBranches)
-{
-    struct Thrower final : ReportSink {
-        void consume(std::size_t, RunReport &&) override
-        {
-            throw std::runtime_error("branch one failed");
-        }
-    };
-    struct Thrower2 final : ReportSink {
-        void consume(std::size_t, RunReport &&) override
-        {
-            throw std::logic_error("branch three failed");
-        }
-    };
-    Thrower bad;
-    Thrower2 also_bad;
-    VectorSink good;
-    TeeSink tee({&bad, &good, &also_bad});
-
-    RunReport r;
-    r.label = "survives";
-    // Every branch is offered the report; the FIRST exception wins.
-    try {
-        tee.consume(0, std::move(r));
-        FAIL() << "TeeSink must rethrow after offering all branches";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "branch one failed");
-    } catch (...) {
-        FAIL() << "wrong exception rethrown (want the first thrown)";
-    }
-    ASSERT_EQ(good.reports().size(), 1u);
-    EXPECT_EQ(good.reports()[0].label, "survives");
-}

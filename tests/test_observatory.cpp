@@ -2,7 +2,8 @@
  * @file
  * Tests of the fleet observatory: SLO evaluation and metric extraction,
  * the pure fixed-point anomaly score, the bounded top-K's tie-break,
- * the count of sink-consumed reports, jobs-invariance end to end, and
+ * the pinned fingerprint of the fixed constants, the count of
+ * sink-consumed reports, jobs-invariance end to end, and
  * the tail auto-capture of specimens through SessionRecorder.
  */
 
@@ -11,7 +12,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "harness/aggregator.h"
 #include "obs/observatory.h"
@@ -68,12 +68,9 @@ TEST(SloMetric, ExtractsEveryMetricAndGuardsEmptyDenominators)
 
 TEST(AnomalyScore, IsPureNonNegativeAndOrdersSeverity)
 {
-    const CohortBaseline base;
-    const ScoreWeights weights;
-
     const RunReport healthy = healthy_report();
-    const std::int64_t h1 = anomaly_score_milli(healthy, base, weights);
-    const std::int64_t h2 = anomaly_score_milli(healthy, base, weights);
+    const std::int64_t h1 = anomaly_score_milli(healthy);
+    const std::int64_t h2 = anomaly_score_milli(healthy);
     EXPECT_EQ(h1, h2) << "score must be a pure function of the report";
     EXPECT_GE(h1, 0);
 
@@ -82,15 +79,14 @@ TEST(AnomalyScore, IsPureNonNegativeAndOrdersSeverity)
     worse.presents = 160;
     worse.latency_p99_ms = 180.0;
     worse.stutters = 9;
-    const std::int64_t w = anomaly_score_milli(worse, base, weights);
+    const std::int64_t w = anomaly_score_milli(worse);
     EXPECT_GT(w, h1);
 
     // One invariant violation dominates every rate term: the penalty is
     // 1000.0 in score units, i.e. 1'000'000 millis.
     RunReport broken = healthy;
     broken.invariant_violations = 1;
-    EXPECT_GE(anomaly_score_milli(broken, base, weights) - h1,
-              1'000'000);
+    EXPECT_GE(anomaly_score_milli(broken) - h1, 1'000'000);
 }
 
 TEST(Observatory, DefaultSlosSeparateHealthyFromPathological)
@@ -115,7 +111,6 @@ TEST(Observatory, DefaultSlosSeparateHealthyFromPathological)
     // drop-rate (25% > 10%), p99-latency (250 > 100), stutters (9 > 3)
     // violated; invariants and energy/frame not.
     const auto &bad_v = cohorts.at("fleet/bad").violations;
-    ASSERT_EQ(bad_v.size(), default_slos().size());
     EXPECT_EQ(bad_v[0], 1u);
     EXPECT_EQ(bad_v[1], 1u);
     EXPECT_EQ(bad_v[2], 1u);
@@ -129,22 +124,32 @@ TEST(Observatory, DefaultSlosSeparateHealthyFromPathological)
 
 TEST(Observatory, TopKIsBoundedAndTieBreaksOnSessionIndex)
 {
-    ObservatoryConfig config;
-    config.top_k = 3;
-    Observatory obs(config);
+    static_assert(kTopK == 8);
+    Observatory obs;
 
     // Identical reports -> identical scores; delivered in shuffled
     // order, the retained set must be the lowest session indices.
     RunReport tie = healthy_report();
     tie.drops = 60;
     tie.presents = 140;
-    for (std::uint64_t session : {9u, 2u, 7u, 4u, 11u, 3u})
+    for (std::uint64_t session :
+         {9u, 2u, 14u, 7u, 4u, 11u, 3u, 12u, 6u, 13u, 8u, 5u})
         obs.observe(session, RunReport(tie));
 
-    ASSERT_EQ(obs.top().size(), 3u);
-    EXPECT_EQ(obs.top()[0].session, 2u);
-    EXPECT_EQ(obs.top()[1].session, 3u);
-    EXPECT_EQ(obs.top()[2].session, 4u);
+    ASSERT_EQ(obs.top().size(), std::size_t(kTopK));
+    for (std::size_t r = 0; r < obs.top().size(); ++r)
+        EXPECT_EQ(obs.top()[r].session, r + 2) << "rank " << r;
+}
+
+TEST(Observatory, ConfigFingerprintIsPinned)
+{
+    // to_json() embeds the FNV-1a of the SLOs, weights, baseline and K;
+    // perfbench fingerprints that JSON, so the constants must not move
+    // without a new pin.
+    const std::string json = Observatory().to_json();
+    EXPECT_NE(json.find("\"config_fnv\": \"6fe69ce3801f9ea7\","),
+              std::string::npos)
+        << json;
 }
 
 TEST(Observatory, ErrorReportsAreCountedButNeverScored)
@@ -158,7 +163,7 @@ TEST(Observatory, ErrorReportsAreCountedButNeverScored)
     EXPECT_EQ(obs.sessions(), 1u);
     EXPECT_EQ(obs.errors(), 1u);
     EXPECT_TRUE(obs.top().empty());
-    for (std::size_t s = 0; s < obs.config().slos.size(); ++s)
+    for (std::size_t s = 0; s < kSlos.size(); ++s)
         EXPECT_EQ(obs.violations(s), 0u);
 }
 
@@ -199,18 +204,19 @@ TEST(Observatory, EndToEndFleetIsJobsInvariant)
 
 TEST(Observatory, LeavesTheAggregatorStreamByteIdentical)
 {
-    // A passive monitor must not perturb the stream it watches: teeing
-    // the observatory in beside the aggregator leaves the aggregator's
-    // checkpoint byte-identical to a run without it.
+    // A passive monitor must not perturb the stream it watches: feeding
+    // the observatory beside the aggregator, as megafleet_campaign does,
+    // leaves the aggregator's dump byte-identical to a run without it.
     const DevicePopulation fleet = DevicePopulation::paper_fleet(7);
     const std::uint64_t sessions = 48;
     const auto aggregate = [&](bool observatory_on) {
         CampaignAggregator agg;
         Observatory obs;
-        std::vector<ReportSink *> branches{&agg};
-        if (observatory_on)
-            branches.push_back(&obs);
-        TeeSink sink(std::move(branches));
+        CallbackSink sink([&](std::size_t i, RunReport &&r) {
+            if (observatory_on)
+                obs.observe(i, r);
+            agg.consume(i, std::move(r));
+        });
         ExperimentRunner(2).run_stream(
             sessions,
             [&](std::size_t p) {
@@ -225,16 +231,14 @@ TEST(Observatory, LeavesTheAggregatorStreamByteIdentical)
 TEST(Observatory, CaptureSpecimensWritesVerifiedDvstAndManifest)
 {
     const DevicePopulation fleet = DevicePopulation::paper_fleet(7);
-    ObservatoryConfig config;
-    config.top_k = 2;
-    Observatory obs(config);
+    Observatory obs;
     for (std::uint64_t i = 0; i < 24; ++i) {
         Experiment point = fleet.experiment(i);
         RunReport r = run_experiment(point.config, point.scenario);
         r.label = point.label;
         obs.observe(i, r);
     }
-    ASSERT_EQ(obs.top().size(), 2u);
+    ASSERT_EQ(obs.top().size(), std::size_t(kTopK));
 
     const std::string dir = testing::TempDir() + "observatory_specimens";
     std::string error;
@@ -266,16 +270,14 @@ TEST(Observatory, CaptureSpecimensWritesVerifiedDvstAndManifest)
 TEST(Observatory, CaptureSpecimensDetectsReSimulationDivergence)
 {
     const DevicePopulation fleet = DevicePopulation::paper_fleet(7);
-    ObservatoryConfig config;
-    config.top_k = 1;
-    Observatory obs(config);
-    for (std::uint64_t i = 0; i < 8; ++i) {
+    Observatory obs;
+    for (std::uint64_t i = 0; i < 12; ++i) {
         Experiment point = fleet.experiment(i);
         RunReport r = run_experiment(point.config, point.scenario);
         r.label = point.label;
         obs.observe(i, r);
     }
-    ASSERT_EQ(obs.top().size(), 1u);
+    ASSERT_EQ(obs.top().size(), std::size_t(kTopK));
 
     // A materializer that returns the wrong session breaks the pure
     // (seed, index) contract; capture must refuse, not snapshot it.

@@ -155,6 +155,33 @@ TEST(ScenarioScript, RejectsCostKnobsOutOfRange)
     EXPECT_TRUE(edge.ok) << edge.error;
 }
 
+TEST(ScenarioScript, RejectsNumbersWithTrailingOrMissingDigits)
+{
+    // Every number must be the whole word: a prefix that parses is not
+    // enough, and a word with no digits is not 0.
+    for (const char *bad :
+         {"seed abc", "seed 12x", "seed -1", "seed 1.5",
+          "seed 18446744073709551616", "repeat 2x\nanimate 1ms\nend",
+          "repeat abc\nanimate 1ms\nend", "repeat 0\nanimate 1ms\nend",
+          "repeat 10001\nanimate 1ms\nend", "animate 100ms mean=3x",
+          "animate 100ms sigma=abc", "realtime 100ms heavy_rate=",
+          "animate 100ms seed=5q", "interact swipe 100ms from=1e3px",
+          "interact drag 100ms travel=+800"}) {
+        const ScenarioScript s = parse_scenario_script(
+            std::string("animate 100ms\n") + bad + "\n");
+        EXPECT_FALSE(s.ok) << bad;
+        EXPECT_EQ(s.error_line, 2) << bad;
+    }
+    // The ends of each range still parse.
+    const ScenarioScript edge = parse_scenario_script(
+        "seed 18446744073709551615\n"
+        "repeat 10000\nidle 1ms\nend\n"
+        "animate 100ms mean=1e-1 from=-5\n");
+    ASSERT_TRUE(edge.ok) << edge.error;
+    EXPECT_EQ(edge.seed, 18446744073709551615u);
+    EXPECT_EQ(edge.scenario.size(), 10'001u);
+}
+
 TEST(ScenarioScript, LoadFromFile)
 {
     const std::string path = ::testing::TempDir() + "/dvs_script.txt";
