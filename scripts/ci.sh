@@ -8,8 +8,9 @@
 #                             # build dir; exercises the event-queue
 #                             # slot free list, the inline callback
 #                             # storage, the allocation-budget test and
-#                             # the scenario-script loader under
-#                             # sanitizers)
+#                             # the loaders' byte-mutant loops (.dvst,
+#                             # trace CSV, scenario script, forensics
+#                             # JSON) under sanitizers)
 #   scripts/ci.sh --tsan      # ThreadSanitizer build + the threaded
 #                             # harness suites, the .dvst suites and a
 #                             # multi-job chaos smoke (separate build

@@ -28,6 +28,14 @@ HwVsyncGenerator::set_jitter(Time stddev, Rng *rng)
 }
 
 void
+HwVsyncGenerator::set_end_of_edge(Listener fn)
+{
+    if (end_of_edge_)
+        fatal("a vsync generator takes one end-of-edge hook");
+    end_of_edge_ = std::move(fn);
+}
+
+void
 HwVsyncGenerator::start()
 {
     if (running_)
@@ -88,7 +96,8 @@ HwVsyncGenerator::emit_edge()
 
     // An edge-loss fault suppresses this edge's notifications (the panel
     // misses the refresh) but never the grid: the next edge still comes.
-    if (!edge_fault_ || !edge_fault_(edge)) {
+    const bool notified = !edge_fault_ || !edge_fault_(edge);
+    if (notified) {
         for (auto &fn : listeners_)
             fn(edge);
     }
@@ -102,6 +111,9 @@ HwVsyncGenerator::emit_edge()
     next_edge_ = ideal + step;
     sim_.events().schedule(jittered(next_edge_), [this] { emit_edge(); },
                            EventPriority::kDisplay);
+
+    if (notified && end_of_edge_)
+        end_of_edge_(edge);
 }
 
 } // namespace dvs

@@ -4,7 +4,8 @@
  *
  * Emits one HW-VSync event per panel refresh on the simulator's event
  * queue, notifying registered listeners (the panel latch, the software
- * vsync distributor, DTV calibration). Supports per-tick rate decisions so
+ * vsync distributor, DTV calibration) and then the end-of-edge hook (the
+ * distributor's in-place delivery). Supports per-tick rate decisions so
  * an LTPO policy can stretch or shrink the next period.
  */
 
@@ -52,6 +53,15 @@ class HwVsyncGenerator
     /** Register a listener (called on every edge, in order). */
     void add_listener(Listener fn) { listeners_.push_back(std::move(fn)); }
 
+    /**
+     * Install the end-of-edge hook: it runs on every notified edge after
+     * every listener and after the next edge has been scheduled, so
+     * events it schedules take sequence numbers after the next edge's.
+     * The software vsync distributor delivers through it. There is one
+     * per generator: a second installation is fatal.
+     */
+    void set_end_of_edge(Listener fn);
+
     /** Install the per-edge rate policy (LTPO co-design hook). */
     void set_rate_policy(RatePolicy p) { rate_policy_ = std::move(p); }
 
@@ -78,9 +88,9 @@ class HwVsyncGenerator
 
     /**
      * Edge-loss fault hook: consulted per edge; returning true suppresses
-     * listener notification for that edge (the panel misses a refresh,
-     * software consumers see no tick) while the grid keeps advancing —
-     * modelling a lost HW-VSync interrupt.
+     * listener notification and the end-of-edge hook for that edge (the
+     * panel misses a refresh, software consumers see no tick) while the
+     * grid keeps advancing — modelling a lost HW-VSync interrupt.
      */
     using EdgeFault = std::function<bool(const VsyncEdge &)>;
     void set_edge_fault(EdgeFault fn) { edge_fault_ = std::move(fn); }
@@ -123,6 +133,7 @@ class HwVsyncGenerator
     Time jitter_stddev_ = 0;
     Rng *jitter_rng_ = nullptr;
     std::vector<Listener> listeners_;
+    Listener end_of_edge_;
     RatePolicy rate_policy_;
     EdgeFault edge_fault_;
     PeriodScale period_scale_;

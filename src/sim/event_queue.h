@@ -45,7 +45,7 @@ namespace dvs {
 enum class EventPriority : int {
     kDisplay = 0,   ///< panel refresh / buffer latch
     kSegment = 5,    ///< scenario segment boundaries
-    kVsyncDist = 10, ///< software vsync distribution
+    kVsyncDist = 10, ///< software vsync the edge could not deliver in place
     kPipeline = 20,  ///< pipeline stage completions
     kDefault = 50,   ///< everything else
     kMetrics = 90,   ///< end-of-tick bookkeeping
@@ -108,6 +108,17 @@ class EventQueue
 
     /** Number of pending events. */
     std::size_t pending() const { return heap_.size(); }
+
+    /**
+     * Whether an event of a priority below @p prio is pending at now():
+     * one peek at the heap top, whose key holds the priority.
+     */
+    bool
+    pending_now_below(EventPriority prio) const
+    {
+        return !heap_.empty() && heap_.front().when == now_ &&
+               heap_.front().key < (std::uint64_t(prio) << kSeqBits);
+    }
 
     /**
      * Run events until the queue empties or the next event lies beyond

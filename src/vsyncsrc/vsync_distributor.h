@@ -2,11 +2,11 @@
  * @file
  * Software VSync distributor.
  *
- * Receives HW-VSync edges and posts software vsync events to pipeline
- * entities on the hardware edge — VSync-app for the UI thread, VSync-rs
- * for the render service, VSync-sf for the compositor (§2). Callbacks are
- * one-shot and must be re-requested every frame, matching the Android
- * NativeVSync / Choreographer contract.
+ * Receives HW-VSync edges and delivers software vsync to pipeline
+ * entities inside the hardware edge — VSync-app for the UI thread,
+ * VSync-rs for the render service, VSync-sf for the compositor (§2).
+ * Callbacks are one-shot and must be re-requested every frame, matching
+ * the Android NativeVSync / Choreographer contract.
  */
 
 #ifndef DVS_VSYNCSRC_VSYNC_DISTRIBUTOR_H
@@ -41,6 +41,15 @@ struct SwVsync {
 
 /**
  * Fans HW-VSync out to software channels, each delivered at the edge.
+ *
+ * The edge's listener snapshots each channel's batch; the generator's
+ * end-of-edge hook, after every other listener, delivers the batches in
+ * channel order, in place. A batch is delivered as a scheduled
+ * `kVsyncDist` event at the edge's tick instead when an event that would
+ * run before such an event is pending at the tick (a `kDisplay` or
+ * `kSegment` event, or a batch already scheduled), and so is every later
+ * batch of the edge: either way callbacks run in the same order and see
+ * the same state.
  */
 class VsyncDistributor
 {
@@ -68,16 +77,22 @@ class VsyncDistributor
 
   private:
     void on_edge(const VsyncEdge &edge);
+    void end_of_edge(const VsyncEdge &edge);
+    void schedule_from(const VsyncEdge &edge, int first_ch);
     void deliver(const VsyncEdge &edge, int ch, std::size_t batch);
 
     Simulator &sim_;
     VsyncModel model_;
     // Per channel, every requested callback in request order. The first
-    // scheduled_[ch] of them belong to deliveries an edge has already
-    // scheduled; the rest wait for the next edge. One callback per
-    // surface and stage at most, so a few fit inline.
+    // scheduled_[ch] of them belong to batches an edge has already taken;
+    // the rest wait for the next edge. One callback per surface and stage
+    // at most, so a few fit inline.
     std::array<InlineRing<Callback, 4>, kNumVsyncChannels> requests_;
     std::array<std::size_t, kNumVsyncChannels> scheduled_{};
+    // The batches the last notified edge took, for its end-of-edge hook.
+    std::array<std::size_t, kNumVsyncChannels> edge_batch_{};
+    // Batches scheduled as kVsyncDist events and not yet delivered.
+    std::size_t deferred_ = 0;
 };
 
 } // namespace dvs

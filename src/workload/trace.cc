@@ -1,6 +1,8 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -49,7 +51,17 @@ FrameTrace::from_csv(const std::string &csv)
             continue;
         }
         if (line.rfind("# rate_hz: ", 0) == 0) {
-            t.rate_hz = std::atof(line.c_str() + 11);
+            // A capture rate is a finite, positive number and the whole
+            // rest of the line; anything else keeps the default.
+            const char *last = line.data() + line.size();
+            double hz = 0;
+            const auto [end, ec] = std::from_chars(line.data() + 11, last, hz);
+            if (ec == std::errc() && end == last && std::isfinite(hz) &&
+                hz > 0)
+                t.rate_hz = hz;
+            else
+                warn("trace line %ld: bad rate_hz ignored: %s", line_no,
+                     line.c_str());
             continue;
         }
         if (line.rfind("ui_us", 0) == 0) {

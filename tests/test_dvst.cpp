@@ -4,7 +4,9 @@
  * round trips (the traces/ corpus included, byte for byte), concurrent
  * encode/decode, the bit-exact replay contract (both pacing modes),
  * trace transforms, and strict-loader behavior on corrupt, truncated,
- * and version-skewed files (including a per-byte mutation fuzz loop).
+ * and version-skewed files (including a per-byte mutation fuzz loop,
+ * also run over the frame-trace CSV, scenario-script and forensics-dump
+ * loaders).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -25,6 +28,8 @@
 #include "core/input_prediction_layer.h"
 #include "fault/fault_plan.h"
 #include "input/gesture.h"
+#include "obs/json_view.h"
+#include "sim/logging.h"
 #include "test_support.h"
 #include "trace/dvst_io.h"
 #include "trace/session_recorder.h"
@@ -32,6 +37,8 @@
 #include "trace/transforms.h"
 #include "workload/app_profiles.h"
 #include "workload/frame_cost.h"
+#include "workload/scenario_script.h"
+#include "workload/trace.h"
 
 using namespace dvs;
 using namespace dvs::time_literals;
@@ -991,23 +998,102 @@ TEST(Loader, EverySingleByteMutationFailsCleanly)
         SCOPED_TRACE(cap.label);
         ASSERT_EQ(cap.config.faults != nullptr,
                   cap.kind == SessionCapture::Kind::kMulti);
-        const std::string pristine = cap.encode();
         SessionCapture out;
-        // Two deterministic mutants per byte position: bit-inverted
-        // and +1.
-        for (std::size_t i = 0; i < pristine.size(); ++i) {
-            const auto byte = static_cast<unsigned char>(pristine[i]);
-            for (int mutant = 0; mutant < 2; ++mutant) {
-                std::string bytes = pristine;
-                bytes[i] = char(mutant == 0 ? ~byte : byte + 1);
-                std::string error;
-                EXPECT_FALSE(SessionCapture::decode(bytes, out, error))
-                    << "byte " << i << " mutant " << mutant
-                    << " parsed as valid";
-                EXPECT_FALSE(error.empty()) << "byte " << i;
-            }
-        }
+        for_each_byte_mutant(cap.encode(), [&](const std::string &bytes,
+                                               std::size_t i, int mutant) {
+            std::string error;
+            EXPECT_FALSE(SessionCapture::decode(bytes, out, error))
+                << "byte " << i << " mutant " << mutant << " parsed as valid";
+            EXPECT_FALSE(error.empty()) << "byte " << i;
+        });
     }
+}
+
+// The text loaders get the same two mutants per byte. A text mutant may
+// still be valid input (a digit changed, say), so each one must either
+// parse or fail with a message; none may crash or hang.
+
+TEST(Loader, FrameTraceCsvMutantsParseOrWarn)
+{
+    FrameTrace trace;
+    trace.name = "fuzz";
+    trace.rate_hz = 90.0;
+    trace.frames = {{1_ms, 2_ms, 3_ms}, {500_us, 7'500'000, 0}};
+    for_each_byte_mutant(trace.to_csv(), [](const std::string &csv,
+                                            std::size_t i, int mutant) {
+        testing::internal::CaptureStderr();
+        const FrameTrace back = FrameTrace::from_csv(csv);
+        const std::string warning = testing::internal::GetCapturedStderr();
+        SCOPED_TRACE(testing::Message() << "byte " << i << " mutant "
+                                        << mutant << ": " << warning);
+        EXPECT_TRUE(warning.empty() ||
+                    warning.find("trace line ") != std::string::npos);
+        EXPECT_TRUE(std::isfinite(back.rate_hz) && back.rate_hz > 0);
+        for (const FrameCost &f : back.frames) {
+            EXPECT_GE(f.ui_time, 0);
+            EXPECT_GE(f.render_time, 0);
+            EXPECT_GE(f.gpu_time, 0);
+        }
+    });
+}
+
+TEST(Loader, ScenarioScriptMutantsParseOrFail)
+{
+    // Every directive, knob and suffix kind the format has.
+    const std::string pristine = R"(# fuzz
+device mate60pro
+seed 42
+repeat 2
+  animate 350ms heavy_rate=3 heavy_min=1.2 heavy_max=3 alpha=2 label=fling
+  idle 150us
+end
+interact swipe 1s from=1800 travel=1200 noise=0.5 label=scroll
+realtime 500ms mean=0.5 sigma=0.1 burst=0.2 ui=0.3 seed=7
+)";
+    ASSERT_TRUE(parse_scenario_script(pristine).ok);
+    FatalThrowsScope recoverable(true);
+    for_each_byte_mutant(pristine, [](const std::string &text, std::size_t i,
+                                      int mutant) {
+        SCOPED_TRACE(testing::Message() << "byte " << i << " mutant "
+                                        << mutant);
+        try {
+            const ScenarioScript s = parse_scenario_script(text);
+            if (!s.ok) {
+                EXPECT_FALSE(s.error.empty());
+                EXPECT_GT(s.error_line, 0);
+            }
+        } catch (const ConfigError &e) {
+            EXPECT_STRNE(e.what(), "");
+        }
+    });
+}
+
+TEST(Loader, ForensicsDumpMutantsParseOrFail)
+{
+    // A short session's dump: a few frames, drops and their causes.
+    Scenario sc("fuzz");
+    sc.animate(60_ms,
+               std::make_shared<ConstantCostModel>(FrameCost{1_ms, 25_ms}));
+    RenderSystem sys(SystemConfig().with_forensics(true), sc);
+    sys.run();
+    const std::string path = testing::TempDir() + "/dvs_fuzz_forensics.json";
+    ASSERT_TRUE(sys.save_forensics(path));
+    std::ifstream in(path);
+    const std::string pristine((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    ASSERT_TRUE(JsonValue::parse(pristine).is_object());
+
+    for_each_byte_mutant(pristine, [](const std::string &text, std::size_t i,
+                                      int mutant) {
+        std::string error;
+        const JsonValue dump = JsonValue::parse(text, &error);
+        if (error.empty())
+            EXPECT_TRUE(dump.is_object()) << "byte " << i << " mutant "
+                                          << mutant;
+        else
+            EXPECT_TRUE(dump.is_null()) << "byte " << i << ": " << error;
+    });
 }
 
 TEST(Loader, SaveLoadRoundTripsThroughDisk)

@@ -55,6 +55,25 @@ resume_pos_line(const std::string &json)
                : json.substr(at, json.find('\n', at) - at);
 }
 
+/**
+ * Calls `fn(bytes, i, mutant)` with two deterministic mutants of
+ * @p pristine per byte position @p i: mutant 0 bit-inverts the byte and
+ * mutant 1 adds one to it. The loader fuzzing loops run on these.
+ */
+template <class Fn>
+void
+for_each_byte_mutant(const std::string &pristine, Fn &&fn)
+{
+    for (std::size_t i = 0; i < pristine.size(); ++i) {
+        const auto byte = static_cast<unsigned char>(pristine[i]);
+        for (int mutant = 0; mutant < 2; ++mutant) {
+            std::string bytes = pristine;
+            bytes[i] = char(mutant == 0 ? ~byte : byte + 1);
+            fn(bytes, i, mutant);
+        }
+    }
+}
+
 } // namespace dvs
 
 #endif // DVS_TESTS_TEST_SUPPORT_H

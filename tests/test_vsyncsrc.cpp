@@ -10,10 +10,13 @@
 #include <deque>
 #include <functional>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "display/hw_vsync.h"
 #include "lifetime_probe.h"
+#include "sim/logging.h"
 #include "sim/simulator.h"
 #include "vsyncsrc/choreographer.h"
 #include "vsyncsrc/vsync_distributor.h"
@@ -303,6 +306,125 @@ TEST_F(DistributorTest, ModelTracksHardware)
     sim.run_until(100_ms);
     EXPECT_EQ(dist.model().period(), 10_ms);
     EXPECT_EQ(dist.model().last_edge(), 100_ms);
+}
+
+TEST_F(DistributorTest, EarlierEventAtTheEdgeSchedulesDelivery)
+{
+    // A batch is delivered in place, at the end of its edge, unless an
+    // event that a scheduled kVsyncDist event would run behind is pending
+    // at the edge's tick. Then it and every later batch of the edge are
+    // scheduled, and callbacks still run after that event and after every
+    // listener of the edge.
+    int dtv = 0; // a later listener, standing in for DTV calibration
+    hw.add_listener([&](const VsyncEdge &) { ++dtv; });
+    const EventQueue &q = sim.events();
+    std::vector<std::string> order;
+    const auto request = [&](VsyncChannel ch, const char *name) {
+        dist.request_callback(ch, [&, name](const SwVsync &sw) {
+            order.push_back(name);
+            EXPECT_EQ(dtv, int(sw.index) + 1) << name << " saw the listener";
+            EXPECT_EQ(sim.now(), sw.timestamp);
+        });
+    };
+
+    // Edge 0 is quiet: both batches are delivered in place.
+    request(VsyncChannel::kRs, "rs0");
+    request(VsyncChannel::kApp, "app0");
+    hw.start();
+    sim.run_until(5_ms);
+    EXPECT_EQ(order, (std::vector<std::string>{"app0", "rs0"}));
+    EXPECT_EQ(q.dispatched(EventPriority::kVsyncDist), 0u);
+
+    // Edge 1 shares its tick with a segment boundary.
+    sim.events().schedule(
+        10_ms, [&] { order.push_back("segment"); }, EventPriority::kSegment);
+    request(VsyncChannel::kRs, "rs1");
+    request(VsyncChannel::kApp, "app1");
+    sim.run_until(15_ms);
+    EXPECT_EQ(order, (std::vector<std::string>{"app0", "rs0", "segment",
+                                               "app1", "rs1"}));
+    EXPECT_EQ(q.dispatched(EventPriority::kVsyncDist), 2u);
+
+    // Edge 2 is quiet again.
+    request(VsyncChannel::kApp, "app2");
+    sim.run_until(25_ms);
+    EXPECT_EQ(order.back(), "app2");
+    EXPECT_EQ(q.dispatched(EventPriority::kVsyncDist), 2u);
+}
+
+TEST_F(DistributorTest, EventScheduledByADeliverySchedulesLaterBatches)
+{
+    // A callback delivered in place may schedule an event that runs
+    // before the edge's next batch would have: that batch waits for it.
+    std::vector<std::string> order;
+    dist.request_callback(VsyncChannel::kApp, [&](const SwVsync &) {
+        order.push_back("app");
+        sim.events().schedule(
+            sim.now(), [&] { order.push_back("latch"); },
+            EventPriority::kDisplay);
+    });
+    dist.request_callback(VsyncChannel::kSf, [&](const SwVsync &sw) {
+        order.push_back("sf");
+        EXPECT_EQ(sw.timestamp, 0);
+    });
+    hw.start();
+    sim.run_until(5_ms);
+    EXPECT_EQ(order, (std::vector<std::string>{"app", "latch", "sf"}));
+    EXPECT_EQ(sim.events().dispatched(EventPriority::kVsyncDist), 1u);
+}
+
+TEST_F(DistributorTest, SameTickEdgesKeepTheirBatches)
+{
+    // A zero period scale puts edge 2 on edge 1's tick. Edge 1 defers its
+    // batch behind edge 2's event; edge 2's batch must then wait behind
+    // it too, or it would take edge 1's callback off the ring.
+    int scaled = 0;
+    hw.set_period_scale([&](Time now) {
+        return now == 10_ms && scaled++ == 0 ? 1e-12 : 1.0;
+    });
+    std::vector<std::pair<char, std::uint64_t>> seen; // (callback, edge)
+    hw.add_listener([&](const VsyncEdge &e) {
+        if (e.index == 1)
+            dist.request_callback(VsyncChannel::kApp, [&](const SwVsync &sw) {
+                seen.emplace_back('B', sw.index);
+            });
+    });
+    sim.events().schedule(5_ms, [&] {
+        dist.request_callback(VsyncChannel::kApp, [&](const SwVsync &sw) {
+            seen.emplace_back('A', sw.index);
+        });
+    });
+    hw.start();
+    sim.run_until(15_ms);
+    ASSERT_EQ(hw.edges_emitted(), 3u) << "edges 1 and 2 share 10 ms";
+    const std::vector<std::pair<char, std::uint64_t>> want = {{'A', 1},
+                                                              {'B', 2}};
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(sim.events().dispatched(EventPriority::kVsyncDist), 2u);
+}
+
+TEST_F(DistributorTest, LostEdgeDeliversNothing)
+{
+    hw.set_edge_fault([](const VsyncEdge &e) { return e.index == 1; });
+    std::vector<std::uint64_t> seen;
+    sim.events().schedule(5_ms, [&] {
+        dist.request_callback(VsyncChannel::kApp, [&](const SwVsync &sw) {
+            seen.push_back(sw.index);
+        });
+    });
+    hw.start();
+    sim.run_until(15_ms);
+    EXPECT_TRUE(seen.empty()) << "the edge at 10 ms was lost";
+    EXPECT_EQ(dist.pending(VsyncChannel::kApp), 1u);
+    sim.run_until(25_ms);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{2}));
+    EXPECT_EQ(sim.events().dispatched(EventPriority::kVsyncDist), 0u);
+}
+
+TEST_F(DistributorTest, OneEndOfEdgeHookPerGenerator)
+{
+    FatalThrowsScope recoverable(true);
+    EXPECT_THROW((VsyncDistributor{sim, hw}), ConfigError);
 }
 
 // ----- VsyncDistributor::Callback ---------------------------------------------

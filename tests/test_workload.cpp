@@ -268,6 +268,24 @@ TEST(Trace, MalformedRowsIgnored)
     EXPECT_EQ(t.frames.size(), 2u);
 }
 
+TEST(Trace, BadRateWarnsAndKeepsTheDefault)
+{
+    // A capture rate must be a finite, positive number: a one-byte
+    // mutant of "# rate_hz: 90" once loaded as rate 0.
+    for (const char *rate : {"\xc6" "0", "0", "-90", "nan", "inf", "90fps"}) {
+        SCOPED_TRACE(rate);
+        ::testing::internal::CaptureStderr();
+        const FrameTrace t = FrameTrace::from_csv(
+            std::string("# trace: r\n# rate_hz: ") + rate +
+            "\nui_us,render_us\n1.0,2.0\n");
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_DOUBLE_EQ(t.rate_hz, FrameTrace().rate_hz);
+        EXPECT_EQ(t.frames.size(), 1u);
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+        EXPECT_NE(err.find("rate_hz"), std::string::npos) << err;
+    }
+}
+
 TEST(Trace, NonNumericRowWarnsWithLineNumber)
 {
     ::testing::internal::CaptureStderr();
