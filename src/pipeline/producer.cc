@@ -210,8 +210,7 @@ Producer::begin_frame(int seg_idx, std::int64_t slot, Time content_ts,
     rec.content_timestamp = content_ts;
     rec.timeline_timestamp = timeline_ts;
     rec.pre_rendered = pre_rendered;
-    rec.cost =
-        seg.cost->cost_for(slot + std::int64_t(seg_idx) * kCostIndexStride);
+    rec.cost = cost_of(seg_idx, slot);
     rec.rate_hz = rate_source_ ? rate_source_()
                                : 1e9 / double(dist_.model().period());
     rec.trigger_time = sim_.now();
@@ -229,6 +228,24 @@ Producer::begin_frame(int seg_idx, std::int64_t slot, Time content_ts,
     records_.push_back(rec);
     pending_ui_.push_back(rec.frame_id);
     pump_ui();
+}
+
+const FrameCost &
+Producer::cost_of(int seg_idx, std::int64_t slot)
+{
+    if (seg_idx != batch_segment_ || slot < batch_first_ ||
+        slot >= batch_first_ + batch_size_) {
+        // Begun slots are below total_slots, so the batch holds at least
+        // this one and never runs past the segment's last slot.
+        batch_segment_ = seg_idx;
+        batch_first_ = slot;
+        batch_size_ =
+            std::min(kCostBatch, states_[seg_idx].total_slots - slot);
+        scenario_.segments()[seg_idx].cost->fill(
+            slot + std::int64_t(seg_idx) * kCostIndexStride,
+            std::span(cost_batch_.data(), std::size_t(batch_size_)));
+    }
+    return cost_batch_[std::size_t(slot - batch_first_)];
 }
 
 void

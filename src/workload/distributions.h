@@ -40,9 +40,11 @@ struct PowerLawParams {
  * The power-law cost model: lognormal bulk + bounded-Pareto key frames.
  *
  * Each slot draws from short-lived streams seeded by hash_index(): one
- * for its magnitude and one for its heavy decision (plus the previous
- * slot's heavy stream when bursts are on). Every term that depends only
- * on the parameters is computed once, at construction.
+ * for its magnitude and one for its heavy decision. With bursts on, a
+ * slot also reads the previous slot's key-frame draw: fill() carries it
+ * from one slot to the next and hashes only the slot before the batch.
+ * Every term that depends only on the parameters is computed once, at
+ * construction.
  */
 class PowerLawCostModel : public FrameCostModel
 {
@@ -51,13 +53,17 @@ class PowerLawCostModel : public FrameCostModel
 
     FrameCost cost_for(std::int64_t nominal_index) const override;
 
+    void fill(std::int64_t first, std::span<FrameCost> out) const override;
+
     const PowerLawParams &params() const { return params_; }
 
     /** Whether slot @p nominal_index is a heavy key frame. */
     bool is_heavy(std::int64_t nominal_index) const;
 
   private:
-    double sample_ms(std::int64_t nominal_index) const;
+    bool key_before(std::int64_t nominal_index) const;
+    bool heavy_at(std::int64_t nominal_index, bool &prev_key) const;
+    FrameCost sample(std::int64_t nominal_index, bool &prev_key) const;
 
     PowerLawParams params_;
     std::uint64_t seed_;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "sim/time.h"
 
@@ -49,6 +50,11 @@ struct FrameCost {
  * it — it copies the costs a run already sampled out of the frame
  * records and queries the model only for the slots the run never
  * reached, and replay must see the same table either way.
+ *
+ * The producer draws its costs in batches through fill(), a segment's
+ * slots a few dozen at a time, not one per frame. fill() must return
+ * exactly what cost_for() returns, slot by slot; an override exists
+ * only to draw a batch faster.
  */
 class FrameCostModel
 {
@@ -57,6 +63,17 @@ class FrameCostModel
 
     /** Cost of the frame occupying nominal slot @p nominal_index. */
     virtual FrameCost cost_for(std::int64_t nominal_index) const = 0;
+
+    /**
+     * Costs of the consecutive slots @p first, @p first + 1, ...: one
+     * per element of @p out. The default calls cost_for() per slot.
+     */
+    virtual void
+    fill(std::int64_t first, std::span<FrameCost> out) const
+    {
+        for (std::size_t k = 0; k < out.size(); ++k)
+            out[k] = cost_for(first + std::int64_t(k));
+    }
 };
 
 /** Every frame costs the same. Useful for tests and microbenchmarks. */

@@ -699,6 +699,27 @@ TEST(Capture, CostTableEqualsFreshSampling)
         EXPECT_GT(expect_tables_match_fresh_sampling(sys), 0);
     }
     {
+        // The same at 120 Hz: a 72-slot segment whose frames start past
+        // slot 32 after skips, so its costs span more than one of the
+        // producer's batches.
+        SCOPED_TRACE("D-VSync at 120 Hz, skips across batches");
+        Scenario sc("faulted-120");
+        sc.animate(600_ms, app_costs(120.0, 5)).realtime(200_ms,
+                                                          app_costs(120.0, 6));
+        SystemConfig cfg = SystemConfig().with_device(mate60_pro());
+        cfg.mode = RenderMode::kDvsync;
+        cfg.seed = 2;
+        cfg.faults = std::make_shared<const FaultPlan>(FaultPlan::generate(
+            6, sc.total_duration(), FaultMix::everything()));
+        RenderSystem sys(cfg, sc);
+        sys.run();
+        const auto &records = sys.producer().records();
+        EXPECT_TRUE(std::any_of(
+            records.begin(), records.end(),
+            [](const FrameRecord &r) { return r.slot >= 40; }));
+        EXPECT_GT(expect_tables_match_fresh_sampling(sys), 0);
+    }
+    {
         // The corpus's composed session, rebuilt live: four surfaces
         // sharing one GPU, each with its own producer and records.
         SCOPED_TRACE("composed 4-surface display");

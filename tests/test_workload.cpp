@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "sim/logging.h"
 #include "sim/random.h"
 #include "workload/app_profiles.h"
 #include "workload/distributions.h"
@@ -47,6 +49,51 @@ TEST(CostModels, PeriodicSpikePhaseShifts)
     PeriodicSpikeCostModel m({1_ms, 1_ms}, {1_ms, 20_ms}, 10, 3);
     EXPECT_EQ(m.cost_for(7).render_time, 20_ms); // 7+3 = 10
     EXPECT_EQ(m.cost_for(0).render_time, 1_ms);
+}
+
+namespace {
+
+/** fill() over [first, first + n) must equal cost_for() slot by slot. */
+void
+expect_fill_matches_cost_for(const FrameCostModel &m, std::int64_t first,
+                             std::size_t n)
+{
+    std::vector<FrameCost> batch(n, FrameCost{-1, -1, -1});
+    m.fill(first, batch);
+    for (std::size_t k = 0; k < n; ++k)
+        ASSERT_EQ(batch[k], m.cost_for(first + std::int64_t(k)))
+            << "batch at " << first << " slot " << k;
+}
+
+} // namespace
+
+TEST(CostModels, DefaultFillMatchesCostFor)
+{
+    const ConstantCostModel constant(2_ms, 5_ms);
+    const PeriodicSpikeCostModel spike({1_ms, 1_ms}, {1_ms, 20_ms}, 7, 3);
+    FrameTrace t;
+    for (int i = 0; i < 40; ++i)
+        t.frames.push_back({Time(i + 1) * 100_us, Time(i + 1) * 200_us, 0});
+    const TraceCostModel wrap(t, TraceIndexMode::kWrap);
+    const TraceCostModel slots(t, TraceIndexMode::kSegmentSlot);
+    const FrameCostModel *models[] = {&constant, &spike, &wrap, &slots};
+    for (const FrameCostModel *m : models) {
+        for (std::int64_t first : {std::int64_t(0), std::int64_t(1),
+                                   std::int64_t(38), kCostIndexStride,
+                                   3 * kCostIndexStride + 17})
+            for (std::size_t n : {0, 1, 31, 32, 33})
+                expect_fill_matches_cost_for(*m, first, n);
+    }
+
+    // A segment-slot batch that runs past the table's end repeats the
+    // last entry, as cost_for() clamps; a wrapping one starts over.
+    std::vector<FrameCost> batch(8);
+    slots.fill(2 * kCostIndexStride + 36, batch);
+    for (std::size_t k = 0; k < batch.size(); ++k)
+        EXPECT_EQ(batch[k], t.frames[std::min<std::size_t>(36 + k, 39)]);
+    wrap.fill(36, batch);
+    for (std::size_t k = 0; k < batch.size(); ++k)
+        EXPECT_EQ(batch[k], t.frames[(36 + k) % 40]);
 }
 
 TEST(PowerLaw, DeterministicPerIndex)
@@ -204,6 +251,7 @@ TEST(PowerLaw, BitEqualToReferenceSampler)
     const std::uint64_t seeds[] = {0, 1, 7, 0xdeadbeefULL,
                                    0xfedcba9876543210ULL};
     std::uint64_t heavy = 0, checked = 0;
+    std::uint64_t carried = 0;
     for (std::size_t s = 0; s < sets.size(); ++s) {
         for (std::uint64_t seed : seeds) {
             const PowerLawCostModel model(sets[s], seed);
@@ -217,11 +265,71 @@ TEST(PowerLaw, BitEqualToReferenceSampler)
                 heavy += h;
                 ++checked;
             }
+            // A slot's key-frame draw, before any burst continuation.
+            const auto key = [&](std::int64_t j) {
+                return Rng(hash_index(seed ^ 0xabcdefULL, j))
+                    .chance(sets[s].heavy_prob);
+            };
+            // Batches: the first slot of each hashes the slot before it
+            // (the phantom slot before a segment's range, at a multiple
+            // of kCostIndexStride), and each later slot reads the key
+            // draw its predecessor carries.
+            for (std::int64_t first :
+                 {std::int64_t(0), std::int64_t(1), kCostIndexStride,
+                  3 * kCostIndexStride + 17}) {
+                for (std::size_t n : {1, 31, 32, 33}) {
+                    std::vector<FrameCost> batch(n, FrameCost{-1, -1, -1});
+                    model.fill(first, batch);
+                    for (std::size_t k = 0; k < n; ++k) {
+                        const std::int64_t i = first + std::int64_t(k);
+                        ASSERT_EQ(batch[k], ref.cost_for(i))
+                            << "set " << s << " seed " << seed << " batch at "
+                            << first << " of " << n << " index " << i;
+                        // Slots whose heavy decision reads the carried
+                        // key draw of their predecessor.
+                        carried += k > 0 && sets[s].heavy_burst_prob > 0 &&
+                                   key(i - 1) && !key(i);
+                    }
+                }
+            }
         }
     }
     // Both the light-only and the heavy branch were exercised.
     EXPECT_GT(heavy, 0u);
     EXPECT_LT(heavy, checked);
+    // So was a burst decision inside a batch.
+    EXPECT_GT(carried, 0u);
+}
+
+TEST(PowerLaw, RejectsParametersThatMakeGarbageCosts)
+{
+    // Each of these once built a model whose costs were not finite
+    // (short_mean_ms = -1 sampled ui_time = INT64_MIN).
+    FatalThrowsScope recoverable(true);
+    const auto rejects = [](double PowerLawParams::*field, double v) {
+        PowerLawParams p;
+        p.*field = v;
+        EXPECT_THROW(PowerLawCostModel(p, 1), ConfigError) << "value " << v;
+    };
+    const double nan = std::nan("");
+    const double inf = HUGE_VAL;
+    for (double v : {0.0, -1.0, nan, inf}) {
+        rejects(&PowerLawParams::short_mean_ms, v);
+        rejects(&PowerLawParams::heavy_alpha, v);
+        rejects(&PowerLawParams::heavy_min_ms, v);
+    }
+    for (double v : {-0.1, nan, inf})
+        rejects(&PowerLawParams::short_sigma, v);
+    for (double v : {-0.1, 1.5, nan})
+        rejects(&PowerLawParams::heavy_burst_prob, v);
+    rejects(&PowerLawParams::heavy_max_ms, inf);
+
+    // The edges of the valid ranges still build.
+    PowerLawParams edge;
+    edge.short_sigma = 0;
+    edge.heavy_burst_prob = 1;
+    const PowerLawCostModel m(edge, 1);
+    EXPECT_GT(m.cost_for(3).ui_time, 0);
 }
 
 TEST(PowerLaw, HashIndexAvalanches)
